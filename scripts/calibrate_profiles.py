@@ -14,13 +14,7 @@ from xrprobe.metrics import (
     latencies_from_log,
 )
 from xrprobe.netsim import run_scenario
-from xrprobe.scenario import preset_scenario
-
-TARGETS = {
-    "ethernet": (227.54, 185.22),
-    "fiveg": (282.67, 304.17),
-    "wifi": (362.46, 324.59),
-}
+from xrprobe.scenario import PROFILE_TARGETS, preset_scenario
 
 
 def main() -> None:
@@ -29,7 +23,7 @@ def main() -> None:
     ap.add_argument("--duration-s", type=float, default=300.0)
     args = ap.parse_args()
 
-    for profile, (tv, ta) in TARGETS.items():
+    for profile, (tv, ta) in PROFILE_TARGETS.items():
         print(f"\n{profile} (targets video {tv}, audio {ta})")
         for seed in range(args.seeds):
             log = run_scenario(preset_scenario(profile, seed=seed,

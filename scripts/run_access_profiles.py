@@ -16,13 +16,7 @@ from xrprobe.metrics import (
     latencies_from_log,
 )
 from xrprobe.netsim import run_scenario
-from xrprobe.scenario import preset_scenario
-
-TARGETS = {
-    "ethernet": (227.54, 185.22),
-    "fiveg": (282.67, 304.17),
-    "wifi": (362.46, 324.59),
-}
+from xrprobe.scenario import PROFILE_TARGETS, preset_scenario
 
 
 def profile_row(profile: str, seed: int, duration_s: float) -> dict:
@@ -58,9 +52,9 @@ def main() -> None:
               f"{'target':>8} {'async max':>10} {'skew med':>9} {'out max':>8} {'run':>6}")
     print(header)
     print("-" * len(header))
-    for profile in TARGETS:
+    for profile in PROFILE_TARGETS:
         row = profile_row(profile, args.seed, args.duration_s)
-        tv, ta = TARGETS[profile]
+        tv, ta = PROFILE_TARGETS[profile]
         print(f"{profile:<10} {row['video_mean']:>9.1f} ms {tv:>8.1f} "
               f"{row['audio_mean']:>9.1f} ms {ta:>8.1f} {row['async_max']:>7.1f} ms "
               f"{row['skew_median']:>6.1f} ms {row['skew_outlier_max']:>5.0f} ms "

@@ -226,6 +226,16 @@ def estimate_frequency(
     return rate / refined, float(np.clip(peak, 0.0, 1.0))
 
 
+def _tone_index(schedule: ToneSchedule, frequency: float) -> int | None:
+    """Alphabet index of the tone nearest ``frequency``; None when it lies
+    farther than delta/2 from every schedule tone."""
+    k = round((frequency - schedule.f0_hz) / schedule.delta_hz)
+    k = min(max(k, 0), schedule.tone_count - 1)
+    if abs(frequency - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0:
+        return None
+    return k
+
+
 def resolve_emission(schedule: ToneSchedule, frequency: float,
                      playout_ts: Timestamp) -> Timestamp:
     """Latest slot at or before playout whose tone matches ``frequency``.
@@ -233,10 +243,8 @@ def resolve_emission(schedule: ToneSchedule, frequency: float,
     Raises UnknownTone when the frequency is farther than delta/2 from every
     schedule tone, and Ambiguous when no matching slot has started yet.
     """
-    k = round((frequency - schedule.f0_hz) / schedule.delta_hz)
-    k = min(max(k, 0), schedule.tone_count - 1)
-    nominal = schedule.f0_hz + k * schedule.delta_hz
-    if abs(frequency - nominal) > schedule.delta_hz / 2.0:
+    k = _tone_index(schedule, frequency)
+    if k is None:
         raise UnknownTone(f"{frequency:.1f} Hz not within delta/2 of any tone")
     if playout_ts < schedule.epoch_ts:
         raise Ambiguous("playout precedes the schedule epoch")
@@ -283,9 +291,8 @@ def detect_pulses(
             hits.append(None)
             continue
         freq, conf = est
-        k = round((freq - schedule.f0_hz) / schedule.delta_hz)
-        k = min(max(k, 0), schedule.tone_count - 1)
-        if abs(freq - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0:
+        k = _tone_index(schedule, freq)
+        if k is None:
             if tally is not None:
                 tally["unknown_tone"] += 1
             hits.append(None)
@@ -342,10 +349,6 @@ def detect_pulses(
                 break
             try:
                 emission = resolve_emission(schedule, freq, playout)
-            except UnknownTone:
-                if tally is not None:
-                    tally["unknown_tone"] += 1
-                continue
             except Ambiguous:
                 if tally is not None:
                     tally["ambiguous"] += 1
@@ -429,3 +432,16 @@ def read_wav_manifest(path: str | Path) -> tuple[str, ToneSchedule, Timestamp, d
         epoch_ts=int(sched["epoch_ts"]),
     )
     return doc["device_id"], schedule, int(doc["stream_start_ts"]), doc.get("session", {})
+
+
+def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[AudioDetection]:
+    """Detect the pulses of a WAV written with its ``write_wav_manifest`` sidecar.
+
+    Sample s plays out at the sidecar's stream start plus s / rate seconds,
+    rounded to the millisecond; ``tally`` collects ``detect_pulses``' counters.
+    """
+    device_id, schedule, start_ts, _ = read_wav_manifest(path)
+    pcm = read_wav(path)
+    rate = pcm.sample_rate
+    return detect_pulses(pcm, lambda s: start_ts + round(s * 1000.0 / rate),
+                         schedule, device_id, tally=tally)

@@ -18,9 +18,7 @@ from pathlib import Path
 from . import __version__
 from .audio_beacon import (
     ToneSchedule,
-    detect_pulses,
-    read_wav,
-    read_wav_manifest,
+    detect_wav,
     synthesize,
     write_wav,
     write_wav_manifest,
@@ -45,16 +43,11 @@ from .metrics import (
 from .netsim import run_physical, run_scenario
 from .scenario import ConfigError, scenario_from_file
 from .video_beacon import (
-    CrcMismatch,
-    FinderNotFound,
     FrameManifest,
     beacon_emission,
-    detect_decode,
+    detect_frame_sequence,
     encode_beacon,
-    frame_paths,
     rasterize,
-    read_frame_manifest,
-    read_pgm,
     write_frame_sequence,
 )
 
@@ -146,22 +139,10 @@ def _emit_log(records: list[DetectionRecord], out: str | None) -> None:
 
 
 def _cmd_detect_video(args) -> int:
-    manifest = read_frame_manifest(args.frames)
-    tally: Counter = Counter()
-    records = []
-    for i, path in enumerate(frame_paths(args.frames, manifest.frame_count)):
-        try:
-            det = detect_decode(read_pgm(path), manifest.frame_playout(i),
-                                manifest.device_id)
-        except FinderNotFound:
-            tally["finder_not_found"] += 1
-            continue
-        except CrcMismatch:
-            tally["crc_mismatch"] += 1
-            continue
-        records.append(DetectionRecord(media=VIDEO, device=det.device_id,
-                                       emission_ts=det.emission_ts,
-                                       playout_ts=det.playout_ts))
+    detections, tally = detect_frame_sequence(args.frames)
+    records = [DetectionRecord(media=VIDEO, device=d.device_id,
+                               emission_ts=d.emission_ts, playout_ts=d.playout_ts)
+               for d in detections]
     _emit_log(records, args.out)
     print(f"{len(records)} detections, {sum(tally.values())} undecodable frames",
           file=sys.stderr)
@@ -179,17 +160,10 @@ def _cmd_gen_audio(args) -> int:
 
 
 def _cmd_detect_audio(args) -> int:
-    device_id, schedule, start_ts, _ = read_wav_manifest(args.wav)
-    pcm = read_wav(args.wav)
-    tally: Counter = Counter()
-    dets = detect_pulses(
-        pcm, lambda s: start_ts + round(s * 1000.0 / pcm.sample_rate),
-        schedule, device_id, tally=tally,
-    )
     records = [DetectionRecord(media=AUDIO, device=d.device_id,
                                emission_ts=d.emission_ts, playout_ts=d.playout_ts,
                                frequency=d.frequency_hz, confidence=d.confidence)
-               for d in dets]
+               for d in detect_wav(args.wav)]
     _emit_log(records, args.out)
     print(f"{len(records)} pulses detected", file=sys.stderr)
     return 0

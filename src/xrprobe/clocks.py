@@ -1,69 +1,79 @@
-"""Per-node virtual clocks: linear offset/drift model plus an NTP-style
-periodic correction.
+"""Per-device clocks: a fixed drift plus an offset redrawn at every NTP sync.
 
 Every node in a session stamps events with its own clock. The simulator keeps
 a single true timeline and derives each node's local timestamps through a
-``VirtualClock``, so residual clock error propagates into measured latencies
+``DeviceClock``, so residual clock error propagates into measured latencies
 exactly the way it does between real NTP-synced devices.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Milliseconds since the Unix epoch. Kept as a plain int: timestamps are
 # totally ordered and integer-valued everywhere downstream.
 Timestamp = int
 
-DEFAULT_NTP_SIGMA_MS = 0.5
-DEFAULT_SYNC_INTERVAL_S = 64.0
 
+@dataclass
+class DeviceClock:
+    """A device clock from its join on, one segment per sync interval.
 
-class TimeBeforeAnchor(ValueError):
-    """Clock evaluated at a true time earlier than its anchor t0."""
-
-
-@dataclass(frozen=True)
-class VirtualClock:
-    """local(t) = t + offset_ms + drift_ppm * 1e-6 * (t - t0_ms)."""
-
-    node_id: str
-    offset_ms: float = 0.0
-    drift_ppm: float = 0.0
-    t0_ms: float = 0.0
-
-    def local(self, true_time_ms: float) -> float:
-        if true_time_ms < self.t0_ms:
-            raise TimeBeforeAnchor(
-                f"clock {self.node_id!r}: {true_time_ms} precedes anchor {self.t0_ms}"
-            )
-        return (
-            true_time_ms
-            + self.offset_ms
-            + self.drift_ppm * 1e-6 * (true_time_ms - self.t0_ms)
-        )
-
-
-def local_now(clock: VirtualClock, true_time_ms: float) -> Timestamp:
-    """Local timestamp of the node at a given true time, rounded to whole ms."""
-    return round(clock.local(true_time_ms))
-
-
-def ntp_sync(
-    clock: VirtualClock,
-    sigma_ms: float,
-    rng: random.Random,
-    at_ms: float | None = None,
-) -> VirtualClock:
-    """Model one NTP correction: the residual offset is redrawn from
-    N(0, sigma_ms) and the anchor moves to the sync instant, so drift error
-    restarts from zero. Drift itself is a hardware property and survives.
-
-    ``at_ms`` is the true time of the sync; when omitted the anchor stays put.
+    Within the segment opened at ``starts[i]`` the local time is
+    t + offsets[i] + drift_ppm * 1e-6 * (t - starts[i]): each sync redraws
+    the residual offset and restarts the drift error from zero, while the
+    drift itself is a hardware property and survives. ``starts[0]`` is the
+    join; the clock does not exist before it.
     """
-    if sigma_ms < 0:
-        raise ValueError("sigma_ms must be non-negative")
-    offset = rng.gauss(0.0, sigma_ms) if sigma_ms > 0 else 0.0
-    t0 = clock.t0_ms if at_ms is None else float(at_ms)
-    return replace(clock, offset_ms=offset, t0_ms=t0)
+
+    device: str
+    drift_ppm: float
+    starts: list[float]
+    offsets: list[float]
+
+    @classmethod
+    def draw(cls, device: str, *, seed: int, join_ms: float, end_ms: float,
+             sigma_ntp_ms: float, sync_interval_s: float,
+             max_drift_ppm: float, initial_offset_sigma_ms: float) -> DeviceClock:
+        """Draw the whole session's segments up front, so reads and
+        inversions are independent of event-processing order."""
+        rng = random.Random(f"{seed}|clock|{device}")
+        drift = rng.uniform(-max_drift_ppm, max_drift_ppm) if max_drift_ppm > 0 else 0.0
+        offsets = [rng.gauss(0.0, initial_offset_sigma_ms) if initial_offset_sigma_ms > 0 else 0.0]
+        starts = [join_ms]
+        t = join_ms + sync_interval_s * 1000.0
+        while t <= end_ms:
+            offsets.append(rng.gauss(0.0, sigma_ntp_ms) if sigma_ntp_ms > 0 else 0.0)
+            starts.append(t)
+            t += sync_interval_s * 1000.0
+        return cls(device, drift, starts, offsets)
+
+    def local(self, t: float) -> float:
+        """Local time in fractional ms at true time ``t``."""
+        if t < self.starts[0]:
+            raise ValueError(f"clock {self.device!r}: {t} precedes join {self.starts[0]}")
+        i = bisect.bisect_right(self.starts, t) - 1
+        return t + self.offsets[i] + self.drift_ppm * 1e-6 * (t - self.starts[i])
+
+    def read(self, t: float) -> Timestamp:
+        """Local timestamp at true time ``t``, rounded to whole ms."""
+        return round(self.local(t))
+
+    def invert(self, local_target: float) -> float:
+        """True time at which the clock reads ``local_target``.
+
+        Sync steps make the local map piecewise; a target falling into the
+        sub-millisecond gap of a forward step snaps to the gap's boundary.
+        """
+        j = max(0, bisect.bisect_right(self.starts, local_target) - 2)
+        d = self.drift_ppm * 1e-6
+        while True:
+            t = (local_target - self.offsets[j] + d * self.starts[j]) / (1.0 + d)
+            if t < self.starts[j]:
+                return self.starts[j]
+            if j + 1 == len(self.starts) or t < self.starts[j + 1]:
+                return t
+            j += 1

@@ -126,7 +126,7 @@ def snapshot_from_records(records: Iterable[DetectionRecord],
     for rec in records:
         latency = float(rec.playout_ts - rec.emission_ts)
         if latency < 0:
-            tallies["negative_latency"] += 1
+            tallies["clock_skew_suspected"] += 1
             continue
         if rec.media == VIDEO:
             m2p[rec.device] = latency
@@ -155,7 +155,6 @@ _COUNTER_NAMES = {
     "finder_not_found": "xr_finder_failures_total",
     "unknown_tone": "xr_unknown_tones_total",
     "ambiguous": "xr_ambiguous_tones_total",
-    "negative_latency": "xr_negative_latencies_total",
     "clock_skew_suspected": "xr_negative_latencies_total",
 }
 
@@ -265,23 +264,14 @@ class ExporterState:
         with self._lock:
             policy = self._policy
             level = self._level
-            if "step_down_threshold_ms" in change:
-                policy = replace(policy, step_down_threshold_ms=float(change["step_down_threshold_ms"]))
-            if "step_up_threshold_ms" in change:
-                policy = replace(policy, step_up_threshold_ms=float(change["step_up_threshold_ms"]))
-            if "dwell_s" in change:
-                policy = replace(policy, dwell_s=float(change["dwell_s"]))
+            # replace() re-runs __post_init__, which validates the policy
+            policy = replace(policy, **{key: float(change[key]) for key in
+                                        ("step_down_threshold_ms", "step_up_threshold_ms",
+                                         "dwell_s") if key in change})
             if "level" in change:
                 level = str(change["level"])
                 if level not in policy.levels:
                     raise ValueError(f"unknown level {level!r}")
-            # validates threshold ordering
-            policy = QualityPolicy(
-                levels=policy.levels,
-                step_down_threshold_ms=policy.step_down_threshold_ms,
-                step_up_threshold_ms=policy.step_up_threshold_ms,
-                dwell_s=policy.dwell_s,
-            )
             self._policy = policy
             self._level = level
         return self.config()

@@ -15,7 +15,6 @@ to exactly one log on any platform.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -29,30 +28,23 @@ import numpy as np
 from .audio_beacon import (
     PcmBuffer,
     ToneSchedule,
-    detect_pulses,
-    read_wav,
-    read_wav_manifest,
+    detect_wav,
     slot_frequency,
     synthesize,
     write_wav,
     write_wav_manifest,
 )
-from .clocks import VirtualClock, local_now
+from .clocks import DeviceClock
 from .exporter import DetectionRecord, QualityPolicy, adapt_quality
 from .metrics import AUDIO, VIDEO
 from .scenario import ConfigError, NetworkProfile, SessionScenario
 from .video_beacon import (
-    CrcMismatch,
-    FinderNotFound,
     FrameManifest,
     beacon_emission,
     blank_frame,
-    detect_decode,
+    detect_frame_sequence,
     encode_beacon,
-    frame_paths,
     rasterize,
-    read_frame_manifest,
-    read_pgm,
     write_frame_sequence,
 )
 
@@ -91,65 +83,6 @@ def sample_hop_delay(profile: NetworkProfile, rng: random.Random, t: float,
     return delay
 
 
-# --- disciplined clocks ------------------------------------------------------------
-
-class PiecewiseClock:
-    """A device clock between syncs: fixed drift, offset redrawn per sync.
-
-    Segments are precomputed for the whole session so reads and inversions
-    are independent of event-processing order.
-    """
-
-    def __init__(self, device: str, *, seed: int, join_ms: float, end_ms: float,
-                 sigma_ntp_ms: float, sync_interval_s: float,
-                 max_drift_ppm: float, initial_offset_sigma_ms: float):
-        rng = random.Random(f"{seed}|clock|{device}")
-        drift = rng.uniform(-max_drift_ppm, max_drift_ppm) if max_drift_ppm > 0 else 0.0
-        offset = rng.gauss(0.0, initial_offset_sigma_ms) if initial_offset_sigma_ms > 0 else 0.0
-        clocks = [VirtualClock(device, offset_ms=offset, drift_ppm=drift, t0_ms=join_ms)]
-        starts = [join_ms]
-        t = join_ms + sync_interval_s * 1000.0
-        while t <= end_ms:
-            off = rng.gauss(0.0, sigma_ntp_ms) if sigma_ntp_ms > 0 else 0.0
-            clocks.append(VirtualClock(device, offset_ms=off, drift_ppm=drift, t0_ms=t))
-            starts.append(t)
-            t += sync_interval_s * 1000.0
-        self._clocks = clocks
-        self._starts = starts
-
-    def _index(self, t: float) -> int:
-        i = bisect.bisect_right(self._starts, t) - 1
-        return max(0, min(i, len(self._clocks) - 1))
-
-    def local_float(self, t: float) -> float:
-        clock = self._clocks[self._index(t)]
-        return t + clock.offset_ms + clock.drift_ppm * 1e-6 * (t - clock.t0_ms)
-
-    def read(self, t: float) -> int:
-        return local_now(self._clocks[self._index(t)], t)
-
-    def invert(self, local_target: float) -> float:
-        """True time at which the clock reads ``local_target``.
-
-        Sync steps make the local map piecewise; a target falling into the
-        sub-millisecond gap of a forward step snaps to the gap's boundary.
-        """
-        j = max(0, self._index(local_target) - 1)
-        while True:
-            clock = self._clocks[j]
-            d = clock.drift_ppm * 1e-6
-            t = (local_target - clock.offset_ms + d * clock.t0_ms) / (1.0 + d)
-            lo = self._starts[j]
-            hi = self._starts[j + 1] if j + 1 < len(self._starts) else math.inf
-            if t < lo:
-                return lo
-            if t < hi:
-                return t
-            if j + 1 == len(self._clocks):
-                return t
-            j += 1
-
-
 # --- run artifacts -----------------------------------------------------------------
 
 @dataclass
@@ -159,7 +92,7 @@ class DeviceTrace:
     device: str
     join_ms: float
     quantum_ms: float
-    clock: PiecewiseClock
+    clock: DeviceClock
     vsync_phase_ms: float = 0.0
     audio_phase_ms: float = 0.0
     ticks: list = field(default_factory=list)    # (true_ms, beacon emission | None)
@@ -168,10 +101,14 @@ class DeviceTrace:
 
 @dataclass
 class DetectionLog:
-    """Ordered detection records plus diagnostic tallies for one run."""
+    """Ordered detection records plus diagnostic tallies for one run.
+
+    ``tones`` is the run's schedule with its epoch resolved.
+    """
 
     records: list[DetectionRecord]
     tally: Counter
+    tones: ToneSchedule
     traces: dict[str, DeviceTrace] = field(default_factory=dict)
 
 
@@ -202,7 +139,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     joins = {d: t0 + scenario.join_time_s(d) * 1000.0 for d in devices}
     cspec = scenario.clocks
     clocks = {
-        d: PiecewiseClock(
+        d: DeviceClock.draw(
             d, seed=seed, join_ms=joins[d], end_ms=end,
             sigma_ntp_ms=cspec.sigma_ntp_ms, sync_interval_s=cspec.sync_interval_s,
             max_drift_ppm=cspec.max_drift_ppm,
@@ -212,7 +149,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     }
     presenter = scenario.presenter
     pclock = clocks[presenter]
-    start_local = pclock.local_float(t0)
+    start_local = pclock.local(t0)
     stream_start_ts = round(start_local)
 
     tones = scenario.tones
@@ -416,7 +353,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
                 push(nxt, "qctl", None)
 
     records.sort(key=_record_sort_key)
-    return DetectionLog(records=records, tally=tally, traces=traces)
+    return DetectionLog(records=records, tally=tally, tones=tones, traces=traces)
 
 
 # --- physical mode -----------------------------------------------------------------
@@ -435,24 +372,17 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
     symbolic = run_scenario(scenario, seed)
     workdir = Path(workdir)
     rate = scenario.sample_rate
-    t0 = float(scenario.start_epoch_ms)
-    end = t0 + scenario.duration_s * 1000.0
-    joins = {d: t0 + scenario.join_time_s(d) * 1000.0 for d in scenario.devices}
-    session_info = {"joins_ms": {d: joins[d] for d in scenario.devices}}
-
-    tones = scenario.tones
-    if tones.epoch_ts == 0:
-        start_local = symbolic.traces[scenario.presenter].clock.local_float(t0)
-        tones = replace(tones, epoch_ts=round(start_local))
+    end = float(scenario.start_epoch_ms) + scenario.duration_s * 1000.0
+    joins = {d: trace.join_ms for d, trace in symbolic.traces.items()}
+    session_info = {"joins_ms": joins}
+    tones = symbolic.tones
 
     records: list[DetectionRecord] = []
     tally: Counter = Counter()
     tone_cache: dict[int, np.ndarray] = {}
     pulse_samples = round(tones.pulse_duration_ms * rate / 1000.0)
 
-    for d in scenario.devices:
-        trace = symbolic.traces[d]
-
+    for d, trace in symbolic.traces.items():
         vdir = workdir / d / "video"
         frames = []
         for _, emission in trace.ticks:
@@ -468,17 +398,9 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
         )
         write_frame_sequence(vdir, frames, manifest)
 
-        manifest = read_frame_manifest(vdir)
-        for i, path in enumerate(frame_paths(vdir, manifest.frame_count)):
-            playout = manifest.frame_playout(i)
-            try:
-                det = detect_decode(read_pgm(path), playout, d)
-            except FinderNotFound:
-                tally["finder_not_found"] += 1
-                continue
-            except CrcMismatch:
-                tally["crc_mismatch"] += 1
-                continue
+        detections, frame_tally = detect_frame_sequence(vdir)
+        tally.update(frame_tally)
+        for det in detections:
             records.append(DetectionRecord(
                 media=VIDEO, device=d, emission_ts=det.emission_ts,
                 playout_ts=det.playout_ts, slot=_slot_at(joins, det.playout_ts),
@@ -501,14 +423,7 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
                            stream_start_ts=trace.clock.read(trace.join_ms),
                            session=session_info)
 
-        _, schedule, wav_start, _ = read_wav_manifest(wav_path)
-        loaded = read_wav(wav_path)
-        dets = detect_pulses(
-            loaded,
-            lambda s, base=wav_start, r=loaded.sample_rate: base + round(s * 1000.0 / r),
-            schedule, d, tally=tally,
-        )
-        for det in dets:
+        for det in detect_wav(wav_path, tally):
             records.append(DetectionRecord(
                 media=AUDIO, device=d, emission_ts=det.emission_ts,
                 playout_ts=det.playout_ts, slot=_slot_at(joins, det.playout_ts),
@@ -516,7 +431,8 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
             ))
 
     records.sort(key=_record_sort_key)
-    return DetectionLog(records=records, tally=tally, traces=symbolic.traces), symbolic
+    return (DetectionLog(records=records, tally=tally, tones=tones,
+                         traces=symbolic.traces), symbolic)
 
 
 def compare_logs(a: list[DetectionRecord], b: list[DetectionRecord],

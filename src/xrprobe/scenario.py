@@ -280,6 +280,14 @@ def _wifi() -> dict:
 
 PROFILE_BUILDERS = {"ethernet": _ethernet, "fiveg": _fiveg, "wifi": _wifi}
 
+# Calibrated (video, audio) mean end-to-end latency per preset, ms: the
+# targets the preset numbers above were fitted to.
+PROFILE_TARGETS = {
+    "ethernet": (227.54, 185.22),
+    "fiveg": (282.67, 304.17),
+    "wifi": (362.46, 324.59),
+}
+
 
 def preset_scenario(profile: str, *, name: str | None = None,
                     duration_s: float = 300.0, seed: int = 0,
@@ -362,12 +370,21 @@ def _profile_from(doc: dict, fieldname: str) -> NetworkProfile:
         raise SchemaError(fieldname, str(exc)) from exc
 
 
+def _opt_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
 def _build(cls, doc: dict, fieldname: str, **convert):
+    if not isinstance(doc, dict):
+        raise SchemaError(fieldname, "must be an object")
     kwargs = {}
     for key, value in doc.items():
         if key not in convert:
             raise SchemaError(f"{fieldname}.{key}", "unknown key")
-        kwargs[key] = convert[key](value)
+        try:
+            kwargs[key] = convert[key](value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{fieldname}.{key}", str(exc)) from exc
     try:
         return cls(**kwargs)
     except ConfigError as exc:
@@ -385,7 +402,6 @@ def load_scenario(doc: dict) -> SessionScenario:
         raise SchemaError("<root>", "scenario must be a JSON object")
     doc = dict(doc)
 
-    opt_float = float
     kwargs = {}
     for key, conv in (("duration_s", float), ("fps", float),
                       ("beacon_interval_ms", int), ("sample_rate", int),
@@ -407,8 +423,8 @@ def load_scenario(doc: dict) -> SessionScenario:
     if "pipeline" in doc:
         kwargs["pipeline"] = _build(
             PipelineModel, doc.pop("pipeline"), "pipeline",
-            capture_pipeline_ms=opt_float, encode_up_ms=float, render_ms=float,
-            encode_down_ms=float, decode_ms=float, display_quantum_ms=opt_float,
+            capture_pipeline_ms=_opt_float, encode_up_ms=float, render_ms=float,
+            encode_down_ms=float, decode_ms=float, display_quantum_ms=_opt_float,
             audio_buffer_ms=float, audio_path_ms=float,
         )
     if "clocks" in doc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -240,11 +241,6 @@ def _line_center(line: np.ndarray, hint: int, unit: float):
     return starts[i] + lengths[i] / 2.0, u
 
 
-def _vertical_center(dark: np.ndarray, x: int, y_hint: int, unit: float):
-    """Confirm the 1:1:3:1:1 pattern vertically through (x, y_hint)."""
-    return _line_center(dark[:, x], y_hint, unit)
-
-
 def _refine_center(dark: np.ndarray, cx: float, cy: float, unit: float):
     """Walk a candidate onto the exact center of its run quintet, both axes.
 
@@ -276,7 +272,7 @@ def _scan_finders(dark: np.ndarray, stride: int) -> list[tuple[float, float, flo
         row = dark[y]
         starts, lengths = _runs(row)
         for cx, unit in _quintet_hits(starts, lengths, bool(row[0])):
-            vert = _vertical_center(dark, int(cx), y, unit)
+            vert = _line_center(dark[:, int(cx)], y, unit)
             if vert is None:
                 continue
             cy, vunit = vert
@@ -462,3 +458,23 @@ def read_frame_manifest(directory: str | Path) -> FrameManifest:
 
 def frame_paths(directory: str | Path, count: int) -> list[Path]:
     return [Path(directory) / (FRAME_NAME % i) for i in range(count)]
+
+
+def detect_frame_sequence(directory: str | Path) -> tuple[list[VideoDetection], Counter]:
+    """Decode every frame of a sequence written by ``write_frame_sequence``.
+
+    Frame i plays out at ``manifest.frame_playout(i)``. Undecodable frames
+    are skipped and tallied as ``finder_not_found`` or ``crc_mismatch``.
+    """
+    manifest = read_frame_manifest(directory)
+    detections: list[VideoDetection] = []
+    tally: Counter = Counter()
+    for i, path in enumerate(frame_paths(directory, manifest.frame_count)):
+        try:
+            detections.append(detect_decode(read_pgm(path), manifest.frame_playout(i),
+                                            manifest.device_id))
+        except FinderNotFound:
+            tally["finder_not_found"] += 1
+        except CrcMismatch:
+            tally["crc_mismatch"] += 1
+    return detections, tally

@@ -38,6 +38,7 @@ from xrprobe.scenario import (
     ClockSpec,
     GaussianJitter,
     NetworkProfile,
+    PROFILE_TARGETS,
     PipelineModel,
     SessionScenario,
     preset_scenario,
@@ -274,9 +275,7 @@ def test_criterion_5_simulation_soundness(capsys):
 
 
 def test_criterion_6_profile_reproduction(capsys):
-    targets = {"ethernet": (227.54, 185.22),
-               "fiveg": (282.67, 304.17),
-               "wifi": (362.46, 324.59)}
+    targets = PROFILE_TARGETS
     means = {}
     amax = {}
     skew_median = {}

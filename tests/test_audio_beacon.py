@@ -19,6 +19,7 @@ from xrprobe.audio_beacon import (
     ToneSchedule,
     UnknownTone,
     detect_pulses,
+    detect_wav,
     estimate_frequency,
     read_wav,
     read_wav_manifest,
@@ -316,3 +317,16 @@ class TestWavIo:
         write_wav(path, pcm)
         dets = detect_pulses(read_wav(path), sample_clock(), sched)
         assert len(dets) == 8
+
+    def test_detect_wav_maps_samples_through_sidecar(self, tmp_path):
+        sched = ToneSchedule(epoch_ts=5000)
+        path = tmp_path / "loop.wav"
+        write_wav(path, synthesize(sched, 0, 8, rate=RATE))
+        write_wav_manifest(path, "u5", sched, stream_start_ts=5000)
+        tally = collections.Counter()
+        dets = detect_wav(path, tally)
+        expected = detect_pulses(read_wav(path), sample_clock(base=5000), sched, "u5")
+        assert dets == expected
+        assert len(dets) == 8
+        assert all(d.device_id == "u5" for d in dets)
+        assert [d.emission_ts for d in dets] == [5000 + 100 * i for i in range(8)]

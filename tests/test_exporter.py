@@ -116,6 +116,7 @@ class TestExposition:
             [DetectionRecord(media="video", device="u1", emission_ts=10, playout_ts=5)],
             tally=collections.Counter({"crc_mismatch": 2, "unknown_tone": 3}),
         )
+        assert snap.tallies["clock_skew_suspected"] == 1
         body = render_exposition(snap)
         assert "xr_crc_failures_total 2" in body
         assert "xr_unknown_tones_total 3" in body
@@ -217,6 +218,13 @@ class TestExporterState:
         state = ExporterState()
         with pytest.raises(ValueError):
             state.apply_config({"step_up_threshold_ms": 500.0})
+
+    def test_thresholds_validated_together(self):
+        # both move below the old step_up (250): only the pair is checked
+        state = ExporterState()
+        applied = state.apply_config({"step_down_threshold_ms": 200,
+                                      "step_up_threshold_ms": 100})
+        assert (applied["step_down_threshold_ms"], applied["step_up_threshold_ms"]) == (200.0, 100.0)
 
 
 class TestHttpService:

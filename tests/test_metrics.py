@@ -48,7 +48,7 @@ class TestLatenciesFromLog:
         assert out[0].latency_ms == 250.0
         assert out[0].playout_ts == 1250
 
-    def test_negative_latency_rejected_and_counted(self):
+    def test_clock_skew_rejected_and_counted(self):
         tally = collections.Counter()
         out = latencies_from_log([vid("u2", 1250, 1000)], tally=tally)
         assert out == []
@@ -359,7 +359,7 @@ class TestBuildReport:
         report = build_report(self._log(), sync_target_ms=1e9)
         assert report["video_asynchrony_within_target"] is True
 
-    def test_negative_latency_in_diagnostics(self):
+    def test_clock_skew_in_diagnostics(self):
         recs = self._log() + [vid("u2", 5000, 4000)]
         report = build_report(recs)
         assert report["diagnostics"]["clock_skew_suspected"] == 1

@@ -190,3 +190,20 @@ class TestLoader:
                             "quality": {"enabled": True, "dwell_s": 5}})
         assert sc.quality.enabled is True
         assert sc.quality.dwell_s == 5.0
+
+    @pytest.mark.parametrize("field", ["capture_pipeline_ms", "display_quantum_ms"])
+    def test_optional_pipeline_fields_accept_null(self, field):
+        sc = load_scenario({"profile": "wifi", "pipeline": {field: None}})
+        assert getattr(sc.pipeline, field) is None
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"profile": "wifi", "clocks": {"sigma_ntp_ms": None}}, "clocks.sigma_ntp_ms"),
+        ({"profile": "wifi", "quality": {"levels": 5}}, "quality.levels"),
+        ({"profile": "wifi", "pipeline": {"encode_up_ms": "abc"}}, "pipeline.encode_up_ms"),
+        ({"profile": "wifi", "pipeline": {"decode_ms": None}}, "pipeline.decode_ms"),
+        ({"profile": "wifi", "pipeline": []}, "pipeline"),
+    ])
+    def test_bad_sub_object_value_names_field(self, doc, field):
+        with pytest.raises(SchemaError) as err:
+            load_scenario(doc)
+        assert err.value.field == field

@@ -19,6 +19,7 @@ from xrprobe.video_beacon import (
     blank_frame,
     crc16,
     detect_decode,
+    detect_frame_sequence,
     encode_beacon,
     frame_paths,
     grid_timestamp,
@@ -300,6 +301,23 @@ class TestFrameIo:
         assert back.session == {"joins_ms": {"u1": 0}}
         for i, path in enumerate(frame_paths(tmp_path, back.frame_count)):
             assert (read_pgm(path).pixels == frames[i].pixels).all()
+
+    def test_detect_frame_sequence_tallies_failures(self, tmp_path):
+        tampered = encode_beacon(2000).modules.copy()
+        tampered[8, 8] = not tampered[8, 8]  # a payload module
+        frames = [
+            rasterize(encode_beacon(1000), scale=4, quiet=2),
+            blank_frame(scale=4, quiet=2),
+            rasterize(ModuleGrid(modules=tampered, payload_ts=0), scale=4, quiet=2),
+            rasterize(encode_beacon(1100), scale=4, quiet=2),
+        ]
+        manifest = FrameManifest(device_id="u3", fps=10.0, start_ts=1050,
+                                 frame_count=len(frames))
+        write_frame_sequence(tmp_path, frames, manifest)
+        detections, tally = detect_frame_sequence(tmp_path)
+        assert [(d.device_id, d.emission_ts, d.playout_ts) for d in detections] == [
+            ("u3", 1000, 1050), ("u3", 1100, 1350)]
+        assert tally == {"finder_not_found": 1, "crc_mismatch": 1}
 
     def test_frame_playout_arithmetic(self):
         manifest = FrameManifest(device_id="d", fps=30.0, start_ts=5000, frame_count=4)
