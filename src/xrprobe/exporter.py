@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .clocks import Timestamp
-from .metrics import AUDIO, VIDEO
+from .metrics import AUDIO, VIDEO, valid_latency
 
 
 class ParseError(ValueError):
@@ -124,9 +124,8 @@ def snapshot_from_records(records: Iterable[DetectionRecord],
     slot_counts: Counter = Counter()
     tallies: Counter = Counter(tally or {})
     for rec in records:
-        latency = float(rec.playout_ts - rec.emission_ts)
-        if latency < 0:
-            tallies["clock_skew_suspected"] += 1
+        latency = valid_latency(rec, tallies)
+        if latency is None:
             continue
         if rec.media == VIDEO:
             m2p[rec.device] = latency

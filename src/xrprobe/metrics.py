@@ -77,19 +77,27 @@ class BoxStats:
     outliers: tuple[float, ...]
 
 
-def latencies_from_log(records: Iterable, tally: Counter | None = None) -> list[LatencySample]:
-    """One latency sample per detection record, in input order.
+def valid_latency(rec, tally: Counter | None = None) -> float | None:
+    """Playout minus emission of one detection record, ms; None when negative.
 
-    Records with negative computed latency are rejected and counted under
-    ``clock_skew_suspected``: a beacon cannot play out before it was emitted,
-    so a negative value means the clocks disagree more than the measurement.
+    A beacon cannot play out before it was emitted, so a negative value means
+    the clocks disagree more than the measurement: it is rejected and counted
+    under ``clock_skew_suspected``.
     """
+    latency = float(rec.playout_ts - rec.emission_ts)
+    if latency < 0:
+        if tally is not None:
+            tally["clock_skew_suspected"] += 1
+        return None
+    return latency
+
+
+def latencies_from_log(records: Iterable, tally: Counter | None = None) -> list[LatencySample]:
+    """One latency sample per detection record with a ``valid_latency``, in input order."""
     samples: list[LatencySample] = []
     for rec in records:
-        latency = float(rec.playout_ts - rec.emission_ts)
-        if latency < 0:
-            if tally is not None:
-                tally["clock_skew_suspected"] += 1
+        latency = valid_latency(rec, tally)
+        if latency is None:
             continue
         samples.append(
             LatencySample(

@@ -314,19 +314,73 @@ def preset_scenario(profile: str, *, name: str | None = None,
 # --- JSON loading ------------------------------------------------------------------
 
 def _check_keys(doc: dict, allowed: set[str], fieldname: str) -> None:
+    if not isinstance(doc, dict):
+        raise SchemaError(fieldname, "must be an object")
     for key in doc:
         if key not in allowed:
             raise SchemaError(f"{fieldname}.{key}", "unknown key")
 
 
+def _finite(value) -> float:
+    """A JSON number as a finite float; strings, booleans, NaN and infinities fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError("number out of range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON integer; an integral float such as 20.0 passes, fractions do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _opt_finite(value) -> float | None:
+    return None if value is None else _finite(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _array(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _numbers(value) -> tuple[float, ...]:
+    return tuple(_finite(x) for x in _array(value))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    return tuple(_text(x) for x in _array(value))
+
+
 def _jitter_from(doc: dict, fieldname: str) -> Jitter:
-    kind = doc.get("kind")
     _check_keys(doc, {"kind", "sigma_ms", "mu", "sigma"}, fieldname)
+    kind = doc.get("kind")
     try:
         if kind == "gaussian":
-            return GaussianJitter(sigma_ms=float(doc["sigma_ms"]))
+            return GaussianJitter(sigma_ms=_finite(doc["sigma_ms"]))
         if kind == "lognormal":
-            return LognormalJitter(mu=float(doc["mu"]), sigma=float(doc["sigma"]))
+            return LognormalJitter(mu=_finite(doc["mu"]), sigma=_finite(doc["sigma"]))
     except KeyError as exc:
         raise SchemaError(fieldname, f"jitter missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -338,40 +392,35 @@ def _outage_from(doc: dict, fieldname: str) -> OutageSpec:
     _check_keys(doc, {"enter_prob", "duration_min_ms", "duration_max_ms", "media"}, fieldname)
     try:
         return OutageSpec(
-            enter_prob=float(doc["enter_prob"]),
-            duration_min_ms=float(doc["duration_min_ms"]),
-            duration_max_ms=float(doc["duration_max_ms"]),
-            media=tuple(doc.get("media", ("video",))),
+            enter_prob=_finite(doc["enter_prob"]),
+            duration_min_ms=_finite(doc["duration_min_ms"]),
+            duration_max_ms=_finite(doc["duration_max_ms"]),
+            media=_names(doc.get("media", ("video",))),
         )
     except KeyError as exc:
         raise SchemaError(fieldname, f"outage missing key {exc}") from exc
-    except ConfigError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(fieldname, str(exc)) from exc
 
 
 def _profile_from(doc: dict, fieldname: str) -> NetworkProfile:
-    if not isinstance(doc, dict):
-        raise SchemaError(fieldname, "link profile must be an object")
     _check_keys(doc, {"name", "base_one_way_ms", "jitter", "outage", "loss_prob"}, fieldname)
     try:
         return NetworkProfile(
-            name=str(doc.get("name", fieldname)),
-            base_one_way_ms=float(doc["base_one_way_ms"]),
+            name=_text(doc.get("name", fieldname)),
+            base_one_way_ms=_finite(doc["base_one_way_ms"]),
             jitter=_jitter_from(doc.get("jitter", {"kind": "gaussian", "sigma_ms": 0.0}),
                                 fieldname + ".jitter"),
-            outage=_outage_from(doc["outage"], fieldname + ".outage") if doc.get("outage") else None,
-            loss_prob=float(doc.get("loss_prob", 0.0)),
+            outage=(None if doc.get("outage") is None
+                    else _outage_from(doc["outage"], fieldname + ".outage")),
+            loss_prob=_finite(doc.get("loss_prob", 0.0)),
         )
     except KeyError as exc:
         raise SchemaError(fieldname, f"missing key {exc}") from exc
-    except ConfigError as exc:
-        if isinstance(exc, SchemaError):
-            raise
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise SchemaError(fieldname, str(exc)) from exc
-
-
-def _opt_float(value) -> float | None:
-    return None if value is None else float(value)
 
 
 def _build(cls, doc: dict, fieldname: str, **convert):
@@ -387,7 +436,7 @@ def _build(cls, doc: dict, fieldname: str, **convert):
             raise SchemaError(f"{fieldname}.{key}", str(exc)) from exc
     try:
         return cls(**kwargs)
-    except ConfigError as exc:
+    except ValueError as exc:
         raise SchemaError(fieldname, str(exc)) from exc
 
 
@@ -403,51 +452,43 @@ def load_scenario(doc: dict) -> SessionScenario:
     doc = dict(doc)
 
     kwargs = {}
-    for key, conv in (("duration_s", float), ("fps", float),
-                      ("beacon_interval_ms", int), ("sample_rate", int),
-                      ("presenter", str), ("seed", int),
-                      ("start_epoch_ms", int), ("name", str)):
+    for key, conv in (("duration_s", _finite), ("fps", _finite),
+                      ("beacon_interval_ms", _integer), ("sample_rate", _integer),
+                      ("presenter", _text), ("seed", _integer),
+                      ("start_epoch_ms", _integer), ("name", _text),
+                      ("viewers", _names), ("join_times_s", _numbers)):
         if key in doc:
             try:
                 kwargs[key] = conv(doc.pop(key))
             except (TypeError, ValueError) as exc:
                 raise SchemaError(key, str(exc)) from exc
-    if "viewers" in doc:
-        kwargs["viewers"] = tuple(str(v) for v in doc.pop("viewers"))
-    if "join_times_s" in doc:
-        try:
-            kwargs["join_times_s"] = tuple(float(t) for t in doc.pop("join_times_s"))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("join_times_s", str(exc)) from exc
 
     if "pipeline" in doc:
         kwargs["pipeline"] = _build(
             PipelineModel, doc.pop("pipeline"), "pipeline",
-            capture_pipeline_ms=_opt_float, encode_up_ms=float, render_ms=float,
-            encode_down_ms=float, decode_ms=float, display_quantum_ms=_opt_float,
-            audio_buffer_ms=float, audio_path_ms=float,
+            capture_pipeline_ms=_opt_finite, encode_up_ms=_finite, render_ms=_finite,
+            encode_down_ms=_finite, decode_ms=_finite, display_quantum_ms=_opt_finite,
+            audio_buffer_ms=_finite, audio_path_ms=_finite,
         )
     if "clocks" in doc:
         kwargs["clocks"] = _build(
             ClockSpec, doc.pop("clocks"), "clocks",
-            sigma_ntp_ms=float, sync_interval_s=float,
-            max_drift_ppm=float, initial_offset_sigma_ms=float,
+            sigma_ntp_ms=_finite, sync_interval_s=_finite,
+            max_drift_ppm=_finite, initial_offset_sigma_ms=_finite,
         )
     if "quality" in doc:
         kwargs["quality"] = _build(
             QualitySpec, doc.pop("quality"), "quality",
-            enabled=bool, levels=lambda v: tuple(str(x) for x in v),
-            encode_down_delta_ms=lambda v: tuple(float(x) for x in v),
-            step_down_threshold_ms=float, step_up_threshold_ms=float,
-            dwell_s=float, control_interval_s=float, initial_level=str,
+            enabled=_flag, levels=_names, encode_down_delta_ms=_numbers,
+            step_down_threshold_ms=_finite, step_up_threshold_ms=_finite,
+            dwell_s=_finite, control_interval_s=_finite, initial_level=_text,
         )
     if "tones" in doc:
-        tone_doc = doc.pop("tones")
-        try:
-            kwargs["tones"] = ToneSchedule(**{k: (float(v) if k.endswith("_hz") else int(v))
-                                              for k, v in tone_doc.items()})
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("tones", str(exc)) from exc
+        kwargs["tones"] = _build(
+            ToneSchedule, doc.pop("tones"), "tones",
+            f0_hz=_finite, delta_hz=_finite, tone_count=_integer, pulse_period_ms=_integer,
+            pulse_duration_ms=_integer, ramp_ms=_integer, epoch_ts=_integer,
+        )
 
     profile = doc.pop("profile", None)
     uplink_doc = doc.pop("uplink", None)

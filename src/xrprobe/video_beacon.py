@@ -7,16 +7,22 @@ top-left, top-right and bottom-left corners, each fenced off by a one-module
 light separator; remaining data modules are filled with a checkerboard so the
 code keeps dark/light texture regardless of payload.
 
-Detection assumes axis-aligned codes on a flat background: finder candidates
-come from a 1:1:3:1:1 dark/light run-length scan, the module pitch from the
-finder geometry, and each module is sampled at its center against the frame's
-min/max midpoint threshold. No perspective correction is attempted.
+Detection assumes axis-aligned codes on a flat background. Finder candidates
+come from a 1:1:3:1:1 dark/light run-length test run once over every
+``stride``-th row of the whole frame: the rows' runs are flattened with a
+forced break at column 0, so no run crosses a row end, and each hit is then
+confirmed on its column. A frame's row and column run decompositions are
+computed at most once and nothing carries over to the next frame. The module
+pitch comes from the finder geometry, and each module is sampled at its
+center against the frame's min/max midpoint threshold. No perspective
+correction is attempted.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -198,6 +204,7 @@ def beacon_emission(stream_start_ts: Timestamp, capture_ts: Timestamp,
 
 _RATIO = np.array([1.0, 1.0, 3.0, 1.0, 1.0])
 _RATIO_TOL = np.array([0.5, 0.5, 0.8, 0.5, 0.5])
+_RATIO_PAIRS = tuple(zip(_RATIO.tolist(), _RATIO_TOL.tolist()))
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,40 +215,50 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends - starts
 
 
-def _quintet_hits(starts: np.ndarray, lengths: np.ndarray, first_dark: bool):
-    """Centers/units of every dark-led 1:1:3:1:1 run quintet in one scanline."""
-    n = lengths.size
-    if n < 5:
-        return []
-    win = np.lib.stride_tricks.sliding_window_view(lengths, 5)
-    units = win.sum(axis=1) / 7.0
-    tol = np.maximum(units[:, None] * _RATIO_TOL, 0.6)
-    ok = (np.abs(win - _RATIO * units[:, None]) <= tol).all(axis=1)
-    idx = np.flatnonzero(ok)
-    dark_parity = 0 if first_dark else 1
-    idx = idx[idx % 2 == dark_parity]
-    return [
-        (starts[i + 2] + lengths[i + 2] / 2.0, units[i]) for i in idx
-    ]
+class _LineRuns:
+    """Run decompositions of one frame's rows and columns, each made at most once.
+
+    A line maps to ``(starts, lengths, dark)`` as Python lists, ``dark``
+    giving each run's color. Created per frame: nothing is kept across frames.
+    """
+
+    def __init__(self, dark: np.ndarray):
+        self.dark = dark
+        self._memo: dict[tuple[int, int], tuple[list, list, list]] = {}
+
+    def row(self, y: int) -> tuple[list, list, list]:
+        return self._get(0, y)
+
+    def col(self, x: int) -> tuple[list, list, list]:
+        return self._get(1, x)
+
+    def _get(self, axis: int, index: int) -> tuple[list, list, list]:
+        runs = self._memo.get((axis, index))
+        if runs is None:
+            line = self.dark[index] if axis == 0 else self.dark[:, index]
+            starts, lengths = _runs(line)
+            runs = (starts.tolist(), lengths.tolist(), line[starts].tolist())
+            self._memo[(axis, index)] = runs
+        return runs
 
 
-def _line_center(line: np.ndarray, hint: int, unit: float):
+def _line_center(runs: tuple[list, list, list], hint: int, unit: float):
     """Center/unit of the 1:1:3:1:1 quintet whose middle run covers ``hint``."""
-    starts, lengths = _runs(line)
-    i = int(np.searchsorted(starts, hint, "right")) - 1
-    if i < 2 or i + 2 >= starts.size or not line[starts[i]]:
+    starts, lengths, dark = runs
+    i = bisect_right(starts, hint) - 1
+    if i < 2 or i + 2 >= len(starts) or not dark[i]:
         return None
-    win = lengths[i - 2 : i + 3].astype(float)
-    u = win.sum() / 7.0
+    win = lengths[i - 2 : i + 3]
+    u = sum(win) / 7.0
     if abs(u - unit) > 0.6 * max(u, unit):
         return None
-    tol = np.maximum(u * _RATIO_TOL, 0.6)
-    if not (np.abs(win - _RATIO * u) <= tol).all():
-        return None
+    for n, (ratio, tol) in zip(win, _RATIO_PAIRS):
+        if abs(n - ratio * u) > max(u * tol, 0.6):
+            return None
     return starts[i] + lengths[i] / 2.0, u
 
 
-def _refine_center(dark: np.ndarray, cx: float, cy: float, unit: float):
+def _refine_center(lines: _LineRuns, cx: float, cy: float, unit: float):
     """Walk a candidate onto the exact center of its run quintet, both axes.
 
     A genuine finder candidate lands inside the core, so the vertical and
@@ -249,34 +266,59 @@ def _refine_center(dark: np.ndarray, cx: float, cy: float, unit: float):
     before clustering keeps payload patterns that mimic the finder signature
     from dragging a genuine cluster's mean off center.
     """
-    vert = _line_center(dark[:, int(round(cx))], int(round(cy)), unit)
+    vert = _line_center(lines.col(int(round(cx))), int(round(cy)), unit)
     if vert is None:
         return None
     cy2, vunit = vert
-    horiz = _line_center(dark[int(round(cy2))], int(round(cx)), vunit)
+    horiz = _line_center(lines.row(int(round(cy2))), int(round(cx)), vunit)
     if horiz is None:
         return None
     cx2, hunit = horiz
-    vert2 = _line_center(dark[:, int(round(cx2))], int(round(cy2)), hunit)
+    vert2 = _line_center(lines.col(int(round(cx2))), int(round(cy2)), hunit)
     if vert2 is None:
         return None
     cy3, vunit2 = vert2
     return cx2, cy3, (hunit + vunit2) / 2.0
 
 
-def _scan_finders(dark: np.ndarray, stride: int) -> list[tuple[float, float, float]]:
-    """Candidate finder centers (cx, cy, unit) from a strided row scan."""
-    h = dark.shape[0]
+def _row_hits(dark: np.ndarray, stride: int) -> tuple[list[int], list[float], list[float]]:
+    """(y, cx, unit) of every dark-led 1:1:3:1:1 run quintet on every ``stride``-th row.
+
+    One pass over the strided frame: a run starts at every color change and
+    at column 0, so no flattened run crosses a row end, and the ratio test
+    runs once over all 5-run windows. Windows spanning two rows or led by a
+    light run are dropped. Hits come out row-major, left to right.
+    """
+    rows = dark[::stride]
+    width = rows.shape[1]
+    edge = np.empty(rows.shape, dtype=bool)
+    edge[:, 0] = True
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=edge[:, 1:])
+    starts = np.flatnonzero(edge)
+    if starts.size < 5:
+        return [], [], []
+    lengths = np.diff(starts, append=rows.size)
+    win = np.lib.stride_tricks.sliding_window_view(lengths, 5)
+    units = win.sum(axis=1) / 7.0
+    tol = np.maximum(units[:, None] * _RATIO_TOL, 0.6)
+    ok = (np.abs(win - _RATIO * units[:, None]) <= tol).all(axis=1)
+    row = starts // width
+    ok &= rows.ravel()[starts[:-4]] & (row[:-4] == row[4:])
+    idx = np.flatnonzero(ok)
+    core = idx + 2
+    cx = (starts[core] - row[core] * width) + lengths[core] / 2.0
+    return (row[idx] * stride).tolist(), cx.tolist(), units[idx].tolist()
+
+
+def _scan_finders(lines: _LineRuns, stride: int) -> list[tuple[float, float, float]]:
+    """Candidate finder centers (cx, cy, unit): row hits confirmed on their column."""
     found: list[tuple[float, float, float]] = []
-    for y in range(0, h, stride):
-        row = dark[y]
-        starts, lengths = _runs(row)
-        for cx, unit in _quintet_hits(starts, lengths, bool(row[0])):
-            vert = _line_center(dark[:, int(cx)], y, unit)
-            if vert is None:
-                continue
-            cy, vunit = vert
-            found.append((cx, cy, (unit + vunit) / 2.0))
+    for y, cx, unit in zip(*_row_hits(lines.dark, stride)):
+        vert = _line_center(lines.col(int(cx)), y, unit)
+        if vert is None:
+            continue
+        cy, vunit = vert
+        found.append((cx, cy, (unit + vunit) / 2.0))
     return found
 
 
@@ -356,6 +398,7 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = ""
         raise FinderNotFound("uniform frame")
     dark = px < (lo + hi) / 2.0
 
+    lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
     # a code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
     # adaptive first pass still crosses every core; the 4 and 1 passes cover
@@ -366,10 +409,10 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = ""
         # candidates from the same finder already agree to sub-module
         # precision (the vertical pass centers them), so dedupe tight before
         # the refinement walk; false payload hits stay in their own clusters
-        tight = _cluster(_scan_finders(dark, stride), 0.75)
+        tight = _cluster(_scan_finders(lines, stride), 0.75)
         clusters = []
         for cand in tight:
-            refined = _refine_center(dark, *cand)
+            refined = _refine_center(lines, *cand)
             clusters.append(refined if refined is not None else cand)
         for tl, tr, bl in _triples(clusters):
             modules = _sample_grid(dark, tl, tr, bl)

@@ -1,8 +1,10 @@
 """Scenario schema, presets and loader validation."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xrprobe.scenario import (
     DEFAULT_START_EPOCH_MS,
@@ -207,3 +209,95 @@ class TestLoader:
         with pytest.raises(SchemaError) as err:
             load_scenario(doc)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"quality": {"enabled": "false"}}, "quality.enabled"),
+        ({"quality": {"enabled": 1}}, "quality.enabled"),
+        ({"quality": {"levels": "abc"}}, "quality.levels"),
+        ({"quality": {"levels": ["low", 2]}}, "quality.levels"),
+        ({"quality": {"encode_down_delta_ms": [0, "nan", 1]}}, "quality.encode_down_delta_ms"),
+        ({"viewers": 5}, "viewers"),
+        ({"viewers": "u2"}, "viewers"),
+        ({"viewers": ["u2", 3]}, "viewers"),
+        ({"presenter": ["u1"]}, "presenter"),
+        ({"quality": {"initial_level": 2}}, "quality.initial_level"),
+        ({"duration_s": "inf"}, "duration_s"),
+        ({"duration_s": float("inf")}, "duration_s"),
+        ({"fps": True}, "fps"),
+        ({"fps": 10 ** 400}, "fps"),
+        ({"seed": float("inf")}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"join_times_s": "60"}, "join_times_s"),
+        ({"join_times_s": [60, float("nan"), 180, 240]}, "join_times_s"),
+        ({"clocks": {"sigma_ntp_ms": "nan"}}, "clocks.sigma_ntp_ms"),
+        ({"clocks": {"sigma_ntp_ms": float("nan")}}, "clocks.sigma_ntp_ms"),
+        ({"pipeline": {"render_ms": float("-inf")}}, "pipeline.render_ms"),
+        ({"tones": {"f0_hz": float("inf")}}, "tones.f0_hz"),
+        ({"tones": {"tone_count": float("inf")}}, "tones.tone_count"),
+        ({"tones": []}, "tones"),
+        ({"uplink": {"base_one_way_ms": float("nan")}}, "uplink"),
+        ({"uplink": {"base_one_way_ms": 1, "jitter": 5}}, "uplink.jitter"),
+        ({"uplink": {"base_one_way_ms": 1,
+                     "jitter": {"kind": "gaussian", "sigma_ms": float("nan")}}}, "uplink.jitter"),
+        ({"uplink": {"base_one_way_ms": 1,
+                     "outage": {"enter_prob": 0.1, "duration_min_ms": 1,
+                                "duration_max_ms": 2, "media": "video"}}}, "uplink.outage"),
+        ({"uplink": {"base_one_way_ms": 1,
+                     "outage": {"enter_prob": "x", "duration_min_ms": 1,
+                                "duration_max_ms": 2}}}, "uplink.outage"),
+        ({"uplink": {"base_one_way_ms": 1, "outage": {}}}, "uplink.outage"),
+        ({"uplink": {"base_one_way_ms": 1, "outage": 0}}, "uplink.outage"),
+    ])
+    def test_bad_value_names_field(self, doc, field):
+        with pytest.raises(SchemaError) as err:
+            load_scenario({"profile": "wifi", **doc})
+        assert err.value.field == field
+
+    def test_typed_values_accepted(self):
+        sc = load_scenario({"profile": "wifi", "seed": 7.0, "viewers": ["u2"],
+                            "join_times_s": [5], "quality": {"enabled": False,
+                                                             "levels": ["lo", "mid", "hi"],
+                                                             "initial_level": "hi"}})
+        assert sc.seed == 7 and isinstance(sc.seed, int)
+        assert sc.viewers == ("u2",)
+        assert sc.join_times_s == (5.0,)
+        assert sc.quality.enabled is False
+        assert sc.quality.levels == ("lo", "mid", "hi")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+_PATHS = [
+    ("duration_s",), ("fps",), ("beacon_interval_ms",), ("sample_rate",), ("presenter",),
+    ("seed",), ("start_epoch_ms",), ("name",), ("viewers",), ("join_times_s",),
+    ("profile",), ("uplink",), ("pipeline",), ("clocks",), ("quality",), ("tones",),
+    ("pipeline", "render_ms"), ("pipeline", "display_quantum_ms"),
+    ("clocks", "sigma_ntp_ms"), ("clocks", "sync_interval_s"),
+    ("quality", "enabled"), ("quality", "levels"), ("quality", "encode_down_delta_ms"),
+    ("quality", "dwell_s"), ("quality", "initial_level"),
+    ("tones", "f0_hz"), ("tones", "tone_count"),
+    ("uplink", "base_one_way_ms"), ("uplink", "jitter"), ("uplink", "outage"),
+    ("uplink", "loss_prob"),
+]
+
+
+@given(path=st.sampled_from(_PATHS), value=_JSON)
+@settings(max_examples=300, deadline=None)
+def test_any_value_gives_scenario_or_schema_error(path, value):
+    doc = {"profile": "wifi", "duration_s": 20, "viewers": ["u2"], "join_times_s": [5],
+           "uplink": {"base_one_way_ms": 10}, "pipeline": {}, "clocks": {}, "quality": {},
+           "tones": {}}
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        sc = load_scenario(doc)
+    except SchemaError:
+        return
+    assert isinstance(sc, SessionScenario)
+    assert all(math.isfinite(v) for v in (sc.duration_s, sc.fps, *sc.join_times_s))

@@ -2,7 +2,8 @@
 
 The CRC oracle below is table-driven on purpose: the library computes the
 checksum bit-serially, so agreement between the two is a real cross-check
-rather than the same code run twice.
+rather than the same code run twice. Likewise the finder-scan oracle is the
+original per-row scan, kept here as the reference for the whole-frame one.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from xrprobe.video_beacon import (
     write_frame_sequence,
     write_pgm,
 )
+from xrprobe.video_beacon import _LineRuns, _row_hits, _scan_finders
 
 
 def _crc_table():
@@ -251,6 +253,136 @@ class TestDetect:
         tampered[r, c] = not tampered[r, c]
         frame = rasterize(ModuleGrid(modules=tampered, payload_ts=0), scale=8, quiet=4)
         assert detect_decode(frame, playout_ts=0).emission_ts == ts
+
+
+# --- finder-scan oracle: the original one-row-at-a-time scan --------------------
+
+_REF_RATIO = np.array([1.0, 1.0, 3.0, 1.0, 1.0])
+_REF_RATIO_TOL = np.array([0.5, 0.5, 0.8, 0.5, 0.5])
+
+
+def _ref_runs(values):
+    change = np.flatnonzero(values[1:] != values[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [values.size]))
+    return starts, ends - starts
+
+
+def _ref_quintet_hits(starts, lengths, first_dark):
+    n = lengths.size
+    if n < 5:
+        return []
+    win = np.lib.stride_tricks.sliding_window_view(lengths, 5)
+    units = win.sum(axis=1) / 7.0
+    tol = np.maximum(units[:, None] * _REF_RATIO_TOL, 0.6)
+    ok = (np.abs(win - _REF_RATIO * units[:, None]) <= tol).all(axis=1)
+    idx = np.flatnonzero(ok)
+    idx = idx[idx % 2 == (0 if first_dark else 1)]
+    return [(starts[i + 2] + lengths[i + 2] / 2.0, units[i]) for i in idx]
+
+
+def _ref_line_center(line, hint, unit):
+    starts, lengths = _ref_runs(line)
+    i = int(np.searchsorted(starts, hint, "right")) - 1
+    if i < 2 or i + 2 >= starts.size or not line[starts[i]]:
+        return None
+    win = lengths[i - 2 : i + 3].astype(float)
+    u = win.sum() / 7.0
+    if abs(u - unit) > 0.6 * max(u, unit):
+        return None
+    tol = np.maximum(u * _REF_RATIO_TOL, 0.6)
+    if not (np.abs(win - _REF_RATIO * u) <= tol).all():
+        return None
+    return starts[i] + lengths[i] / 2.0, u
+
+
+def _ref_row_hits(dark, stride):
+    for y in range(0, dark.shape[0], stride):
+        row = dark[y]
+        for cx, unit in _ref_quintet_hits(*_ref_runs(row), bool(row[0])):
+            yield y, cx, unit
+
+
+def _ref_scan_finders(dark, stride):
+    found = []
+    for y, cx, unit in _ref_row_hits(dark, stride):
+        vert = _ref_line_center(dark[:, int(cx)], y, unit)
+        if vert is None:
+            continue
+        cy, vunit = vert
+        found.append((cx, cy, (unit + vunit) / 2.0))
+    return found
+
+
+def _strides(dark):
+    return (max(4, min(dark.shape) // 32), 4, 1)
+
+
+@st.composite
+def _scan_frames(draw):
+    """Beacon frames, intact or damaged, with noise and non-square padding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modules = encode_beacon(draw(st.integers(0, (1 << 63) - 1))).modules.copy()
+    damage = draw(st.sampled_from(["intact", "finder", "payload"]))
+    if damage == "finder":
+        r0, c0 = [(0, 0), (0, 14), (14, 0)][draw(st.integers(0, 2))]
+        modules[r0 : r0 + 7, c0 : c0 + 7] = False
+    elif damage == "payload":
+        modules[8, 8 + draw(st.integers(0, 4))] ^= True
+    scale = draw(st.integers(1, 16))
+    quiet = draw(st.integers(0, 4))
+    px = rasterize(ModuleGrid(modules=modules, payload_ts=0), scale=scale, quiet=quiet).pixels
+    pad = [draw(st.integers(0, 40)) for _ in range(4)]
+    px = np.pad(px, ((pad[0], pad[1]), (pad[2], pad[3])), constant_values=255)
+    noise = draw(st.sampled_from([0.0, 0.002, 0.02, 0.5]))
+    return px ^ np.where(rng.random(px.shape) < noise, 255, 0).astype(np.uint8) < 128
+
+
+class TestFinderScan:
+    @given(dark=_scan_frames())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_oracle(self, dark):
+        lines = _LineRuns(dark)
+        for stride in _strides(dark):
+            # the row stage alone too: the column check would hide a
+            # light-led row hit, since it rejects a light middle run
+            assert list(zip(*_row_hits(dark, stride))) == [
+                (y, float(cx), float(u)) for y, cx, u in _ref_row_hits(dark, stride)]
+            got = _scan_finders(lines, stride)
+            want = _ref_scan_finders(dark, stride)
+            assert [tuple(map(float, c)) for c in got] == [tuple(map(float, c)) for c in want]
+
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 40), w=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_small_random_frames(self, seed, h, w):
+        dark = np.random.default_rng(seed).random((h, w)) < 0.5
+        lines = _LineRuns(dark)
+        for stride in _strides(dark):
+            assert _scan_finders(lines, stride) == _ref_scan_finders(dark, stride)
+
+    @pytest.mark.parametrize("shape", [(1, 64), (64, 1), (1, 1), (64, 4), (4, 64), (3, 3)])
+    def test_degenerate_frames_raise_finder_not_found(self, shape):
+        px = np.random.default_rng(1).integers(0, 2, size=shape, dtype=np.uint8) * 255
+        px.flat[0], px.flat[-1] = 0, 255  # two gray levels, so detection gets to the scan
+        with pytest.raises(FinderNotFound):
+            detect_decode(PixelBuffer(pixels=px), playout_ts=0)
+
+    def test_fewer_than_five_runs_raise_finder_not_found(self):
+        px = np.full((40, 40), 255, dtype=np.uint8)
+        px[:, 10:20] = 0  # three runs per row
+        with pytest.raises(FinderNotFound):
+            detect_decode(PixelBuffer(pixels=px), playout_ts=0)
+        assert _row_hits(px[:1, :3] < 128, 1) == ([], [], [])
+
+    def test_no_window_spans_two_rows(self):
+        # row 0 ends dark, light; row 1 opens dark x3, light, dark: joined,
+        # the five runs read 1:1:3:1:1, but they lie in two rows
+        dark = np.array([[0, 0, 0, 0, 0, 1, 0],
+                         [1, 1, 1, 0, 1, 0, 0]], dtype=bool)
+        assert _row_hits(dark, 1) == ([], [], [])
+        # the same five runs inside one row do hit, centered on the 3-run
+        one_row = np.array([[0, 1, 0, 1, 1, 1, 0, 1, 0]], dtype=bool)
+        assert _row_hits(one_row, 1) == ([0], [4.5], [1.0])
 
 
 class TestBeaconEmission:
