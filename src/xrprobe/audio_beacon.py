@@ -9,6 +9,11 @@ long as end-to-end delay stays inside the ambiguity window
 Detection is time-domain: normalized autocorrelation over a sliding window,
 first qualifying peak after the first zero crossing, parabolic refinement of
 the peak lag. Works on the raw int16 stream, no FFT bins to misalign.
+``detect_pulses`` estimates its windows a chunk at a time over a strided
+view of the stream: silence test, energy sums, normalization and peak search
+run once per chunk, and only the FFTs of the autocorrelation stay one per
+window (a batched transform rounds differently). A single window goes
+through the same code as a chunk of one.
 """
 
 from __future__ import annotations
@@ -148,24 +153,8 @@ def synthesize(schedule: ToneSchedule, start_slot: int, n_slots: int,
     return PcmBuffer(sample_rate=rate, samples=out)
 
 
-def _normalized_autocorr(x: np.ndarray, tau_hi: int) -> np.ndarray:
-    """r[tau] = sum x[n]x[n+tau] / sqrt(sum_head x^2 * sum_tail x^2), tau 0..tau_hi."""
-    n = x.size
-    m = 1
-    while m < 2 * n:
-        m <<= 1
-    spec = np.fft.rfft(x, m)
-    ac = np.fft.irfft(spec * np.conj(spec), m)[: tau_hi + 1]
-    energy = np.cumsum(x * x)
-    total = energy[-1]
-    taus = np.arange(tau_hi + 1)
-    head = energy[n - 1 - taus]
-    tail = total - np.concatenate(([0.0], energy[: tau_hi]))
-    denom = np.sqrt(head * tail)
-    r = np.zeros(tau_hi + 1)
-    good = denom > 0
-    r[good] = ac[good] / denom[good]
-    return r
+# windows per _estimate_windows call in detect_pulses
+_CHUNK = 128
 
 
 def estimate_frequency(
@@ -186,44 +175,73 @@ def estimate_frequency(
     x = np.asarray(window, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("window must be 1-D")
-    n = x.size
+    return _estimate_windows(x[None, :], rate, f_min, f_max, peak_threshold, silence_dbfs)[0]
+
+
+def _estimate_windows(
+    frames: np.ndarray,
+    rate: int,
+    f_min: float,
+    f_max: float,
+    peak_threshold: float = PEAK_THRESHOLD,
+    silence_dbfs: float = SILENCE_DBFS,
+) -> list[tuple[float, float] | None]:
+    """``estimate_frequency`` of every row of ``frames`` (windows x samples).
+
+    The silence test, the energy sums, the normalization and the peak search
+    run once over the whole block; only the transforms stay one per window.
+    A window's normalized autocorrelation is r[tau] =
+    sum x[n]x[n+tau] / sqrt(sum_head x^2 * sum_tail x^2) for tau 0..tau_max+1.
+    """
+    count, n = frames.shape
     if n < MIN_WINDOW:
         raise ValueError(f"window must hold at least {MIN_WINDOW} samples")
-    rms = math.sqrt(float(np.mean(x * x)))
-    if rms < FULL_SCALE * 10.0 ** (silence_dbfs / 20.0):
-        return None
+    out: list[tuple[float, float] | None] = [None] * count
+    squares = frames * frames
+    rms = np.sqrt(np.mean(squares, axis=1))
+    loud = np.flatnonzero(~(rms < FULL_SCALE * 10.0 ** (silence_dbfs / 20.0)))
 
     tau_min = max(2, int(rate // f_max))
     tau_max = min(int(math.ceil(rate / f_min)), n - 2)
-    if tau_min >= tau_max:
-        return None
-    r = _normalized_autocorr(x, tau_max + 1)
+    if tau_min >= tau_max or loud.size == 0:
+        return out
+    tau_hi = tau_max + 1
+    x = frames[loud]
+    m = 1
+    while m < 2 * n:
+        m <<= 1
+    ac = np.empty((loud.size, tau_hi + 1))
+    for i, row in enumerate(x):
+        # per row: a batched transform or product rounds differently
+        spec = np.fft.rfft(row, m)
+        ac[i] = np.fft.irfft(spec * np.conj(spec), m)[: tau_hi + 1]
+    energy = np.cumsum(squares[loud], axis=1)
+    head = energy[:, n - 1 - np.arange(tau_hi + 1)]
+    tail = energy[:, -1:] - np.concatenate((np.zeros((loud.size, 1)), energy[:, :tau_hi]), axis=1)
+    denom = np.sqrt(head * tail)
+    r = np.zeros_like(ac)
+    np.divide(ac, denom, out=r, where=denom > 0)
 
-    below = np.flatnonzero(r[1:] <= 0.0)
-    if below.size == 0:
-        return None
-    zc = int(below[0]) + 1
-
-    lo = max(zc + 1, tau_min)
-    tau = None
-    for cand in range(lo, tau_max + 1):
-        if (
-            r[cand] >= peak_threshold
-            and r[cand] >= r[cand - 1]
-            and r[cand] >= r[cand + 1]
-        ):
-            tau = cand
-            break
-    if tau is None:
-        return None
-
-    a, b, c = r[tau - 1], r[tau], r[tau + 1]
-    denom = a - 2.0 * b + c
-    shift = 0.0 if abs(denom) < 1e-12 else 0.5 * (a - c) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    refined = tau + shift
-    peak = b - 0.25 * (a - c) * shift
-    return rate / refined, float(np.clip(peak, 0.0, 1.0))
+    below = r[:, 1:] <= 0.0
+    zc = below.argmax(axis=1) + 1
+    lo = np.maximum(zc + 1, tau_min)
+    # cand runs over 1..tau_max; r[:, cand] must be a qualifying local maximum
+    mid = r[:, 1:-1]
+    peak = ((mid >= peak_threshold) & (mid >= r[:, :-2]) & (mid >= r[:, 2:])
+            & (np.arange(1, tau_hi) >= lo[:, None]))
+    rows = np.flatnonzero(peak.any(axis=1) & below.any(axis=1))
+    tau = peak[rows].argmax(axis=1) + 1
+    a, b, c = r[rows, tau - 1], r[rows, tau], r[rows, tau + 1]
+    # parabolic refinement of each accepted peak over its two neighbors
+    curve = a - 2.0 * b + c
+    flat = np.abs(curve) < 1e-12
+    shift = np.where(flat, 0.0, 0.5 * (a - c) / np.where(flat, 1.0, curve))
+    shift = np.clip(shift, -0.5, 0.5)
+    freqs = rate / (tau + shift)
+    confs = np.clip(b - 0.25 * (a - c) * shift, 0.0, 1.0)
+    for i, freq, conf in zip(loud[rows].tolist(), freqs.tolist(), confs.tolist()):
+        out[i] = (freq, conf)
+    return out
 
 
 def _tone_index(schedule: ToneSchedule, frequency: float) -> int | None:
@@ -282,11 +300,15 @@ def detect_pulses(
     f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
     period_ms = schedule.pulse_period_ms
 
-    # Per-window tone decisions.
+    # Per-window tone decisions, estimated a chunk of windows at a time.
+    starts = range(0, x.size - window_size + 1, hop)
+    estimates: list[tuple[float, float] | None] = []
+    if len(starts):
+        windows = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop]
+        for c in range(0, len(starts), _CHUNK):
+            estimates += _estimate_windows(windows[c : c + _CHUNK], rate, f_lo, f_hi)
     hits: list[tuple[int, int, float, float] | None] = []
-    for start in range(0, x.size - window_size + 1, hop):
-        w = x[start : start + window_size]
-        est = estimate_frequency(w, rate, f_min=f_lo, f_max=f_hi)
+    for start, est in zip(starts, estimates):
         if est is None:
             hits.append(None)
             continue
@@ -308,16 +330,19 @@ def detect_pulses(
     # windows more than a couple of milliseconds early do not.
     probe_len = min(1024, window_size // 2)
     onset_ratio = 0.93
+    taper = np.hanning(probe_len)
+    phasors: dict[float, np.ndarray] = {}
 
-    def _tone_amp(seg: np.ndarray, freq: float) -> float:
-        taper = np.hanning(seg.size)
-        phasor = np.exp(-2j * np.pi * freq * np.arange(seg.size) / rate)
+    def _tone_amp(seg: np.ndarray, phasor: np.ndarray) -> float:
         return abs(np.dot(seg * taper, phasor))
 
     def _openers(run, nominal):
+        phasor = phasors.get(nominal)
+        if phasor is None:
+            phasor = phasors[nominal] = np.exp(-2j * np.pi * nominal * np.arange(probe_len) / rate)
         for start, _, freq, conf in run:
-            head = _tone_amp(x[start : start + probe_len], nominal)
-            tail = _tone_amp(x[start + window_size - probe_len : start + window_size], nominal)
+            head = _tone_amp(x[start : start + probe_len], phasor)
+            tail = _tone_amp(x[start + window_size - probe_len : start + window_size], phasor)
             ref = max(head, tail)
             if ref > 0.0 and head >= onset_ratio * ref:
                 yield start, freq, conf

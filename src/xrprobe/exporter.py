@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .clocks import Timestamp
 from .metrics import AUDIO, VIDEO, valid_latency
+from .scenario import SchemaError, check_quality_thresholds, finite, read_fields, text
 
 
 class ParseError(ValueError):
@@ -68,6 +69,10 @@ def write_log(path: str | Path, records: Iterable[DetectionRecord]) -> None:
 _REQUIRED = ("media", "device", "emission_ts", "playout_ts")
 
 
+def _not_integer(line_no: int, key: str, value) -> ParseError:
+    return ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
+
+
 def read_log(path: str | Path) -> list[DetectionRecord]:
     records: list[DetectionRecord] = []
     with open(path) as fh:
@@ -86,14 +91,22 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
                     raise ParseError(line_no, f"missing field {key!r}")
             if doc["media"] not in (VIDEO, AUDIO):
                 raise ParseError(line_no, f"unknown media {doc['media']!r}")
+            # exact type checks: true or 1.7 is rejected, not truncated
+            emission_ts, playout_ts, slot = doc["emission_ts"], doc["playout_ts"], doc.get("slot")
+            if type(emission_ts) is not int:
+                raise _not_integer(line_no, "emission_ts", emission_ts)
+            if type(playout_ts) is not int:
+                raise _not_integer(line_no, "playout_ts", playout_ts)
+            if slot is not None and type(slot) is not int:
+                raise _not_integer(line_no, "slot", slot)
             try:
                 records.append(
                     DetectionRecord(
                         media=doc["media"],
                         device=str(doc["device"]),
-                        emission_ts=int(doc["emission_ts"]),
-                        playout_ts=int(doc["playout_ts"]),
-                        slot=None if doc.get("slot") is None else int(doc["slot"]),
+                        emission_ts=emission_ts,
+                        playout_ts=playout_ts,
+                        slot=slot,
                         frequency=None if doc.get("frequency") is None else float(doc["frequency"]),
                         confidence=None if doc.get("confidence") is None else float(doc["confidence"]),
                     )
@@ -200,10 +213,8 @@ class QualityPolicy:
             raise ValueError("need at least two quality levels")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError("duplicate quality level names")
-        if self.step_up_threshold_ms >= self.step_down_threshold_ms:
-            raise ValueError("step_up threshold must sit below step_down threshold")
-        if self.dwell_s < 0:
-            raise ValueError("dwell must be non-negative")
+        check_quality_thresholds(self.step_down_threshold_ms, self.step_up_threshold_ms,
+                                 self.dwell_s)
 
 
 @dataclass(frozen=True)
@@ -259,18 +270,20 @@ class ExporterState:
             }
 
     def apply_config(self, change: dict) -> dict:
-        """Apply a partial config change; returns the full applied config."""
+        """Apply a partial config change; returns the full applied config.
+
+        Values are typed and checked by the scenario loader's rules, and any
+        rejection is a SchemaError naming the field.
+        """
+        values = read_fields(change, "", level=text, step_down_threshold_ms=finite,
+                             step_up_threshold_ms=finite, dwell_s=finite)
+        level = values.pop("level", None)
         with self._lock:
-            policy = self._policy
-            level = self._level
             # replace() re-runs __post_init__, which validates the policy
-            policy = replace(policy, **{key: float(change[key]) for key in
-                                        ("step_down_threshold_ms", "step_up_threshold_ms",
-                                         "dwell_s") if key in change})
-            if "level" in change:
-                level = str(change["level"])
-                if level not in policy.levels:
-                    raise ValueError(f"unknown level {level!r}")
+            policy = replace(self._policy, **values)
+            level = self._level if level is None else level
+            if level not in policy.levels:
+                raise SchemaError("level", f"unknown level {level!r}")
             self._policy = policy
             self._level = level
         return self.config()
@@ -290,13 +303,13 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path.split("?")[0] != "/config":
             self._send(404, "text/plain", b"not found\n")
             return
-        length = int(self.headers.get("Content-Length", "0"))
         try:
-            change = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(change, dict):
-                raise ValueError("config body must be a JSON object")
+            length = self.headers.get("Content-Length", "0")
+            if not length.isdecimal():
+                raise SchemaError("Content-Length", f"expected a byte count, got {length!r}")
+            change = json.loads(self.rfile.read(int(length)) or b"{}")
             applied = self.state.apply_config(change)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             self._send(400, "application/json",
                        json.dumps({"error": str(exc)}).encode())
             return

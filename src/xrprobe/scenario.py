@@ -28,6 +28,7 @@ class SchemaError(ConfigError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"{fieldname}: {message}")
         self.field = fieldname
+        self.message = message
 
 
 # --- stochastic delay components --------------------------------------------------
@@ -168,6 +169,24 @@ class ClockSpec:
             raise ConfigError("max_drift_ppm must be non-negative")
 
 
+def check_quality_thresholds(step_down_threshold_ms: float, step_up_threshold_ms: float,
+                             dwell_s: float) -> None:
+    """The one threshold/dwell rule of ``QualitySpec`` and ``exporter.QualityPolicy``.
+
+    All three finite, step_up below step_down, dwell non-negative; a
+    violation raises SchemaError naming the field.
+    """
+    for name, value in (("step_down_threshold_ms", step_down_threshold_ms),
+                        ("step_up_threshold_ms", step_up_threshold_ms), ("dwell_s", dwell_s)):
+        if not math.isfinite(value):
+            raise SchemaError(name, f"expected a finite number, got {value}")
+    if step_up_threshold_ms >= step_down_threshold_ms:
+        raise SchemaError("step_up_threshold_ms",
+                          "step_up threshold must sit below step_down threshold")
+    if dwell_s < 0:
+        raise SchemaError("dwell_s", "dwell must be non-negative")
+
+
 @dataclass(frozen=True)
 class QualitySpec:
     """Optional closed-loop quality adaptation acting on downlink encode time."""
@@ -186,8 +205,8 @@ class QualitySpec:
             raise ConfigError("one encode_down delta per quality level required")
         if self.initial_level not in self.levels:
             raise ConfigError(f"initial_level {self.initial_level!r} not in levels")
-        if self.step_up_threshold_ms >= self.step_down_threshold_ms:
-            raise ConfigError("step_up threshold must sit below step_down threshold")
+        check_quality_thresholds(self.step_down_threshold_ms, self.step_up_threshold_ms,
+                                 self.dwell_s)
         if self.control_interval_s <= 0:
             raise ConfigError("control_interval_s must be positive")
 
@@ -226,6 +245,8 @@ class SessionScenario:
             raise ConfigError("fps must be positive")
         if self.beacon_interval_ms <= 0:
             raise ConfigError("beacon_interval_ms must be positive")
+        if self.sample_rate <= 0:
+            raise SchemaError("sample_rate", "must be positive")
         if len(self.viewers) != len(self.join_times_s):
             raise ConfigError("one join time per viewer required")
         if len(set((self.presenter,) + self.viewers)) != 1 + len(self.viewers):
@@ -321,7 +342,7 @@ def _check_keys(doc: dict, allowed: set[str], fieldname: str) -> None:
             raise SchemaError(f"{fieldname}.{key}", "unknown key")
 
 
-def _finite(value) -> float:
+def finite(value) -> float:
     """A JSON number as a finite float; strings, booleans, NaN and infinities fail."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {type(value).__name__}")
@@ -344,7 +365,7 @@ def _integer(value) -> int:
 
 
 def _opt_finite(value) -> float | None:
-    return None if value is None else _finite(value)
+    return None if value is None else finite(value)
 
 
 def _flag(value) -> bool:
@@ -360,17 +381,17 @@ def _array(value) -> list | tuple:
 
 
 def _numbers(value) -> tuple[float, ...]:
-    return tuple(_finite(x) for x in _array(value))
+    return tuple(finite(x) for x in _array(value))
 
 
-def _text(value) -> str:
+def text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
     return value
 
 
 def _names(value) -> tuple[str, ...]:
-    return tuple(_text(x) for x in _array(value))
+    return tuple(text(x) for x in _array(value))
 
 
 def _jitter_from(doc: dict, fieldname: str) -> Jitter:
@@ -378,9 +399,9 @@ def _jitter_from(doc: dict, fieldname: str) -> Jitter:
     kind = doc.get("kind")
     try:
         if kind == "gaussian":
-            return GaussianJitter(sigma_ms=_finite(doc["sigma_ms"]))
+            return GaussianJitter(sigma_ms=finite(doc["sigma_ms"]))
         if kind == "lognormal":
-            return LognormalJitter(mu=_finite(doc["mu"]), sigma=_finite(doc["sigma"]))
+            return LognormalJitter(mu=finite(doc["mu"]), sigma=finite(doc["sigma"]))
     except KeyError as exc:
         raise SchemaError(fieldname, f"jitter missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -392,9 +413,9 @@ def _outage_from(doc: dict, fieldname: str) -> OutageSpec:
     _check_keys(doc, {"enter_prob", "duration_min_ms", "duration_max_ms", "media"}, fieldname)
     try:
         return OutageSpec(
-            enter_prob=_finite(doc["enter_prob"]),
-            duration_min_ms=_finite(doc["duration_min_ms"]),
-            duration_max_ms=_finite(doc["duration_max_ms"]),
+            enter_prob=finite(doc["enter_prob"]),
+            duration_min_ms=finite(doc["duration_min_ms"]),
+            duration_max_ms=finite(doc["duration_max_ms"]),
             media=_names(doc.get("media", ("video",))),
         )
     except KeyError as exc:
@@ -407,13 +428,13 @@ def _profile_from(doc: dict, fieldname: str) -> NetworkProfile:
     _check_keys(doc, {"name", "base_one_way_ms", "jitter", "outage", "loss_prob"}, fieldname)
     try:
         return NetworkProfile(
-            name=_text(doc.get("name", fieldname)),
-            base_one_way_ms=_finite(doc["base_one_way_ms"]),
+            name=text(doc.get("name", fieldname)),
+            base_one_way_ms=finite(doc["base_one_way_ms"]),
             jitter=_jitter_from(doc.get("jitter", {"kind": "gaussian", "sigma_ms": 0.0}),
                                 fieldname + ".jitter"),
             outage=(None if doc.get("outage") is None
                     else _outage_from(doc["outage"], fieldname + ".outage")),
-            loss_prob=_finite(doc.get("loss_prob", 0.0)),
+            loss_prob=finite(doc.get("loss_prob", 0.0)),
         )
     except KeyError as exc:
         raise SchemaError(fieldname, f"missing key {exc}") from exc
@@ -423,19 +444,30 @@ def _profile_from(doc: dict, fieldname: str) -> NetworkProfile:
         raise SchemaError(fieldname, str(exc)) from exc
 
 
-def _build(cls, doc: dict, fieldname: str, **convert):
+def read_fields(doc: dict, fieldname: str, **convert) -> dict:
+    """Convert each key of an object with its converter; a missing key stays
+    missing, an unknown key or a failed conversion raises SchemaError naming
+    ``fieldname.key`` (``key`` alone when ``fieldname`` is empty)."""
     if not isinstance(doc, dict):
-        raise SchemaError(fieldname, "must be an object")
-    kwargs = {}
+        raise SchemaError(fieldname or "<root>", "must be an object")
+    values = {}
     for key, value in doc.items():
+        name = f"{fieldname}.{key}" if fieldname else key
         if key not in convert:
-            raise SchemaError(f"{fieldname}.{key}", "unknown key")
+            raise SchemaError(name, "unknown key")
         try:
-            kwargs[key] = convert[key](value)
+            values[key] = convert[key](value)
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{fieldname}.{key}", str(exc)) from exc
+            raise SchemaError(name, str(exc)) from exc
+    return values
+
+
+def _build(cls, doc: dict, fieldname: str, **convert):
+    kwargs = read_fields(doc, fieldname, **convert)
     try:
         return cls(**kwargs)
+    except SchemaError as exc:
+        raise SchemaError(f"{fieldname}.{exc.field}", exc.message) from exc
     except ValueError as exc:
         raise SchemaError(fieldname, str(exc)) from exc
 
@@ -452,10 +484,10 @@ def load_scenario(doc: dict) -> SessionScenario:
     doc = dict(doc)
 
     kwargs = {}
-    for key, conv in (("duration_s", _finite), ("fps", _finite),
+    for key, conv in (("duration_s", finite), ("fps", finite),
                       ("beacon_interval_ms", _integer), ("sample_rate", _integer),
-                      ("presenter", _text), ("seed", _integer),
-                      ("start_epoch_ms", _integer), ("name", _text),
+                      ("presenter", text), ("seed", _integer),
+                      ("start_epoch_ms", _integer), ("name", text),
                       ("viewers", _names), ("join_times_s", _numbers)):
         if key in doc:
             try:
@@ -466,27 +498,27 @@ def load_scenario(doc: dict) -> SessionScenario:
     if "pipeline" in doc:
         kwargs["pipeline"] = _build(
             PipelineModel, doc.pop("pipeline"), "pipeline",
-            capture_pipeline_ms=_opt_finite, encode_up_ms=_finite, render_ms=_finite,
-            encode_down_ms=_finite, decode_ms=_finite, display_quantum_ms=_opt_finite,
-            audio_buffer_ms=_finite, audio_path_ms=_finite,
+            capture_pipeline_ms=_opt_finite, encode_up_ms=finite, render_ms=finite,
+            encode_down_ms=finite, decode_ms=finite, display_quantum_ms=_opt_finite,
+            audio_buffer_ms=finite, audio_path_ms=finite,
         )
     if "clocks" in doc:
         kwargs["clocks"] = _build(
             ClockSpec, doc.pop("clocks"), "clocks",
-            sigma_ntp_ms=_finite, sync_interval_s=_finite,
-            max_drift_ppm=_finite, initial_offset_sigma_ms=_finite,
+            sigma_ntp_ms=finite, sync_interval_s=finite,
+            max_drift_ppm=finite, initial_offset_sigma_ms=finite,
         )
     if "quality" in doc:
         kwargs["quality"] = _build(
             QualitySpec, doc.pop("quality"), "quality",
             enabled=_flag, levels=_names, encode_down_delta_ms=_numbers,
-            step_down_threshold_ms=_finite, step_up_threshold_ms=_finite,
-            dwell_s=_finite, control_interval_s=_finite, initial_level=_text,
+            step_down_threshold_ms=finite, step_up_threshold_ms=finite,
+            dwell_s=finite, control_interval_s=finite, initial_level=text,
         )
     if "tones" in doc:
         kwargs["tones"] = _build(
             ToneSchedule, doc.pop("tones"), "tones",
-            f0_hz=_finite, delta_hz=_finite, tone_count=_integer, pulse_period_ms=_integer,
+            f0_hz=finite, delta_hz=finite, tone_count=_integer, pulse_period_ms=_integer,
             pulse_duration_ms=_integer, ramp_ms=_integer, epoch_ts=_integer,
         )
 

@@ -12,10 +12,15 @@ come from a 1:1:3:1:1 dark/light run-length test run once over every
 ``stride``-th row of the whole frame: the rows' runs are flattened with a
 forced break at column 0, so no run crosses a row end, and each hit is then
 confirmed on its column. A frame's row and column run decompositions are
-computed at most once and nothing carries over to the next frame. The module
-pitch comes from the finder geometry, and each module is sampled at its
-center against the frame's min/max midpoint threshold. No perspective
-correction is attempted.
+computed at most once per frame. The module pitch comes from the finder
+geometry, and each module is sampled at its center against the frame's
+min/max midpoint threshold. No perspective correction is attempted.
+
+``detect_decode`` scans every frame it is given from scratch. Within a frame
+sequence, ``detect_frame_sequence`` first samples each frame at the finder
+geometry of the last frame that decoded and keeps the timestamp when the
+finder zones match and the CRC holds; anything else takes the full scan, so
+a camera or code that moves costs one full scan per change of geometry.
 """
 
 from __future__ import annotations
@@ -51,16 +56,24 @@ class CrcMismatch(ValueError):
     """Payload read back from the frame fails its checksum."""
 
 
+def _crc_table() -> tuple[int, ...]:
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ CRC_POLY) if crc & 0x8000 else (crc << 1)
+        table.append(crc & 0xFFFF)
+    return tuple(table)
+
+
+_CRC_TABLE = _crc_table()
+
+
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no xor-out."""
     crc = CRC_INIT
     for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ CRC_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
     return crc
 
 
@@ -79,9 +92,9 @@ _RESERVED[0:8, 0:8] = True
 _RESERVED[0:8, 13:21] = True
 _RESERVED[13:21, 0:8] = True
 
-_DATA_POSITIONS: list[tuple[int, int]] = [
-    (r, c) for r in range(GRID_SIZE) for c in range(GRID_SIZE) if not _RESERVED[r, c]
-]
+# Data modules in row-major order; the first PAYLOAD_BITS carry the payload.
+_DATA_ROWS, _DATA_COLS = np.nonzero(~_RESERVED)
+_PAYLOAD_AT = (_DATA_ROWS[:PAYLOAD_BITS], _DATA_COLS[:PAYLOAD_BITS])
 
 _FINDER_ORIGINS = ((0, 0), (0, GRID_SIZE - FINDER_SIZE), (GRID_SIZE - FINDER_SIZE, 0))
 
@@ -119,9 +132,13 @@ class PixelBuffer:
 
 @dataclass(frozen=True)
 class VideoDetection:
+    """A decoded frame; ``finders`` holds the (tl, tr, bl) finder centers
+    (x, y, module unit) the code was read at."""
+
     device_id: str
     emission_ts: Timestamp
     playout_ts: Timestamp
+    finders: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _reference_grid() -> np.ndarray:
@@ -134,6 +151,10 @@ def _reference_grid() -> np.ndarray:
 
 _REFERENCE = _reference_grid()
 
+# The reference plus the checkerboard fill: every module but the payload's.
+_BASE = _REFERENCE.copy()
+_BASE[_DATA_ROWS, _DATA_COLS] = (_DATA_ROWS + _DATA_COLS) % 2 == 0
+
 
 def encode_beacon(ts: Timestamp) -> ModuleGrid:
     """Build the beacon grid for a millisecond timestamp.
@@ -145,24 +166,18 @@ def encode_beacon(ts: Timestamp) -> ModuleGrid:
     if not 0 <= ts < 1 << TS_BITS:
         raise ValueError("timestamp must fit in 64 bits")
     payload = int(ts).to_bytes(8, "big")
-    word = (int(ts) << 16) | crc16(payload)
-    modules = _REFERENCE.copy()
-    for i, (r, c) in enumerate(_DATA_POSITIONS):
-        if i < PAYLOAD_BITS:
-            modules[r, c] = bool((word >> (PAYLOAD_BITS - 1 - i)) & 1)
-        else:
-            modules[r, c] = (r + c) % 2 == 0
+    word = payload + crc16(payload).to_bytes(2, "big")
+    modules = _BASE.copy()
+    modules[_PAYLOAD_AT] = np.unpackbits(np.frombuffer(word, dtype=np.uint8)).view(bool)
     return ModuleGrid(modules=modules, payload_ts=int(ts))
 
 
 def grid_timestamp(modules: np.ndarray) -> Timestamp:
     """Reassemble and checksum the 80-bit payload of a sampled grid."""
-    word = 0
-    for r, c in _DATA_POSITIONS[:PAYLOAD_BITS]:
-        word = (word << 1) | int(bool(modules[r, c]))
-    ts = word >> 16
-    crc = word & 0xFFFF
-    if crc16(ts.to_bytes(8, "big")) != crc:
+    word = np.packbits(modules[_PAYLOAD_AT] != 0).tobytes()
+    ts = int.from_bytes(word[:8], "big")
+    crc = int.from_bytes(word[8:], "big")
+    if crc16(word[:8]) != crc:
         raise CrcMismatch(f"payload checksum failed (read 0x{crc:04X})")
     return ts
 
@@ -173,11 +188,11 @@ def rasterize(grid: ModuleGrid, scale: int = DEFAULT_SCALE, quiet: int = DEFAULT
         raise ValueError("scale must be >= 1")
     if quiet < 0:
         raise ValueError("quiet zone must be >= 0")
-    blocks = np.kron(grid.modules, np.ones((scale, scale), dtype=bool))
-    img = np.where(blocks, 0, 255).astype(np.uint8)
     pad = quiet * scale
-    if pad:
-        img = np.pad(img, pad, constant_values=255)
+    code = GRID_SIZE * scale
+    img = np.full((code + 2 * pad,) * 2, 255, dtype=np.uint8)
+    levels = np.where(grid.modules, np.uint8(0), np.uint8(255))
+    img[pad : pad + code, pad : pad + code] = levels.repeat(scale, 0).repeat(scale, 1)
     return PixelBuffer(pixels=img)
 
 
@@ -381,23 +396,31 @@ def _structure_ok(modules: np.ndarray) -> bool:
     return bool((modules[_RESERVED] == _REFERENCE[_RESERVED]).all())
 
 
-def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = "") -> VideoDetection:
-    """Locate the beacon in a frame and decode its emission timestamp.
-
-    Raises FinderNotFound when no structurally valid code is present and
-    CrcMismatch when the payload is damaged. The frame threshold is the
-    midpoint of its min/max sample, which makes decoding invariant to any
-    monotone affine remap of the gray levels with adequate separation.
-    """
-    px = frame.pixels
-    if px.size == 0:
+def _threshold(pixels: np.ndarray) -> np.ndarray:
+    """Dark mask at the midpoint of the frame's min/max sample."""
+    if pixels.size == 0:
         raise FinderNotFound("empty frame")
-    lo = int(px.min())
-    hi = int(px.max())
+    lo = int(pixels.min())
+    hi = int(pixels.max())
     if hi == lo:
         raise FinderNotFound("uniform frame")
-    dark = px < (lo + hi) / 2.0
+    return pixels < (lo + hi) / 2.0
 
+
+def _decode_at(dark: np.ndarray, tl, tr, bl) -> Timestamp | None:
+    """Timestamp of the code whose finders sit at (tl, tr, bl).
+
+    None when the grid falls outside the frame or its finder zones do not
+    match; CrcMismatch when they match but the payload is damaged.
+    """
+    modules = _sample_grid(dark, tl, tr, bl)
+    if modules is None or not _structure_ok(modules):
+        return None
+    return grid_timestamp(modules)
+
+
+def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
+    """Full finder scan: the timestamp and the (tl, tr, bl) triple it was read at."""
     lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
     # a code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
@@ -414,19 +437,30 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = ""
         for cand in tight:
             refined = _refine_center(lines, *cand)
             clusters.append(refined if refined is not None else cand)
-        for tl, tr, bl in _triples(clusters):
-            modules = _sample_grid(dark, tl, tr, bl)
-            if modules is None or not _structure_ok(modules):
-                continue
+        for triple in _triples(clusters):
             try:
-                ts = grid_timestamp(modules)
+                ts = _decode_at(dark, *triple)
             except CrcMismatch as exc:
                 last_error = exc
                 continue
-            return VideoDetection(device_id=device_id, emission_ts=ts, playout_ts=playout_ts)
+            if ts is not None:
+                return ts, triple
         if isinstance(last_error, CrcMismatch):
             break
     raise last_error
+
+
+def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = "") -> VideoDetection:
+    """Locate the beacon in a frame and decode its emission timestamp.
+
+    Raises FinderNotFound when no structurally valid code is present and
+    CrcMismatch when the payload is damaged. The frame threshold is the
+    midpoint of its min/max sample, which makes decoding invariant to any
+    monotone affine remap of the gray levels with adequate separation.
+    """
+    ts, finders = _locate(_threshold(frame.pixels))
+    return VideoDetection(device_id=device_id, emission_ts=ts, playout_ts=playout_ts,
+                          finders=finders)
 
 
 # --- frame sequence I/O -------------------------------------------------------
@@ -500,24 +534,44 @@ def read_frame_manifest(directory: str | Path) -> FrameManifest:
 
 
 def frame_paths(directory: str | Path, count: int) -> list[Path]:
-    return [Path(directory) / (FRAME_NAME % i) for i in range(count)]
+    directory = Path(directory)
+    return [directory / (FRAME_NAME % i) for i in range(count)]
 
 
 def detect_frame_sequence(directory: str | Path) -> tuple[list[VideoDetection], Counter]:
     """Decode every frame of a sequence written by ``write_frame_sequence``.
 
-    Frame i plays out at ``manifest.frame_playout(i)``. Undecodable frames
-    are skipped and tallied as ``finder_not_found`` or ``crc_mismatch``.
+    Frame i plays out at ``manifest.frame_playout(i)``. Each frame is first
+    read at the finder geometry of the last frame that decoded; a uniform
+    frame, a grid out of bounds, a finder-zone mismatch or a CRC miss sends
+    it to ``detect_decode``'s full scan instead. The reused geometry checks
+    module centers only, so a frame whose finders are damaged solely between
+    module centers can decode here and fail alone. Undecodable frames are
+    skipped and tallied as ``finder_not_found`` or ``crc_mismatch``.
     """
     manifest = read_frame_manifest(directory)
     detections: list[VideoDetection] = []
     tally: Counter = Counter()
+    finders = None
     for i, path in enumerate(frame_paths(directory, manifest.frame_count)):
+        frame = read_pgm(path)
+        playout = manifest.frame_playout(i)
+        if finders is not None:
+            try:
+                ts = _decode_at(_threshold(frame.pixels), *finders)
+            except (FinderNotFound, CrcMismatch):
+                ts = None
+            if ts is not None:
+                detections.append(VideoDetection(manifest.device_id, ts, playout, finders))
+                continue
         try:
-            detections.append(detect_decode(read_pgm(path), manifest.frame_playout(i),
-                                            manifest.device_id))
+            det = detect_decode(frame, playout, manifest.device_id)
         except FinderNotFound:
             tally["finder_not_found"] += 1
+            continue
         except CrcMismatch:
             tally["crc_mismatch"] += 1
+            continue
+        detections.append(det)
+        finders = det.finders
     return detections, tally

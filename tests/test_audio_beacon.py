@@ -2,6 +2,8 @@
 
 Frequency checks go through an FFT-peak oracle rather than the library's own
 autocorrelation estimator, so synthesis and detection validate each other.
+The original one-window-at-a-time estimator and detector are kept below as
+the oracle of the chunked ones, which must match them bit for bit.
 """
 
 import collections
@@ -29,6 +31,7 @@ from xrprobe.audio_beacon import (
     write_wav,
     write_wav_manifest,
 )
+from xrprobe.audio_beacon import _tone_index
 
 RATE = 48000
 
@@ -330,3 +333,208 @@ class TestWavIo:
         assert len(dets) == 8
         assert all(d.device_id == "u5" for d in dets)
         assert [d.emission_ts for d in dets] == [5000 + 100 * i for i in range(8)]
+
+
+# --- the per-window estimator and detector, kept as the batched ones' oracle ---
+
+def _autocorr_oracle(x: np.ndarray, tau_hi: int) -> np.ndarray:
+    n = x.size
+    m = 1
+    while m < 2 * n:
+        m <<= 1
+    spec = np.fft.rfft(x, m)
+    ac = np.fft.irfft(spec * np.conj(spec), m)[: tau_hi + 1]
+    energy = np.cumsum(x * x)
+    total = energy[-1]
+    taus = np.arange(tau_hi + 1)
+    head = energy[n - 1 - taus]
+    tail = total - np.concatenate(([0.0], energy[: tau_hi]))
+    denom = np.sqrt(head * tail)
+    r = np.zeros(tau_hi + 1)
+    good = denom > 0
+    r[good] = ac[good] / denom[good]
+    return r
+
+
+def estimate_frequency_oracle(window, rate=RATE, f_min=200.0, f_max=4800.0,
+                              peak_threshold=0.8, silence_dbfs=-40.0):
+    x = np.asarray(window, dtype=np.float64)
+    n = x.size
+    if n < 1024:
+        raise ValueError("window must hold at least 1024 samples")
+    rms = math.sqrt(float(np.mean(x * x)))
+    if rms < 32767 * 10.0 ** (silence_dbfs / 20.0):
+        return None
+    tau_min = max(2, int(rate // f_max))
+    tau_max = min(int(math.ceil(rate / f_min)), n - 2)
+    if tau_min >= tau_max:
+        return None
+    r = _autocorr_oracle(x, tau_max + 1)
+    below = np.flatnonzero(r[1:] <= 0.0)
+    if below.size == 0:
+        return None
+    zc = int(below[0]) + 1
+    tau = None
+    for cand in range(max(zc + 1, tau_min), tau_max + 1):
+        if r[cand] >= peak_threshold and r[cand] >= r[cand - 1] and r[cand] >= r[cand + 1]:
+            tau = cand
+            break
+    if tau is None:
+        return None
+    a, b, c = r[tau - 1], r[tau], r[tau + 1]
+    denom = a - 2.0 * b + c
+    shift = 0.0 if abs(denom) < 1e-12 else 0.5 * (a - c) / denom
+    shift = float(np.clip(shift, -0.5, 0.5))
+    refined = tau + shift
+    peak = b - 0.25 * (a - c) * shift
+    return rate / refined, float(np.clip(peak, 0.0, 1.0))
+
+
+def detect_pulses_oracle(pcm, playout_clock, schedule, device_id="", window_size=2048,
+                         hop=512, tally=None):
+    x = np.asarray(pcm.samples, dtype=np.float64)
+    rate = pcm.sample_rate
+    f_lo = max(50.0, schedule.f0_hz - schedule.delta_hz)
+    f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
+    hits = []
+    for start in range(0, x.size - window_size + 1, hop):
+        est = estimate_frequency_oracle(x[start : start + window_size], rate, f_lo, f_hi)
+        if est is None:
+            hits.append(None)
+            continue
+        freq, conf = est
+        k = _tone_index(schedule, freq)
+        if k is None:
+            if tally is not None:
+                tally["unknown_tone"] += 1
+            hits.append(None)
+            continue
+        hits.append((start, k, freq, conf))
+
+    probe_len = min(1024, window_size // 2)
+
+    def tone_amp(seg, freq):
+        taper = np.hanning(seg.size)
+        phasor = np.exp(-2j * np.pi * freq * np.arange(seg.size) / rate)
+        return abs(np.dot(seg * taper, phasor))
+
+    def openers(run, nominal):
+        for start, _, freq, conf in run:
+            head = tone_amp(x[start : start + probe_len], nominal)
+            tail = tone_amp(x[start + window_size - probe_len : start + window_size], nominal)
+            ref = max(head, tail)
+            if ref > 0.0 and head >= 0.93 * ref:
+                yield start, freq, conf
+
+    detections = []
+    last_seen = {}
+    i = 0
+    while i < len(hits):
+        if hits[i] is None:
+            i += 1
+            continue
+        k = hits[i][1]
+        j = i
+        while j < len(hits) and hits[j] is not None and hits[j][1] == k:
+            j += 1
+        run = hits[i:j]
+        i = j
+        emitted = False
+        for start, freq, conf in openers(run, schedule.f0_hz + k * schedule.delta_hz):
+            playout = playout_clock(start)
+            if k in last_seen and playout - last_seen[k] < schedule.pulse_period_ms / 2.0:
+                if tally is not None:
+                    tally["duplicate_pulse"] += 1
+                emitted = True
+                break
+            try:
+                emission = resolve_emission(schedule, freq, playout)
+            except Ambiguous:
+                if tally is not None:
+                    tally["ambiguous"] += 1
+                continue
+            last_seen[k] = playout
+            detections.append(AudioDetection(device_id, emission, playout, freq, conf))
+            emitted = True
+            break
+        if not emitted and tally is not None:
+            tally["onset_rejected"] += 1
+    return detections
+
+
+@st.composite
+def _tone_streams(draw):
+    """A schedule, a short stream and its playout clock.
+
+    The stream holds consecutive slots from a random start after a random
+    lead-in, with random slots dropped, an optional off-schedule tone and
+    silent stretch, optional noise, and a playout offset that sometimes
+    precedes the emission (ambiguous). Some streams are shorter than one
+    window.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sched = ToneSchedule(tone_count=draw(st.sampled_from((4, 8, 32))), epoch_ts=0)
+    start_slot = draw(st.integers(0, 40))
+    n_slots = draw(st.integers(1, 8))
+    lead = draw(st.integers(0, 6000))
+    pulses = synthesize(sched, start_slot, n_slots, rate=RATE).samples.astype(np.float64)
+    period = pulses.size // n_slots
+    for i in draw(st.sets(st.integers(0, n_slots - 1), max_size=n_slots)):
+        pulses[i * period : (i + 1) * period] = 0.0
+    x = np.concatenate((np.zeros(lead), pulses))
+    if draw(st.booleans()):
+        between = draw(st.sampled_from((0.5, 1.6, sched.tone_count - 0.3)))
+        f = sched.f0_hz + between * sched.delta_hz
+        at = draw(st.integers(0, x.size - 1))
+        off = make_sine(f, draw(st.integers(500, 6000))).astype(np.float64)[: x.size - at]
+        x[at : at + off.size] = off
+    if draw(st.booleans()):
+        at = draw(st.integers(0, x.size - 1))
+        x[at : at + draw(st.integers(1, 8000))] = 0.0
+    x = x[: draw(st.sampled_from((x.size, x.size, x.size, 1500, 3000)))]
+    if draw(st.booleans()):
+        x = x + rng.normal(0.0, draw(st.sampled_from((30.0, 300.0, 3000.0))), x.size)
+    samples = np.clip(np.round(x), -32768, 32767).astype(np.int16)
+    base = start_slot * sched.pulse_period_ms - lead * 1000 // RATE + draw(st.integers(-50, 300))
+    return sched, PcmBuffer(sample_rate=RATE, samples=samples), sample_clock(base=base)
+
+
+class TestBatchedEstimator:
+    @given(stream=_tone_streams(),
+           window=st.sampled_from((2048, 2048, 1024, 1500, 3000, 512)),
+           hop=st.sampled_from((512, 512, 256, 700)))
+    @settings(max_examples=80, deadline=None)
+    def test_detect_pulses_matches_per_window_oracle(self, stream, window, hop):
+        sched, pcm, clock = stream
+        outcomes = []
+        for detect in (detect_pulses, detect_pulses_oracle):
+            tally = collections.Counter()
+            try:
+                outcomes.append((detect(pcm, clock, sched, "u2", window, hop, tally), tally))
+            except ValueError:
+                outcomes.append("ValueError")
+        assert outcomes[0] == outcomes[1]
+        if window < 1024 and pcm.samples.size >= window:
+            assert outcomes[0] == "ValueError"
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((1024, 2048, 2049, 4000)),
+           freq=st.floats(40.0, 5000.0), amp=st.sampled_from((0.0, 0.004, 0.3)),
+           overtone=st.sampled_from((0.0, 0.0, 0.1)), dc=st.sampled_from((0.0, 0.0, 0.2)),
+           noise=st.sampled_from((0.0, 100.0, 5000.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_estimate_frequency_matches_oracle(self, seed, n, freq, amp, overtone, dc, noise):
+        # a weak overtone ripples r before its first zero crossing, and a low
+        # tone or a DC offset can keep r positive over the whole lag range
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) / RATE
+        x = 32767 * (amp * np.sin(2 * math.pi * freq * t)
+                     + overtone * np.sin(2 * math.pi * 3000.0 * t) + dc)
+        x = x + rng.normal(0.0, noise, n) if noise else x
+        assert estimate_frequency(x, RATE) == estimate_frequency_oracle(x, RATE)
+
+    def test_short_window_still_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_frequency(np.ones(1023))
+        pcm = PcmBuffer(sample_rate=RATE, samples=np.ones(4000, dtype=np.int16))
+        with pytest.raises(ValueError):
+            detect_pulses(pcm, sample_clock(), ToneSchedule(), window_size=1000)

@@ -1,7 +1,9 @@
 """Log persistence, exposition text, quality stepping, and the HTTP service."""
 
 import collections
+import http.client
 import json
+import math
 import random
 import urllib.error
 import urllib.request
@@ -24,6 +26,7 @@ from xrprobe.exporter import (
     snapshot_from_records,
     write_log,
 )
+from xrprobe.scenario import QualitySpec, SchemaError
 
 
 def random_records(seed, n):
@@ -87,6 +90,24 @@ class TestLogRoundtrip:
                         '"emission_ts": 5, "playout_ts": 9}\n')
         with pytest.raises(ParseError):
             read_log(path)
+
+
+    @pytest.mark.parametrize("key", ["emission_ts", "playout_ts", "slot"])
+    @pytest.mark.parametrize("value", [1.7, 5.0, True, False, "5"])
+    def test_non_integer_field_rejected(self, tmp_path, key, value):
+        good = {"media": "video", "device": "u1", "emission_ts": 5, "playout_ts": 9, "slot": 1}
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {key: value}) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_log(path)
+        assert err.value.line_no == 2
+        assert repr(key) in str(err.value)
+
+    def test_null_slot_accepted(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"media": "audio", "device": "u1", "emission_ts": 5, '
+                        '"playout_ts": 9, "slot": null}\n')
+        assert read_log(path)[0].slot is None
 
 
 class TestExposition:
@@ -225,6 +246,113 @@ class TestExporterState:
         applied = state.apply_config({"step_down_threshold_ms": 200,
                                       "step_up_threshold_ms": 100})
         assert (applied["step_down_threshold_ms"], applied["step_up_threshold_ms"]) == (200.0, 100.0)
+
+
+    @pytest.mark.parametrize("change, field", [
+        ({"dwell_s": None}, "dwell_s"),
+        ({"dwell_s": -5}, "dwell_s"),
+        ({"dwell_s": "5"}, "dwell_s"),
+        ({"step_down_threshold_ms": float("nan")}, "step_down_threshold_ms"),
+        ({"step_up_threshold_ms": float("inf")}, "step_up_threshold_ms"),
+        ({"step_up_threshold_ms": float("-inf")}, "step_up_threshold_ms"),
+        ({"step_up_threshold_ms": True}, "step_up_threshold_ms"),
+        ({"step_up_threshold_ms": 500.0}, "step_up_threshold_ms"),
+        ({"dwel_s": 5}, "dwel_s"),
+        ({"level": 3}, "level"),
+        ({"level": "ultra"}, "level"),
+    ])
+    def test_bad_change_names_field_and_keeps_policy(self, change, field):
+        state = ExporterState()
+        before = state.config()
+        with pytest.raises(SchemaError) as err:
+            state.apply_config(change)
+        assert err.value.field == field
+        assert state.config() == before
+
+
+class TestQualityRule:
+    @given(down=st.floats(), up=st.floats(), dwell=st.floats())
+    @settings(max_examples=300)
+    def test_spec_and_policy_share_one_rule(self, down, up, dwell):
+        outcomes = []
+        for cls in (QualitySpec, QualityPolicy):
+            try:
+                cls(step_down_threshold_ms=down, step_up_threshold_ms=up, dwell_s=dwell)
+                outcomes.append(None)
+            except SchemaError as exc:
+                outcomes.append(exc.field)
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (
+            all(map(math.isfinite, (down, up, dwell))) and up < down and dwell >= 0)
+
+
+def _post(port: int, body: bytes, length: str | None = None) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.putrequest("POST", "/config")
+        conn.putheader("Content-Length", str(len(body)) if length is None else length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+_CONFIG_KEYS = st.sampled_from(("level", "step_down_threshold_ms", "step_up_threshold_ms",
+                                "dwell_s")) | st.text(max_size=6)
+_BODIES = (st.dictionaries(_CONFIG_KEYS, _JSON | st.sampled_from(("low", "medium", "high")),
+                           max_size=4) | _JSON)
+
+
+@pytest.fixture(scope="module")
+def config_service():
+    state = ExporterState()
+    srv = make_server(state, port=0)
+    serve_forever(srv)
+    yield srv.server_address[1], state
+    srv.shutdown()
+    srv.server_close()
+
+
+class TestConfigEdge:
+    @pytest.mark.parametrize("body, field", [
+        (b'{"dwell_s": null}', "dwell_s"),
+        (b'{"step_down_threshold_ms": NaN}', "step_down_threshold_ms"),
+        (b'{"step_up_threshold_ms": Infinity}', "step_up_threshold_ms"),
+        (b'{"dwell_s": -Infinity}', "dwell_s"),
+        (b'{"levle": "low"}', "levle"),
+    ])
+    def test_bad_body_answers_400_naming_field(self, config_service, body, field):
+        port, state = config_service
+        before = state.config()
+        status, doc = _post(port, body)
+        assert status == 400
+        assert doc["error"].startswith(field + ":")
+        assert state.config() == before
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
+    def test_bad_content_length_answers_400(self, config_service, length):
+        status, doc = _post(config_service[0], b'{"level": "low"}', length)
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    @given(body=_BODIES)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_body_gets_200_or_400(self, config_service, body):
+        port, state = config_service
+        status, doc = _post(port, json.dumps(body).encode())
+        assert status in (200, 400)
+        assert ("error" in doc) == (status == 400)
+        config = state.config()
+        assert all(math.isfinite(config[key]) for key in
+                   ("step_down_threshold_ms", "step_up_threshold_ms", "dwell_s"))
+        assert config["level"] in config["levels"]
 
 
 class TestHttpService:

@@ -247,6 +247,10 @@ class TestLoader:
                                 "duration_max_ms": 2}}}, "uplink.outage"),
         ({"uplink": {"base_one_way_ms": 1, "outage": {}}}, "uplink.outage"),
         ({"uplink": {"base_one_way_ms": 1, "outage": 0}}, "uplink.outage"),
+        ({"sample_rate": -48000}, "sample_rate"),
+        ({"sample_rate": 0}, "sample_rate"),
+        ({"quality": {"dwell_s": -5}}, "quality.dwell_s"),
+        ({"quality": {"step_up_threshold_ms": 500}}, "quality.step_up_threshold_ms"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:

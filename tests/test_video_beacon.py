@@ -1,10 +1,15 @@
 """Video beacon encode/rasterize/detect tests.
 
-The CRC oracle below is table-driven on purpose: the library computes the
-checksum bit-serially, so agreement between the two is a real cross-check
-rather than the same code run twice. Likewise the finder-scan oracle is the
-original per-row scan, kept here as the reference for the whole-frame one.
+The CRC oracle below is bit-serial on purpose: the library computes the
+checksum from a byte table, so agreement between the two is a real
+cross-check rather than the same code run twice. Likewise the original
+per-module encoder, the kron-based rasterizer, the per-row finder scan and
+the frame-by-frame sequence loop are kept here as the references for the
+table-driven, whole-frame and geometry-reusing code.
 """
+
+import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,26 +35,19 @@ from xrprobe.video_beacon import (
     write_frame_sequence,
     write_pgm,
 )
+from xrprobe import video_beacon
 from xrprobe.video_beacon import _LineRuns, _row_hits, _scan_finders
-
-
-def _crc_table():
-    table = []
-    for byte in range(256):
-        reg = byte << 8
-        for _ in range(8):
-            reg = ((reg << 1) ^ 0x1021) if reg & 0x8000 else (reg << 1)
-        table.append(reg & 0xFFFF)
-    return table
-
-
-_TABLE = _crc_table()
 
 
 def crc16_oracle(data: bytes) -> int:
     crc = 0xFFFF
-    for b in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _TABLE[(crc >> 8) ^ b]
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
     return crc
 
 
@@ -66,8 +64,12 @@ class TestCrc16:
         assert crc16(data) == expected
         assert crc16_oracle(data) == expected
 
+    def test_check_value(self):
+        # the catalogued check value of CRC-16/CCITT-FALSE
+        assert crc16(b"123456789") == 0x29B1
+
     @given(st.binary(max_size=64))
-    def test_matches_table_oracle(self, data):
+    def test_matches_bitwise_oracle(self, data):
         assert crc16(data) == crc16_oracle(data)
 
     @given(st.binary(min_size=1, max_size=32), st.integers(min_value=0), st.integers(0, 7))
@@ -166,6 +168,61 @@ class TestRasterize:
             rasterize(encode_beacon(0), scale=0)
         with pytest.raises(ValueError):
             rasterize(encode_beacon(0), quiet=-1)
+
+
+# --- codec oracles: the original per-module encoder and kron rasterizer -----------
+
+_RESERVED_REF = np.zeros((21, 21), dtype=bool)
+_RESERVED_REF[0:8, 0:8] = _RESERVED_REF[0:8, 13:21] = _RESERVED_REF[13:21, 0:8] = True
+_DATA_REF = [(r, c) for r in range(21) for c in range(21) if not _RESERVED_REF[r, c]]
+
+
+def encode_oracle(ts: int) -> np.ndarray:
+    word = (ts << 16) | crc16_oracle(ts.to_bytes(8, "big"))
+    modules = np.zeros((21, 21), dtype=bool)
+    for r0, c0 in ((0, 0), (0, 14), (14, 0)):
+        modules[r0 : r0 + 7, c0 : c0 + 7] = _expected_finder()
+    for i, (r, c) in enumerate(_DATA_REF):
+        modules[r, c] = bool((word >> (79 - i)) & 1) if i < 80 else (r + c) % 2 == 0
+    return modules
+
+
+def grid_timestamp_oracle(modules: np.ndarray) -> int:
+    word = 0
+    for r, c in _DATA_REF[:80]:
+        word = (word << 1) | int(bool(modules[r, c]))
+    if crc16_oracle((word >> 16).to_bytes(8, "big")) != word & 0xFFFF:
+        raise CrcMismatch("oracle")
+    return word >> 16
+
+
+def rasterize_oracle(modules: np.ndarray, scale: int, quiet: int) -> np.ndarray:
+    img = np.where(np.kron(modules, np.ones((scale, scale), dtype=bool)), 0, 255).astype(np.uint8)
+    return np.pad(img, quiet * scale, constant_values=255) if quiet else img
+
+
+class TestCodecOracles:
+    @given(ts=st.integers(0, (1 << 64) - 1), scale=st.integers(1, 16), quiet=st.integers(0, 5),
+           flip=st.one_of(st.none(), st.integers(0, 440)))
+    @settings(max_examples=150, deadline=None)
+    def test_encode_decode_rasterize_match_oracles(self, ts, scale, quiet, flip):
+        grid = encode_beacon(ts)
+        assert grid.modules.dtype == bool
+        assert (grid.modules == encode_oracle(ts)).all()
+        modules = grid.modules.copy()
+        if flip is not None:
+            modules.flat[flip] = not modules.flat[flip]
+        try:
+            expected = grid_timestamp_oracle(modules)
+        except CrcMismatch:
+            with pytest.raises(CrcMismatch):
+                grid_timestamp(modules)
+        else:
+            assert grid_timestamp(modules) == expected
+        img = rasterize(ModuleGrid(modules=modules, payload_ts=ts), scale, quiet).pixels
+        oracle = rasterize_oracle(modules, scale, quiet)
+        assert img.dtype == np.uint8 and img.shape == oracle.shape
+        assert (img == oracle).all()
 
 
 class TestDetect:
@@ -456,3 +513,80 @@ class TestFrameIo:
         assert manifest.frame_playout(0) == 5000
         assert manifest.frame_playout(1) == 5000 + round(1000 / 30)
         assert manifest.frame_playout(3) == 5000 + round(3 * 1000 / 30)
+
+
+# --- sequence fast path: the frame-by-frame detect_decode loop as the oracle ------
+
+def detect_frame_sequence_oracle(directory):
+    manifest = read_frame_manifest(directory)
+    detections, tally = [], Counter()
+    for i, path in enumerate(frame_paths(directory, manifest.frame_count)):
+        try:
+            detections.append(detect_decode(read_pgm(path), manifest.frame_playout(i),
+                                            manifest.device_id))
+        except FinderNotFound:
+            tally["finder_not_found"] += 1
+        except CrcMismatch:
+            tally["crc_mismatch"] += 1
+    return detections, tally
+
+
+_KINDS = ("intact", "intact", "intact", "blank", "occluded", "damaged")
+
+
+@st.composite
+def _frame_sequences(draw):
+    """Frames of one or more geometries (scale, quiet zone, a 1-px shift),
+    each intact, blank, a finder painted light, or a payload module flipped."""
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        scale = draw(st.integers(1, 5))
+        quiet = draw(st.integers(0, 3))
+        shift = draw(st.booleans())
+        for kind in draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6)):
+            ts = draw(st.integers(0, (1 << 63) - 1))
+            if kind == "blank":
+                frames.append(blank_frame(scale, quiet))
+                continue
+            modules = encode_beacon(ts).modules.copy()
+            if kind == "occluded":
+                r0, c0 = draw(st.sampled_from(((0, 0), (0, 14), (14, 0))))
+                modules[r0 : r0 + 7, c0 : c0 + 7] = False
+            elif kind == "damaged":
+                r, c = _DATA_REF[draw(st.integers(0, 79))]
+                modules[r, c] = not modules[r, c]
+            px = rasterize(ModuleGrid(modules=modules, payload_ts=ts), scale, quiet).pixels
+            if shift:
+                px = np.pad(px, ((1, 0), (1, 0)), constant_values=255)
+            frames.append(PixelBuffer(pixels=px))
+    return frames
+
+
+class TestFrameSequence:
+    @given(frames=_frame_sequences())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_frame_oracle(self, frames):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_frame_sequence(tmp, frames, FrameManifest(
+                device_id="u4", fps=30.0, start_ts=10_000, frame_count=len(frames)))
+            detections, tally = detect_frame_sequence(tmp)
+            expected, expected_tally = detect_frame_sequence_oracle(tmp)
+        assert [(d.device_id, d.emission_ts, d.playout_ts) for d in detections] == [
+            (d.device_id, d.emission_ts, d.playout_ts) for d in expected]
+        assert tally == expected_tally
+
+    def test_constant_geometry_scans_once(self, tmp_path, monkeypatch):
+        calls = []
+        full_scan = video_beacon.detect_decode
+        monkeypatch.setattr(video_beacon, "detect_decode",
+                            lambda *args: calls.append(args) or full_scan(*args))
+        frames = [rasterize(encode_beacon(1000 + 10 * i), scale=4, quiet=2) for i in range(6)]
+        frames[3] = blank_frame(scale=4, quiet=2)
+        write_frame_sequence(tmp_path, frames, FrameManifest(
+            device_id="u2", fps=30.0, start_ts=0, frame_count=len(frames)))
+        detections, tally = detect_frame_sequence(tmp_path)
+        assert [d.emission_ts for d in detections] == [1000, 1010, 1020, 1040, 1050]
+        assert tally == {"finder_not_found": 1}
+        # the first frame and the blank one take the full scan; the blank one
+        # does not reset the geometry the later frames reuse
+        assert len(calls) == 2
