@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Counter as CounterT
 
@@ -445,18 +445,18 @@ def write_wav_manifest(path: str | Path, device_id: str, schedule: ToneSchedule,
 
 
 def read_wav_manifest(path: str | Path) -> tuple[str, ToneSchedule, Timestamp, dict]:
+    """The sidecar through the scenario loader's converters; a missing or bad
+    field raises SchemaError naming it."""
+    # scenario imports this module (ToneSchedule), so its readers load late
+    from .scenario import integer, json_object, read_fields, read_tone_schedule, text
+
     doc = json.loads(_sidecar(path).read_text())
-    sched = doc["schedule"]
-    schedule = ToneSchedule(
-        f0_hz=float(sched["f0_hz"]),
-        delta_hz=float(sched["delta_hz"]),
-        tone_count=int(sched["tone_count"]),
-        pulse_period_ms=int(sched["pulse_period_ms"]),
-        pulse_duration_ms=int(sched["pulse_duration_ms"]),
-        ramp_ms=int(sched["ramp_ms"]),
-        epoch_ts=int(sched["epoch_ts"]),
-    )
-    return doc["device_id"], schedule, int(doc["stream_start_ts"]), doc.get("session", {})
+    values = read_fields(doc, "", required=("device_id", "schedule", "stream_start_ts"),
+                         device_id=text, schedule=json_object, stream_start_ts=integer,
+                         session=json_object)
+    schedule = read_tone_schedule(values["schedule"], "schedule",
+                                  required=tuple(f.name for f in fields(ToneSchedule)))
+    return values["device_id"], schedule, values["stream_start_ts"], values.get("session", {})
 
 
 def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[AudioDetection]:

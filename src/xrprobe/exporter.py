@@ -171,17 +171,25 @@ _COUNTER_NAMES = {
 }
 
 
+# label values escape backslash, double quote and newline (Prometheus text format)
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
+def _label(value: str) -> str:
+    return value.translate(_LABEL_ESCAPES)
+
+
 def render_exposition(snapshot: MetricsSnapshot) -> str:
     """Text exposition of a snapshot; empty snapshot renders an empty body."""
     lines: list[str] = []
     for device, value in snapshot.m2p_ms.items():
-        lines.append(f'xr_m2p_latency_ms{{device="{device}"}} {_num(value)}')
+        lines.append(f'xr_m2p_latency_ms{{device="{_label(device)}"}} {_num(value)}')
     for device, value in snapshot.m2e_ms.items():
-        lines.append(f'xr_m2e_latency_ms{{device="{device}"}} {_num(value)}')
+        lines.append(f'xr_m2e_latency_ms{{device="{_label(device)}"}} {_num(value)}')
     for device, value in snapshot.skew_ms.items():
-        lines.append(f'xr_intra_media_skew_ms{{device="{device}"}} {_num(value)}')
+        lines.append(f'xr_intra_media_skew_ms{{device="{_label(device)}"}} {_num(value)}')
     for (media, slot), count in snapshot.slot_counts.items():
-        lines.append(f'xr_slot_detections_total{{media="{media}",slot="{slot}"}} {count}')
+        lines.append(f'xr_slot_detections_total{{media="{_label(media)}",slot="{slot}"}} {count}')
     merged: Counter = Counter()
     for key, count in snapshot.tallies.items():
         merged[_COUNTER_NAMES.get(key, f"xr_{key}_total")] += count
@@ -289,8 +297,14 @@ class ExporterState:
         return self.config()
 
 
+# seconds a request may stall mid-read; a body shorter than its
+# Content-Length then gets a 400 instead of holding the handler thread
+READ_TIMEOUT_S = 5.0
+
+
 class _Handler(BaseHTTPRequestHandler):
     state: ExporterState  # injected by make_server
+    timeout = READ_TIMEOUT_S
 
     def do_GET(self):  # noqa: N802 (http.server naming)
         if self.path.split("?")[0] != "/metrics":
@@ -307,7 +321,14 @@ class _Handler(BaseHTTPRequestHandler):
             length = self.headers.get("Content-Length", "0")
             if not length.isdecimal():
                 raise SchemaError("Content-Length", f"expected a byte count, got {length!r}")
-            change = json.loads(self.rfile.read(int(length)) or b"{}")
+            try:
+                body = self.rfile.read(int(length))
+            except TimeoutError:
+                body = b""
+            if len(body) < int(length):
+                raise SchemaError("Content-Length",
+                                  f"body ended before the declared {length} bytes")
+            change = json.loads(body or b"{}")
             applied = self.state.apply_config(change)
         except ValueError as exc:
             self._send(400, "application/json",

@@ -355,7 +355,7 @@ def finite(value) -> float:
     return value
 
 
-def _integer(value) -> int:
+def integer(value) -> int:
     """A JSON integer; an integral float such as 20.0 passes, fractions do not."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -392,6 +392,12 @@ def text(value) -> str:
 
 def _names(value) -> tuple[str, ...]:
     return tuple(text(x) for x in _array(value))
+
+
+def json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
 
 
 def _jitter_from(doc: dict, fieldname: str) -> Jitter:
@@ -444,10 +450,11 @@ def _profile_from(doc: dict, fieldname: str) -> NetworkProfile:
         raise SchemaError(fieldname, str(exc)) from exc
 
 
-def read_fields(doc: dict, fieldname: str, **convert) -> dict:
+def read_fields(doc: dict, fieldname: str, required: tuple[str, ...] = (), **convert) -> dict:
     """Convert each key of an object with its converter; a missing key stays
-    missing, an unknown key or a failed conversion raises SchemaError naming
-    ``fieldname.key`` (``key`` alone when ``fieldname`` is empty)."""
+    missing unless it is ``required``. A missing required key, an unknown key
+    or a failed conversion raises SchemaError naming ``fieldname.key``
+    (``key`` alone when ``fieldname`` is empty)."""
     if not isinstance(doc, dict):
         raise SchemaError(fieldname or "<root>", "must be an object")
     values = {}
@@ -459,17 +466,31 @@ def read_fields(doc: dict, fieldname: str, **convert) -> dict:
             values[key] = convert[key](value)
         except (TypeError, ValueError) as exc:
             raise SchemaError(name, str(exc)) from exc
+    for key in required:
+        if key not in values:
+            raise SchemaError(f"{fieldname}.{key}" if fieldname else key, "missing")
     return values
 
 
-def _build(cls, doc: dict, fieldname: str, **convert):
-    kwargs = read_fields(doc, fieldname, **convert)
+def _build(cls, doc: dict, fieldname: str, required: tuple[str, ...] = (), **convert):
+    kwargs = read_fields(doc, fieldname, required, **convert)
     try:
         return cls(**kwargs)
     except SchemaError as exc:
         raise SchemaError(f"{fieldname}.{exc.field}", exc.message) from exc
     except ValueError as exc:
         raise SchemaError(fieldname, str(exc)) from exc
+
+
+def read_tone_schedule(doc: dict, fieldname: str,
+                       required: tuple[str, ...] = ()) -> ToneSchedule:
+    """A ToneSchedule from a JSON object; a key left out keeps its default
+    unless it is ``required``."""
+    return _build(
+        ToneSchedule, doc, fieldname, required,
+        f0_hz=finite, delta_hz=finite, tone_count=integer, pulse_period_ms=integer,
+        pulse_duration_ms=integer, ramp_ms=integer, epoch_ts=integer,
+    )
 
 
 def load_scenario(doc: dict) -> SessionScenario:
@@ -485,9 +506,9 @@ def load_scenario(doc: dict) -> SessionScenario:
 
     kwargs = {}
     for key, conv in (("duration_s", finite), ("fps", finite),
-                      ("beacon_interval_ms", _integer), ("sample_rate", _integer),
-                      ("presenter", text), ("seed", _integer),
-                      ("start_epoch_ms", _integer), ("name", text),
+                      ("beacon_interval_ms", integer), ("sample_rate", integer),
+                      ("presenter", text), ("seed", integer),
+                      ("start_epoch_ms", integer), ("name", text),
                       ("viewers", _names), ("join_times_s", _numbers)):
         if key in doc:
             try:
@@ -516,11 +537,7 @@ def load_scenario(doc: dict) -> SessionScenario:
             dwell_s=finite, control_interval_s=finite, initial_level=text,
         )
     if "tones" in doc:
-        kwargs["tones"] = _build(
-            ToneSchedule, doc.pop("tones"), "tones",
-            f0_hz=finite, delta_hz=finite, tone_count=_integer, pulse_period_ms=_integer,
-            pulse_duration_ms=_integer, ramp_ms=_integer, epoch_ts=_integer,
-        )
+        kwargs["tones"] = read_tone_schedule(doc.pop("tones"), "tones")
 
     profile = doc.pop("profile", None)
     uplink_doc = doc.pop("uplink", None)

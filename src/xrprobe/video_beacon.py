@@ -21,6 +21,12 @@ sequence, ``detect_frame_sequence`` first samples each frame at the finder
 geometry of the last frame that decoded and keeps the timestamp when the
 finder zones match and the CRC holds; anything else takes the full scan, so
 a camera or code that moves costs one full scan per change of geometry.
+
+A frame sequence on disk is a directory holding ``frames.pgm``, every frame
+back to back as binary PGM images (Netpbm allows a sequence of images in one
+file, with nothing between them), and ``manifest.json``. The file is written
+in one pass and read in one ``read_bytes``; each frame is a read-only view of
+that blob. ``read_pgm``/``write_pgm`` are the one-image case of the same code.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .clocks import Timestamp
+from .scenario import SchemaError, finite, integer, json_object, read_fields, text
 
 GRID_SIZE = 21
 FINDER_SIZE = 7
@@ -465,29 +472,59 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = ""
 
 # --- frame sequence I/O -------------------------------------------------------
 
-FRAME_NAME = "frame_%06d.pgm"
+FRAMES_NAME = "frames.pgm"
 MANIFEST_NAME = "manifest.json"
 
-_PGM_HEADER = re.compile(rb"^P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s")
+_PGM_HEADER = re.compile(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _write_pgm_stream(path: str | Path, frames: list[PixelBuffer]) -> None:
+    """Write frames back to back as binary PGM images, nothing between them."""
+    with open(path, "wb") as fh:
+        for frame in frames:
+            fh.write(b"P5\n%d %d\n255\n" % (frame.width, frame.height))
+            fh.write(frame.pixels.tobytes())
+
+
+def _read_pgm_stream(path: str | Path, count: int) -> list[PixelBuffer]:
+    """Exactly ``count`` binary PGM images from one file.
+
+    The file is read once and each frame is a read-only view of that blob.
+    A missing file, fewer images, bytes after the last image, a maxval other
+    than 255 or short pixel data raise ValueError naming the file and frame.
+    """
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ValueError(f"{path}: frame 0: no such file") from None
+    frames = []
+    offset = 0
+    for i in range(count):
+        if offset == len(blob):
+            raise ValueError(f"{path}: frame {i}: file ends after {i} of {count} images")
+        m = _PGM_HEADER.match(blob, offset)
+        if not m:
+            raise ValueError(f"{path}: frame {i}: not a binary PGM image")
+        width, height, maxval = (int(g) for g in m.groups())
+        if maxval != 255:
+            raise ValueError(f"{path}: frame {i}: unsupported maxval {maxval}")
+        offset = m.end() + width * height
+        if offset > len(blob):
+            raise ValueError(f"{path}: frame {i}: truncated pixel data")
+        pixels = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=m.end())
+        frames.append(PixelBuffer(pixels=pixels.reshape(height, width)))
+    if offset != len(blob):
+        raise ValueError(f"{path}: frame {count}: {len(blob) - offset} bytes "
+                         f"after the last of {count} images")
+    return frames
 
 
 def write_pgm(path: str | Path, frame: PixelBuffer) -> None:
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.pixels.tobytes())
+    _write_pgm_stream(path, [frame])
 
 
 def read_pgm(path: str | Path) -> PixelBuffer:
-    blob = Path(path).read_bytes()
-    m = _PGM_HEADER.match(blob)
-    if not m:
-        raise ValueError(f"{path}: not a binary PGM")
-    width, height, maxval = (int(g) for g in m.groups())
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    data = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=m.end())
-    if data.size != width * height:
-        raise ValueError(f"{path}: truncated pixel data")
-    return PixelBuffer(pixels=data.reshape(height, width).copy())
+    return _read_pgm_stream(path, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -500,18 +537,24 @@ class FrameManifest:
     frame_count: int
     session: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not self.fps > 0:
+            raise SchemaError("fps", f"must be positive, got {self.fps!r}")
+        if self.frame_count < 0:
+            raise SchemaError("frame_count", f"must be >= 0, got {self.frame_count!r}")
+
     def frame_playout(self, index: int) -> Timestamp:
         return self.start_ts + round(index * 1000.0 / self.fps)
 
 
 def write_frame_sequence(directory: str | Path, frames: list[PixelBuffer],
                          manifest: FrameManifest) -> None:
+    """Write ``frames.pgm`` (all frames, one multi-image PGM) and ``manifest.json``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if manifest.frame_count != len(frames):
         raise ValueError("manifest frame_count disagrees with frames")
-    for i, frame in enumerate(frames):
-        write_pgm(directory / (FRAME_NAME % i), frame)
+    _write_pgm_stream(directory / FRAMES_NAME, frames)
     doc = {
         "device_id": manifest.device_id,
         "fps": manifest.fps,
@@ -523,19 +566,13 @@ def write_frame_sequence(directory: str | Path, frames: list[PixelBuffer],
 
 
 def read_frame_manifest(directory: str | Path) -> FrameManifest:
+    """The sidecar through the scenario loader's converters; a missing or bad
+    field raises SchemaError naming it."""
     doc = json.loads((Path(directory) / MANIFEST_NAME).read_text())
-    return FrameManifest(
-        device_id=doc["device_id"],
-        fps=float(doc["fps"]),
-        start_ts=int(doc["start_ts"]),
-        frame_count=int(doc["frame_count"]),
-        session=doc.get("session", {}),
-    )
-
-
-def frame_paths(directory: str | Path, count: int) -> list[Path]:
-    directory = Path(directory)
-    return [directory / (FRAME_NAME % i) for i in range(count)]
+    return FrameManifest(**read_fields(
+        doc, "", required=("device_id", "fps", "start_ts", "frame_count"),
+        device_id=text, fps=finite, start_ts=integer, frame_count=integer,
+        session=json_object))
 
 
 def detect_frame_sequence(directory: str | Path) -> tuple[list[VideoDetection], Counter]:
@@ -550,11 +587,11 @@ def detect_frame_sequence(directory: str | Path) -> tuple[list[VideoDetection], 
     skipped and tallied as ``finder_not_found`` or ``crc_mismatch``.
     """
     manifest = read_frame_manifest(directory)
+    frames = _read_pgm_stream(Path(directory) / FRAMES_NAME, manifest.frame_count)
     detections: list[VideoDetection] = []
     tally: Counter = Counter()
     finders = None
-    for i, path in enumerate(frame_paths(directory, manifest.frame_count)):
-        frame = read_pgm(path)
+    for i, frame in enumerate(frames):
         playout = manifest.frame_playout(i)
         if finders is not None:
             try:

@@ -7,6 +7,7 @@ the oracle of the chunked ones, which must match them bit for bit.
 """
 
 import collections
+import json
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from xrprobe.audio_beacon import (
     write_wav_manifest,
 )
 from xrprobe.audio_beacon import _tone_index
+from xrprobe.scenario import SchemaError
 
 RATE = 48000
 
@@ -312,6 +314,49 @@ class TestWavIo:
         assert back == sched
         assert start_ts == 42
         assert session == {"x": 1}
+
+    @pytest.mark.parametrize("change, field", [
+        ({"device_id": None}, "device_id"),
+        ({"device_id": 4}, "device_id"),
+        ({"stream_start_ts": 1.5}, "stream_start_ts"),
+        ({"stream_start_ts": "42"}, "stream_start_ts"),
+        ({"session": "x"}, "session"),
+        ({"schedule": []}, "schedule"),
+        ({"extra": 1}, "extra"),
+        ({"schedule": {"f0_hz": 0.0}}, "schedule"),
+        ({"schedule": {"tone_count": 2.5}}, "schedule.tone_count"),
+        ({"schedule": {"delta_hz": float("nan")}}, "schedule.delta_hz"),
+        ({"schedule": {"f0_hz": None}}, "schedule.f0_hz"),
+        ({"schedule": {"chirp": 1}}, "schedule.chirp"),
+    ])
+    def test_manifest_bad_field_named(self, tmp_path, change, field):
+        path = tmp_path / "probe.wav"
+        write_wav_manifest(path, "u4", ToneSchedule(), stream_start_ts=42)
+        sidecar = tmp_path / "probe.wav.json"
+        doc = json.loads(sidecar.read_text())
+        for key, value in change.items():
+            if key == "schedule" and isinstance(value, dict):
+                doc["schedule"].update(value)
+            elif value is None and key == "device_id":
+                del doc[key]
+            else:
+                doc[key] = value
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            read_wav_manifest(path)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("key", ["f0_hz", "epoch_ts", "ramp_ms"])
+    def test_manifest_schedule_keys_required(self, tmp_path, key):
+        path = tmp_path / "probe.wav"
+        write_wav_manifest(path, "u4", ToneSchedule(), stream_start_ts=42)
+        sidecar = tmp_path / "probe.wav.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["schedule"][key]
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            read_wav_manifest(path)
+        assert err.value.field == f"schedule.{key}"
 
     def test_detect_from_file(self, tmp_path):
         sched = ToneSchedule(epoch_ts=0)

@@ -72,6 +72,44 @@ class TestVideoPipeline:
         assert json.loads(out.splitlines()[0])["media"] == "video"
 
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: (d / "frames.pgm").unlink(), "frame 0: no such file"),
+        (lambda d: _truncate(d / "frames.pgm", 10), "frame 1: truncated pixel data"),
+        (lambda d: _edit_manifest(d, fps=0), "fps: must be positive"),
+        (lambda d: _edit_manifest(d, device_id=None), "device_id: missing"),
+        (lambda d: _edit_manifest(d, frame_count=-2), "frame_count: must be >= 0"),
+    ])
+    def test_bad_sequence_is_one_line_error(self, tmp_path, capsys, damage, message):
+        frames = tmp_path / "frames"
+        run(["gen-video", "--out", str(frames), "--fps", "5", "--duration-s", "0.4"])
+        capsys.readouterr()
+        damage(frames)
+        assert run(["detect-video", str(frames)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_zero_fps_is_runtime_error(self, tmp_path, capsys):
+        assert run(["gen-video", "--out", str(tmp_path / "f"), "--fps", "0"]) == 1
+        assert "fps: must be positive" in capsys.readouterr().err
+
+
+def _truncate(path, n):
+    path.write_bytes(path.read_bytes()[:-n])
+
+
+def _edit_manifest(directory, **change):
+    path = directory / "manifest.json"
+    doc = json.loads(path.read_text())
+    for key, value in change.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    path.write_text(json.dumps(doc))
+
+
 class TestAudioPipeline:
     def test_gen_then_detect(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"
@@ -83,6 +121,18 @@ class TestAudioPipeline:
         recs = read_log(log)
         assert len(recs) == 10
         assert all(r.media == "audio" and r.device == "spk" for r in recs)
+
+    def test_bad_sidecar_is_one_line_error(self, tmp_path, capsys):
+        wav = tmp_path / "tone.wav"
+        run(["gen-audio", "--out", str(wav), "--duration-s", "0.5"])
+        sidecar = tmp_path / "tone.wav.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["device_id"]
+        sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["detect-audio", str(wav)]) == 1
+        err = capsys.readouterr().err
+        assert err == "xrprobe detect-audio: device_id: missing\n"
 
 
 class TestSimulateAnalyze:
@@ -147,6 +197,7 @@ class TestSimulateAnalyze:
         assert (out / "log_symbolic.jsonl").exists()
         phys = out / "physical"
         assert (phys / "u2" / "video" / "manifest.json").exists()
+        assert (phys / "u2" / "video" / "frames.pgm").exists()
         assert (phys / "u2" / "audio.wav").exists()
         assert read_log(out / "log.jsonl")
 

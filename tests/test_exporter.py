@@ -5,6 +5,9 @@ import http.client
 import json
 import math
 import random
+import re
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xrprobe.exporter import (
+    READ_TIMEOUT_S,
     DetectionRecord,
     ExporterState,
     MetricsSnapshot,
@@ -148,6 +152,18 @@ class TestExposition:
                                 playout_ts=10, slot=2)] * 3
         body = render_exposition(snapshot_from_records(recs))
         assert 'xr_slot_detections_total{media="video",slot="2"} 3' in body
+
+    def test_label_values_escaped(self):
+        device = 'a"b\nc\\'
+        snap = MetricsSnapshot(m2p_ms={device: 5.0}, m2e_ms={}, skew_ms={},
+                               slot_counts={}, tallies={})
+        body = render_exposition(snap)
+        assert body == 'xr_m2p_latency_ms{device="a\\"b\\nc\\\\"} 5\n'
+        # one sample line in the Prometheus text format, label value unescaped back
+        m = re.fullmatch(r'(\w+)\{device="((?:[^"\\\n]|\\[\\"n])*)"\} (\S+)\n', body)
+        assert m is not None
+        unescaped = re.sub(r"\\(.)", lambda e: "\n" if e[1] == "n" else e[1], m[2])
+        assert (m[1], unescaped, m[3]) == ("xr_m2p_latency_ms", device, "5")
 
     def test_skew_needs_both_media(self):
         recs = [
@@ -353,6 +369,49 @@ class TestConfigEdge:
         assert all(math.isfinite(config[key]) for key in
                    ("step_down_threshold_ms", "step_up_threshold_ms", "dwell_s"))
         assert config["level"] in config["levels"]
+
+
+def _post_short_body(port: int, half_close: bool) -> tuple[int, dict]:
+    """POST a body 10 bytes shorter than its Content-Length, then either
+    half-close the connection or leave it open."""
+    body = b'{"level": "low"}'
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(b"POST /config HTTP/1.1\r\nHost: test\r\n"
+                     b"Content-Length: %d\r\n\r\n%s" % (len(body) + 10, body))
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        return resp.status, json.loads(resp.read())
+
+
+class TestShortBody:
+    @pytest.fixture()
+    def service(self):
+        state = ExporterState()
+        srv = make_server(state, port=0)
+        serve_forever(srv)
+        yield srv, state
+        srv.shutdown()
+        srv.server_close()
+
+    def test_half_closed_body_answers_400(self, service):
+        srv, state = service
+        assert srv.RequestHandlerClass.timeout == READ_TIMEOUT_S
+        status, doc = _post_short_body(srv.server_address[1], half_close=True)
+        assert status == 400
+        assert doc["error"].startswith("Content-Length:")
+        assert state.config()["level"] == "high"
+
+    def test_stalled_body_answers_400_after_timeout(self, service):
+        srv, state = service
+        srv.RequestHandlerClass.timeout = 0.3  # the bound class only, to keep the test short
+        started = time.monotonic()
+        status, doc = _post_short_body(srv.server_address[1], half_close=False)
+        assert status == 400
+        assert doc["error"].startswith("Content-Length:")
+        assert 0.3 <= time.monotonic() - started < 5
+        assert state.config()["level"] == "high"
 
 
 class TestHttpService:

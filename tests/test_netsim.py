@@ -31,6 +31,7 @@ from xrprobe.scenario import (
     SessionScenario,
     preset_scenario,
 )
+from xrprobe.video_beacon import _read_pgm_stream, read_frame_manifest
 
 VIDEO, AUDIO = "video", "audio"
 
@@ -317,8 +318,12 @@ class TestPhysicalMode:
         assert agreement >= 0.99
         # media really landed on disk
         for device in ("u1", "u2"):
-            assert (tmp_path / device / "video" / "manifest.json").exists()
-            assert (tmp_path / device / "video" / "frame_000000.pgm").exists()
+            vdir = tmp_path / device / "video"
+            assert sorted(p.name for p in vdir.iterdir()) == ["frames.pgm", "manifest.json"]
+            count = read_frame_manifest(vdir).frame_count
+            assert count > 0
+            # exactly frame_count images: fewer or trailing bytes would raise
+            assert len(_read_pgm_stream(vdir / "frames.pgm", count)) == count
             assert (tmp_path / device / "audio.wav").exists()
             assert (tmp_path / device / "audio.wav.json").exists()
 

@@ -8,6 +8,7 @@ the frame-by-frame sequence loop are kept here as the references for the
 table-driven, whole-frame and geometry-reusing code.
 """
 
+import json
 import tempfile
 from collections import Counter
 
@@ -27,7 +28,6 @@ from xrprobe.video_beacon import (
     detect_decode,
     detect_frame_sequence,
     encode_beacon,
-    frame_paths,
     grid_timestamp,
     rasterize,
     read_frame_manifest,
@@ -36,7 +36,8 @@ from xrprobe.video_beacon import (
     write_pgm,
 )
 from xrprobe import video_beacon
-from xrprobe.video_beacon import _LineRuns, _row_hits, _scan_finders
+from xrprobe.scenario import SchemaError
+from xrprobe.video_beacon import _LineRuns, _read_pgm_stream, _row_hits, _scan_finders
 
 
 def crc16_oracle(data: bytes) -> int:
@@ -460,6 +461,9 @@ class TestBeaconEmission:
             beacon_emission(1000, 999)
 
 
+_DROP = object()  # a manifest key to delete
+
+
 class TestFrameIo:
     def test_pgm_roundtrip(self, tmp_path):
         frame = rasterize(encode_beacon(777), scale=5, quiet=2)
@@ -488,8 +492,9 @@ class TestFrameIo:
         assert back.fps == 30.0
         assert back.frame_count == 5
         assert back.session == {"joins_ms": {"u1": 0}}
-        for i, path in enumerate(frame_paths(tmp_path, back.frame_count)):
-            assert (read_pgm(path).pixels == frames[i].pixels).all()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.pgm", "manifest.json"]
+        back_frames = _read_pgm_stream(tmp_path / "frames.pgm", back.frame_count)
+        assert [f.pixels.tolist() for f in back_frames] == [f.pixels.tolist() for f in frames]
 
     def test_detect_frame_sequence_tallies_failures(self, tmp_path):
         tampered = encode_beacon(2000).modules.copy()
@@ -515,14 +520,132 @@ class TestFrameIo:
         assert manifest.frame_playout(3) == 5000 + round(3 * 1000 / 30)
 
 
+# --- the multi-image PGM stream and its manifest -----------------------------------
+
+def _pgm_image(pixels: np.ndarray, comments: list[str], sep: bytes) -> bytes:
+    """One binary PGM image with comment lines after the magic number."""
+    head = b"P5" + sep + b"".join(b"# " + c.encode() + b"\n" for c in comments)
+    return head + b"%d%s%d%s255\n" % (pixels.shape[1], sep, pixels.shape[0], sep) + pixels.tobytes()
+
+
+@st.composite
+def _images(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    data = draw(st.binary(min_size=h * w, max_size=h * w))
+    comments = draw(st.lists(st.text("abc #P5 0123456789", max_size=8), max_size=2))
+    sep = draw(st.sampled_from((b" ", b"\n", b"\t", b"  \n ")))
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w), comments, sep
+
+
+class TestPgmStream:
+    @given(images=st.lists(_images(), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_roundtrip_mixed_sizes_and_comments(self, images):
+        with tempfile.TemporaryDirectory() as tmp:
+            # written by hand, header comments and separators varied
+            path = f"{tmp}/by_hand.pgm"
+            with open(path, "wb") as fh:
+                fh.write(b"".join(_pgm_image(*image) for image in images))
+            back = _read_pgm_stream(path, len(images))
+            assert [f.pixels.tolist() for f in back] == [px.tolist() for px, _, _ in images]
+            # written by write_frame_sequence, read by the same reader
+            frames = [PixelBuffer(pixels=px.copy()) for px, _, _ in images]
+            write_frame_sequence(tmp, frames, FrameManifest(
+                device_id="d", fps=30.0, start_ts=0, frame_count=len(frames)))
+            back = _read_pgm_stream(f"{tmp}/frames.pgm", len(frames))
+            assert [f.pixels.tolist() for f in back] == [f.pixels.tolist() for f in frames]
+
+    def test_frames_are_read_only_views(self, tmp_path):
+        frames = [rasterize(encode_beacon(5), scale=1, quiet=0)] * 2
+        write_frame_sequence(tmp_path, frames, FrameManifest("d", 30.0, 0, 2))
+        back = _read_pgm_stream(tmp_path / "frames.pgm", 2)
+        assert not back[1].pixels.flags.writeable
+        assert (back[1].pixels == frames[1].pixels).all()
+
+    def test_empty_sequence(self, tmp_path):
+        write_frame_sequence(tmp_path, [], FrameManifest("d", 30.0, 0, 0))
+        assert (tmp_path / "frames.pgm").read_bytes() == b""
+        assert detect_frame_sequence(tmp_path) == ([], Counter())
+
+    @pytest.mark.parametrize("blob, count, message", [
+        (b"P5\n2 1\n255\nab", 2, "frame 1: file ends after 1 of 2 images"),
+        (b"P5\n2 1\n255\nabP5\n1 1\n255\nc", 1, "frame 1: 12 bytes after the last of 1 images"),
+        (b"P5\n2 1\n255\nab\n", 1, "frame 1: 1 bytes after the last of 1 images"),
+        (b"P5\n2 1\n255\nabP5\n1 1\n65535\ncc", 2, "frame 1: unsupported maxval 65535"),
+        (b"P5\n2 1\n255\nabP5\n2 2\n255\nabc", 2, "frame 1: truncated pixel data"),
+        (b"P5\n2 1\n255\nabP2\n1 1\n255\n9", 2, "frame 1: not a binary PGM image"),
+        (b"", 1, "frame 0: file ends after 0 of 1 images"),
+    ])
+    def test_bad_stream_names_file_and_frame(self, tmp_path, blob, count, message):
+        path = tmp_path / "frames.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            _read_pgm_stream(path, count)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_missing_stream_names_file(self, tmp_path):
+        write_frame_sequence(tmp_path, [blank_frame(1, 0)], FrameManifest("d", 30.0, 0, 1))
+        (tmp_path / "frames.pgm").unlink()
+        with pytest.raises(ValueError) as err:
+            detect_frame_sequence(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'frames.pgm'}: frame 0: no such file"
+
+    def test_manifest_count_must_match_stream(self, tmp_path):
+        frames = [blank_frame(1, 0)] * 3
+        write_frame_sequence(tmp_path, frames, FrameManifest("d", 30.0, 0, 3))
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        for count, message in ((4, "frame 3: file ends after 3 of 4 images"),
+                               (2, "frame 2: 454 bytes after the last of 2 images")):
+            doc["frame_count"] = count
+            (tmp_path / "manifest.json").write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=message):
+                detect_frame_sequence(tmp_path)
+
+
+class TestFrameManifest:
+    def _write(self, tmp_path, **change):
+        write_frame_sequence(tmp_path, [blank_frame(1, 0)], FrameManifest("d", 30.0, 0, 1))
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        for key, value in change.items():
+            if value is _DROP:
+                del doc[key]
+            else:
+                doc[key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [
+        ("fps", 0), ("fps", -30.0), ("fps", "30"), ("fps", None), ("fps", True),
+        ("frame_count", -1), ("frame_count", 1.5), ("frame_count", "1"), ("frame_count", False),
+        ("start_ts", 0.5), ("device_id", 7), ("session", []), ("extra", 1),
+        ("device_id", _DROP), ("fps", _DROP), ("start_ts", _DROP), ("frame_count", _DROP),
+    ])
+    def test_bad_field_named(self, tmp_path, key, value):
+        self._write(tmp_path, **{key: value})
+        with pytest.raises(SchemaError) as err:
+            read_frame_manifest(tmp_path)
+        assert err.value.field == key
+
+    def test_integral_values_and_no_session_accepted(self, tmp_path):
+        self._write(tmp_path, fps=25, frame_count=1.0, session=_DROP)
+        manifest = read_frame_manifest(tmp_path)
+        assert (manifest.fps, manifest.frame_count, manifest.session) == (25.0, 1, {})
+
+    def test_constructor_checks_ranges(self):
+        with pytest.raises(SchemaError, match="fps"):
+            FrameManifest("d", 0.0, 0, 1)
+        with pytest.raises(SchemaError, match="frame_count"):
+            FrameManifest("d", 30.0, 0, -1)
+
+
 # --- sequence fast path: the frame-by-frame detect_decode loop as the oracle ------
 
 def detect_frame_sequence_oracle(directory):
     manifest = read_frame_manifest(directory)
     detections, tally = [], Counter()
-    for i, path in enumerate(frame_paths(directory, manifest.frame_count)):
+    frames = _read_pgm_stream(f"{directory}/frames.pgm", manifest.frame_count)
+    for i, frame in enumerate(frames):
         try:
-            detections.append(detect_decode(read_pgm(path), manifest.frame_playout(i),
+            detections.append(detect_decode(frame, manifest.frame_playout(i),
                                             manifest.device_id))
         except FinderNotFound:
             tally["finder_not_found"] += 1
