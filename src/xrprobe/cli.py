@@ -26,9 +26,9 @@ from .audio_beacon import (
 from .exporter import (
     DetectionRecord,
     ExporterState,
+    format_log_line,
     make_server,
     read_log,
-    record_to_dict,
     render_exposition,
     snapshot_from_records,
     write_log,
@@ -134,8 +134,7 @@ def _emit_log(records: list[DetectionRecord], out: str | None) -> None:
     if out:
         write_log(out, records)
     else:
-        for rec in records:
-            print(json.dumps(record_to_dict(rec), sort_keys=True))
+        sys.stdout.write("".join(map(format_log_line, records)))
 
 
 def _cmd_detect_video(args) -> int:
@@ -209,12 +208,12 @@ def _cmd_analyze(args) -> int:
     log_path = _resolve_log(args.log)
     records = read_log(log_path)
     tally = _load_tally(log_path)
-    report = build_report(records, epoch_width_ms=args.epoch_ms, tally=tally)
+    samples = latencies_from_log(records, tally)
+    report = build_report(samples, tally, epoch_width_ms=args.epoch_ms)
     out = Path(args.out) if args.out else log_path.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    write_epoch_series_csv(out / "epochs.csv", latencies_from_log(records),
-                           epoch_width_ms=args.epoch_ms)
+    write_epoch_series_csv(out / "epochs.csv", samples, epoch_width_ms=args.epoch_ms)
     total = sum(report["sample_count"].values())
     means = ", ".join(f"{media} {value:.1f} ms"
                       for media, value in sorted(report["mean_latency_ms"].items()))

@@ -1,8 +1,22 @@
 """Detection-log persistence, pull-style metrics exposition, and the
 latency-driven quality adaptation hook.
 
-Log format: JSON lines, one detection per line, fields
-{media, device, emission_ts, playout_ts, slot, frequency?, confidence?}.
+Log format: JSON lines, one detection per line. ``write_log`` writes each
+record as ``json.dumps(..., sort_keys=True)`` would, with the optional
+fields left out when None:
+
+    {"confidence": C, "device": "D", "emission_ts": E, "frequency": F,
+     "media": "M", "playout_ts": P, "slot": S}
+
+``read_log`` reads the file once, splits it on newlines only and decodes
+each line with the C JSON scanner. A line is taken on that fast path only
+when it is one whole JSON object with the canonical types: media "video"
+or "audio", a string device, integer timestamps, an integer or null slot,
+and a float or null frequency and confidence. Anything else, valid or not,
+sends the whole file through the per-line parser, which is the only place
+a ``ParseError`` is raised; so both paths accept the same logs, read them
+to equal records, and reject the rest with the same line and message.
+
 Exposition format: one `name{label="value"} number` line per metric, all
 metric names prefixed `xr_`, lines sorted lexicographically so scrapes
 are stable and diffable.
@@ -15,6 +29,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -44,36 +59,79 @@ class DetectionRecord:
     confidence: float | None = None
 
 
-def record_to_dict(rec: DetectionRecord) -> dict:
-    doc = {
-        "media": rec.media,
-        "device": rec.device,
-        "emission_ts": rec.emission_ts,
-        "playout_ts": rec.playout_ts,
-        "slot": rec.slot,
-    }
-    if rec.frequency is not None:
-        doc["frequency"] = rec.frequency
-    if rec.confidence is not None:
-        doc["confidence"] = rec.confidence
-    return doc
+# json.dumps spells the non-finite floats as JavaScript does
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_int = int.__repr__
+
+
+def _number(value: float) -> str:
+    """A JSON number exactly as json.dumps writes it (float subclasses too)."""
+    if isinstance(value, float):
+        digits = float.__repr__(value)
+        return _NON_FINITE.get(digits, digits)
+    return _int(value)
+
+
+def format_log_line(rec: DetectionRecord) -> str:
+    """One log line, newline included: the bytes of json.dumps(sort_keys=True)."""
+    confidence = "" if rec.confidence is None else f'"confidence": {_number(rec.confidence)}, '
+    frequency = "" if rec.frequency is None else f'"frequency": {_number(rec.frequency)}, '
+    slot = "null" if rec.slot is None else _int(rec.slot)
+    return (f'{{{confidence}"device": {encode_basestring_ascii(rec.device)}, '
+            f'"emission_ts": {_int(rec.emission_ts)}, {frequency}'
+            f'"media": {encode_basestring_ascii(rec.media)}, '
+            f'"playout_ts": {_int(rec.playout_ts)}, "slot": {slot}}}\n')
 
 
 def write_log(path: str | Path, records: Iterable[DetectionRecord]) -> None:
+    body = "".join(map(format_log_line, records))
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec), sort_keys=True))
-            fh.write("\n")
+        fh.write(body)
 
 
 _REQUIRED = ("media", "device", "emission_ts", "playout_ts")
+_MEDIA = (VIDEO, AUDIO)
+_scan = json.JSONDecoder().scan_once
+
+
+def read_log(path: str | Path) -> list[DetectionRecord]:
+    """Every record of a detection log; ParseError names the first bad line."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")  # what file iteration splits on; not splitlines()
+        records: list[DetectionRecord] = []
+        append = records.append
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            doc, end = _scan(line, 0)
+            if end != len(line):
+                return _read_log_per_line(path)
+            media, device = doc["media"], doc["device"]
+            emission_ts, playout_ts = doc["emission_ts"], doc["playout_ts"]
+            slot, frequency, confidence = doc.get("slot"), doc.get("frequency"), doc.get("confidence")
+            if (media not in _MEDIA or type(device) is not str
+                    or type(emission_ts) is not int or type(playout_ts) is not int
+                    or (slot is not None and type(slot) is not int)
+                    or (frequency is not None and type(frequency) is not float)
+                    or (confidence is not None and type(confidence) is not float)):
+                return _read_log_per_line(path)
+            append(DetectionRecord(media, device, emission_ts, playout_ts,
+                                   slot, frequency, confidence))
+    except (ValueError, LookupError, TypeError, StopIteration, RecursionError):
+        # undecodable text, bad JSON, a non-object line or a missing field:
+        # the reference parser names the first offending line
+        return _read_log_per_line(path)
+    return records
 
 
 def _not_integer(line_no: int, key: str, value) -> ParseError:
     return ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
 
 
-def read_log(path: str | Path) -> list[DetectionRecord]:
+def _read_log_per_line(path: str | Path) -> list[DetectionRecord]:
+    """The reference parser: every log ``read_log`` cannot take whole."""
     records: list[DetectionRecord] = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -89,7 +147,7 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
             for key in _REQUIRED:
                 if key not in doc:
                     raise ParseError(line_no, f"missing field {key!r}")
-            if doc["media"] not in (VIDEO, AUDIO):
+            if doc["media"] not in _MEDIA:
                 raise ParseError(line_no, f"unknown media {doc['media']!r}")
             # exact type checks: true or 1.7 is rejected, not truncated
             emission_ts, playout_ts, slot = doc["emission_ts"], doc["playout_ts"], doc.get("slot")

@@ -205,8 +205,12 @@ def intra_media_skew(
     epoch_width_ms: int = DEFAULT_EPOCH_MS,
 ) -> list[SkewSample]:
     """Signed video-minus-audio epoch latency per device, where both exist."""
-    video = epoch_device_latency(video_samples, epoch_width_ms, media=VIDEO)
-    audio = epoch_device_latency(audio_samples, epoch_width_ms, media=AUDIO)
+    return _skew_samples(epoch_device_latency(video_samples, epoch_width_ms, media=VIDEO),
+                         epoch_device_latency(audio_samples, epoch_width_ms, media=AUDIO))
+
+
+def _skew_samples(video: Mapping[tuple[int, str], float],
+                  audio: Mapping[tuple[int, str], float]) -> list[SkewSample]:
     out = []
     for key in sorted(video.keys() & audio.keys()):
         epoch, device = key
@@ -265,14 +269,16 @@ def boxplot_stats(series: Iterable[float]) -> BoxStats:
 
 
 def build_report(
-    records: Iterable,
+    samples: list[LatencySample],
+    tally: Mapping[str, int],
     epoch_width_ms: int = DEFAULT_EPOCH_MS,
     sync_target_ms: float | None = None,
-    tally: Counter | None = None,
 ) -> dict:
-    """Full aggregate report over a detection log, as a JSON-ready dict."""
-    tally = tally if tally is not None else Counter()
-    samples = latencies_from_log(records, tally=tally)
+    """Full aggregate report over a detection log, as a JSON-ready dict.
+
+    ``samples`` and ``tally`` come from one ``latencies_from_log(records,
+    tally)`` pass, so the report's diagnostics count the rejected latencies.
+    """
     video = [s for s in samples if s.media == VIDEO]
     audio = [s for s in samples if s.media == AUDIO]
 
@@ -293,18 +299,19 @@ def build_report(
             {"slot": st.slot, "media": st.media, "mean_ms": st.mean_ms,
              "std_ms": st.std_ms, "count": st.count}
         )
+    epochs = {media: epoch_device_latency(group, epoch_width_ms, media=media)
+              for media, group in ((VIDEO, video), (AUDIO, audio))}
     for media, group in ((VIDEO, video), (AUDIO, audio)):
         if not group:
             continue
-        epochs = epoch_device_latency(group, epoch_width_ms, media=media)
-        rep = inter_device_asynchrony(epochs, media=media, epoch_width_ms=epoch_width_ms)
+        rep = inter_device_asynchrony(epochs[media], media=media, epoch_width_ms=epoch_width_ms)
         report["inter_device_asynchrony"][media] = {
             "max_ms": rep.max_ms,
             "mean_ms": rep.mean_ms,
             "epochs": len(rep.series),
         }
 
-    skews = intra_media_skew(video, audio, epoch_width_ms)
+    skews = _skew_samples(epochs[VIDEO], epochs[AUDIO])
     if skews:
         by_class = Counter(classify_lip_sync(abs(s.skew_ms)) for s in skews)
         per_device: dict[str, dict] = {}

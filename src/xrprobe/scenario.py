@@ -218,6 +218,11 @@ class QualitySpec:
 
 DEFAULT_START_EPOCH_MS = 1_700_000_000_000
 
+# frames rendered over all devices (duration_s x fps x devices) one scenario
+# may ask for: an hour at 30 fps for 9 devices, about 500 MB of records;
+# above it a run would exhaust memory or never end
+MAX_DEVICE_FRAMES = 1_000_000
+
 
 @dataclass(frozen=True)
 class SessionScenario:
@@ -243,6 +248,10 @@ class SessionScenario:
             raise ConfigError("duration_s must be positive")
         if self.fps <= 0:
             raise ConfigError("fps must be positive")
+        frames = self.duration_s * self.fps * (1 + len(self.viewers))
+        if not frames <= MAX_DEVICE_FRAMES:  # NaN fails too
+            raise SchemaError("duration_s", f"duration_s x fps x devices is {frames:.4g} "
+                                            f"frames, over the cap of {MAX_DEVICE_FRAMES}")
         if self.beacon_interval_ms <= 0:
             raise ConfigError("beacon_interval_ms must be positive")
         if self.sample_rate <= 0:

@@ -475,7 +475,11 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = ""
 FRAMES_NAME = "frames.pgm"
 MANIFEST_NAME = "manifest.json"
 
-_PGM_HEADER = re.compile(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s")
+# Netpbm: a comment runs from '#' through the next CR or LF and may stand
+# wherever whitespace may; after maxval, one whitespace byte (or a comment)
+# ends the header, so the raster may itself begin with '#' or a space
+_PGM_SPACE = rb"(?:\s|#[^\n\r]*[\n\r])"
+_PGM_HEADER = re.compile(rb"P5%s+(\d+)%s+(\d+)%s+(\d+)%s" % ((_PGM_SPACE,) * 4))
 
 
 def _write_pgm_stream(path: str | Path, frames: list[PixelBuffer]) -> None:

@@ -70,6 +70,9 @@ class TestVideoPipeline:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 2
         assert json.loads(out.splitlines()[0])["media"] == "video"
+        # stdout and --out are the same bytes
+        assert run(["detect-video", str(frames), "--out", str(tmp_path / "log.jsonl")]) == 0
+        assert (tmp_path / "log.jsonl").read_text() == out
 
 
     @pytest.mark.parametrize("damage, message", [
@@ -121,6 +124,8 @@ class TestAudioPipeline:
         recs = read_log(log)
         assert len(recs) == 10
         assert all(r.media == "audio" and r.device == "spk" for r in recs)
+        assert run(["detect-audio", str(wav)]) == 0
+        assert capsys.readouterr().out == log.read_text()
 
     def test_bad_sidecar_is_one_line_error(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"

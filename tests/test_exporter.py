@@ -7,10 +7,12 @@ import math
 import random
 import re
 import socket
+import tempfile
 import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,9 +24,9 @@ from xrprobe.exporter import (
     ParseError,
     QualityPolicy,
     adapt_quality,
+    format_log_line,
     make_server,
     read_log,
-    record_to_dict,
     render_exposition,
     serve_forever,
     snapshot_from_records,
@@ -64,11 +66,12 @@ class TestLogRoundtrip:
         write_log(path, recs)
         assert read_log(path) == recs
 
-    def test_optional_fields_omitted_when_none(self):
+    def test_optional_fields_omitted_when_none(self, tmp_path):
         rec = DetectionRecord(media="video", device="u1", emission_ts=1, playout_ts=2)
-        d = record_to_dict(rec)
-        assert "frequency" not in d
-        assert "confidence" not in d
+        path = tmp_path / "log.jsonl"
+        write_log(path, [rec])
+        assert path.read_text() == ('{"device": "u1", "emission_ts": 1, "media": "video", '
+                                    '"playout_ts": 2, "slot": null}\n')
 
     def test_malformed_line_cites_line_number(self, tmp_path):
         recs = random_records(2, 10)
@@ -112,6 +115,193 @@ class TestLogRoundtrip:
         path.write_text('{"media": "audio", "device": "u1", "emission_ts": 5, '
                         '"playout_ts": 9, "slot": null}\n')
         assert read_log(path)[0].slot is None
+
+
+# --- log reader and writer against their references ---------------------------------
+
+def per_line_oracle(path):
+    """The per-line log parser as it was before the fast path: the reference."""
+    records = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+            if not isinstance(doc, dict):
+                raise ParseError(line_no, "record must be a JSON object")
+            for key in ("media", "device", "emission_ts", "playout_ts"):
+                if key not in doc:
+                    raise ParseError(line_no, f"missing field {key!r}")
+            if doc["media"] not in ("video", "audio"):
+                raise ParseError(line_no, f"unknown media {doc['media']!r}")
+            emission_ts, playout_ts, slot = doc["emission_ts"], doc["playout_ts"], doc.get("slot")
+            for key, value in (("emission_ts", emission_ts), ("playout_ts", playout_ts)):
+                if type(value) is not int:
+                    raise ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
+            if slot is not None and type(slot) is not int:
+                raise ParseError(line_no, f"field 'slot' must be an integer, got {slot!r}")
+            try:
+                records.append(DetectionRecord(
+                    media=doc["media"], device=str(doc["device"]),
+                    emission_ts=emission_ts, playout_ts=playout_ts, slot=slot,
+                    frequency=None if doc.get("frequency") is None else float(doc["frequency"]),
+                    confidence=None if doc.get("confidence") is None else float(doc["confidence"]),
+                ))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(line_no, str(exc)) from exc
+    return records
+
+
+def outcome(reader, path):
+    """Records by repr (types and NaN included), or the error's type, line and text."""
+    try:
+        return "ok", [repr(rec) for rec in reader(path)]
+    except Exception as exc:  # the reference may raise more than ParseError
+        return type(exc).__name__, getattr(exc, "line_no", None), str(exc)
+
+
+def assert_reads_as_oracle(text: str | bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/log.jsonl"
+        with open(path, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
+        assert outcome(read_log, path) == outcome(per_line_oracle, path)
+
+
+def record_doc(rec):
+    """The dict json.dumps would be given for one record."""
+    doc = {"media": rec.media, "device": rec.device, "emission_ts": rec.emission_ts,
+           "playout_ts": rec.playout_ts, "slot": rec.slot}
+    if rec.frequency is not None:
+        doc["frequency"] = rec.frequency
+    if rec.confidence is not None:
+        doc["confidence"] = rec.confidence
+    return doc
+
+
+_DEVICES = st.text(max_size=6) | st.sampled_from(("u1", 'a"b', "c\\d", "\u00e9", "\u2028", "\x1c"))
+_TIMESTAMPS = st.integers(-(2**64), 2**64)
+_FLOATS = st.floats() | st.floats().map(np.float64)
+_RECORDS = st.builds(
+    DetectionRecord, media=st.sampled_from(("video", "audio")), device=_DEVICES,
+    emission_ts=_TIMESTAMPS, playout_ts=_TIMESTAMPS,
+    slot=st.none() | st.integers(-5, 2**40),
+    frequency=st.none() | _FLOATS, confidence=st.none() | _FLOATS)
+
+# values the canonical types leave out; the reference accepts some of them
+_OFF_TYPE = {
+    "emission_ts": (True, False, 1.5, 5.0, "5", None, 2**70 + 0.5),
+    "playout_ts": (True, 7.0, "7", [7]),
+    "slot": (True, 2.0, "1", {}),
+    "frequency": ("600.0", 600, True, "x", [1], "nan"),
+    "confidence": ("0.5", 1, False, {}),
+    "device": (5, None, True, 1.5, ["u1"], {"id": 1}),
+    "media": ("smell", 1, None, ["video"]),
+}
+# two objects on one line, joined by nothing, JSON whitespace, a comma, or
+# characters that str.splitlines() splits on and file iteration does not
+_JOINERS = ("", " ", ",", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e", "\x85", "\x0b", "\x0c")
+
+
+@st.composite
+def _log_texts(draw):
+    docs = [record_doc(rec) for rec in draw(st.lists(_RECORDS, max_size=6))]
+    for doc in docs:
+        change = draw(st.sampled_from(("none", "none", "off_type", "drop", "extra")))
+        if change == "off_type":
+            key = draw(st.sampled_from(sorted(_OFF_TYPE)))
+            doc[key] = draw(st.sampled_from(_OFF_TYPE[key]))
+        elif change == "drop":
+            doc.pop(draw(st.sampled_from(sorted(doc))))
+        elif change == "extra":
+            doc["note"] = draw(st.sampled_from((1, "x", None, [1, {"a": 2}])))
+    lines = [json.dumps(doc, sort_keys=draw(st.booleans()), ensure_ascii=draw(st.booleans()))
+             for doc in docs]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(("blank", "truncate", "two_on_line", "split_object",
+                                     "non_object", "bom")))
+        if kind == "blank":
+            lines.insert(at, draw(st.sampled_from(("", "  ", "\t", " \x0c ", "\u2028"))))
+        elif kind == "non_object":
+            lines.insert(at, draw(st.sampled_from(("[1, 2]", "5", '"s"', "null", "{not json",
+                                                   "[]", "{}", "NaN"))))
+        elif not lines:
+            continue
+        elif kind == "truncate":
+            line = lines[at % len(lines)]
+            lines[at % len(lines)] = line[:draw(st.integers(0, max(0, len(line) - 1)))]
+        elif kind == "two_on_line":
+            i = at % len(lines)
+            lines[i] += draw(st.sampled_from(_JOINERS)) + lines[(i + 1) % len(lines)]
+        elif kind == "split_object":
+            # an object broken across two lines, plus a "{..},{..}" line elsewhere:
+            # wrapping the file in [...] would still count the right elements
+            whole = lines[at % len(lines)]
+            cut = whole.find(", ")
+            if cut > 0:
+                lines[at % len(lines):at % len(lines) + 1] = [whole[:cut + 1], whole[cut + 1:]]
+                lines.insert(draw(st.integers(0, len(lines))), whole + "," + whole)
+        elif kind == "bom":
+            lines[at % len(lines)] = "\ufeff" + lines[at % len(lines)]
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
+
+
+class TestLogOracle:
+    @given(text=_log_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_reader_matches_per_line_parser(self, text):
+        assert_reads_as_oracle(text)
+
+    GOOD = '{"device": "u1", "emission_ts": 5, "media": "video", "playout_ts": 9, "slot": 1}'
+    NAMED = {
+        "two_objects": GOOD + GOOD + "\n",
+        "two_objects_space": GOOD + " " + GOOD + "\n",
+        "two_objects_comma": GOOD + "," + GOOD + "\n",
+        # separators str.splitlines() splits on and file iteration does not
+        "two_objects_u2028": GOOD + "\u2028" + GOOD + "\n",
+        "two_objects_x1c": GOOD + "\x1c" + GOOD + "\n",
+        "split_object_and_pair": (GOOD + "\n" + GOOD[:20] + "\n" + GOOD[20:] + "\n"
+                                  + GOOD + "," + GOOD + "\n"),
+        "crlf_and_blank": GOOD + "\r\n\r\n  \n" + GOOD + "\r\n",
+        "escaped_device": GOOD.replace('"u1"', '"\\u00e9\\"\\\\"') + "\n",
+        "raw_non_ascii_device": GOOD.replace('"u1"', '"\u00e9\u2028"') + "\n",
+        "int_device": GOOD.replace('"u1"', "7") + "\n",
+        "int_frequency": GOOD.replace('"slot": 1', '"slot": 1, "frequency": 600') + "\n",
+        "string_confidence": GOOD.replace('"slot": 1', '"slot": 1, "confidence": "0.5"') + "\n",
+        "bool_timestamp": GOOD.replace("5", "true", 1) + "\n",
+        "float_timestamp": GOOD.replace("9", "9.0", 1) + "\n",
+        "deep_nesting": GOOD + "\n" + "{" * 100_000 + "\n",
+        "bad_json_then_bad_utf8": (GOOD + "\n{\n" + GOOD + "\n").encode() + b"\xff\xfe\n",
+    }
+
+    @pytest.mark.parametrize("text", NAMED.values(), ids=NAMED.keys())
+    def test_named_cases(self, text):
+        assert_reads_as_oracle(text)
+
+    @given(recs=st.lists(_RECORDS, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_writer_is_json_dumps(self, recs):
+        lines = [json.dumps(record_doc(rec), sort_keys=True) + "\n" for rec in recs]
+        assert [format_log_line(rec) for rec in recs] == lines
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/log.jsonl"
+            write_log(path, recs)
+            with open(path, "rb") as fh:
+                assert fh.read() == "".join(lines).encode()
+            assert outcome(read_log, path) == outcome(per_line_oracle, path)
+
+    def test_writer_non_finite_and_null_slot(self):
+        rec = DetectionRecord(media="audio", device="u1", emission_ts=1, playout_ts=2,
+                              frequency=float("nan"), confidence=float("-inf"))
+        assert format_log_line(rec) == (
+            '{"confidence": -Infinity, "device": "u1", "emission_ts": 1, "frequency": NaN, '
+            '"media": "audio", "playout_ts": 2, "slot": null}\n')
 
 
 class TestExposition:

@@ -360,8 +360,13 @@ class TestBuildReport:
             ))
         return recs
 
+    @staticmethod
+    def _report(recs, **kwargs):
+        tally = collections.Counter()
+        return build_report(latencies_from_log(recs, tally), tally, **kwargs)
+
     def test_report_shape(self):
-        report = build_report(self._log())
+        report = self._report(self._log())
         assert set(report["mean_latency_ms"]) == {VIDEO, AUDIO}
         assert report["sample_count"]["video"] > 0
         assert VIDEO in report["inter_device_asynchrony"]
@@ -370,12 +375,12 @@ class TestBuildReport:
         assert set(cls) == {"unnoticeable", "tolerable", "unacceptable"}
 
     def test_sync_target_flag(self):
-        report = build_report(self._log(), sync_target_ms=1e9)
+        report = self._report(self._log(), sync_target_ms=1e9)
         assert report["video_asynchrony_within_target"] is True
 
     def test_clock_skew_in_diagnostics(self):
         recs = self._log() + [vid("u2", 5000, 4000)]
-        report = build_report(recs)
+        report = self._report(recs)
         assert report["diagnostics"]["clock_skew_suspected"] == 1
 
     def test_epoch_csv(self, tmp_path):

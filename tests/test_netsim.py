@@ -156,9 +156,9 @@ class TestRunScenario:
         write_log(pb, b.records)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_seed_42_bytes_pinned(self, tmp_path, capsys):
-        # the acceptance gate's determinism scenario; a change to these
-        # digests changes every seed-42 log downstream
+    @staticmethod
+    def _simulate_seed_42(tmp_path):
+        # the acceptance gate's determinism scenario
         doc = {"profile": "ethernet", "name": "determinism", "duration_s": 20.0,
                "viewers": ["u2", "u3", "u4", "u5"],
                "join_times_s": [4.0, 8.0, 12.0, 16.0]}
@@ -167,6 +167,11 @@ class TestRunScenario:
         out = tmp_path / "out"
         assert run(["simulate", "--scenario", str(sc_path), "--seed", "42",
                     "--out", str(out)]) == 0
+        return out
+
+    def test_seed_42_bytes_pinned(self, tmp_path, capsys):
+        # a change to these digests changes every seed-42 log downstream
+        out = self._simulate_seed_42(tmp_path)
         capsys.readouterr()
         log = (out / "log.jsonl").read_bytes()
         assert len(log) == 272_996
@@ -174,6 +179,16 @@ class TestRunScenario:
             "baf712feda4cacdd2e2bd5d200215f6d8fc95d3cb65eafee881dd4162e3c5702")
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
             "12f2774cf52afda89b5d0778b31e709b4a4151f3661bcc282b3305ca102ac5fe")
+
+    def test_seed_42_analyze_bytes_pinned(self, tmp_path, capsys):
+        # the report and epoch series of that log, made from one latency pass
+        out = self._simulate_seed_42(tmp_path)
+        assert run(["analyze", "--log", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == (
+            "8e21d3fbd1dc06ae8ed063f7f761a252c394a8bc4bc0d8d791c50cef06bc7f40")
+        assert hashlib.sha256((out / "epochs.csv").read_bytes()).hexdigest() == (
+            "076048732b86bd11160432e17f8d0884291b1df924a5c02cfc4dfcab7ef73d7a")
 
     def test_seed_argument_overrides_scenario_seed(self):
         sc = quick_scenario(uplink=preset_scenario("fiveg").uplink,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from xrprobe.scenario import (
     DEFAULT_START_EPOCH_MS,
+    MAX_DEVICE_FRAMES,
     ClockSpec,
     GaussianJitter,
     LognormalJitter,
@@ -167,6 +168,30 @@ class TestLoader:
     def test_bad_join_times_through_loader(self):
         with pytest.raises(SchemaError, match="strictly increasing"):
             load_scenario({"profile": "ethernet", "join_times_s": [120, 60, 180, 240]})
+
+    @pytest.mark.parametrize("doc", [
+        {"profile": "wifi", "duration_s": 1e15, "fps": 1e9},
+        {"profile": "wifi", "duration_s": 1e300, "fps": 1e300},
+        {"profile": "wifi", "duration_s": 300.0, "fps": 1e6},
+        {"profile": "wifi", "duration_s": 3600.0, "fps": 30.0,
+         "viewers": [f"v{i}" for i in range(9)], "join_times_s": list(range(1, 10))},
+    ])
+    def test_frame_cap_names_field(self, doc):
+        with pytest.raises(SchemaError) as err:
+            load_scenario(doc)
+        assert err.value.field == "duration_s"
+        assert str(MAX_DEVICE_FRAMES) in str(err.value)
+
+    def test_frame_cap_rejects_nan_duration(self):
+        with pytest.raises(SchemaError) as err:
+            preset_scenario("wifi", duration_s=float("nan"))
+        assert err.value.field == "duration_s"
+
+    def test_frame_cap_is_inclusive(self):
+        # 2 devices x 500 s x 1000 fps: exactly the cap
+        sc = load_scenario({"profile": "wifi", "duration_s": 500.0, "fps": 1000.0,
+                            "viewers": ["u2"], "join_times_s": [1.0]})
+        assert sc.duration_s * sc.fps * len(sc.devices) == MAX_DEVICE_FRAMES
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "sc.json"

@@ -522,17 +522,25 @@ class TestFrameIo:
 
 # --- the multi-image PGM stream and its manifest -----------------------------------
 
-def _pgm_image(pixels: np.ndarray, comments: list[str], sep: bytes) -> bytes:
-    """One binary PGM image with comment lines after the magic number."""
-    head = b"P5" + sep + b"".join(b"# " + c.encode() + b"\n" for c in comments)
-    return head + b"%d%s%d%s255\n" % (pixels.shape[1], sep, pixels.shape[0], sep) + pixels.tobytes()
+def _pgm_image(pixels: np.ndarray, comments: list[list[str]], sep: bytes) -> bytes:
+    """One binary PGM image; ``comments[k]`` follow header token k.
+
+    The tokens are the magic number, width, height and maxval. At most one
+    comment follows maxval, touching it: the comment's newline ends the
+    header, as one whitespace byte would.
+    """
+    notes = [b"".join(b"#" + c.encode() + b"\n" for c in group) for group in comments]
+    return (b"P5" + sep + notes[0] + b"%d" % pixels.shape[1] + sep + notes[1]
+            + b"%d" % pixels.shape[0] + sep + notes[2] + b"255" + (notes[3] or b"\n")
+            + pixels.tobytes())
 
 
 @st.composite
 def _images(draw):
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     data = draw(st.binary(min_size=h * w, max_size=h * w))
-    comments = draw(st.lists(st.text("abc #P5 0123456789", max_size=8), max_size=2))
+    comments = [draw(st.lists(st.text("abc #P5 0123456789", max_size=8), max_size=n))
+                for n in (2, 2, 2, 1)]
     sep = draw(st.sampled_from((b" ", b"\n", b"\t", b"  \n ")))
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w), comments, sep
 
@@ -575,6 +583,7 @@ class TestPgmStream:
         (b"P5\n2 1\n255\nabP5\n2 2\n255\nabc", 2, "frame 1: truncated pixel data"),
         (b"P5\n2 1\n255\nabP2\n1 1\n255\n9", 2, "frame 1: not a binary PGM image"),
         (b"", 1, "frame 0: file ends after 0 of 1 images"),
+        (b"P5\n2 1\n255 #c\nab", 1, "frame 1: 3 bytes after the last of 1 images"),
     ])
     def test_bad_stream_names_file_and_frame(self, tmp_path, blob, count, message):
         path = tmp_path / "frames.pgm"
@@ -582,6 +591,17 @@ class TestPgmStream:
         with pytest.raises(ValueError) as err:
             _read_pgm_stream(path, count)
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("blob", [
+        b"P5\n2 # width\n1\n255\nab",
+        b"P5\n2 1 # height\n255\nab",
+        b"P5\n2\n1#height\n255# maxval\nab",
+        b"P5#magic\r2#width\r1\t#height\r\n255#maxval\rab",
+    ])
+    def test_header_comments_wherever_whitespace_is(self, tmp_path, blob):
+        path = tmp_path / "frame.pgm"
+        path.write_bytes(blob)
+        assert read_pgm(path).pixels.tolist() == [[ord("a"), ord("b")]]
 
     def test_missing_stream_names_file(self, tmp_path):
         write_frame_sequence(tmp_path, [blank_frame(1, 0)], FrameManifest("d", 30.0, 0, 1))
