@@ -1,43 +1,57 @@
 #!/usr/bin/env python3
-"""Sweep seeds per profile and report how the calibrated means hold up.
+"""Run each access-network preset at each seed and compare it with its targets.
 
-Used when tuning the preset link parameters: shows per-seed mean latency
-deviation from the targets plus the asynchrony extremes, so a pinned
-reproduction seed can be chosen (and the tails understood) honestly.
+PROFILE_TARGETS holds the mean video and audio latencies the preset link
+parameters were fitted to. One row per (profile, seed) shows both means and
+their deviation from those targets, the inter-device asynchrony maximum, and
+the median and largest outlier of the absolute lip-sync skew, so a
+reproduction seed can be chosen and the tails understood.
 """
 
 import argparse
 
 from xrprobe.metrics import (
+    AUDIO,
+    VIDEO,
+    boxplot_stats,
     epoch_device_latency,
     inter_device_asynchrony,
+    intra_media_skew,
     latencies_from_log,
 )
 from xrprobe.netsim import run_scenario
 from xrprobe.scenario import PROFILE_TARGETS, preset_scenario
 
+# the session length PROFILE_TARGETS was fitted to; the presets' viewers join
+# up to 240 s in, so a shorter session is not a valid preset run
+DURATION_S = 300.0
 
-def main() -> None:
+
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=8, help="number of seeds to sweep")
-    ap.add_argument("--duration-s", type=float, default=300.0)
-    args = ap.parse_args()
+    ap.add_argument("--seeds", type=int, nargs="+", default=[4],
+                    help="seeds to run every profile at (default: 4)")
+    args = ap.parse_args(argv)
 
+    print(f"{DURATION_S:.0f} s per run\n")
+    header = (f"{'profile':<10} {'seed':>5} {'video ms':>9} {'target':>8} {'dev':>7} "
+              f"{'audio ms':>9} {'target':>8} {'dev':>7} {'async max':>10} "
+              f"{'skew med':>9} {'out max':>8}")
+    print(header)
+    print("-" * len(header))
     for profile, (tv, ta) in PROFILE_TARGETS.items():
-        print(f"\n{profile} (targets video {tv}, audio {ta})")
-        for seed in range(args.seeds):
-            log = run_scenario(preset_scenario(profile, seed=seed,
-                                               duration_s=args.duration_s))
+        for seed in args.seeds:
+            log = run_scenario(preset_scenario(profile, seed=seed, duration_s=DURATION_S))
             samples = latencies_from_log(log.records)
-            video = [s.latency_ms for s in samples if s.media == "video"]
-            audio = [s.latency_ms for s in samples if s.media == "audio"]
-            vm = sum(video) / len(video)
-            am = sum(audio) / len(audio)
-            vsamples = [s for s in samples if s.media == "video"]
-            amax = inter_device_asynchrony(epoch_device_latency(vsamples)).max_ms
-            print(f"  seed {seed}: video {vm:7.1f} ({(vm - tv) / tv:+6.1%})  "
-                  f"audio {am:7.1f} ({(am - ta) / ta:+6.1%})  "
-                  f"async max {amax:7.1f} ms")
+            video = [s for s in samples if s.media == VIDEO]
+            audio = [s for s in samples if s.media == AUDIO]
+            vm = sum(s.latency_ms for s in video) / len(video)
+            am = sum(s.latency_ms for s in audio) / len(audio)
+            async_max = inter_device_asynchrony(epoch_device_latency(video)).max_ms
+            skew = boxplot_stats(abs(s.skew_ms) for s in intra_media_skew(video, audio))
+            print(f"{profile:<10} {seed:>5} {vm:>9.1f} {tv:>8.2f} {(vm - tv) / tv:>+7.1%} "
+                  f"{am:>9.1f} {ta:>8.2f} {(am - ta) / ta:>+7.1%} {async_max:>10.1f} "
+                  f"{skew.median:>9.1f} {max(skew.outliers, default=0.0):>8.1f}")
 
 
 if __name__ == "__main__":

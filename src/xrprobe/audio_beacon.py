@@ -28,6 +28,7 @@ from typing import Callable, Counter as CounterT
 import numpy as np
 
 from .clocks import Timestamp
+from .schema import build, finite, integer, json_object, read_fields, text
 
 FULL_SCALE = 32767
 DEFAULT_RATE = 48000
@@ -81,6 +82,17 @@ class ToneSchedule:
     @property
     def ambiguity_window_ms(self) -> int:
         return self.tone_count * self.pulse_period_ms
+
+
+def read_tone_schedule(doc: dict, fieldname: str,
+                       required: tuple[str, ...] = ()) -> ToneSchedule:
+    """A ToneSchedule from a JSON object; a key left out keeps its default
+    unless it is ``required``."""
+    return build(
+        ToneSchedule, doc, fieldname, required,
+        f0_hz=finite, delta_hz=finite, tone_count=integer, pulse_period_ms=integer,
+        pulse_duration_ms=integer, ramp_ms=integer, epoch_ts=integer,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,11 +457,8 @@ def write_wav_manifest(path: str | Path, device_id: str, schedule: ToneSchedule,
 
 
 def read_wav_manifest(path: str | Path) -> tuple[str, ToneSchedule, Timestamp, dict]:
-    """The sidecar through the scenario loader's converters; a missing or bad
-    field raises SchemaError naming it."""
-    # scenario imports this module (ToneSchedule), so its readers load late
-    from .scenario import integer, json_object, read_fields, read_tone_schedule, text
-
+    """The sidecar through the schema converters; a missing or bad field
+    raises SchemaError naming it."""
     doc = json.loads(_sidecar(path).read_text())
     values = read_fields(doc, "", required=("device_id", "schedule", "stream_start_ts"),
                          device_id=text, schedule=json_object, stream_start_ts=integer,

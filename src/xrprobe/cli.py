@@ -37,11 +37,12 @@ from .metrics import (
     AUDIO,
     VIDEO,
     build_report,
+    epoch_device_latency,
     latencies_from_log,
     write_epoch_series_csv,
 )
 from .netsim import run_physical, run_scenario
-from .scenario import ConfigError, scenario_from_file
+from .scenario import scenario_from_file
 from .video_beacon import (
     FrameManifest,
     beacon_emission,
@@ -209,11 +210,13 @@ def _cmd_analyze(args) -> int:
     records = read_log(log_path)
     tally = _load_tally(log_path)
     samples = latencies_from_log(records, tally)
-    report = build_report(samples, tally, epoch_width_ms=args.epoch_ms)
+    epochs = {media: epoch_device_latency(samples, args.epoch_ms, media=media)
+              for media in (VIDEO, AUDIO)}
+    report = build_report(samples, tally, epochs, epoch_width_ms=args.epoch_ms)
     out = Path(args.out) if args.out else log_path.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    write_epoch_series_csv(out / "epochs.csv", samples, epoch_width_ms=args.epoch_ms)
+    write_epoch_series_csv(out / "epochs.csv", epochs)
     total = sum(report["sample_count"].values())
     means = ", ".join(f"{media} {value:.1f} ms"
                       for media, value in sorted(report["mean_latency_ms"].items()))
@@ -263,7 +266,7 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"xrprobe {args.command}: {exc}", file=sys.stderr)
         log.debug("traceback", exc_info=True)
         return 1

@@ -1,5 +1,5 @@
-"""Detection-log persistence, pull-style metrics exposition, and the
-latency-driven quality adaptation hook.
+"""Detection-log persistence, pull-style metrics exposition, and the HTTP
+service that serves the exposition and retunes the quality adaptation.
 
 Log format: JSON lines, one detection per line. ``write_log`` writes each
 record as ``json.dumps(..., sort_keys=True)`` would, with the optional
@@ -35,7 +35,8 @@ from typing import Iterable
 
 from .clocks import Timestamp
 from .metrics import AUDIO, VIDEO, valid_latency
-from .scenario import SchemaError, check_quality_thresholds, finite, read_fields, text
+from .scenario import QualitySpec
+from .schema import SchemaError, finite, read_fields, text
 
 
 class ParseError(ValueError):
@@ -257,65 +258,17 @@ def render_exposition(snapshot: MetricsSnapshot) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# --- quality adaptation ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class QualityPolicy:
-    """Two-threshold hysteresis for latency-driven quality stepping.
-
-    ``levels`` is ordered from lowest to highest quality. Stepping down is
-    triggered above ``step_down_threshold_ms``, stepping up below
-    ``step_up_threshold_ms``, and either move needs ``dwell_s`` of residence
-    at the current level first.
-    """
-
-    levels: tuple[str, ...] = ("low", "medium", "high")
-    step_down_threshold_ms: float = 400.0
-    step_up_threshold_ms: float = 250.0
-    dwell_s: float = 10.0
-
-    def __post_init__(self):
-        if len(self.levels) < 2:
-            raise ValueError("need at least two quality levels")
-        if len(set(self.levels)) != len(self.levels):
-            raise ValueError("duplicate quality level names")
-        check_quality_thresholds(self.step_down_threshold_ms, self.step_up_threshold_ms,
-                                 self.dwell_s)
-
-
-@dataclass(frozen=True)
-class QualityDecision:
-    action: str  # "step_up" | "step_down" | "hold"
-    target_level: str
-
-
-def adapt_quality(window_mean_m2p_ms: float, current_level: str,
-                  policy: QualityPolicy, dwell_elapsed_s: float) -> QualityDecision:
-    """Pure stepping decision; clamps at the extremes, holds inside the band."""
-    if current_level not in policy.levels:
-        raise ValueError(f"unknown level {current_level!r}")
-    idx = policy.levels.index(current_level)
-    ready = dwell_elapsed_s >= policy.dwell_s
-    if ready and window_mean_m2p_ms > policy.step_down_threshold_ms and idx > 0:
-        return QualityDecision("step_down", policy.levels[idx - 1])
-    if ready and window_mean_m2p_ms < policy.step_up_threshold_ms and idx < len(policy.levels) - 1:
-        return QualityDecision("step_up", policy.levels[idx + 1])
-    return QualityDecision("hold", current_level)
-
-
 # --- control service --------------------------------------------------------------
 
 class ExporterState:
     """Shared state behind the service: one writer, many readers."""
 
     def __init__(self, snapshot: MetricsSnapshot | None = None,
-                 policy: QualityPolicy | None = None, level: str | None = None):
+                 quality: QualitySpec | None = None):
         self._lock = threading.Lock()
         self._snapshot = snapshot or MetricsSnapshot({}, {}, {}, {}, {})
-        self._policy = policy or QualityPolicy()
-        self._level = level if level is not None else self._policy.levels[-1]
-        if self._level not in self._policy.levels:
-            raise ValueError(f"unknown level {self._level!r}")
+        self._quality = quality or QualitySpec()
+        self._level = self._quality.initial_level
 
     def update_snapshot(self, snapshot: MetricsSnapshot) -> None:
         with self._lock:
@@ -329,10 +282,10 @@ class ExporterState:
         with self._lock:
             return {
                 "level": self._level,
-                "levels": list(self._policy.levels),
-                "step_down_threshold_ms": self._policy.step_down_threshold_ms,
-                "step_up_threshold_ms": self._policy.step_up_threshold_ms,
-                "dwell_s": self._policy.dwell_s,
+                "levels": list(self._quality.levels),
+                "step_down_threshold_ms": self._quality.step_down_threshold_ms,
+                "step_up_threshold_ms": self._quality.step_up_threshold_ms,
+                "dwell_s": self._quality.dwell_s,
             }
 
     def apply_config(self, change: dict) -> dict:
@@ -345,12 +298,12 @@ class ExporterState:
                              step_up_threshold_ms=finite, dwell_s=finite)
         level = values.pop("level", None)
         with self._lock:
-            # replace() re-runs __post_init__, which validates the policy
-            policy = replace(self._policy, **values)
+            # replace() re-runs __post_init__, which validates the thresholds
+            quality = replace(self._quality, **values)
             level = self._level if level is None else level
-            if level not in policy.levels:
+            if level not in quality.levels:
                 raise SchemaError("level", f"unknown level {level!r}")
-            self._policy = policy
+            self._quality = quality
             self._level = level
         return self.config()
 

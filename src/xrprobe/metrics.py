@@ -146,25 +146,17 @@ def epoch_device_latency(
     samples: Iterable[LatencySample],
     epoch_width_ms: int = DEFAULT_EPOCH_MS,
     media: str = VIDEO,
-    aggregate: str = "min",
 ) -> dict[tuple[int, str], float]:
-    """Map (epoch_start_ms, device) -> aggregated latency for one medium.
-
-    ``aggregate`` is "min" (default, robust to quantization noise) or "mean".
-    """
+    """Map (epoch_start_ms, device) -> minimum latency for one medium."""
     if epoch_width_ms < 1:
         raise ValueError("epoch width must be positive")
-    if aggregate not in ("min", "mean"):
-        raise ValueError("aggregate must be 'min' or 'mean'")
     groups: dict[tuple[int, str], list[float]] = {}
     for s in samples:
         if s.media != media:
             continue
         epoch = (s.playout_ts // epoch_width_ms) * epoch_width_ms
         groups.setdefault((epoch, s.device), []).append(s.latency_ms)
-    if aggregate == "min":
-        return {key: min(vals) for key, vals in groups.items()}
-    return {key: _mean(vals) for key, vals in groups.items()}
+    return {key: min(vals) for key, vals in groups.items()}
 
 
 def inter_device_asynchrony(
@@ -271,13 +263,15 @@ def boxplot_stats(series: Iterable[float]) -> BoxStats:
 def build_report(
     samples: list[LatencySample],
     tally: Mapping[str, int],
+    epochs: Mapping[str, Mapping[tuple[int, str], float]],
     epoch_width_ms: int = DEFAULT_EPOCH_MS,
-    sync_target_ms: float | None = None,
 ) -> dict:
     """Full aggregate report over a detection log, as a JSON-ready dict.
 
     ``samples`` and ``tally`` come from one ``latencies_from_log(records,
     tally)`` pass, so the report's diagnostics count the rejected latencies.
+    ``epochs`` maps each medium to the ``epoch_device_latency`` of
+    ``samples`` at ``epoch_width_ms``.
     """
     video = [s for s in samples if s.media == VIDEO]
     audio = [s for s in samples if s.media == AUDIO]
@@ -299,8 +293,6 @@ def build_report(
             {"slot": st.slot, "media": st.media, "mean_ms": st.mean_ms,
              "std_ms": st.std_ms, "count": st.count}
         )
-    epochs = {media: epoch_device_latency(group, epoch_width_ms, media=media)
-              for media, group in ((VIDEO, video), (AUDIO, audio))}
     for media, group in ((VIDEO, video), (AUDIO, audio)):
         if not group:
             continue
@@ -328,12 +320,6 @@ def build_report(
                 "unacceptable": by_class.get("unacceptable", 0),
             },
         }
-
-    if sync_target_ms is not None and VIDEO in report["inter_device_asynchrony"]:
-        report["sync_target_ms"] = sync_target_ms
-        report["video_asynchrony_within_target"] = (
-            report["inter_device_asynchrony"][VIDEO]["max_ms"] <= sync_target_ms
-        )
     return report
 
 
@@ -348,15 +334,16 @@ def _box_dict(box: BoxStats) -> dict:
     }
 
 
-def write_epoch_series_csv(path: str | Path, samples: Iterable[LatencySample],
-                           epoch_width_ms: int = DEFAULT_EPOCH_MS) -> None:
-    """Per-epoch minimum latency time series, one row per (epoch, device, media)."""
-    samples = list(samples)
-    rows: list[tuple[int, str, str, float]] = []
-    for media in (VIDEO, AUDIO):
-        epochs = epoch_device_latency(samples, epoch_width_ms, media=media)
-        for (epoch, device), lat in epochs.items():
-            rows.append((epoch, device, media, lat))
+def write_epoch_series_csv(path: str | Path,
+                           epochs: Mapping[str, Mapping[tuple[int, str], float]]) -> None:
+    """Per-epoch minimum latency time series, one row per (epoch, device, media).
+
+    ``epochs`` maps each medium to its ``epoch_device_latency``, as given to
+    ``build_report``.
+    """
+    rows = [(epoch, device, media, lat)
+            for media, by_epoch in epochs.items()
+            for (epoch, device), lat in by_epoch.items()]
     rows.sort()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

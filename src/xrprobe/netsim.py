@@ -35,9 +35,10 @@ from .audio_beacon import (
     write_wav_manifest,
 )
 from .clocks import DeviceClock
-from .exporter import DetectionRecord, QualityPolicy, adapt_quality
+from .exporter import DetectionRecord
 from .metrics import AUDIO, VIDEO
-from .scenario import ConfigError, NetworkProfile, SessionScenario
+from .scenario import NetworkProfile, SessionScenario, adapt_quality
+from .schema import ConfigError
 from .video_beacon import (
     FrameManifest,
     beacon_emission,
@@ -166,18 +167,11 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     def lost(rng: random.Random, prob: float) -> bool:
         return prob > 0.0 and rng.random() < prob
 
-    qspec = scenario.quality
-    policy = None
-    level = qspec.initial_level
+    quality = scenario.quality
+    level = quality.initial_level
     encode_down_eff = pipe.encode_down_ms
-    if qspec.enabled:
-        policy = QualityPolicy(
-            levels=qspec.levels,
-            step_down_threshold_ms=qspec.step_down_threshold_ms,
-            step_up_threshold_ms=qspec.step_up_threshold_ms,
-            dwell_s=qspec.dwell_s,
-        )
-        encode_down_eff = max(0.0, pipe.encode_down_ms + qspec.delta_for(level))
+    if quality.enabled:
+        encode_down_eff = max(0.0, pipe.encode_down_ms + quality.delta_for(level))
     window_sum = 0.0
     window_n = 0
     last_level_change = t0
@@ -226,8 +220,8 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     if quantum_ms > 0:
         for d in devices:
             push(joins[d] + vsync_phase[d], "tick", (d, 0))
-    if policy is not None:
-        push(t0 + qspec.control_interval_s * 1000.0, "qctl", None)
+    if quality.enabled:
+        push(t0 + quality.control_interval_s * 1000.0, "qctl", None)
 
     while heap:
         t, _, kind, payload = heapq.heappop(heap)
@@ -339,16 +333,16 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
         elif kind == "qctl":
             if window_n > 0:
                 mean = window_sum / window_n
-                decision = adapt_quality(mean, level, policy,
+                decision = adapt_quality(mean, level, quality,
                                          (t - last_level_change) / 1000.0)
                 if decision.action != "hold":
                     level = decision.target_level
-                    encode_down_eff = max(0.0, pipe.encode_down_ms + qspec.delta_for(level))
+                    encode_down_eff = max(0.0, pipe.encode_down_ms + quality.delta_for(level))
                     last_level_change = t
                     tally[f"quality_{decision.action}"] += 1
             window_sum = 0.0
             window_n = 0
-            nxt = t + qspec.control_interval_s * 1000.0
+            nxt = t + quality.control_interval_s * 1000.0
             if nxt <= end:
                 push(nxt, "qctl", None)
 

@@ -2,9 +2,9 @@
 
 A scenario bundles the session shape (who joins when, frame and tone
 cadence), the access-network behaviour of the uplink and downlink, the
-processing pipeline stage delays, and the clock discipline. Scenarios are
-plain dataclasses; ``load_scenario`` builds one from a JSON document and
-reports schema problems by field name.
+processing pipeline stage delays, the clock discipline and the optional
+quality adaptation loop. Scenarios are plain dataclasses; ``load_scenario``
+builds one from a JSON document and reports schema problems by field name.
 """
 
 from __future__ import annotations
@@ -15,20 +15,19 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .audio_beacon import ToneSchedule
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class SchemaError(ConfigError):
-    """Scenario document rejected; names the offending field."""
-
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"{fieldname}: {message}")
-        self.field = fieldname
-        self.message = message
+from .audio_beacon import ToneSchedule, read_tone_schedule
+from .schema import (
+    ConfigError,
+    SchemaError,
+    build,
+    finite,
+    flag,
+    integer,
+    names,
+    numbers,
+    opt_finite,
+    text,
+)
 
 
 # --- stochastic delay components --------------------------------------------------
@@ -169,27 +168,16 @@ class ClockSpec:
             raise ConfigError("max_drift_ppm must be non-negative")
 
 
-def check_quality_thresholds(step_down_threshold_ms: float, step_up_threshold_ms: float,
-                             dwell_s: float) -> None:
-    """The one threshold/dwell rule of ``QualitySpec`` and ``exporter.QualityPolicy``.
-
-    All three finite, step_up below step_down, dwell non-negative; a
-    violation raises SchemaError naming the field.
-    """
-    for name, value in (("step_down_threshold_ms", step_down_threshold_ms),
-                        ("step_up_threshold_ms", step_up_threshold_ms), ("dwell_s", dwell_s)):
-        if not math.isfinite(value):
-            raise SchemaError(name, f"expected a finite number, got {value}")
-    if step_up_threshold_ms >= step_down_threshold_ms:
-        raise SchemaError("step_up_threshold_ms",
-                          "step_up threshold must sit below step_down threshold")
-    if dwell_s < 0:
-        raise SchemaError("dwell_s", "dwell must be non-negative")
-
-
 @dataclass(frozen=True)
 class QualitySpec:
-    """Optional closed-loop quality adaptation acting on downlink encode time."""
+    """Closed-loop quality adaptation acting on downlink encode time.
+
+    ``levels`` is ordered from lowest to highest quality. Two-threshold
+    hysteresis: stepping down is triggered above ``step_down_threshold_ms``,
+    stepping up below ``step_up_threshold_ms``, and either move needs
+    ``dwell_s`` of residence at the current level first. The simulator runs
+    the loop when ``enabled``; ``POST /config`` retunes the same type.
+    """
 
     enabled: bool = False
     levels: tuple[str, ...] = ("low", "medium", "high")
@@ -201,17 +189,48 @@ class QualitySpec:
     initial_level: str = "high"
 
     def __post_init__(self):
+        if len(self.levels) < 2:
+            raise SchemaError("levels", "need at least two quality levels")
+        if len(set(self.levels)) != len(self.levels):
+            raise SchemaError("levels", "duplicate quality level names")
         if len(self.levels) != len(self.encode_down_delta_ms):
             raise ConfigError("one encode_down delta per quality level required")
         if self.initial_level not in self.levels:
             raise ConfigError(f"initial_level {self.initial_level!r} not in levels")
-        check_quality_thresholds(self.step_down_threshold_ms, self.step_up_threshold_ms,
-                                 self.dwell_s)
+        for name in ("step_down_threshold_ms", "step_up_threshold_ms", "dwell_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SchemaError(name, f"expected a finite number, got {value}")
+        if self.step_up_threshold_ms >= self.step_down_threshold_ms:
+            raise SchemaError("step_up_threshold_ms",
+                              "step_up threshold must sit below step_down threshold")
+        if self.dwell_s < 0:
+            raise SchemaError("dwell_s", "dwell must be non-negative")
         if self.control_interval_s <= 0:
             raise ConfigError("control_interval_s must be positive")
 
     def delta_for(self, level: str) -> float:
         return self.encode_down_delta_ms[self.levels.index(level)]
+
+
+@dataclass(frozen=True)
+class QualityDecision:
+    action: str  # "step_up" | "step_down" | "hold"
+    target_level: str
+
+
+def adapt_quality(window_mean_m2p_ms: float, current_level: str,
+                  quality: QualitySpec, dwell_elapsed_s: float) -> QualityDecision:
+    """Pure stepping decision; clamps at the extremes, holds inside the band."""
+    if current_level not in quality.levels:
+        raise ValueError(f"unknown level {current_level!r}")
+    idx = quality.levels.index(current_level)
+    ready = dwell_elapsed_s >= quality.dwell_s
+    if ready and window_mean_m2p_ms > quality.step_down_threshold_ms and idx > 0:
+        return QualityDecision("step_down", quality.levels[idx - 1])
+    if ready and window_mean_m2p_ms < quality.step_up_threshold_ms and idx < len(quality.levels) - 1:
+        return QualityDecision("step_up", quality.levels[idx + 1])
+    return QualityDecision("hold", current_level)
 
 
 # --- the scenario -----------------------------------------------------------------
@@ -351,64 +370,6 @@ def _check_keys(doc: dict, allowed: set[str], fieldname: str) -> None:
             raise SchemaError(f"{fieldname}.{key}", "unknown key")
 
 
-def finite(value) -> float:
-    """A JSON number as a finite float; strings, booleans, NaN and infinities fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError("number out of range") from None
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value}")
-    return value
-
-
-def integer(value) -> int:
-    """A JSON integer; an integral float such as 20.0 passes, fractions do not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _opt_finite(value) -> float | None:
-    return None if value is None else finite(value)
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _array(value) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _numbers(value) -> tuple[float, ...]:
-    return tuple(finite(x) for x in _array(value))
-
-
-def text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _names(value) -> tuple[str, ...]:
-    return tuple(text(x) for x in _array(value))
-
-
-def json_object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {type(value).__name__}")
-    return value
-
-
 def _jitter_from(doc: dict, fieldname: str) -> Jitter:
     _check_keys(doc, {"kind", "sigma_ms", "mu", "sigma"}, fieldname)
     kind = doc.get("kind")
@@ -431,7 +392,7 @@ def _outage_from(doc: dict, fieldname: str) -> OutageSpec:
             enter_prob=finite(doc["enter_prob"]),
             duration_min_ms=finite(doc["duration_min_ms"]),
             duration_max_ms=finite(doc["duration_max_ms"]),
-            media=_names(doc.get("media", ("video",))),
+            media=names(doc.get("media", ("video",))),
         )
     except KeyError as exc:
         raise SchemaError(fieldname, f"outage missing key {exc}") from exc
@@ -459,49 +420,6 @@ def _profile_from(doc: dict, fieldname: str) -> NetworkProfile:
         raise SchemaError(fieldname, str(exc)) from exc
 
 
-def read_fields(doc: dict, fieldname: str, required: tuple[str, ...] = (), **convert) -> dict:
-    """Convert each key of an object with its converter; a missing key stays
-    missing unless it is ``required``. A missing required key, an unknown key
-    or a failed conversion raises SchemaError naming ``fieldname.key``
-    (``key`` alone when ``fieldname`` is empty)."""
-    if not isinstance(doc, dict):
-        raise SchemaError(fieldname or "<root>", "must be an object")
-    values = {}
-    for key, value in doc.items():
-        name = f"{fieldname}.{key}" if fieldname else key
-        if key not in convert:
-            raise SchemaError(name, "unknown key")
-        try:
-            values[key] = convert[key](value)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(name, str(exc)) from exc
-    for key in required:
-        if key not in values:
-            raise SchemaError(f"{fieldname}.{key}" if fieldname else key, "missing")
-    return values
-
-
-def _build(cls, doc: dict, fieldname: str, required: tuple[str, ...] = (), **convert):
-    kwargs = read_fields(doc, fieldname, required, **convert)
-    try:
-        return cls(**kwargs)
-    except SchemaError as exc:
-        raise SchemaError(f"{fieldname}.{exc.field}", exc.message) from exc
-    except ValueError as exc:
-        raise SchemaError(fieldname, str(exc)) from exc
-
-
-def read_tone_schedule(doc: dict, fieldname: str,
-                       required: tuple[str, ...] = ()) -> ToneSchedule:
-    """A ToneSchedule from a JSON object; a key left out keeps its default
-    unless it is ``required``."""
-    return _build(
-        ToneSchedule, doc, fieldname, required,
-        f0_hz=finite, delta_hz=finite, tone_count=integer, pulse_period_ms=integer,
-        pulse_duration_ms=integer, ramp_ms=integer, epoch_ts=integer,
-    )
-
-
 def load_scenario(doc: dict) -> SessionScenario:
     """Build a scenario from a parsed JSON document.
 
@@ -518,7 +436,7 @@ def load_scenario(doc: dict) -> SessionScenario:
                       ("beacon_interval_ms", integer), ("sample_rate", integer),
                       ("presenter", text), ("seed", integer),
                       ("start_epoch_ms", integer), ("name", text),
-                      ("viewers", _names), ("join_times_s", _numbers)):
+                      ("viewers", names), ("join_times_s", numbers)):
         if key in doc:
             try:
                 kwargs[key] = conv(doc.pop(key))
@@ -526,22 +444,22 @@ def load_scenario(doc: dict) -> SessionScenario:
                 raise SchemaError(key, str(exc)) from exc
 
     if "pipeline" in doc:
-        kwargs["pipeline"] = _build(
+        kwargs["pipeline"] = build(
             PipelineModel, doc.pop("pipeline"), "pipeline",
-            capture_pipeline_ms=_opt_finite, encode_up_ms=finite, render_ms=finite,
-            encode_down_ms=finite, decode_ms=finite, display_quantum_ms=_opt_finite,
+            capture_pipeline_ms=opt_finite, encode_up_ms=finite, render_ms=finite,
+            encode_down_ms=finite, decode_ms=finite, display_quantum_ms=opt_finite,
             audio_buffer_ms=finite, audio_path_ms=finite,
         )
     if "clocks" in doc:
-        kwargs["clocks"] = _build(
+        kwargs["clocks"] = build(
             ClockSpec, doc.pop("clocks"), "clocks",
             sigma_ntp_ms=finite, sync_interval_s=finite,
             max_drift_ppm=finite, initial_offset_sigma_ms=finite,
         )
     if "quality" in doc:
-        kwargs["quality"] = _build(
+        kwargs["quality"] = build(
             QualitySpec, doc.pop("quality"), "quality",
-            enabled=_flag, levels=_names, encode_down_delta_ms=_numbers,
+            enabled=flag, levels=names, encode_down_delta_ms=numbers,
             step_down_threshold_ms=finite, step_up_threshold_ms=finite,
             dwell_s=finite, control_interval_s=finite, initial_level=text,
         )

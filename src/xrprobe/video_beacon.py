@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .clocks import Timestamp
-from .scenario import SchemaError, finite, integer, json_object, read_fields, text
+from .schema import SchemaError, finite, integer, json_object, read_fields, text
 
 GRID_SIZE = 21
 FINDER_SIZE = 7
@@ -570,8 +570,8 @@ def write_frame_sequence(directory: str | Path, frames: list[PixelBuffer],
 
 
 def read_frame_manifest(directory: str | Path) -> FrameManifest:
-    """The sidecar through the scenario loader's converters; a missing or bad
-    field raises SchemaError naming it."""
+    """The sidecar through the schema converters; a missing or bad field
+    raises SchemaError naming it."""
     doc = json.loads((Path(directory) / MANIFEST_NAME).read_text())
     return FrameManifest(**read_fields(
         doc, "", required=("device_id", "fps", "start_ts", "frame_count"),

@@ -33,7 +33,7 @@ from xrprobe.audio_beacon import (
     write_wav_manifest,
 )
 from xrprobe.audio_beacon import _tone_index
-from xrprobe.scenario import SchemaError
+from xrprobe.schema import SchemaError
 
 RATE = 48000
 

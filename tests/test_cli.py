@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from xrprobe import cli, metrics
 from xrprobe.cli import run
 from xrprobe.exporter import read_log
 
@@ -191,6 +192,24 @@ class TestSimulateAnalyze:
         capsys.readouterr()
         assert (rep / "report.json").exists()
         assert (rep / "epochs.csv").exists()
+
+    def test_analyze_builds_each_epoch_map_once(self, tmp_path, capsys, monkeypatch):
+        # report.json and epochs.csv share one epoch map per medium
+        sc = write_scenario(tmp_path / "sc.json")
+        out = tmp_path / "out"
+        run(["simulate", "--scenario", str(sc), "--out", str(out)])
+        calls = []
+        original = metrics.epoch_device_latency
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("media"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "epoch_device_latency", counted)
+        monkeypatch.setattr(cli, "epoch_device_latency", counted)
+        assert run(["analyze", "--log", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == ["audio", "video"]
 
     def test_physical_mode_layout(self, tmp_path, capsys):
         sc = write_scenario(tmp_path / "sc.json", duration_s=6.0)

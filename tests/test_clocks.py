@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from xrprobe.clocks import DeviceClock
-from xrprobe.scenario import ClockSpec, ConfigError
+from xrprobe.scenario import ClockSpec
+from xrprobe.schema import ConfigError
 
 
 def drawn(device="a", seed=0, join_ms=0.0, end_ms=600_000.0, sigma_ntp_ms=0.5,

@@ -22,8 +22,6 @@ from xrprobe.exporter import (
     ExporterState,
     MetricsSnapshot,
     ParseError,
-    QualityPolicy,
-    adapt_quality,
     format_log_line,
     make_server,
     read_log,
@@ -32,7 +30,8 @@ from xrprobe.exporter import (
     snapshot_from_records,
     write_log,
 )
-from xrprobe.scenario import QualitySpec, SchemaError
+from xrprobe.scenario import QualitySpec, adapt_quality
+from xrprobe.schema import SchemaError
 
 
 def random_records(seed, n):
@@ -366,10 +365,10 @@ class TestExposition:
 
 
 class TestAdaptQuality:
-    POLICY = QualityPolicy(levels=("low", "medium", "high"),
-                           step_down_threshold_ms=400.0,
-                           step_up_threshold_ms=150.0,
-                           dwell_s=10.0)
+    POLICY = QualitySpec(levels=("low", "medium", "high"),
+                         step_down_threshold_ms=400.0,
+                         step_up_threshold_ms=150.0,
+                         dwell_s=10.0)
 
     def test_step_down(self):
         d = adapt_quality(500.0, "medium", self.POLICY, dwell_elapsed_s=11.0)
@@ -404,9 +403,12 @@ class TestAdaptQuality:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            QualityPolicy(step_down_threshold_ms=100.0, step_up_threshold_ms=200.0)
-        with pytest.raises(ValueError):
-            QualityPolicy(levels=("only",))
+            QualitySpec(step_down_threshold_ms=100.0, step_up_threshold_ms=200.0)
+        for levels in (("only",), ("low", "low")):
+            with pytest.raises(SchemaError) as err:
+                QualitySpec(levels=levels, encode_down_delta_ms=(0.0,) * len(levels),
+                            initial_level=levels[0])
+            assert err.value.field == "levels"
 
     @given(mean=st.floats(0, 1000), level=st.sampled_from(("low", "medium", "high")),
            dwell=st.floats(0, 100))
@@ -480,10 +482,13 @@ class TestQualityRule:
     @given(down=st.floats(), up=st.floats(), dwell=st.floats())
     @settings(max_examples=300)
     def test_spec_and_policy_share_one_rule(self, down, up, dwell):
+        # the scenario's quality spec and the service's POST /config policy
+        change = {"step_down_threshold_ms": down, "step_up_threshold_ms": up, "dwell_s": dwell}
         outcomes = []
-        for cls in (QualitySpec, QualityPolicy):
+        for make in (lambda: QualitySpec(**change),
+                     lambda: ExporterState().apply_config(change)):
             try:
-                cls(step_down_threshold_ms=down, step_up_threshold_ms=up, dwell_s=dwell)
+                make()
                 outcomes.append(None)
             except SchemaError as exc:
                 outcomes.append(exc.field)

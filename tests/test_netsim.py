@@ -23,7 +23,6 @@ from xrprobe.netsim import (
 )
 from xrprobe.scenario import (
     ClockSpec,
-    ConfigError,
     GaussianJitter,
     NetworkProfile,
     OutageSpec,
@@ -31,6 +30,7 @@ from xrprobe.scenario import (
     SessionScenario,
     preset_scenario,
 )
+from xrprobe.schema import ConfigError
 from xrprobe.video_beacon import _read_pgm_stream, read_frame_manifest
 
 VIDEO, AUDIO = "video", "audio"
@@ -189,6 +189,23 @@ class TestRunScenario:
             "8e21d3fbd1dc06ae8ed063f7f761a252c394a8bc4bc0d8d791c50cef06bc7f40")
         assert hashlib.sha256((out / "epochs.csv").read_bytes()).hexdigest() == (
             "076048732b86bd11160432e17f8d0884291b1df924a5c02cfc4dfcab7ef73d7a")
+
+    def test_quality_adaptation_bytes_pinned(self, tmp_path, capsys):
+        # the closed-loop quality path: thresholds set so the 300 s wifi run steps both ways
+        doc = {"profile": "wifi", "seed": 42,
+               "quality": {"enabled": True, "step_down_threshold_ms": 400,
+                           "step_up_threshold_ms": 370, "dwell_s": 5}}
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["simulate", "--scenario", str(sc_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        tally = json.loads((out / "tally.json").read_text())
+        assert tally["quality_step_down"] > 0 and tally["quality_step_up"] > 0
+        assert hashlib.sha256((out / "log.jsonl").read_bytes()).hexdigest() == (
+            "4882871d95302e7a5aba9c044f3248986bbbbd2e9cb0677794f032e77aa0d763")
+        assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
+            "13393e355a5f5897134b80188846c80fabc3d0cc87cd19ccc36f5254123a2cfb")
 
     def test_seed_argument_overrides_scenario_seed(self):
         sc = quick_scenario(uplink=preset_scenario("fiveg").uplink,

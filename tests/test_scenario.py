@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +19,13 @@ from xrprobe.scenario import (
     NetworkProfile,
     OutageSpec,
     PipelineModel,
-    SchemaError,
     SessionScenario,
     load_scenario,
     preset_scenario,
     scenario_from_file,
 )
+import xrprobe
+from xrprobe.schema import SchemaError
 
 
 class TestJitterModels:
@@ -276,6 +281,8 @@ class TestLoader:
         ({"sample_rate": 0}, "sample_rate"),
         ({"quality": {"dwell_s": -5}}, "quality.dwell_s"),
         ({"quality": {"step_up_threshold_ms": 500}}, "quality.step_up_threshold_ms"),
+        ({"quality": {"levels": ["only"], "encode_down_delta_ms": [0],
+                      "initial_level": "only"}}, "quality.levels"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:
@@ -330,3 +337,24 @@ def test_any_value_gives_scenario_or_schema_error(path, value):
         return
     assert isinstance(sc, SessionScenario)
     assert all(math.isfinite(v) for v in (sc.duration_s, sc.fps, *sc.join_times_s))
+
+
+def _loaded_xrprobe_modules(module: str) -> set[str]:
+    """The xrprobe modules a fresh interpreter holds after importing ``module``."""
+    src = str(Path(xrprobe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (f"import sys, {module}; "
+            "print(' '.join(m for m in sys.modules if m.startswith('xrprobe.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return set(done.stdout.split())
+
+
+class TestImportGraph:
+    def test_schema_imports_no_other_xrprobe_module(self):
+        assert _loaded_xrprobe_modules("xrprobe.schema") == {"xrprobe.schema"}
+
+    @pytest.mark.parametrize("module", ["xrprobe.video_beacon", "xrprobe.audio_beacon"])
+    def test_beacons_do_not_load_the_scenario_model(self, module):
+        assert "xrprobe.scenario" not in _loaded_xrprobe_modules(module)

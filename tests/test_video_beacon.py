@@ -36,7 +36,7 @@ from xrprobe.video_beacon import (
     write_pgm,
 )
 from xrprobe import video_beacon
-from xrprobe.scenario import SchemaError
+from xrprobe.schema import SchemaError
 from xrprobe.video_beacon import _LineRuns, _read_pgm_stream, _row_hits, _scan_finders
 
 
