@@ -14,9 +14,9 @@ from xrprobe.metrics import (
     AUDIO,
     VIDEO,
     boxplot_stats,
-    epoch_device_latency,
+    epoch_maps,
+    epoch_skew,
     inter_device_asynchrony,
-    intra_media_skew,
     latencies_from_log,
 )
 from xrprobe.netsim import run_scenario
@@ -47,8 +47,9 @@ def main(argv: list[str] | None = None) -> None:
             audio = [s for s in samples if s.media == AUDIO]
             vm = sum(s.latency_ms for s in video) / len(video)
             am = sum(s.latency_ms for s in audio) / len(audio)
-            async_max = inter_device_asynchrony(epoch_device_latency(video)).max_ms
-            skew = boxplot_stats(abs(s.skew_ms) for s in intra_media_skew(video, audio))
+            epochs = epoch_maps(samples).by_media
+            async_max = inter_device_asynchrony(epochs[VIDEO]).max_ms
+            skew = boxplot_stats(abs(s.skew_ms) for s in epoch_skew(epochs[VIDEO], epochs[AUDIO]))
             print(f"{profile:<10} {seed:>5} {vm:>9.1f} {tv:>8.2f} {(vm - tv) / tv:>+7.1%} "
                   f"{am:>9.1f} {ta:>8.2f} {(am - ta) / ta:>+7.1%} {async_max:>10.1f} "
                   f"{skew.median:>9.1f} {max(skew.outliers, default=0.0):>8.1f}")

@@ -37,7 +37,7 @@ from .metrics import (
     AUDIO,
     VIDEO,
     build_report,
-    epoch_device_latency,
+    epoch_maps,
     latencies_from_log,
     write_epoch_series_csv,
 )
@@ -210,9 +210,8 @@ def _cmd_analyze(args) -> int:
     records = read_log(log_path)
     tally = _load_tally(log_path)
     samples = latencies_from_log(records, tally)
-    epochs = {media: epoch_device_latency(samples, args.epoch_ms, media=media)
-              for media in (VIDEO, AUDIO)}
-    report = build_report(samples, tally, epochs, epoch_width_ms=args.epoch_ms)
+    epochs = epoch_maps(samples, args.epoch_ms)
+    report = build_report(samples, tally, epochs)
     out = Path(args.out) if args.out else log_path.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

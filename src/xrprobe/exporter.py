@@ -263,11 +263,10 @@ def render_exposition(snapshot: MetricsSnapshot) -> str:
 class ExporterState:
     """Shared state behind the service: one writer, many readers."""
 
-    def __init__(self, snapshot: MetricsSnapshot | None = None,
-                 quality: QualitySpec | None = None):
+    def __init__(self, snapshot: MetricsSnapshot | None = None):
         self._lock = threading.Lock()
         self._snapshot = snapshot or MetricsSnapshot({}, {}, {}, {}, {})
-        self._quality = quality or QualitySpec()
+        self._quality = QualitySpec()
         self._level = self._quality.initial_level
 
     def update_snapshot(self, snapshot: MetricsSnapshot) -> None:

@@ -61,6 +61,13 @@ class AsynchronyReport:
 
 
 @dataclass(frozen=True)
+class EpochMaps:
+    """Each medium's ``epoch_device_latency`` map, with the width it was built at."""
+    width_ms: int
+    by_media: dict[str, dict[tuple[int, str], float]]
+
+
+@dataclass(frozen=True)
 class SkewSample:
     device: str
     epoch_start_ms: int
@@ -159,6 +166,14 @@ def epoch_device_latency(
     return {key: min(vals) for key, vals in groups.items()}
 
 
+def epoch_maps(samples: list[LatencySample],
+               epoch_width_ms: int = DEFAULT_EPOCH_MS) -> EpochMaps:
+    """Both media's epoch latency maps of ``samples``, built once for reuse."""
+    return EpochMaps(epoch_width_ms,
+                     {media: epoch_device_latency(samples, epoch_width_ms, media=media)
+                      for media in (VIDEO, AUDIO)})
+
+
 def inter_device_asynchrony(
     epoch_latency: Mapping[tuple[int, str], float],
     media: str = VIDEO,
@@ -197,12 +212,13 @@ def intra_media_skew(
     epoch_width_ms: int = DEFAULT_EPOCH_MS,
 ) -> list[SkewSample]:
     """Signed video-minus-audio epoch latency per device, where both exist."""
-    return _skew_samples(epoch_device_latency(video_samples, epoch_width_ms, media=VIDEO),
-                         epoch_device_latency(audio_samples, epoch_width_ms, media=AUDIO))
+    return epoch_skew(epoch_device_latency(video_samples, epoch_width_ms, media=VIDEO),
+                      epoch_device_latency(audio_samples, epoch_width_ms, media=AUDIO))
 
 
-def _skew_samples(video: Mapping[tuple[int, str], float],
-                  audio: Mapping[tuple[int, str], float]) -> list[SkewSample]:
+def epoch_skew(video: Mapping[tuple[int, str], float],
+               audio: Mapping[tuple[int, str], float]) -> list[SkewSample]:
+    """Signed video-minus-audio latency for each (epoch, device) in both maps."""
     out = []
     for key in sorted(video.keys() & audio.keys()):
         epoch, device = key
@@ -263,21 +279,20 @@ def boxplot_stats(series: Iterable[float]) -> BoxStats:
 def build_report(
     samples: list[LatencySample],
     tally: Mapping[str, int],
-    epochs: Mapping[str, Mapping[tuple[int, str], float]],
-    epoch_width_ms: int = DEFAULT_EPOCH_MS,
+    epochs: EpochMaps,
 ) -> dict:
     """Full aggregate report over a detection log, as a JSON-ready dict.
 
     ``samples`` and ``tally`` come from one ``latencies_from_log(records,
     tally)`` pass, so the report's diagnostics count the rejected latencies.
-    ``epochs`` maps each medium to the ``epoch_device_latency`` of
-    ``samples`` at ``epoch_width_ms``.
+    ``epochs`` is ``epoch_maps(samples, width)``; the report is labelled
+    with its width.
     """
     video = [s for s in samples if s.media == VIDEO]
     audio = [s for s in samples if s.media == AUDIO]
 
     report: dict = {
-        "epoch_width_ms": epoch_width_ms,
+        "epoch_width_ms": epochs.width_ms,
         "sample_count": {"video": len(video), "audio": len(audio)},
         "mean_latency_ms": {},
         "slot_stats": [],
@@ -296,14 +311,15 @@ def build_report(
     for media, group in ((VIDEO, video), (AUDIO, audio)):
         if not group:
             continue
-        rep = inter_device_asynchrony(epochs[media], media=media, epoch_width_ms=epoch_width_ms)
+        rep = inter_device_asynchrony(epochs.by_media[media], media=media,
+                                      epoch_width_ms=epochs.width_ms)
         report["inter_device_asynchrony"][media] = {
             "max_ms": rep.max_ms,
             "mean_ms": rep.mean_ms,
             "epochs": len(rep.series),
         }
 
-    skews = _skew_samples(epochs[VIDEO], epochs[AUDIO])
+    skews = epoch_skew(epochs.by_media[VIDEO], epochs.by_media[AUDIO])
     if skews:
         by_class = Counter(classify_lip_sync(abs(s.skew_ms)) for s in skews)
         per_device: dict[str, dict] = {}
@@ -334,15 +350,13 @@ def _box_dict(box: BoxStats) -> dict:
     }
 
 
-def write_epoch_series_csv(path: str | Path,
-                           epochs: Mapping[str, Mapping[tuple[int, str], float]]) -> None:
+def write_epoch_series_csv(path: str | Path, epochs: EpochMaps) -> None:
     """Per-epoch minimum latency time series, one row per (epoch, device, media).
 
-    ``epochs`` maps each medium to its ``epoch_device_latency``, as given to
-    ``build_report``.
+    ``epochs`` is the ``epoch_maps`` given to ``build_report``.
     """
     rows = [(epoch, device, media, lat)
-            for media, by_epoch in epochs.items()
+            for media, by_epoch in epochs.by_media.items()
             for (epoch, device), lat in by_epoch.items()]
     rows.sort()
     with open(path, "w", newline="") as fh:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from xrprobe import cli, metrics
+from xrprobe import metrics
 from xrprobe.cli import run
 from xrprobe.exporter import read_log
 
@@ -206,7 +206,6 @@ class TestSimulateAnalyze:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "epoch_device_latency", counted)
-        monkeypatch.setattr(cli, "epoch_device_latency", counted)
         assert run(["analyze", "--log", str(out)]) == 0
         capsys.readouterr()
         assert sorted(calls) == ["audio", "video"]

@@ -23,6 +23,7 @@ from xrprobe.metrics import (
     build_report,
     classify_lip_sync,
     epoch_device_latency,
+    epoch_maps,
     inter_device_asynchrony,
     intra_media_skew,
     latencies_from_log,
@@ -353,15 +354,10 @@ class TestBuildReport:
             ))
         return recs
 
-    @staticmethod
-    def _epochs(samples):
-        return {media: epoch_device_latency(samples, 1000, media=media)
-                for media in (VIDEO, AUDIO)}
-
     def _report(self, recs):
         tally = collections.Counter()
         samples = latencies_from_log(recs, tally)
-        return build_report(samples, tally, self._epochs(samples))
+        return build_report(samples, tally, epoch_maps(samples))
 
     def test_report_shape(self):
         report = self._report(self._log())
@@ -377,10 +373,16 @@ class TestBuildReport:
         report = self._report(recs)
         assert report["diagnostics"]["clock_skew_suspected"] == 1
 
+    def test_width_travels_with_maps(self):
+        # the report is labelled with the width its epoch maps were built at
+        samples = latencies_from_log(self._log())
+        report = build_report(samples, collections.Counter(), epoch_maps(samples, 500))
+        assert report["epoch_width_ms"] == 500
+
     def test_epoch_csv(self, tmp_path):
         samples = latencies_from_log(self._log())
         path = tmp_path / "epochs.csv"
-        write_epoch_series_csv(path, self._epochs(samples))
+        write_epoch_series_csv(path, epoch_maps(samples))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch_start_ms,device,media,latency_ms"
         assert len(lines) > 1
