@@ -28,6 +28,7 @@ from typing import Callable, Counter as CounterT
 import numpy as np
 
 from .clocks import Timestamp
+from .metrics import AUDIO, DetectionRecord
 from .schema import build, finite, integer, json_object, read_fields, text
 
 FULL_SCALE = 32767
@@ -112,15 +113,6 @@ class PcmBuffer:
     @property
     def duration_ms(self) -> float:
         return len(self.samples) * 1000.0 / self.sample_rate
-
-
-@dataclass(frozen=True)
-class AudioDetection:
-    device_id: str
-    emission_ts: Timestamp
-    playout_ts: Timestamp
-    frequency_hz: float
-    confidence: float
 
 
 def slot_frequency(schedule: ToneSchedule, slot: int) -> float:
@@ -294,8 +286,9 @@ def detect_pulses(
     window_size: int = DETECT_WINDOW,
     hop: int = DETECT_HOP,
     tally: CounterT[str] | None = None,
-) -> list[AudioDetection]:
-    """Scan a PCM stream for schedule pulses.
+) -> list[DetectionRecord]:
+    """Scan a PCM stream for schedule pulses: one audio record per pulse,
+    carrying the measured frequency and its confidence.
 
     ``playout_clock`` maps a sample index to the device-local playout
     timestamp of that sample. Consecutive windows that resolve to the same
@@ -359,7 +352,7 @@ def detect_pulses(
             if ref > 0.0 and head >= onset_ratio * ref:
                 yield start, freq, conf
 
-    detections: list[AudioDetection] = []
+    detections: list[DetectionRecord] = []
     last_seen: dict[int, Timestamp] = {}
     i = 0
     while i < len(hits):
@@ -391,15 +384,8 @@ def detect_pulses(
                     tally["ambiguous"] += 1
                 continue
             last_seen[k] = playout
-            detections.append(
-                AudioDetection(
-                    device_id=device_id,
-                    emission_ts=emission,
-                    playout_ts=playout,
-                    frequency_hz=freq,
-                    confidence=conf,
-                )
-            )
+            detections.append(DetectionRecord(AUDIO, device_id, emission, playout,
+                                              frequency=freq, confidence=conf))
             emitted = True
             break
         if not emitted and tally is not None:
@@ -468,7 +454,7 @@ def read_wav_manifest(path: str | Path) -> tuple[str, ToneSchedule, Timestamp, d
     return values["device_id"], schedule, values["stream_start_ts"], values.get("session", {})
 
 
-def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[AudioDetection]:
+def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[DetectionRecord]:
     """Detect the pulses of a WAV written with its ``write_wav_manifest`` sidecar.
 
     Sample s plays out at the sidecar's stream start plus s / rate seconds,

@@ -24,7 +24,6 @@ from .audio_beacon import (
     write_wav_manifest,
 )
 from .exporter import (
-    DetectionRecord,
     ExporterState,
     format_log_line,
     make_server,
@@ -34,8 +33,7 @@ from .exporter import (
     write_log,
 )
 from .metrics import (
-    AUDIO,
-    VIDEO,
+    DetectionRecord,
     build_report,
     epoch_maps,
     latencies_from_log,
@@ -43,6 +41,7 @@ from .metrics import (
 )
 from .netsim import run_physical, run_scenario
 from .scenario import scenario_from_file
+from .schema import SchemaError, integer, json_object
 from .video_beacon import (
     FrameManifest,
     beacon_emission,
@@ -139,10 +138,7 @@ def _emit_log(records: list[DetectionRecord], out: str | None) -> None:
 
 
 def _cmd_detect_video(args) -> int:
-    detections, tally = detect_frame_sequence(args.frames)
-    records = [DetectionRecord(media=VIDEO, device=d.device_id,
-                               emission_ts=d.emission_ts, playout_ts=d.playout_ts)
-               for d in detections]
+    records, tally = detect_frame_sequence(args.frames)
     _emit_log(records, args.out)
     print(f"{len(records)} detections, {sum(tally.values())} undecodable frames",
           file=sys.stderr)
@@ -160,10 +156,7 @@ def _cmd_gen_audio(args) -> int:
 
 
 def _cmd_detect_audio(args) -> int:
-    records = [DetectionRecord(media=AUDIO, device=d.device_id,
-                               emission_ts=d.emission_ts, playout_ts=d.playout_ts,
-                               frequency=d.frequency_hz, confidence=d.confidence)
-               for d in detect_wav(args.wav)]
+    records = detect_wav(args.wav)
     _emit_log(records, args.out)
     print(f"{len(records)} pulses detected", file=sys.stderr)
     return 0
@@ -199,10 +192,26 @@ def _resolve_log(path_arg: str) -> Path:
 
 
 def _load_tally(log_path: Path) -> Counter:
+    """The ``tally.json`` beside a log: an object of name -> integer >= 0.
+
+    Anything else raises SchemaError naming ``tally.json`` and the key.
+    """
     sidecar = log_path.parent / "tally.json"
-    if sidecar.exists():
-        return Counter(json.loads(sidecar.read_text()))
-    return Counter()
+    if not sidecar.exists():
+        return Counter()
+    try:
+        doc = json_object(json.loads(sidecar.read_text()))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("tally.json", str(exc)) from None
+    tally: Counter = Counter()
+    for key, value in doc.items():
+        try:
+            tally[key] = integer(value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"tally.json.{key}", str(exc)) from None
+        if tally[key] < 0:
+            raise SchemaError(f"tally.json.{key}", f"expected a count >= 0, got {value!r}")
+    return tally
 
 
 def _cmd_analyze(args) -> int:

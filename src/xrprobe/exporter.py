@@ -1,6 +1,9 @@
 """Detection-log persistence, pull-style metrics exposition, and the HTTP
 service that serves the exposition and retunes the quality adaptation.
 
+The record itself is ``metrics.DetectionRecord``; this module only
+persists it and exposes it.
+
 Log format: JSON lines, one detection per line. ``write_log`` writes each
 record as ``json.dumps(..., sort_keys=True)`` would, with the optional
 fields left out when None:
@@ -33,8 +36,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
-from .clocks import Timestamp
-from .metrics import AUDIO, VIDEO, valid_latency
+from .metrics import AUDIO, VIDEO, DetectionRecord, valid_latency
 from .scenario import QualitySpec
 from .schema import SchemaError, finite, read_fields, text
 
@@ -45,19 +47,6 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One decoded beacon observation, either medium."""
-
-    media: str
-    device: str
-    emission_ts: Timestamp
-    playout_ts: Timestamp
-    slot: int | None = None
-    frequency: float | None = None
-    confidence: float | None = None
 
 
 # json.dumps spells the non-finite floats as JavaScript does

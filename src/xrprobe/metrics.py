@@ -1,5 +1,10 @@
-"""Latency aggregation: per-slot statistics, inter-device asynchrony,
-intra-media skew, lip-sync classification, and box-plot summaries.
+"""The detection record and latency aggregation: per-slot statistics,
+inter-device asynchrony, intra-media skew, lip-sync classification, and
+box-plot summaries.
+
+``DetectionRecord`` is the one record of a beacon observation: the
+detectors return it, the simulator and the log reader build it, and every
+aggregate below takes it, with its ``latency_ms`` as the latency.
 
 Everything here is plain Python arithmetic over small sample lists. That is
 deliberate: results must be bit-for-bit reproducible by a naive reimplementation
@@ -34,12 +39,21 @@ SKEW_UNACCEPTABLE_MS = 160.0
 
 
 @dataclass(frozen=True)
-class LatencySample:
-    device: str
+class DetectionRecord:
+    """One decoded beacon observation, either medium: emitted at
+    ``emission_ts`` and played out at ``playout_ts`` on ``device``."""
+
     media: str
+    device: str
+    emission_ts: Timestamp
     playout_ts: Timestamp
-    latency_ms: float
     slot: int | None = None
+    frequency: float | None = None
+    confidence: float | None = None
+
+    @property
+    def latency_ms(self) -> float:
+        return float(self.playout_ts - self.emission_ts)
 
 
 @dataclass(frozen=True)
@@ -84,14 +98,14 @@ class BoxStats:
     outliers: tuple[float, ...]
 
 
-def valid_latency(rec, tally: Counter | None = None) -> float | None:
-    """Playout minus emission of one detection record, ms; None when negative.
+def valid_latency(rec: DetectionRecord, tally: Counter | None = None) -> float | None:
+    """The record's ``latency_ms``; None when negative.
 
     A beacon cannot play out before it was emitted, so a negative value means
     the clocks disagree more than the measurement: it is rejected and counted
     under ``clock_skew_suspected``.
     """
-    latency = float(rec.playout_ts - rec.emission_ts)
+    latency = rec.latency_ms
     if latency < 0:
         if tally is not None:
             tally["clock_skew_suspected"] += 1
@@ -99,23 +113,10 @@ def valid_latency(rec, tally: Counter | None = None) -> float | None:
     return latency
 
 
-def latencies_from_log(records: Iterable, tally: Counter | None = None) -> list[LatencySample]:
-    """One latency sample per detection record with a ``valid_latency``, in input order."""
-    samples: list[LatencySample] = []
-    for rec in records:
-        latency = valid_latency(rec, tally)
-        if latency is None:
-            continue
-        samples.append(
-            LatencySample(
-                device=rec.device,
-                media=rec.media,
-                playout_ts=rec.playout_ts,
-                latency_ms=latency,
-                slot=rec.slot,
-            )
-        )
-    return samples
+def latencies_from_log(records: Iterable[DetectionRecord],
+                       tally: Counter | None = None) -> list[DetectionRecord]:
+    """The records with a ``valid_latency``, in input order."""
+    return [rec for rec in records if valid_latency(rec, tally) is not None]
 
 
 def _mean(values: list[float]) -> float:
@@ -127,10 +128,10 @@ def _population_std(values: list[float]) -> float:
     return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
 
 
-def slot_stats(samples: Iterable[LatencySample]) -> list[SlotStat]:
+def slot_stats(records: Iterable[DetectionRecord]) -> list[SlotStat]:
     """Population mean/std of latency grouped by (slot, media), sorted."""
     groups: dict[tuple[int, str], list[float]] = {}
-    for s in samples:
+    for s in records:
         if s.slot is None:
             continue
         groups.setdefault((s.slot, s.media), []).append(s.latency_ms)
@@ -150,7 +151,7 @@ def slot_stats(samples: Iterable[LatencySample]) -> list[SlotStat]:
 
 
 def epoch_device_latency(
-    samples: Iterable[LatencySample],
+    records: Iterable[DetectionRecord],
     epoch_width_ms: int = DEFAULT_EPOCH_MS,
     media: str = VIDEO,
 ) -> dict[tuple[int, str], float]:
@@ -158,7 +159,7 @@ def epoch_device_latency(
     if epoch_width_ms < 1:
         raise ValueError("epoch width must be positive")
     groups: dict[tuple[int, str], list[float]] = {}
-    for s in samples:
+    for s in records:
         if s.media != media:
             continue
         epoch = (s.playout_ts // epoch_width_ms) * epoch_width_ms
@@ -166,11 +167,11 @@ def epoch_device_latency(
     return {key: min(vals) for key, vals in groups.items()}
 
 
-def epoch_maps(samples: list[LatencySample],
+def epoch_maps(records: list[DetectionRecord],
                epoch_width_ms: int = DEFAULT_EPOCH_MS) -> EpochMaps:
-    """Both media's epoch latency maps of ``samples``, built once for reuse."""
+    """Both media's epoch latency maps of ``records``, built once for reuse."""
     return EpochMaps(epoch_width_ms,
-                     {media: epoch_device_latency(samples, epoch_width_ms, media=media)
+                     {media: epoch_device_latency(records, epoch_width_ms, media=media)
                       for media in (VIDEO, AUDIO)})
 
 
@@ -204,16 +205,6 @@ def inter_device_asynchrony(
         max_ms=max(values),
         mean_ms=sum(values) / len(values),
     )
-
-
-def intra_media_skew(
-    video_samples: Iterable[LatencySample],
-    audio_samples: Iterable[LatencySample],
-    epoch_width_ms: int = DEFAULT_EPOCH_MS,
-) -> list[SkewSample]:
-    """Signed video-minus-audio epoch latency per device, where both exist."""
-    return epoch_skew(epoch_device_latency(video_samples, epoch_width_ms, media=VIDEO),
-                      epoch_device_latency(audio_samples, epoch_width_ms, media=AUDIO))
 
 
 def epoch_skew(video: Mapping[tuple[int, str], float],
@@ -277,19 +268,19 @@ def boxplot_stats(series: Iterable[float]) -> BoxStats:
 
 
 def build_report(
-    samples: list[LatencySample],
+    records: list[DetectionRecord],
     tally: Mapping[str, int],
     epochs: EpochMaps,
 ) -> dict:
     """Full aggregate report over a detection log, as a JSON-ready dict.
 
-    ``samples`` and ``tally`` come from one ``latencies_from_log(records,
+    ``records`` are the records kept by one ``latencies_from_log(log,
     tally)`` pass, so the report's diagnostics count the rejected latencies.
-    ``epochs`` is ``epoch_maps(samples, width)``; the report is labelled
+    ``epochs`` is ``epoch_maps(records, width)``; the report is labelled
     with its width.
     """
-    video = [s for s in samples if s.media == VIDEO]
-    audio = [s for s in samples if s.media == AUDIO]
+    video = [s for s in records if s.media == VIDEO]
+    audio = [s for s in records if s.media == AUDIO]
 
     report: dict = {
         "epoch_width_ms": epochs.width_ms,
@@ -303,7 +294,7 @@ def build_report(
     for media, group in ((VIDEO, video), (AUDIO, audio)):
         if group:
             report["mean_latency_ms"][media] = _mean([s.latency_ms for s in group])
-    for st in slot_stats(samples):
+    for st in slot_stats(records):
         report["slot_stats"].append(
             {"slot": st.slot, "media": st.media, "mean_ms": st.mean_ms,
              "std_ms": st.std_ms, "count": st.count}

@@ -35,8 +35,7 @@ from .audio_beacon import (
     write_wav_manifest,
 )
 from .clocks import DeviceClock
-from .exporter import DetectionRecord
-from .metrics import AUDIO, VIDEO
+from .metrics import AUDIO, VIDEO, DetectionRecord
 from .scenario import NetworkProfile, SessionScenario, adapt_quality
 from .schema import ConfigError
 from .video_beacon import (
@@ -394,11 +393,7 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
 
         detections, frame_tally = detect_frame_sequence(vdir)
         tally.update(frame_tally)
-        for det in detections:
-            records.append(DetectionRecord(
-                media=VIDEO, device=d, emission_ts=det.emission_ts,
-                playout_ts=det.playout_ts, slot=_slot_at(joins, det.playout_ts),
-            ))
+        records += detections
 
         n_samples = math.ceil((end - trace.join_ms) * rate / 1000.0)
         mix = np.zeros(n_samples, dtype=np.int32)
@@ -417,14 +412,10 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
                            stream_start_ts=trace.clock.read(trace.join_ms),
                            session=session_info)
 
-        for det in detect_wav(wav_path, tally):
-            records.append(DetectionRecord(
-                media=AUDIO, device=d, emission_ts=det.emission_ts,
-                playout_ts=det.playout_ts, slot=_slot_at(joins, det.playout_ts),
-                frequency=det.frequency_hz, confidence=det.confidence,
-            ))
+        records += detect_wav(wav_path, tally)
 
-    records.sort(key=_record_sort_key)
+    records = sorted((replace(det, slot=_slot_at(joins, det.playout_ts)) for det in records),
+                     key=_record_sort_key)
     return (DetectionLog(records=records, tally=tally, tones=tones,
                          traces=symbolic.traces), symbolic)
 

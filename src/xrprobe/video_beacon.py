@@ -16,11 +16,12 @@ computed at most once per frame. The module pitch comes from the finder
 geometry, and each module is sampled at its center against the frame's
 min/max midpoint threshold. No perspective correction is attempted.
 
-``detect_decode`` scans every frame it is given from scratch. Within a frame
-sequence, ``detect_frame_sequence`` first samples each frame at the finder
-geometry of the last frame that decoded and keeps the timestamp when the
-finder zones match and the CRC holds; anything else takes the full scan, so
-a camera or code that moves costs one full scan per change of geometry.
+Both detectors return ``metrics.DetectionRecord``s. ``detect_decode`` scans
+every frame it is given from scratch. Within a frame sequence,
+``detect_frame_sequence`` thresholds each frame once, first samples it at the
+finder geometry of the last frame that decoded and keeps the timestamp when
+the finder zones match and the CRC holds; anything else takes the full scan,
+so a camera or code that moves costs one full scan per change of geometry.
 
 A frame sequence on disk is a directory holding ``frames.pgm``, every frame
 back to back as binary PGM images (Netpbm allows a sequence of images in one
@@ -41,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .clocks import Timestamp
+from .metrics import VIDEO, DetectionRecord
 from .schema import SchemaError, finite, integer, json_object, read_fields, text
 
 GRID_SIZE = 21
@@ -135,17 +137,6 @@ class PixelBuffer:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-
-@dataclass(frozen=True)
-class VideoDetection:
-    """A decoded frame; ``finders`` holds the (tl, tr, bl) finder centers
-    (x, y, module unit) the code was read at."""
-
-    device_id: str
-    emission_ts: Timestamp
-    playout_ts: Timestamp
-    finders: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _reference_grid() -> np.ndarray:
@@ -427,7 +418,8 @@ def _decode_at(dark: np.ndarray, tl, tr, bl) -> Timestamp | None:
 
 
 def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
-    """Full finder scan: the timestamp and the (tl, tr, bl) triple it was read at."""
+    """Full finder scan: the timestamp and the (tl, tr, bl) finder centers
+    (x, y, module unit) it was read at."""
     lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
     # a code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
@@ -457,17 +449,17 @@ def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
     raise last_error
 
 
-def detect_decode(frame: PixelBuffer, playout_ts: Timestamp, device_id: str = "") -> VideoDetection:
-    """Locate the beacon in a frame and decode its emission timestamp.
+def detect_decode(frame: PixelBuffer, playout_ts: Timestamp,
+                  device_id: str = "") -> DetectionRecord:
+    """Locate the beacon in a frame and decode it into a video record.
 
     Raises FinderNotFound when no structurally valid code is present and
     CrcMismatch when the payload is damaged. The frame threshold is the
     midpoint of its min/max sample, which makes decoding invariant to any
     monotone affine remap of the gray levels with adequate separation.
     """
-    ts, finders = _locate(_threshold(frame.pixels))
-    return VideoDetection(device_id=device_id, emission_ts=ts, playout_ts=playout_ts,
-                          finders=finders)
+    ts, _ = _locate(_threshold(frame.pixels))
+    return DetectionRecord(VIDEO, device_id, ts, playout_ts)
 
 
 # --- frame sequence I/O -------------------------------------------------------
@@ -579,40 +571,38 @@ def read_frame_manifest(directory: str | Path) -> FrameManifest:
         session=json_object))
 
 
-def detect_frame_sequence(directory: str | Path) -> tuple[list[VideoDetection], Counter]:
-    """Decode every frame of a sequence written by ``write_frame_sequence``.
+def detect_frame_sequence(directory: str | Path) -> tuple[list[DetectionRecord], Counter]:
+    """A video record for every decodable frame of a sequence written by
+    ``write_frame_sequence``, and the tally of the rest.
 
-    Frame i plays out at ``manifest.frame_playout(i)``. Each frame is first
-    read at the finder geometry of the last frame that decoded; a uniform
-    frame, a grid out of bounds, a finder-zone mismatch or a CRC miss sends
-    it to ``detect_decode``'s full scan instead. The reused geometry checks
-    module centers only, so a frame whose finders are damaged solely between
-    module centers can decode here and fail alone. Undecodable frames are
-    skipped and tallied as ``finder_not_found`` or ``crc_mismatch``.
+    Frame i plays out at ``manifest.frame_playout(i)``. Each frame is
+    thresholded once and first read at the finder triple of the last frame
+    that decoded; a grid out of bounds, a finder-zone mismatch or a CRC miss
+    sends it to the full scan, ``_locate``, whose triple the next frame then
+    reuses. The reused geometry checks module centers only, so a frame whose
+    finders are damaged solely between module centers can decode here and
+    fail alone. Undecodable frames are skipped and tallied as
+    ``finder_not_found`` or ``crc_mismatch``.
     """
     manifest = read_frame_manifest(directory)
     frames = _read_pgm_stream(Path(directory) / FRAMES_NAME, manifest.frame_count)
-    detections: list[VideoDetection] = []
+    records: list[DetectionRecord] = []
     tally: Counter = Counter()
     finders = None
     for i, frame in enumerate(frames):
-        playout = manifest.frame_playout(i)
-        if finders is not None:
-            try:
-                ts = _decode_at(_threshold(frame.pixels), *finders)
-            except (FinderNotFound, CrcMismatch):
-                ts = None
-            if ts is not None:
-                detections.append(VideoDetection(manifest.device_id, ts, playout, finders))
-                continue
         try:
-            det = detect_decode(frame, playout, manifest.device_id)
+            dark = _threshold(frame.pixels)
+            try:
+                ts = None if finders is None else _decode_at(dark, *finders)
+            except CrcMismatch:
+                ts = None
+            if ts is None:
+                ts, finders = _locate(dark)
         except FinderNotFound:
             tally["finder_not_found"] += 1
             continue
         except CrcMismatch:
             tally["crc_mismatch"] += 1
             continue
-        detections.append(det)
-        finders = det.finders
-    return detections, tally
+        records.append(DetectionRecord(VIDEO, manifest.device_id, ts, manifest.frame_playout(i)))
+    return records, tally

@@ -23,13 +23,15 @@ from xrprobe.audio_beacon import (
     synthesize,
 )
 from xrprobe.cli import run
-from xrprobe.exporter import DetectionRecord
 from xrprobe.metrics import (
+    AUDIO,
+    VIDEO,
+    DetectionRecord,
     boxplot_stats,
     classify_lip_sync,
     epoch_device_latency,
+    epoch_skew,
     inter_device_asynchrony,
-    intra_media_skew,
     latencies_from_log,
     slot_stats,
 )
@@ -225,7 +227,8 @@ def test_criterion_4_metric_oracle_equivalence(capsys):
                 mismatches.append((log_i, f"asynchrony_{media}"))
 
         lib_skew = [(s.device, s.epoch_start_ms, s.skew_ms)
-                    for s in intra_media_skew(video, audio, width)]
+                    for s in epoch_skew(epoch_device_latency(video, width, media=VIDEO),
+                                        epoch_device_latency(audio, width, media=AUDIO))]
         bv = _brute_epoch_min(brute, width, "video")
         ba = _brute_epoch_min(brute, width, "audio")
         brute_skew = [(d, e, bv[(e, d)] - ba[(e, d)])
@@ -293,7 +296,8 @@ def test_criterion_6_profile_reproduction(capsys):
                           sum(s.latency_ms for s in audio) / len(audio))
         rep = inter_device_asynchrony(epoch_device_latency(video))
         amax[profile] = rep.max_ms
-        abs_skews = [abs(s.skew_ms) for s in intra_media_skew(video, audio)]
+        abs_skews = [abs(s.skew_ms) for s in epoch_skew(epoch_device_latency(video, media=VIDEO),
+                                                        epoch_device_latency(audio, media=AUDIO))]
         box = boxplot_stats(abs_skews)
         skew_median[profile] = box.median
         skew_out_max[profile] = max(box.outliers, default=0.0)

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from xrprobe.audio_beacon import (
     Ambiguous,
-    AudioDetection,
     NyquistViolation,
     PcmBuffer,
     ToneSchedule,
@@ -33,6 +32,7 @@ from xrprobe.audio_beacon import (
     write_wav_manifest,
 )
 from xrprobe.audio_beacon import _tone_index
+from xrprobe.metrics import AUDIO, DetectionRecord
 from xrprobe.schema import SchemaError
 
 RATE = 48000
@@ -247,7 +247,9 @@ class TestDetectPulses:
         for d in dets:
             latency = d.playout_ts - d.emission_ts
             assert 0 <= latency <= hop_ms + sched.ramp_ms + 1
-            assert d.device_id == "u3"
+            assert d.device == "u3"
+            assert d.media == AUDIO
+            assert d.slot is None
             assert d.confidence >= 0.8
 
     def test_silence_yields_nothing(self):
@@ -271,7 +273,7 @@ class TestDetectPulses:
         dets = detect_pulses(pcm, sample_clock(), sched)
         by_tone = collections.defaultdict(list)
         for d in dets:
-            k = round((d.frequency_hz - sched.f0_hz) / sched.delta_hz)
+            k = round((d.frequency - sched.f0_hz) / sched.delta_hz)
             by_tone[k].append(d.playout_ts)
         for onsets in by_tone.values():
             onsets.sort()
@@ -376,7 +378,7 @@ class TestWavIo:
         expected = detect_pulses(read_wav(path), sample_clock(base=5000), sched, "u5")
         assert dets == expected
         assert len(dets) == 8
-        assert all(d.device_id == "u5" for d in dets)
+        assert all(d.device == "u5" for d in dets)
         assert [d.emission_ts for d in dets] == [5000 + 100 * i for i in range(8)]
 
 
@@ -499,7 +501,8 @@ def detect_pulses_oracle(pcm, playout_clock, schedule, device_id="", window_size
                     tally["ambiguous"] += 1
                 continue
             last_seen[k] = playout
-            detections.append(AudioDetection(device_id, emission, playout, freq, conf))
+            detections.append(DetectionRecord(AUDIO, device_id, emission, playout,
+                                              frequency=freq, confidence=conf))
             emitted = True
             break
         if not emitted and tally is not None:

@@ -6,7 +6,7 @@ import pytest
 
 from xrprobe import metrics
 from xrprobe.cli import run
-from xrprobe.exporter import read_log
+from xrprobe.exporter import read_log, write_log
 
 
 def write_scenario(path, duration_s=20.0, seed=7):
@@ -223,6 +223,46 @@ class TestSimulateAnalyze:
         assert (phys / "u2" / "video" / "frames.pgm").exists()
         assert (phys / "u2" / "audio.wav").exists()
         assert read_log(out / "log.jsonl")
+
+
+def _tally_dir(tmp_path, tally: str):
+    """A one-record log with ``tally`` as its ``tally.json``."""
+    directory = tmp_path / "log"
+    directory.mkdir()
+    write_log(directory / "log.jsonl",
+              [metrics.DetectionRecord("video", "u2", 1000, 1250, slot=1)])
+    (directory / "tally.json").write_text(tally)
+    return directory
+
+
+_READERS = {"analyze": lambda d: ["analyze", "--log", str(d)],
+            "serve": lambda d: ["serve", "--log", str(d), "--serve-port", "0"]}
+
+
+class TestTallySidecar:
+    @pytest.mark.parametrize("command", sorted(_READERS))
+    @pytest.mark.parametrize("tally, message", [
+        ('{"frames_lost": "x"}', "tally.json.frames_lost: expected an integer, got 'x'"),
+        ("[1, 2]", "tally.json: expected an object, got list"),
+        ('{"frames_lost": -1}', "tally.json.frames_lost: expected a count >= 0, got -1"),
+    ])
+    def test_bad_sidecar_is_one_line_error(self, tmp_path, capsys, command, tally, message):
+        directory = _tally_dir(tmp_path, tally)
+        assert run(_READERS[command](directory)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"xrprobe {command}: {message}\n"
+        assert captured.out == ""
+
+    def test_good_sidecar_is_counted(self, tmp_path, capsys):
+        directory = _tally_dir(tmp_path, '{"frames_lost_uplink": 3, "crc_mismatch": 0}')
+        assert run(_READERS["analyze"](directory)) == 0
+        report = json.loads((directory / "report.json").read_text())
+        assert report["diagnostics"] == {"crc_mismatch": 0, "frames_lost_uplink": 3}
+        capsys.readouterr()
+        assert run(_READERS["serve"](directory)) == 0
+        body = capsys.readouterr().out.splitlines()
+        assert "xr_frames_lost_uplink_total 3" in body
+        assert "xr_crc_failures_total 0" in body
 
 
 class TestServe:

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from xrprobe.exporter import (
     READ_TIMEOUT_S,
-    DetectionRecord,
     ExporterState,
     MetricsSnapshot,
     ParseError,
@@ -30,6 +29,7 @@ from xrprobe.exporter import (
     snapshot_from_records,
     write_log,
 )
+from xrprobe.metrics import DetectionRecord
 from xrprobe.scenario import QualitySpec, adapt_quality
 from xrprobe.schema import SchemaError
 

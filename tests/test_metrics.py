@@ -6,6 +6,7 @@ library never grades its own homework.
 """
 
 import collections
+import dataclasses
 import math
 import random
 
@@ -13,19 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xrprobe.exporter import DetectionRecord, snapshot_from_records
+from xrprobe.exporter import snapshot_from_records
 from xrprobe.metrics import (
     AUDIO,
     VIDEO,
     BoxStats,
-    LatencySample,
+    DetectionRecord,
     boxplot_stats,
     build_report,
     classify_lip_sync,
     epoch_device_latency,
     epoch_maps,
+    epoch_skew,
     inter_device_asynchrony,
-    intra_media_skew,
     latencies_from_log,
     slot_stats,
     write_epoch_series_csv,
@@ -38,8 +39,8 @@ def vid(device, emission, playout, slot=1):
 
 
 def sample(device, playout, latency, media=VIDEO, slot=1):
-    return LatencySample(device=device, media=media, playout_ts=playout,
-                         latency_ms=latency, slot=slot)
+    return DetectionRecord(media=media, device=device, emission_ts=playout - latency,
+                           playout_ts=playout, slot=slot)
 
 
 class TestLatenciesFromLog:
@@ -74,24 +75,30 @@ class TestLatenciesFromLog:
         out = latencies_from_log(recs)
         assert [s.latency_ms for s in out] == [10.0, 25.0, 5.0]
 
+    def test_returns_the_kept_records(self):
+        recs = [vid("u2", 0, 10), vid("u3", 30, 5), vid("u2", 10, 15)]
+        out = latencies_from_log(recs)
+        assert out == [recs[0], recs[2]]
+        assert out[0] is recs[0]
+
 
 class TestSlotStats:
     def test_constant_group(self):
-        stats = slot_stats([sample("a", 0, 200.0), sample("b", 1, 200.0)])
+        stats = slot_stats([sample("a", 0, 200), sample("b", 1, 200)])
         assert len(stats) == 1
         assert stats[0].mean_ms == 200.0
         assert stats[0].std_ms == 0.0
         assert stats[0].count == 2
 
     def test_two_point_spread(self):
-        stats = slot_stats([sample("a", 0, 100.0), sample("b", 1, 300.0)])
+        stats = slot_stats([sample("a", 0, 100), sample("b", 1, 300)])
         assert stats[0].mean_ms == 200.0
         assert stats[0].std_ms == 100.0  # population std
 
     def test_matches_two_pass_oracle(self):
         rng = random.Random(5)
         samples = [
-            sample(f"u{rng.randint(2, 5)}", i, rng.uniform(50, 500),
+            sample(f"u{rng.randint(2, 5)}", i, rng.randint(50, 500),
                    media=rng.choice((VIDEO, AUDIO)), slot=rng.randint(1, 5))
             for i in range(400)
         ]
@@ -112,19 +119,19 @@ class TestSlotStats:
             assert st_.count == n
 
     def test_unslotted_samples_ignored(self):
-        stats = slot_stats([sample("a", 0, 100.0, slot=None), sample("a", 1, 50.0)])
+        stats = slot_stats([sample("a", 0, 100, slot=None), sample("a", 1, 50)])
         assert len(stats) == 1
         assert stats[0].count == 1
 
 
 class TestEpochDeviceLatency:
     def test_minimum_within_epoch(self):
-        s = [sample("a", 1100, 250.0), sample("a", 1900, 260.0)]
+        s = [sample("a", 1100, 250), sample("a", 1900, 260)]
         out = epoch_device_latency(s, 1000, media=VIDEO)
         assert out == {(1000, "a"): 250.0}
 
     def test_empty_epoch_absent(self):
-        s = [sample("a", 2500, 100.0)]
+        s = [sample("a", 2500, 100)]
         out = epoch_device_latency(s, 1000, media=VIDEO)
         assert (1000, "a") not in out
         assert out == {(2000, "a"): 100.0}
@@ -133,7 +140,7 @@ class TestEpochDeviceLatency:
         rng = random.Random(9)
         samples = [
             sample(f"u{rng.randint(2, 4)}", rng.randrange(0, 20_000),
-                   rng.uniform(10, 400))
+                   rng.randint(10, 400))
             for _ in range(300)
         ]
         oracle = {}
@@ -233,23 +240,28 @@ class TestInterDeviceAsynchrony:
         assert rep.max_ms >= rep.mean_ms >= 0.0
 
 
+def skew_of(records, width=1000):
+    """The video-minus-audio skew of one log's records at ``width``."""
+    return epoch_skew(epoch_device_latency(records, width, media=VIDEO),
+                      epoch_device_latency(records, width, media=AUDIO))
+
+
 class TestIntraMediaSkew:
+    """The intra-media skew metric: ``epoch_skew`` of a log's two epoch maps."""
+
     def test_signed_difference(self):
-        video = [sample("a", 500, 250.0)]
-        audio = [sample("a", 700, 200.0, media=AUDIO)]
-        out = intra_media_skew(video, audio)
+        out = skew_of([sample("a", 500, 250), sample("a", 700, 200, media=AUDIO)])
         assert len(out) == 1
         assert out[0].skew_ms == 50.0
 
     def test_missing_medium_emits_nothing(self):
-        video = [sample("a", 500, 250.0)]
-        audio = [sample("a", 1700, 200.0, media=AUDIO)]  # different epoch
-        assert intra_media_skew(video, audio) == []
+        # different epochs
+        assert skew_of([sample("a", 500, 250), sample("a", 1700, 200, media=AUDIO)]) == []
 
     @given(
         pairs=st.lists(
             st.tuples(st.integers(0, 5), st.sampled_from("ab"),
-                      st.floats(10, 500), st.floats(10, 500)),
+                      st.integers(10, 500), st.integers(10, 500)),
             min_size=1, max_size=30,
         )
     )
@@ -260,20 +272,14 @@ class TestIntraMediaSkew:
             t = e * 1000 + 10
             video.append(sample(d, t, lv))
             audio.append(sample(d, t, la, media=AUDIO))
-        fwd = intra_media_skew(video, audio)
-        similar = [
-            LatencySample(s.device, VIDEO, s.playout_ts, s.latency_ms, s.slot)
-            for s in audio
-        ]
-        swapped_audio = [
-            LatencySample(s.device, AUDIO, s.playout_ts, s.latency_ms, s.slot)
-            for s in video
-        ]
-        rev = intra_media_skew(similar, swapped_audio)
+        fwd = skew_of(video + audio)
+        swapped = [dataclasses.replace(s, media=AUDIO if s.media == VIDEO else VIDEO)
+                   for s in video + audio]
+        rev = skew_of(swapped)
         assert len(fwd) == len(rev)
         for f, r in zip(fwd, rev):
             assert (f.device, f.epoch_start_ms) == (r.device, r.epoch_start_ms)
-            assert f.skew_ms == pytest.approx(-r.skew_ms, abs=1e-9)
+            assert f.skew_ms == -r.skew_ms  # integral latencies: exact
 
 
 class TestClassify:

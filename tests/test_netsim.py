@@ -157,7 +157,7 @@ class TestRunScenario:
         assert pa.read_bytes() == pb.read_bytes()
 
     @staticmethod
-    def _simulate_seed_42(tmp_path):
+    def _simulate_seed_42(tmp_path, *flags):
         # the acceptance gate's determinism scenario
         doc = {"profile": "ethernet", "name": "determinism", "duration_s": 20.0,
                "viewers": ["u2", "u3", "u4", "u5"],
@@ -166,7 +166,7 @@ class TestRunScenario:
         sc_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run(["simulate", "--scenario", str(sc_path), "--seed", "42",
-                    "--out", str(out)]) == 0
+                    "--out", str(out), *flags]) == 0
         return out
 
     def test_seed_42_bytes_pinned(self, tmp_path, capsys):
@@ -179,6 +179,20 @@ class TestRunScenario:
             "baf712feda4cacdd2e2bd5d200215f6d8fc95d3cb65eafee881dd4162e3c5702")
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
             "12f2774cf52afda89b5d0778b31e709b4a4151f3661bcc282b3305ca102ac5fe")
+
+    def test_seed_42_physical_bytes_pinned(self, tmp_path, capsys):
+        # criterion 8's physical run: the detectors' log of the rendered media,
+        # beside the symbolic log pinned above
+        out = self._simulate_seed_42(tmp_path, "--physical")
+        capsys.readouterr()
+        log = (out / "log.jsonl").read_bytes()
+        assert len(log) == 288_104
+        assert hashlib.sha256(log).hexdigest() == (
+            "babf409408719b502cb04777ac523b5252923618f70e89fa024cd4f5410b4495")
+        assert hashlib.sha256((out / "log_symbolic.jsonl").read_bytes()).hexdigest() == (
+            "baf712feda4cacdd2e2bd5d200215f6d8fc95d3cb65eafee881dd4162e3c5702")
+        assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
+            "f59ab0f95373bb1fcaf2ed25b35dd8c73c8bc22d95697bc52607f5a3ba4f19a3")
 
     def test_seed_42_analyze_bytes_pinned(self, tmp_path, capsys):
         # the report and epoch series of that log, made from one latency pass
@@ -371,7 +385,7 @@ class TestCompareLogs:
         assert compare_logs(recs, recs) == 1.0
 
     def test_tolerance_boundary(self):
-        from xrprobe.exporter import DetectionRecord
+        from xrprobe.metrics import DetectionRecord
         a = [DetectionRecord(media=VIDEO, device="u2", emission_ts=0, playout_ts=100)]
         b = [DetectionRecord(media=VIDEO, device="u2", emission_ts=0, playout_ts=134)]
         c = [DetectionRecord(media=VIDEO, device="u2", emission_ts=0, playout_ts=135)]

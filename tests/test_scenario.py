@@ -358,3 +358,9 @@ class TestImportGraph:
     @pytest.mark.parametrize("module", ["xrprobe.video_beacon", "xrprobe.audio_beacon"])
     def test_beacons_do_not_load_the_scenario_model(self, module):
         assert "xrprobe.scenario" not in _loaded_xrprobe_modules(module)
+
+    @pytest.mark.parametrize("module", ["xrprobe.netsim", "xrprobe.video_beacon",
+                                        "xrprobe.audio_beacon"])
+    def test_detection_producers_do_not_load_the_exporter(self, module):
+        # the record lives in metrics; the log and HTTP module is only a consumer
+        assert "xrprobe.exporter" not in _loaded_xrprobe_modules(module)

@@ -26,3 +26,6 @@ def test_calibrate_profiles_prints_one_row_per_profile(capsys):
         assert row[1] == "4"
         assert float(row[3]) == video_target
         assert float(row[6]) == audio_target
+        # the largest outlier above the upper fence lies above the median
+        skew_median, high_outlier = float(row[9]), float(row[10])
+        assert high_outlier == 0.0 or high_outlier >= skew_median

@@ -233,7 +233,8 @@ class TestDetect:
         det = detect_decode(frame, playout_ts=ts + 87, device_id="hmd-1")
         assert det.emission_ts == ts
         assert det.playout_ts == ts + 87
-        assert det.device_id == "hmd-1"
+        assert det.device == "hmd-1"
+        assert det.media == "video"
 
     def test_uniform_gray_raises_finder_not_found(self):
         frame = PixelBuffer(pixels=np.full((232, 232), 128, dtype=np.uint8))
@@ -509,7 +510,7 @@ class TestFrameIo:
                                  frame_count=len(frames))
         write_frame_sequence(tmp_path, frames, manifest)
         detections, tally = detect_frame_sequence(tmp_path)
-        assert [(d.device_id, d.emission_ts, d.playout_ts) for d in detections] == [
+        assert [(d.device, d.emission_ts, d.playout_ts) for d in detections] == [
             ("u3", 1000, 1050), ("u3", 1100, 1350)]
         assert tally == {"finder_not_found": 1, "crc_mismatch": 1}
 
@@ -714,14 +715,13 @@ class TestFrameSequence:
                 device_id="u4", fps=30.0, start_ts=10_000, frame_count=len(frames)))
             detections, tally = detect_frame_sequence(tmp)
             expected, expected_tally = detect_frame_sequence_oracle(tmp)
-        assert [(d.device_id, d.emission_ts, d.playout_ts) for d in detections] == [
-            (d.device_id, d.emission_ts, d.playout_ts) for d in expected]
+        assert detections == expected
         assert tally == expected_tally
 
     def test_constant_geometry_scans_once(self, tmp_path, monkeypatch):
         calls = []
-        full_scan = video_beacon.detect_decode
-        monkeypatch.setattr(video_beacon, "detect_decode",
+        full_scan = video_beacon._locate
+        monkeypatch.setattr(video_beacon, "_locate",
                             lambda *args: calls.append(args) or full_scan(*args))
         frames = [rasterize(encode_beacon(1000 + 10 * i), scale=4, quiet=2) for i in range(6)]
         frames[3] = blank_frame(scale=4, quiet=2)
@@ -730,6 +730,7 @@ class TestFrameSequence:
         detections, tally = detect_frame_sequence(tmp_path)
         assert [d.emission_ts for d in detections] == [1000, 1010, 1020, 1040, 1050]
         assert tally == {"finder_not_found": 1}
-        # the first frame and the blank one take the full scan; the blank one
-        # does not reset the geometry the later frames reuse
-        assert len(calls) == 2
+        # only the first frame takes the full scan; the blank one fails its
+        # threshold before any scan and does not reset the geometry the later
+        # frames reuse
+        assert len(calls) == 1
