@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -63,6 +64,25 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _flag_type(convert, ok, expected: str):
+    """An argparse ``type=`` whose rejection exits 2 naming the flag."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_positive_int = _flag_type(int, lambda v: v > 0, "an integer > 0")
+_positive_seconds = _flag_type(float, lambda v: v > 0 and math.isfinite(v),
+                               "a finite number > 0")
+_port = _flag_type(int, lambda v: 0 <= v <= 65535, "a TCP port in 0..65535")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xrprobe",
@@ -74,11 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-video", help="write a beacon-stamped PGM frame sequence")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fps", type=int, default=30)
-    p.add_argument("--duration-s", type=float, default=2.0)
+    p.add_argument("--duration-s", type=_positive_seconds, default=2.0)
     p.add_argument("--start-ts", type=int, default=0, help="first frame timestamp, ms")
     p.add_argument("--device-id", default="probe")
     p.add_argument("--scale", type=int, default=8, help="pixels per module")
-    p.add_argument("--interval-ms", type=int, default=10, help="beacon refresh grid")
+    p.add_argument("--interval-ms", type=_positive_int, default=10, help="beacon refresh grid")
 
     p = sub.add_parser("detect-video", help="decode beacons from a frame sequence")
     p.add_argument("frames", help="directory written by gen-video or simulate --physical")
@@ -86,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-audio", help="write a beacon tone WAV with sidecar manifest")
     p.add_argument("--out", required=True, help="output .wav path")
-    p.add_argument("--duration-s", type=float, default=10.0)
+    p.add_argument("--duration-s", type=_positive_seconds, default=10.0)
     p.add_argument("--start-ts", type=int, default=0, help="stream start timestamp, ms")
     p.add_argument("--device-id", default="probe")
     p.add_argument("--rate", type=int, default=48000)
@@ -109,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="expose a log's metrics over HTTP")
     p.add_argument("--log", required=True, help="detection log path or simulate output dir")
-    p.add_argument("--serve-port", type=int, default=9464,
+    p.add_argument("--serve-port", type=_port, default=9464,
                    help="TCP port; 0 prints the exposition once and exits")
     return parser
 

@@ -19,6 +19,7 @@ import heapq
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -112,8 +113,9 @@ class DetectionLog:
     traces: dict[str, DeviceTrace] = field(default_factory=dict)
 
 
-def _slot_at(joins: dict[str, float], t: float) -> int:
-    return sum(1 for j in joins.values() if j <= t)
+def _slot_at(join_order: list[float], t: float) -> int:
+    """How many devices have joined by ``t``; ``join_order`` is sorted."""
+    return bisect_right(join_order, t)
 
 
 def _record_sort_key(rec: DetectionRecord):
@@ -137,6 +139,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
 
     devices = scenario.devices
     joins = {d: t0 + scenario.join_time_s(d) * 1000.0 for d in devices}
+    join_order = sorted(joins.values())
     cspec = scenario.clocks
     clocks = {
         d: DeviceClock.draw(
@@ -201,10 +204,8 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     def emit_video(device: str, emission: int, t: float) -> None:
         nonlocal window_sum, window_n
         playout = clocks[device].read(t)
-        records.append(DetectionRecord(
-            media=VIDEO, device=device, emission_ts=emission,
-            playout_ts=playout, slot=_slot_at(joins, t),
-        ))
+        records.append(DetectionRecord(VIDEO, device, emission, playout,
+                                       _slot_at(join_order, t)))
         window_sum += playout - emission
         window_n += 1
 
@@ -322,11 +323,8 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
                     tally["pulses_truncated"] += 1
                     continue
                 records.append(DetectionRecord(
-                    media=AUDIO, device=d, emission_ts=emission,
-                    playout_ts=clocks[d].read(play_true),
-                    slot=_slot_at(joins, play_true),
-                    frequency=slot_frequency(tones, n), confidence=1.0,
-                ))
+                    AUDIO, d, emission, clocks[d].read(play_true),
+                    _slot_at(join_order, play_true), slot_frequency(tones, n), 1.0))
                 traces[d].pulses.append((play_true, n))
 
         elif kind == "qctl":
@@ -414,7 +412,8 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
 
         records += detect_wav(wav_path, tally)
 
-    records = sorted((replace(det, slot=_slot_at(joins, det.playout_ts)) for det in records),
+    join_order = sorted(joins.values())
+    records = sorted((det._replace(slot=_slot_at(join_order, det.playout_ts)) for det in records),
                      key=_record_sort_key)
     return (DetectionLog(records=records, tally=tally, tones=tones,
                          traces=symbolic.traces), symbolic)

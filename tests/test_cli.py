@@ -35,6 +35,26 @@ class TestExitCodes:
         assert run([]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-video", "--interval-ms", "0"], "--interval-ms"),
+        (["gen-video", "--interval-ms", "-10"], "--interval-ms"),
+        (["gen-video", "--duration-s", "inf"], "--duration-s"),
+        (["gen-video", "--duration-s", "-1"], "--duration-s"),
+        (["gen-audio", "--duration-s", "inf"], "--duration-s"),
+        (["gen-audio", "--duration-s", "-1"], "--duration-s"),
+        (["serve", "--log", "x", "--serve-port", "70000"], "--serve-port"),
+        (["serve", "--log", "x", "--serve-port", "-1"], "--serve-port"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        if argv[0] != "serve":
+            out = tmp_path / ("a.wav" if argv[0] == "gen-audio" else "frames")
+            argv = [argv[0], "--out", str(out), *argv[1:]]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = run(["simulate", "--scenario", str(tmp_path / "nope.json"),
                   "--out", str(tmp_path / "out")])

@@ -6,7 +6,6 @@ library never grades its own homework.
 """
 
 import collections
-import dataclasses
 import math
 import random
 
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xrprobe.exporter import snapshot_from_records
+from xrprobe.exporter import read_log, snapshot_from_records, write_log
 from xrprobe.metrics import (
     AUDIO,
     VIDEO,
@@ -41,6 +40,40 @@ def vid(device, emission, playout, slot=1):
 def sample(device, playout, latency, media=VIDEO, slot=1):
     return DetectionRecord(media=media, device=device, emission_ts=playout - latency,
                            playout_ts=playout, slot=slot)
+
+
+class TestDetectionRecord:
+    def test_defaults_and_field_order(self):
+        rec = DetectionRecord("video", "u1", 1, 2)
+        assert (rec.slot, rec.frequency, rec.confidence) == (None, None, None)
+        assert DetectionRecord._fields == ("media", "device", "emission_ts", "playout_ts",
+                                           "slot", "frequency", "confidence")
+        assert rec.latency_ms == 1.0
+
+    def test_immutable(self):
+        rec = DetectionRecord("video", "u1", 1, 2)
+        with pytest.raises(AttributeError):
+            rec.slot = 3
+
+    def test_replace_changes_only_that_field(self):
+        rec = DetectionRecord("audio", "u1", 1, 2, 0, 600.0, 0.9)
+        moved = rec._replace(slot=3)
+        assert moved is not rec and rec.slot == 0
+        assert moved == DetectionRecord("audio", "u1", 1, 2, 3, 600.0, 0.9)
+
+    def test_equal_records_hash_equal(self):
+        a = DetectionRecord("video", "u1", 1, 2, slot=4)
+        b = DetectionRecord(media="video", device="u1", emission_ts=1, playout_ts=2, slot=4)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_log_roundtrip_gives_records(self, tmp_path):
+        recs = [DetectionRecord("video", "u1", 1, 2, 1),
+                DetectionRecord("audio", "u2", 3, 40, None, 612.5, 0.75)]
+        write_log(tmp_path / "log.jsonl", recs)
+        back = read_log(tmp_path / "log.jsonl")
+        assert back == recs
+        assert all(type(r) is DetectionRecord for r in back)
 
 
 class TestLatenciesFromLog:
@@ -273,7 +306,7 @@ class TestIntraMediaSkew:
             video.append(sample(d, t, lv))
             audio.append(sample(d, t, la, media=AUDIO))
         fwd = skew_of(video + audio)
-        swapped = [dataclasses.replace(s, media=AUDIO if s.media == VIDEO else VIDEO)
+        swapped = [s._replace(media=AUDIO if s.media == VIDEO else VIDEO)
                    for s in video + audio]
         rev = skew_of(swapped)
         assert len(fwd) == len(rev)

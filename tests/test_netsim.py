@@ -10,12 +10,14 @@ import random
 import statistics
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from xrprobe.cli import run
 from xrprobe.exporter import write_log
 from xrprobe.netsim import (
     ChannelState,
     DetectionLog,
+    _slot_at,
     compare_logs,
     run_physical,
     run_scenario,
@@ -204,6 +206,17 @@ class TestRunScenario:
         assert hashlib.sha256((out / "epochs.csv").read_bytes()).hexdigest() == (
             "076048732b86bd11160432e17f8d0884291b1df924a5c02cfc4dfcab7ef73d7a")
 
+    def test_seed_42_exposition_bytes_pinned(self, tmp_path, capsys):
+        # the one-shot scrape of that log, as `serve --serve-port 0` prints it
+        out = self._simulate_seed_42(tmp_path)
+        capsys.readouterr()
+        assert run(["serve", "--log", str(out), "--serve-port", "0"]) == 0
+        text = capsys.readouterr().out.encode()
+        assert len(text) == 1_129
+        assert text.count(b"\n") == 27
+        assert hashlib.sha256(text).hexdigest() == (
+            "4d5cfe67e699c792ceab60bfa845b7eb28fc3d4914adf882817d1b4add719535")
+
     def test_quality_adaptation_bytes_pinned(self, tmp_path, capsys):
         # the closed-loop quality path: thresholds set so the 300 s wifi run steps both ways
         doc = {"profile": "wifi", "seed": 42,
@@ -377,6 +390,19 @@ class TestPhysicalMode:
         sc = quick_scenario(pipeline=PipelineModel(display_quantum_ms=0.0))
         with pytest.raises(ConfigError):
             run_physical(sc, tmp_path)
+
+
+class TestSlotAt:
+    # few distinct values, so t often equals a join time and joins repeat
+    _times = st.integers(0, 6).map(float)
+
+    @given(st.lists(_times, max_size=8), _times)
+    @example([3.0, 2.0, 1.0, 2.0], 2.0)  # a tie with a duplicated join
+    @example([], 2.0)
+    def test_counts_joins_at_or_before_t(self, join_times, t):
+        joins = {f"u{i}": j for i, j in enumerate(join_times)}
+        brute = sum(1 for j in joins.values() if j <= t)
+        assert _slot_at(sorted(joins.values()), t) == brute
 
 
 class TestCompareLogs:
