@@ -13,7 +13,10 @@ the peak lag. Works on the raw int16 stream, no FFT bins to misalign.
 view of the stream: silence test, energy sums, normalization and peak search
 run once per chunk, and only the FFTs of the autocorrelation stay one per
 window (a batched transform rounds differently). A single window goes
-through the same code as a chunk of one.
+through the same code as a chunk of one. It estimates each distinct window
+only once: the tool's own media repeat, because playout lands on a
+callback grid equal to the detection hop, so every recurrence of a tone
+sits at the same phase against the windows and yields the same samples.
 """
 
 from __future__ import annotations
@@ -194,6 +197,9 @@ def _estimate_windows(
 
     The silence test, the energy sums, the normalization and the peak search
     run once over the whole block; only the transforms stay one per window.
+    Each row's result depends on that row alone, so ``detect_pulses`` passes
+    each distinct window once: the tool's own media repeat a window whenever
+    a tone recurs at the same phase against the hop grid.
     A window's normalized autocorrelation is r[tau] =
     sum x[n]x[n+tau] / sqrt(sum_head x^2 * sum_tail x^2) for tau 0..tau_max+1.
     """
@@ -305,13 +311,30 @@ def detect_pulses(
     f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
     period_ms = schedule.pulse_period_ms
 
-    # Per-window tone decisions, estimated a chunk of windows at a time.
+    # Per-window tone decisions, estimated a chunk of distinct windows at a
+    # time. _estimate_windows computes each row from that row alone (per-row
+    # transforms, elementwise ops, mean and cumsum along the row), so equal
+    # windows get equal estimates and each distinct one is estimated once.
     starts = range(0, x.size - window_size + 1, hop)
     estimates: list[tuple[float, float] | None] = []
     if len(starts):
         windows = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop]
-        for c in range(0, len(starts), _CHUNK):
-            estimates += _estimate_windows(windows[c : c + _CHUNK], rate, f_lo, f_hi)
+        index: dict[bytes, int] = {}
+        first: list[int] = []  # window number of each distinct window's first occurrence
+        keys = []
+        for w, s in enumerate(starts):
+            k = index.setdefault(pcm.samples[s : s + window_size].tobytes(), len(first))
+            if k == len(first):
+                first.append(w)
+            keys.append(k)
+        distinct: list[tuple[float, float] | None] = []
+        for c in range(0, len(first), _CHUNK):
+            rows = first[c : c + _CHUNK]
+            # audio without repeats gives consecutive rows: slice, no gather copy
+            chunk = (windows[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1
+                     else windows[rows])
+            distinct += _estimate_windows(chunk, rate, f_lo, f_hi)
+        estimates = [distinct[k] for k in keys]
     hits: list[tuple[int, int, float, float] | None] = []
     for start, est in zip(starts, estimates):
         if est is None:
@@ -396,7 +419,9 @@ def detect_pulses(
 # --- WAV I/O ------------------------------------------------------------------
 
 def write_wav(path: str | Path, pcm: PcmBuffer) -> None:
-    with wave.open(str(path), "wb") as w:
+    # opened here, not by wave.open: a writer whose own open fails raises
+    # again from its __del__
+    with open(path, "wb") as f, wave.open(f, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(pcm.sample_rate)

@@ -78,6 +78,7 @@ def _flag_type(convert, ok, expected: str):
 
 
 _positive_int = _flag_type(int, lambda v: v > 0, "an integer > 0")
+_timestamp = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 _positive_seconds = _flag_type(float, lambda v: v > 0 and math.isfinite(v),
                                "a finite number > 0")
 _port = _flag_type(int, lambda v: 0 <= v <= 65535, "a TCP port in 0..65535")
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fps", type=int, default=30)
     p.add_argument("--duration-s", type=_positive_seconds, default=2.0)
-    p.add_argument("--start-ts", type=int, default=0, help="first frame timestamp, ms")
+    p.add_argument("--start-ts", type=_timestamp, default=0, help="first frame timestamp, ms")
     p.add_argument("--device-id", default="probe")
     p.add_argument("--scale", type=int, default=8, help="pixels per module")
     p.add_argument("--interval-ms", type=_positive_int, default=10, help="beacon refresh grid")
@@ -107,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-audio", help="write a beacon tone WAV with sidecar manifest")
     p.add_argument("--out", required=True, help="output .wav path")
     p.add_argument("--duration-s", type=_positive_seconds, default=10.0)
-    p.add_argument("--start-ts", type=int, default=0, help="stream start timestamp, ms")
+    p.add_argument("--start-ts", type=_timestamp, default=0, help="stream start timestamp, ms")
     p.add_argument("--device-id", default="probe")
     p.add_argument("--rate", type=int, default=48000)
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xrprobe import audio_beacon
 from xrprobe.audio_beacon import (
     Ambiguous,
     NyquistViolation,
@@ -518,12 +519,20 @@ def _tone_streams(draw):
     lead-in, with random slots dropped, an optional off-schedule tone and
     silent stretch, optional noise, and a playout offset that sometimes
     precedes the emission (ambiguous). Some streams are shorter than one
-    window.
+    window. Some put the pulses on a 96 ms period, 4,608 samples or nine
+    512-sample hops, with few tones: every recurrence of a tone then sits at
+    the same phase against the window grid, so its windows repeat exactly,
+    as in physical mode.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sched = ToneSchedule(tone_count=draw(st.sampled_from((4, 8, 32))), epoch_ts=0)
+    if draw(st.booleans()):
+        sched = ToneSchedule(tone_count=draw(st.sampled_from((2, 4))), pulse_period_ms=96,
+                             epoch_ts=0)
+        n_slots = draw(st.integers(1, 12))
+    else:
+        sched = ToneSchedule(tone_count=draw(st.sampled_from((4, 8, 32))), epoch_ts=0)
+        n_slots = draw(st.integers(1, 8))
     start_slot = draw(st.integers(0, 40))
-    n_slots = draw(st.integers(1, 8))
     lead = draw(st.integers(0, 6000))
     pulses = synthesize(sched, start_slot, n_slots, rate=RATE).samples.astype(np.float64)
     period = pulses.size // n_slots
@@ -586,3 +595,50 @@ class TestBatchedEstimator:
         pcm = PcmBuffer(sample_rate=RATE, samples=np.ones(4000, dtype=np.int16))
         with pytest.raises(ValueError):
             detect_pulses(pcm, sample_clock(), ToneSchedule(), window_size=1000)
+
+
+class TestDistinctWindows:
+    """``detect_pulses`` estimates each distinct window once."""
+
+    @staticmethod
+    def _windows(pcm, window=2048, hop=512):
+        x = pcm.samples
+        return [x[s : s + window].tobytes() for s in range(0, x.size - window + 1, hop)]
+
+    @staticmethod
+    def _rows_estimated(monkeypatch, pcm, sched):
+        rows = []
+        estimate = audio_beacon._estimate_windows
+
+        def counting(frames, *args, **kwargs):
+            rows.append(len(frames))
+            return estimate(frames, *args, **kwargs)
+
+        monkeypatch.setattr(audio_beacon, "_estimate_windows", counting)
+        tally = collections.Counter()
+        dets = detect_pulses(pcm, sample_clock(), sched, tally=tally)
+        return sum(rows), dets, tally
+
+    def test_repeated_windows_estimated_once(self, monkeypatch):
+        # a hop-aligned period: each tone's windows come back every 4 slots
+        sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
+        pcm = synthesize(sched, 0, 40, rate=RATE)
+        windows = self._windows(pcm)
+        assert len(set(windows)) < len(windows) // 4
+        rows, dets, tally = self._rows_estimated(monkeypatch, pcm, sched)
+        assert rows == len(set(windows))
+        oracle_tally = collections.Counter()
+        assert dets == detect_pulses_oracle(pcm, sample_clock(), sched, tally=oracle_tally)
+        assert tally == oracle_tally
+        assert len(dets) == 40
+
+    def test_noisy_windows_all_estimated(self, monkeypatch):
+        sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
+        rng = np.random.default_rng(5)
+        x = synthesize(sched, 0, 40, rate=RATE).samples + rng.normal(0.0, 30.0, 40 * 4608)
+        pcm = PcmBuffer(sample_rate=RATE, samples=np.round(x).astype(np.int16))
+        windows = self._windows(pcm)
+        assert len(set(windows)) == len(windows)
+        rows, dets, _ = self._rows_estimated(monkeypatch, pcm, sched)
+        assert rows == len(windows)
+        assert len(dets) == 40

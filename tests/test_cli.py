@@ -1,9 +1,14 @@
 """End-to-end exercises of every subcommand through run()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xrprobe
 from xrprobe import metrics
 from xrprobe.cli import run
 from xrprobe.exporter import read_log, write_log
@@ -44,6 +49,9 @@ class TestExitCodes:
         (["gen-audio", "--duration-s", "-1"], "--duration-s"),
         (["serve", "--log", "x", "--serve-port", "70000"], "--serve-port"),
         (["serve", "--log", "x", "--serve-port", "-1"], "--serve-port"),
+        (["gen-video", "--start-ts", "-5"], "--start-ts"),
+        (["gen-audio", "--start-ts", "-5"], "--start-ts"),
+        (["gen-audio", "--start-ts", "1.5"], "--start-ts"),
     ])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
         if argv[0] != "serve":
@@ -159,6 +167,21 @@ class TestAudioPipeline:
         assert run(["detect-audio", str(wav)]) == 1
         err = capsys.readouterr().err
         assert err == "xrprobe detect-audio: device_id: missing\n"
+
+    def test_missing_out_dir_is_one_line_error(self, tmp_path):
+        # in a fresh interpreter, so that anything printed while a half-built
+        # wave writer is collected reaches the stderr checked here
+        src = str(Path(xrprobe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "xrprobe.cli", "gen-audio",
+             "--out", str(tmp_path / "missing" / "a.wav"), "--duration-s", "0.2"],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("xrprobe gen-audio: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateAnalyze:

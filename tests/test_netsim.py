@@ -196,6 +196,17 @@ class TestRunScenario:
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
             "f59ab0f95373bb1fcaf2ed25b35dd8c73c8bc22d95697bc52607f5a3ba4f19a3")
 
+    def test_seed_7919_physical_bytes_pinned(self, tmp_path, capsys):
+        # the same physical run at a held-out seed
+        out = self._simulate_seed_42(tmp_path, "--seed", "7919", "--physical")
+        capsys.readouterr()
+        log = (out / "log.jsonl").read_bytes()
+        assert len(log) == 287_909
+        assert hashlib.sha256(log).hexdigest() == (
+            "9bf9305ed3eb3c2b34362b33c3ee7ff79ddf3e1f28223d2ea9dcf3d8c3cfb891")
+        assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
+            "da3ac5d0755fa56b56eca35f25c576e781882d0c0794485367394ffb72ba8141")
+
     def test_seed_42_analyze_bytes_pinned(self, tmp_path, capsys):
         # the report and epoch series of that log, made from one latency pass
         out = self._simulate_seed_42(tmp_path)
