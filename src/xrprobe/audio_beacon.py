@@ -12,11 +12,11 @@ the peak lag. Works on the raw int16 stream, no FFT bins to misalign.
 ``detect_pulses`` estimates its windows a chunk at a time over a strided
 view of the stream: silence test, energy sums, normalization and peak search
 run once per chunk, and only the FFTs of the autocorrelation stay one per
-window (a batched transform rounds differently). A single window goes
-through the same code as a chunk of one. It estimates each distinct window
-only once: the tool's own media repeat, because playout lands on a
-callback grid equal to the detection hop, so every recurrence of a tone
-sits at the same phase against the windows and yields the same samples.
+window (a batched transform rounds differently). It estimates each
+distinct window only once: the tool's own media repeat, because playout
+lands on a callback grid equal to the detection hop, so every recurrence of
+a tone sits at the same phase against the windows and yields the same
+samples.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ DETECT_HOP = 512
 MIN_WINDOW = 1024
 PEAK_THRESHOLD = 0.8
 SILENCE_DBFS = -40.0
-DEFAULT_F_MIN = 200.0
-DEFAULT_F_MAX = 4800.0
 
 
 class NyquistViolation(ValueError):
@@ -82,10 +80,6 @@ class ToneSchedule:
     @property
     def frequencies(self) -> tuple[float, ...]:
         return tuple(self.f0_hz + k * self.delta_hz for k in range(self.tone_count))
-
-    @property
-    def ambiguity_window_ms(self) -> int:
-        return self.tone_count * self.pulse_period_ms
 
 
 def read_tone_schedule(doc: dict, fieldname: str,
@@ -164,27 +158,6 @@ def synthesize(schedule: ToneSchedule, start_slot: int, n_slots: int,
 _CHUNK = 128
 
 
-def estimate_frequency(
-    window: np.ndarray,
-    rate: int = DEFAULT_RATE,
-    f_min: float = DEFAULT_F_MIN,
-    f_max: float = DEFAULT_F_MAX,
-    peak_threshold: float = PEAK_THRESHOLD,
-    silence_dbfs: float = SILENCE_DBFS,
-) -> tuple[float, float] | None:
-    """Dominant frequency of a window, or None for silence / no clean pitch.
-
-    The candidate lag range is [rate/f_max, rate/f_min]; the accepted peak is
-    the first local maximum with r >= peak_threshold after the first zero
-    crossing of r, refined by parabolic interpolation over its neighbors.
-    Returns (frequency_hz, confidence in [0, 1]).
-    """
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("window must be 1-D")
-    return _estimate_windows(x[None, :], rate, f_min, f_max, peak_threshold, silence_dbfs)[0]
-
-
 def _estimate_windows(
     frames: np.ndarray,
     rate: int,
@@ -193,15 +166,20 @@ def _estimate_windows(
     peak_threshold: float = PEAK_THRESHOLD,
     silence_dbfs: float = SILENCE_DBFS,
 ) -> list[tuple[float, float] | None]:
-    """``estimate_frequency`` of every row of ``frames`` (windows x samples).
+    """Dominant frequency of every row of ``frames`` (windows x samples):
+    (frequency_hz, confidence in [0, 1]), or None for silence / no clean pitch.
+
+    A window's normalized autocorrelation is r[tau] =
+    sum x[n]x[n+tau] / sqrt(sum_head x^2 * sum_tail x^2) for tau 0..tau_max+1.
+    The candidate lag range is [rate/f_max, rate/f_min]; the accepted peak is
+    the first local maximum with r >= peak_threshold after the first zero
+    crossing of r, refined by parabolic interpolation over its neighbors.
 
     The silence test, the energy sums, the normalization and the peak search
     run once over the whole block; only the transforms stay one per window.
     Each row's result depends on that row alone, so ``detect_pulses`` passes
     each distinct window once: the tool's own media repeat a window whenever
     a tone recurs at the same phase against the hop grid.
-    A window's normalized autocorrelation is r[tau] =
-    sum x[n]x[n+tau] / sqrt(sum_head x^2 * sum_tail x^2) for tau 0..tau_max+1.
     """
     count, n = frames.shape
     if n < MIN_WINDOW:

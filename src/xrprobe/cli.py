@@ -25,7 +25,6 @@ from .audio_beacon import (
     write_wav_manifest,
 )
 from .exporter import (
-    ExporterState,
     format_log_line,
     make_server,
     read_log,
@@ -78,7 +77,10 @@ def _flag_type(convert, ok, expected: str):
 
 
 _positive_int = _flag_type(int, lambda v: v > 0, "an integer > 0")
-_timestamp = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+_timestamp = _flag_type(int, lambda v: 0 <= v < 2**64, "an integer in 0..2**64-1")
+# the default schedule's top tone must stay below half the sample rate
+_TOP_TONE_X2 = 2 * max(ToneSchedule().frequencies)
+_sample_rate = _flag_type(int, lambda v: v > _TOP_TONE_X2, f"an integer > {_TOP_TONE_X2:.0f}")
 _positive_seconds = _flag_type(float, lambda v: v > 0 and math.isfinite(v),
                                "a finite number > 0")
 _port = _flag_type(int, lambda v: 0 <= v <= 65535, "a TCP port in 0..65535")
@@ -98,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-s", type=_positive_seconds, default=2.0)
     p.add_argument("--start-ts", type=_timestamp, default=0, help="first frame timestamp, ms")
     p.add_argument("--device-id", default="probe")
-    p.add_argument("--scale", type=int, default=8, help="pixels per module")
+    p.add_argument("--scale", type=_positive_int, default=8, help="pixels per module")
     p.add_argument("--interval-ms", type=_positive_int, default=10, help="beacon refresh grid")
 
     p = sub.add_parser("detect-video", help="decode beacons from a frame sequence")
@@ -110,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-s", type=_positive_seconds, default=10.0)
     p.add_argument("--start-ts", type=_timestamp, default=0, help="stream start timestamp, ms")
     p.add_argument("--device-id", default="probe")
-    p.add_argument("--rate", type=int, default=48000)
+    p.add_argument("--rate", type=_sample_rate, default=48000)
 
     p = sub.add_parser("detect-audio", help="detect beacon pulses in a WAV stream")
     p.add_argument("wav", help=".wav path with sidecar manifest")
@@ -125,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="aggregate a detection log into a report")
     p.add_argument("--log", required=True, help="detection log path or simulate output dir")
-    p.add_argument("--epoch-ms", type=int, default=1000)
+    p.add_argument("--epoch-ms", type=_positive_int, default=1000)
     p.add_argument("--out", help="report directory (default: alongside the log)")
 
     p = sub.add_parser("serve", help="expose a log's metrics over HTTP")
@@ -256,12 +258,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_serve(args) -> int:
     log_path = _resolve_log(args.log)
     records = read_log(log_path)
-    snapshot = snapshot_from_records(records, tally=_load_tally(log_path))
-    state = ExporterState(snapshot=snapshot)
+    exposition = render_exposition(snapshot_from_records(records, tally=_load_tally(log_path)))
     if args.serve_port == 0:
-        sys.stdout.write(render_exposition(state.snapshot()))
+        sys.stdout.write(exposition)
         return 0
-    server = make_server(state, port=args.serve_port)
+    server = make_server(exposition, port=args.serve_port)
     host, port = server.server_address[:2]
     print(f"serving metrics on http://{host}:{port}/metrics", file=sys.stderr)
     try:

@@ -1,5 +1,5 @@
 """Detection-log persistence, pull-style metrics exposition, and the HTTP
-service that serves the exposition and retunes the quality adaptation.
+endpoint that serves one rendered exposition.
 
 The record itself is ``metrics.DetectionRecord``; this module only
 persists it and exposes it.
@@ -23,22 +23,22 @@ to equal records, and reject the rest with the same line and message.
 Exposition format: one `name{label="value"} number` line per metric, all
 metric names prefixed `xr_`, lines sorted lexicographically so scrapes
 are stable and diffable.
+
+The HTTP endpoint serves one exposition, rendered and encoded once, at
+``GET /metrics``: a finished log has nothing left to update.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
 from .metrics import AUDIO, VIDEO, DetectionRecord, valid_latency
-from .scenario import QualitySpec
-from .schema import SchemaError, finite, read_fields, text
 
 
 class ParseError(ValueError):
@@ -247,93 +247,22 @@ def render_exposition(snapshot: MetricsSnapshot) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# --- control service --------------------------------------------------------------
+# --- HTTP endpoint -----------------------------------------------------------------
 
-class ExporterState:
-    """Shared state behind the service: one writer, many readers."""
-
-    def __init__(self, snapshot: MetricsSnapshot | None = None):
-        self._lock = threading.Lock()
-        self._snapshot = snapshot or MetricsSnapshot({}, {}, {}, {}, {})
-        self._quality = QualitySpec()
-        self._level = self._quality.initial_level
-
-    def update_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        with self._lock:
-            self._snapshot = snapshot
-
-    def snapshot(self) -> MetricsSnapshot:
-        with self._lock:
-            return self._snapshot
-
-    def config(self) -> dict:
-        with self._lock:
-            return {
-                "level": self._level,
-                "levels": list(self._quality.levels),
-                "step_down_threshold_ms": self._quality.step_down_threshold_ms,
-                "step_up_threshold_ms": self._quality.step_up_threshold_ms,
-                "dwell_s": self._quality.dwell_s,
-            }
-
-    def apply_config(self, change: dict) -> dict:
-        """Apply a partial config change; returns the full applied config.
-
-        Values are typed and checked by the scenario loader's rules, and any
-        rejection is a SchemaError naming the field.
-        """
-        values = read_fields(change, "", level=text, step_down_threshold_ms=finite,
-                             step_up_threshold_ms=finite, dwell_s=finite)
-        level = values.pop("level", None)
-        with self._lock:
-            # replace() re-runs __post_init__, which validates the thresholds
-            quality = replace(self._quality, **values)
-            level = self._level if level is None else level
-            if level not in quality.levels:
-                raise SchemaError("level", f"unknown level {level!r}")
-            self._quality = quality
-            self._level = level
-        return self.config()
-
-
-# seconds a request may stall mid-read; a body shorter than its
-# Content-Length then gets a 400 instead of holding the handler thread
+# seconds a client may stall partway through its request line or headers
+# before the handler drops the connection
 READ_TIMEOUT_S = 5.0
 
 
 class _Handler(BaseHTTPRequestHandler):
-    state: ExporterState  # injected by make_server
+    exposition: bytes  # bound by make_server
     timeout = READ_TIMEOUT_S
 
     def do_GET(self):  # noqa: N802 (http.server naming)
         if self.path.split("?")[0] != "/metrics":
             self._send(404, "text/plain", b"not found\n")
             return
-        body = render_exposition(self.state.snapshot()).encode()
-        self._send(200, "text/plain; version=0.0.4", body)
-
-    def do_POST(self):  # noqa: N802
-        if self.path.split("?")[0] != "/config":
-            self._send(404, "text/plain", b"not found\n")
-            return
-        try:
-            length = self.headers.get("Content-Length", "0")
-            if not length.isdecimal():
-                raise SchemaError("Content-Length", f"expected a byte count, got {length!r}")
-            try:
-                body = self.rfile.read(int(length))
-            except TimeoutError:
-                body = b""
-            if len(body) < int(length):
-                raise SchemaError("Content-Length",
-                                  f"body ended before the declared {length} bytes")
-            change = json.loads(body or b"{}")
-            applied = self.state.apply_config(change)
-        except ValueError as exc:
-            self._send(400, "application/json",
-                       json.dumps({"error": str(exc)}).encode())
-            return
-        self._send(200, "application/json", json.dumps(applied, sort_keys=True).encode())
+        self._send(200, "text/plain; version=0.0.4", self.exposition)
 
     def _send(self, code: int, ctype: str, body: bytes) -> None:
         self.send_response(code)
@@ -346,13 +275,10 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-def make_server(state: ExporterState, port: int = 0) -> ThreadingHTTPServer:
-    """Bind the metrics/config service; port 0 picks an ephemeral port."""
-    handler = type("BoundHandler", (_Handler,), {"state": state})
+def make_server(exposition: str, port: int = 0) -> ThreadingHTTPServer:
+    """Serve ``exposition`` at ``GET /metrics``; port 0 picks an ephemeral port.
+
+    Every other path answers 404 and every other method 501.
+    """
+    handler = type("BoundHandler", (_Handler,), {"exposition": exposition.encode()})
     return ThreadingHTTPServer(("127.0.0.1", port), handler)
-
-
-def serve_forever(server: ThreadingHTTPServer) -> threading.Thread:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread

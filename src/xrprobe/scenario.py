@@ -176,7 +176,7 @@ class QualitySpec:
     hysteresis: stepping down is triggered above ``step_down_threshold_ms``,
     stepping up below ``step_up_threshold_ms``, and either move needs
     ``dwell_s`` of residence at the current level first. The simulator runs
-    the loop when ``enabled``; ``POST /config`` retunes the same type.
+    the loop when ``enabled``.
     """
 
     enabled: bool = False

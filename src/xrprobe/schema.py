@@ -1,5 +1,5 @@
 """Typed converters for JSON documents: scenario files, media sidecars and
-``POST /config`` bodies.
+``tally.json``.
 
 Each converter takes one decoded JSON value and returns it typed, or raises
 TypeError/ValueError; ``read_fields`` and ``build`` turn that into a

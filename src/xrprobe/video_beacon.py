@@ -27,7 +27,7 @@ A frame sequence on disk is a directory holding ``frames.pgm``, every frame
 back to back as binary PGM images (Netpbm allows a sequence of images in one
 file, with nothing between them), and ``manifest.json``. The file is written
 in one pass and read in one ``read_bytes``; each frame is a read-only view of
-that blob. ``read_pgm``/``write_pgm`` are the one-image case of the same code.
+that blob. ``read_pgm`` is the one-image case of the same reader.
 """
 
 from __future__ import annotations
@@ -513,10 +513,6 @@ def _read_pgm_stream(path: str | Path, count: int) -> list[PixelBuffer]:
         raise ValueError(f"{path}: frame {count}: {len(blob) - offset} bytes "
                          f"after the last of {count} images")
     return frames
-
-
-def write_pgm(path: str | Path, frame: PixelBuffer) -> None:
-    _write_pgm_stream(path, [frame])
 
 
 def read_pgm(path: str | Path) -> PixelBuffer:

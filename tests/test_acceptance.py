@@ -18,8 +18,8 @@ import pytest
 from xrprobe.audio_beacon import (
     PcmBuffer,
     ToneSchedule,
+    _estimate_windows,
     detect_pulses,
-    estimate_frequency,
     synthesize,
 )
 from xrprobe.cli import run
@@ -100,14 +100,15 @@ def test_criterion_3_autocorrelation_accuracy(capsys):
     worst_clean = worst_noisy = 0.0
     for freq in np.linspace(200.0, 4800.0, 25):
         clean = (0.4 * np.sin(2 * np.pi * freq * t) * 32767).astype(np.int16)
-        est = estimate_frequency(clean, RATE)
+        est = _estimate_windows(clean[None, :].astype(np.float64), RATE, 200.0, 4800.0)[0]
         assert est is not None, f"{freq:.0f} Hz not detected"
         worst_clean = max(worst_clean, abs(est[0] - freq) / freq)
 
         sigma = (0.4 / math.sqrt(2.0)) / 10.0  # 20 dB below sine RMS
         noisy = np.clip(0.4 * np.sin(2 * np.pi * freq * t)
                         + rng.normal(0.0, sigma, n), -1, 1)
-        est = estimate_frequency((noisy * 32767).astype(np.int16), RATE)
+        noisy = (noisy * 32767).astype(np.int16)
+        est = _estimate_windows(noisy[None, :].astype(np.float64), RATE, 200.0, 4800.0)[0]
         assert est is not None, f"{freq:.0f} Hz not detected at 20 dB SNR"
         worst_noisy = max(worst_noisy, abs(est[0] - freq) / freq)
     ok = worst_clean <= 0.005 and worst_noisy <= 0.01

@@ -23,7 +23,6 @@ from xrprobe.audio_beacon import (
     UnknownTone,
     detect_pulses,
     detect_wav,
-    estimate_frequency,
     read_wav,
     read_wav_manifest,
     resolve_emission,
@@ -32,7 +31,7 @@ from xrprobe.audio_beacon import (
     write_wav,
     write_wav_manifest,
 )
-from xrprobe.audio_beacon import _tone_index
+from xrprobe.audio_beacon import _estimate_windows, _tone_index
 from xrprobe.metrics import AUDIO, DetectionRecord
 from xrprobe.schema import SchemaError
 
@@ -44,6 +43,13 @@ def fft_peak_hz(window: np.ndarray, rate: int) -> float:
     spectrum = np.abs(np.fft.rfft(np.asarray(window, dtype=np.float64)))
     spectrum[0] = 0.0  # ignore DC
     return float(np.argmax(spectrum)) * rate / len(window)
+
+
+def estimate(window: np.ndarray, rate: int = RATE):
+    """``_estimate_windows`` of one window as a one-row float64 block, over
+    the 200-4800 Hz band."""
+    return _estimate_windows(np.asarray(window, dtype=np.float64)[None, :], rate,
+                             200.0, 4800.0)[0]
 
 
 def make_sine(freq: float, n: int, rate: int = RATE, amp: float = 0.4,
@@ -66,9 +72,6 @@ class TestSchedule:
     def test_negative_slot_rejected(self):
         with pytest.raises(ValueError):
             slot_frequency(ToneSchedule(), -1)
-
-    def test_ambiguity_window(self):
-        assert ToneSchedule().ambiguity_window_ms == 3200
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,29 +144,29 @@ class TestPcmBuffer:
 class TestEstimateFrequency:
     def test_pure_sine_1khz(self):
         window = make_sine(1000.0, 2048)
-        freq, conf = estimate_frequency(window, RATE)
+        freq, conf = estimate(window)
         assert abs(freq - 1000.0) <= 5.0
         assert 0.8 <= conf <= 1.0 + 1e-9
 
     def test_all_zero_window_is_silent(self):
-        assert estimate_frequency(np.zeros(2048, dtype=np.int16), RATE) is None
+        assert estimate(np.zeros(2048, dtype=np.int16)) is None
 
     def test_noisy_sine_440hz(self):
         rng = np.random.default_rng(11)
         window = make_sine(440.0, 2048, rng=rng, snr_db=20.0)
-        est = estimate_frequency(window, RATE)
+        est = estimate(window)
         assert est is not None
         assert abs(est[0] - 440.0) <= 5.0
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
-            estimate_frequency(np.zeros(512, dtype=np.int16), RATE)
+            estimate(np.zeros(512, dtype=np.int16))
 
     def test_accuracy_sweep(self):
         # 0.5% relative error over the whole supported band
         for freq in np.linspace(200.0, 4800.0, 25):
             window = make_sine(float(freq), 2048)
-            est = estimate_frequency(window, RATE)
+            est = estimate(window)
             assert est is not None, f"{freq:.0f} Hz not detected"
             assert abs(est[0] - freq) / freq <= 0.005, f"{freq:.0f} Hz -> {est[0]:.1f}"
 
@@ -171,7 +174,7 @@ class TestEstimateFrequency:
         rng = np.random.default_rng(23)
         for freq in np.linspace(200.0, 4800.0, 25):
             window = make_sine(float(freq), 2048, rng=rng, snr_db=20.0)
-            est = estimate_frequency(window, RATE)
+            est = estimate(window)
             assert est is not None, f"{freq:.0f} Hz not detected at 20 dB SNR"
             assert abs(est[0] - freq) / freq <= 0.01, f"{freq:.0f} Hz -> {est[0]:.1f}"
 
@@ -179,7 +182,7 @@ class TestEstimateFrequency:
     @settings(max_examples=40, deadline=None)
     def test_matches_fft_oracle(self, freq):
         window = make_sine(freq, 4096)
-        est = estimate_frequency(window, RATE)
+        est = estimate(window)
         assert est is not None
         oracle = fft_peak_hz(window, RATE)
         # both routes must agree to within one FFT bin plus the 0.5% budget
@@ -587,11 +590,11 @@ class TestBatchedEstimator:
         x = 32767 * (amp * np.sin(2 * math.pi * freq * t)
                      + overtone * np.sin(2 * math.pi * 3000.0 * t) + dc)
         x = x + rng.normal(0.0, noise, n) if noise else x
-        assert estimate_frequency(x, RATE) == estimate_frequency_oracle(x, RATE)
+        assert estimate(x) == estimate_frequency_oracle(x, RATE)
 
     def test_short_window_still_rejected(self):
         with pytest.raises(ValueError):
-            estimate_frequency(np.ones(1023))
+            estimate(np.ones(1023))
         pcm = PcmBuffer(sample_rate=RATE, samples=np.ones(4000, dtype=np.int16))
         with pytest.raises(ValueError):
             detect_pulses(pcm, sample_clock(), ToneSchedule(), window_size=1000)

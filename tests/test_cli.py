@@ -52,6 +52,14 @@ class TestExitCodes:
         (["gen-video", "--start-ts", "-5"], "--start-ts"),
         (["gen-audio", "--start-ts", "-5"], "--start-ts"),
         (["gen-audio", "--start-ts", "1.5"], "--start-ts"),
+        (["gen-audio", "--rate", "0"], "--rate"),
+        (["gen-audio", "--rate", "8640"], "--rate"),
+        (["gen-video", "--scale", "0"], "--scale"),
+        (["gen-video", "--scale", "-2"], "--scale"),
+        (["analyze", "--log", "x", "--epoch-ms", "0"], "--epoch-ms"),
+        (["analyze", "--log", "x", "--epoch-ms", "-1000"], "--epoch-ms"),
+        (["gen-video", "--start-ts", str(2**64)], "--start-ts"),
+        (["gen-audio", "--start-ts", str(2**64)], "--start-ts"),
     ])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
         if argv[0] != "serve":

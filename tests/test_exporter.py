@@ -1,13 +1,14 @@
-"""Log persistence, exposition text, quality stepping, and the HTTP service."""
+"""Log persistence, exposition text, and the HTTP endpoint."""
 
 import collections
-import http.client
+import contextlib
+import io
 import json
-import math
 import random
 import re
 import socket
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -16,22 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xrprobe.cli import run
 from xrprobe.exporter import (
     READ_TIMEOUT_S,
-    ExporterState,
     MetricsSnapshot,
     ParseError,
     format_log_line,
     make_server,
     read_log,
     render_exposition,
-    serve_forever,
     snapshot_from_records,
     write_log,
 )
 from xrprobe.metrics import DetectionRecord
-from xrprobe.scenario import QualitySpec, adapt_quality
-from xrprobe.schema import SchemaError
 
 
 def random_records(seed, n):
@@ -364,258 +362,31 @@ class TestExposition:
         assert snap.skew_ms == {"u1": 50.0}
 
 
-class TestAdaptQuality:
-    POLICY = QualitySpec(levels=("low", "medium", "high"),
-                         step_down_threshold_ms=400.0,
-                         step_up_threshold_ms=150.0,
-                         dwell_s=10.0)
-
-    def test_step_down(self):
-        d = adapt_quality(500.0, "medium", self.POLICY, dwell_elapsed_s=11.0)
-        assert d.action == "step_down"
-        assert d.target_level == "low"
-
-    def test_hold_at_top(self):
-        d = adapt_quality(100.0, "high", self.POLICY, dwell_elapsed_s=11.0)
-        assert d.action == "hold"
-        assert d.target_level == "high"
-
-    def test_hold_at_bottom(self):
-        d = adapt_quality(900.0, "low", self.POLICY, dwell_elapsed_s=60.0)
-        assert d.action == "hold"
-
-    def test_dwell_gates_stepping(self):
-        d = adapt_quality(500.0, "medium", self.POLICY, dwell_elapsed_s=9.9)
-        assert d.action == "hold"
-
-    def test_step_up(self):
-        d = adapt_quality(100.0, "medium", self.POLICY, dwell_elapsed_s=10.0)
-        assert d.action == "step_up"
-        assert d.target_level == "high"
-
-    def test_band_holds(self):
-        d = adapt_quality(300.0, "medium", self.POLICY, dwell_elapsed_s=100.0)
-        assert d.action == "hold"
-
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
-            adapt_quality(100.0, "ultra", self.POLICY, dwell_elapsed_s=0.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            QualitySpec(step_down_threshold_ms=100.0, step_up_threshold_ms=200.0)
-        for levels in (("only",), ("low", "low")):
-            with pytest.raises(SchemaError) as err:
-                QualitySpec(levels=levels, encode_down_delta_ms=(0.0,) * len(levels),
-                            initial_level=levels[0])
-            assert err.value.field == "levels"
-
-    @given(mean=st.floats(0, 1000), level=st.sampled_from(("low", "medium", "high")),
-           dwell=st.floats(0, 100))
-    @settings(max_examples=200)
-    def test_target_always_in_levels(self, mean, level, dwell):
-        d = adapt_quality(mean, level, self.POLICY, dwell_elapsed_s=dwell)
-        assert d.target_level in self.POLICY.levels
-        assert d.action in ("step_up", "step_down", "hold")
-
-    def test_no_oscillation_within_dwell(self):
-        # after a step, elapsed resets below dwell, so the opposite step
-        # cannot fire until a full dwell period passes
-        policy = self.POLICY
-        level = "medium"
-        elapsed = policy.dwell_s
-        d1 = adapt_quality(500.0, level, policy, elapsed)
-        assert d1.action == "step_down"
-        d2 = adapt_quality(100.0, d1.target_level, policy, dwell_elapsed_s=0.0)
-        assert d2.action == "hold"
-
-
-class TestExporterState:
-    def test_apply_partial_config(self):
-        state = ExporterState()
-        applied = state.apply_config({"level": "low", "dwell_s": 5})
-        assert applied["level"] == "low"
-        assert applied["dwell_s"] == 5.0
-        assert applied["levels"] == ["low", "medium", "high"]
-
-    def test_rejects_bad_level(self):
-        state = ExporterState()
-        with pytest.raises(ValueError):
-            state.apply_config({"level": "ultra"})
-
-    def test_rejects_inverted_thresholds(self):
-        state = ExporterState()
-        with pytest.raises(ValueError):
-            state.apply_config({"step_up_threshold_ms": 500.0})
-
-    def test_thresholds_validated_together(self):
-        # both move below the old step_up (250): only the pair is checked
-        state = ExporterState()
-        applied = state.apply_config({"step_down_threshold_ms": 200,
-                                      "step_up_threshold_ms": 100})
-        assert (applied["step_down_threshold_ms"], applied["step_up_threshold_ms"]) == (200.0, 100.0)
-
-
-    @pytest.mark.parametrize("change, field", [
-        ({"dwell_s": None}, "dwell_s"),
-        ({"dwell_s": -5}, "dwell_s"),
-        ({"dwell_s": "5"}, "dwell_s"),
-        ({"step_down_threshold_ms": float("nan")}, "step_down_threshold_ms"),
-        ({"step_up_threshold_ms": float("inf")}, "step_up_threshold_ms"),
-        ({"step_up_threshold_ms": float("-inf")}, "step_up_threshold_ms"),
-        ({"step_up_threshold_ms": True}, "step_up_threshold_ms"),
-        ({"step_up_threshold_ms": 500.0}, "step_up_threshold_ms"),
-        ({"dwel_s": 5}, "dwel_s"),
-        ({"level": 3}, "level"),
-        ({"level": "ultra"}, "level"),
-    ])
-    def test_bad_change_names_field_and_keeps_policy(self, change, field):
-        state = ExporterState()
-        before = state.config()
-        with pytest.raises(SchemaError) as err:
-            state.apply_config(change)
-        assert err.value.field == field
-        assert state.config() == before
-
-
-class TestQualityRule:
-    @given(down=st.floats(), up=st.floats(), dwell=st.floats())
-    @settings(max_examples=300)
-    def test_spec_and_policy_share_one_rule(self, down, up, dwell):
-        # the scenario's quality spec and the service's POST /config policy
-        change = {"step_down_threshold_ms": down, "step_up_threshold_ms": up, "dwell_s": dwell}
-        outcomes = []
-        for make in (lambda: QualitySpec(**change),
-                     lambda: ExporterState().apply_config(change)):
-            try:
-                make()
-                outcomes.append(None)
-            except SchemaError as exc:
-                outcomes.append(exc.field)
-        assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] is None) == (
-            all(map(math.isfinite, (down, up, dwell))) and up < down and dwell >= 0)
-
-
-def _post(port: int, body: bytes, length: str | None = None) -> tuple[int, dict]:
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-    try:
-        conn.putrequest("POST", "/config")
-        conn.putheader("Content-Length", str(len(body)) if length is None else length)
-        conn.endheaders(body)
-        resp = conn.getresponse()
-        return resp.status, json.loads(resp.read())
-    finally:
-        conn.close()
-
-
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
-                                                               max_size=3),
-    max_leaves=6,
-)
-_CONFIG_KEYS = st.sampled_from(("level", "step_down_threshold_ms", "step_up_threshold_ms",
-                                "dwell_s")) | st.text(max_size=6)
-_BODIES = (st.dictionaries(_CONFIG_KEYS, _JSON | st.sampled_from(("low", "medium", "high")),
-                           max_size=4) | _JSON)
-
-
 @pytest.fixture(scope="module")
-def config_service():
-    state = ExporterState()
-    srv = make_server(state, port=0)
-    serve_forever(srv)
-    yield srv.server_address[1], state
-    srv.shutdown()
-    srv.server_close()
-
-
-class TestConfigEdge:
-    @pytest.mark.parametrize("body, field", [
-        (b'{"dwell_s": null}', "dwell_s"),
-        (b'{"step_down_threshold_ms": NaN}', "step_down_threshold_ms"),
-        (b'{"step_up_threshold_ms": Infinity}', "step_up_threshold_ms"),
-        (b'{"dwell_s": -Infinity}', "dwell_s"),
-        (b'{"levle": "low"}', "levle"),
-    ])
-    def test_bad_body_answers_400_naming_field(self, config_service, body, field):
-        port, state = config_service
-        before = state.config()
-        status, doc = _post(port, body)
-        assert status == 400
-        assert doc["error"].startswith(field + ":")
-        assert state.config() == before
-
-    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
-    def test_bad_content_length_answers_400(self, config_service, length):
-        status, doc = _post(config_service[0], b'{"level": "low"}', length)
-        assert status == 400
-        assert "Content-Length" in doc["error"]
-
-    @given(body=_BODIES)
-    @settings(max_examples=150, deadline=None)
-    def test_any_json_body_gets_200_or_400(self, config_service, body):
-        port, state = config_service
-        status, doc = _post(port, json.dumps(body).encode())
-        assert status in (200, 400)
-        assert ("error" in doc) == (status == 400)
-        config = state.config()
-        assert all(math.isfinite(config[key]) for key in
-                   ("step_down_threshold_ms", "step_up_threshold_ms", "dwell_s"))
-        assert config["level"] in config["levels"]
-
-
-def _post_short_body(port: int, half_close: bool) -> tuple[int, dict]:
-    """POST a body 10 bytes shorter than its Content-Length, then either
-    half-close the connection or leave it open."""
-    body = b'{"level": "low"}'
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(b"POST /config HTTP/1.1\r\nHost: test\r\n"
-                     b"Content-Length: %d\r\n\r\n%s" % (len(body) + 10, body))
-        if half_close:
-            sock.shutdown(socket.SHUT_WR)
-        resp = http.client.HTTPResponse(sock)
-        resp.begin()
-        return resp.status, json.loads(resp.read())
-
-
-class TestShortBody:
-    @pytest.fixture()
-    def service(self):
-        state = ExporterState()
-        srv = make_server(state, port=0)
-        serve_forever(srv)
-        yield srv, state
-        srv.shutdown()
-        srv.server_close()
-
-    def test_half_closed_body_answers_400(self, service):
-        srv, state = service
-        assert srv.RequestHandlerClass.timeout == READ_TIMEOUT_S
-        status, doc = _post_short_body(srv.server_address[1], half_close=True)
-        assert status == 400
-        assert doc["error"].startswith("Content-Length:")
-        assert state.config()["level"] == "high"
-
-    def test_stalled_body_answers_400_after_timeout(self, service):
-        srv, state = service
-        srv.RequestHandlerClass.timeout = 0.3  # the bound class only, to keep the test short
-        started = time.monotonic()
-        status, doc = _post_short_body(srv.server_address[1], half_close=False)
-        assert status == 400
-        assert doc["error"].startswith("Content-Length:")
-        assert 0.3 <= time.monotonic() - started < 5
-        assert state.config()["level"] == "high"
+def one_shot(tmp_path_factory):
+    """A simulated 30 s wifi log and the stdout of ``serve --serve-port 0`` on it."""
+    tmp = tmp_path_factory.mktemp("serve")
+    scenario = tmp / "scenario.json"
+    scenario.write_text(json.dumps({"profile": "wifi", "seed": 42, "duration_s": 30,
+                                    "join_times_s": [5, 10, 15, 20]}))
+    out = tmp / "run"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run(["serve", "--log", str(out), "--serve-port", "0"]) == 0
+    return out, stdout.getvalue().encode()
 
 
 class TestHttpService:
     @pytest.fixture()
-    def server(self):
-        state = ExporterState()
-        state.update_snapshot(snapshot_from_records(random_records(7, 30)))
-        srv = make_server(state, port=0)
-        serve_forever(srv)
+    def server(self, one_shot):
+        log_dir, _ = one_shot
+        tally = collections.Counter(json.loads((log_dir / "tally.json").read_text()))
+        snapshot = snapshot_from_records(read_log(log_dir / "log.jsonl"), tally)
+        srv = make_server(render_exposition(snapshot), port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
         yield srv
         srv.shutdown()
         srv.server_close()
@@ -623,37 +394,36 @@ class TestHttpService:
     def _url(self, server, path):
         return f"http://127.0.0.1:{server.server_address[1]}{path}"
 
-    def test_get_metrics(self, server):
-        with urllib.request.urlopen(self._url(server, "/metrics")) as resp:
+    def _get_metrics(self, server) -> bytes:
+        with urllib.request.urlopen(self._url(server, "/metrics"), timeout=10) as resp:
             assert resp.status == 200
             assert resp.headers["Content-Type"].startswith("text/plain")
-            body = resp.read().decode()
-        assert "xr_m2p_latency_ms" in body
+            return resp.read()
+
+    def test_get_metrics(self, server, one_shot):
+        # the same bytes `serve --serve-port 0` prints for the same log
+        body = self._get_metrics(server)
+        assert b"xr_m2p_latency_ms" in body
+        assert body == one_shot[1]
 
     def test_unknown_path_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(self._url(server, "/nope"))
+            urllib.request.urlopen(self._url(server, "/nope"), timeout=10)
         assert err.value.code == 404
 
-    def test_post_config(self, server):
-        req = urllib.request.Request(
-            self._url(server, "/config"),
-            data=json.dumps({"level": "low"}).encode(),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with urllib.request.urlopen(req) as resp:
-            assert resp.status == 200
-            applied = json.loads(resp.read())
-        assert applied["level"] == "low"
-
-    def test_post_bad_config_400(self, server):
-        req = urllib.request.Request(
-            self._url(server, "/config"),
-            data=json.dumps({"level": "ultra"}).encode(),
-            method="POST",
-        )
+    def test_post_answers_501_and_changes_nothing(self, server, one_shot):
+        req = urllib.request.Request(self._url(server, "/config"),
+                                     data=b'{"level": "low"}', method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req)
-        assert err.value.code == 400
-        assert "error" in json.loads(err.value.read())
+            urllib.request.urlopen(req, timeout=10)
+        assert err.value.code == 501
+        assert self._get_metrics(server) == one_shot[1]
+
+    def test_stalled_request_line_dropped_after_timeout(self, server):
+        assert server.RequestHandlerClass.timeout == READ_TIMEOUT_S
+        server.RequestHandlerClass.timeout = 0.3  # the bound class only, to keep the test short
+        started = time.monotonic()
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(b"GET /metr")
+            assert sock.recv(1024) == b""
+        assert 0.3 <= time.monotonic() - started < 0.3 + 1

@@ -1,5 +1,7 @@
-"""Scenario schema, presets and loader validation."""
+"""Scenario schema, presets, loader validation, quality stepping, and the
+shape of the package: its import graph and its dead names."""
 
+import ast
 import json
 import math
 import os
@@ -19,7 +21,9 @@ from xrprobe.scenario import (
     NetworkProfile,
     OutageSpec,
     PipelineModel,
+    QualitySpec,
     SessionScenario,
+    adapt_quality,
     load_scenario,
     preset_scenario,
     scenario_from_file,
@@ -339,6 +343,86 @@ def test_any_value_gives_scenario_or_schema_error(path, value):
     assert all(math.isfinite(v) for v in (sc.duration_s, sc.fps, *sc.join_times_s))
 
 
+class TestAdaptQuality:
+    POLICY = QualitySpec(levels=("low", "medium", "high"),
+                         step_down_threshold_ms=400.0,
+                         step_up_threshold_ms=150.0,
+                         dwell_s=10.0)
+
+    def test_step_down(self):
+        d = adapt_quality(500.0, "medium", self.POLICY, dwell_elapsed_s=11.0)
+        assert d.action == "step_down"
+        assert d.target_level == "low"
+
+    def test_hold_at_top(self):
+        d = adapt_quality(100.0, "high", self.POLICY, dwell_elapsed_s=11.0)
+        assert d.action == "hold"
+        assert d.target_level == "high"
+
+    def test_hold_at_bottom(self):
+        d = adapt_quality(900.0, "low", self.POLICY, dwell_elapsed_s=60.0)
+        assert d.action == "hold"
+
+    def test_dwell_gates_stepping(self):
+        d = adapt_quality(500.0, "medium", self.POLICY, dwell_elapsed_s=9.9)
+        assert d.action == "hold"
+
+    def test_step_up(self):
+        d = adapt_quality(100.0, "medium", self.POLICY, dwell_elapsed_s=10.0)
+        assert d.action == "step_up"
+        assert d.target_level == "high"
+
+    def test_band_holds(self):
+        d = adapt_quality(300.0, "medium", self.POLICY, dwell_elapsed_s=100.0)
+        assert d.action == "hold"
+
+    def test_unknown_level_rejected(self):
+        with pytest.raises(ValueError):
+            adapt_quality(100.0, "ultra", self.POLICY, dwell_elapsed_s=0.0)
+
+    def test_policy_validation(self):
+        with pytest.raises(ValueError):
+            QualitySpec(step_down_threshold_ms=100.0, step_up_threshold_ms=200.0)
+        for levels in (("only",), ("low", "low")):
+            with pytest.raises(SchemaError) as err:
+                QualitySpec(levels=levels, encode_down_delta_ms=(0.0,) * len(levels),
+                            initial_level=levels[0])
+            assert err.value.field == "levels"
+
+    @given(mean=st.floats(0, 1000), level=st.sampled_from(("low", "medium", "high")),
+           dwell=st.floats(0, 100))
+    @settings(max_examples=200)
+    def test_target_always_in_levels(self, mean, level, dwell):
+        d = adapt_quality(mean, level, self.POLICY, dwell_elapsed_s=dwell)
+        assert d.target_level in self.POLICY.levels
+        assert d.action in ("step_up", "step_down", "hold")
+
+    def test_no_oscillation_within_dwell(self):
+        # after a step, elapsed resets below dwell, so the opposite step
+        # cannot fire until a full dwell period passes
+        policy = self.POLICY
+        level = "medium"
+        elapsed = policy.dwell_s
+        d1 = adapt_quality(500.0, level, policy, elapsed)
+        assert d1.action == "step_down"
+        d2 = adapt_quality(100.0, d1.target_level, policy, dwell_elapsed_s=0.0)
+        assert d2.action == "hold"
+
+
+class TestQualityRule:
+    @given(down=st.floats(), up=st.floats(), dwell=st.floats())
+    @settings(max_examples=300)
+    def test_accepts_iff_finite_and_ordered(self, down, up, dwell):
+        try:
+            QualitySpec(step_down_threshold_ms=down, step_up_threshold_ms=up, dwell_s=dwell)
+            field = None
+        except SchemaError as exc:
+            field = exc.field
+        assert (field is None) == (
+            all(map(math.isfinite, (down, up, dwell))) and up < down and dwell >= 0)
+        assert field in (None, "step_down_threshold_ms", "step_up_threshold_ms", "dwell_s")
+
+
 def _loaded_xrprobe_modules(module: str) -> set[str]:
     """The xrprobe modules a fresh interpreter holds after importing ``module``."""
     src = str(Path(xrprobe.__file__).resolve().parents[1])
@@ -364,3 +448,44 @@ class TestImportGraph:
     def test_detection_producers_do_not_load_the_exporter(self, module):
         # the record lives in metrics; the log and HTTP module is only a consumer
         assert "xrprobe.exporter" not in _loaded_xrprobe_modules(module)
+
+    def test_exporter_loads_neither_scenario_nor_schema(self):
+        # it persists and exposes records; quality and JSON documents are not its concern
+        loaded = _loaded_xrprobe_modules("xrprobe.exporter")
+        assert not loaded & {"xrprobe.scenario", "xrprobe.schema"}
+
+
+# http.server calls these by name; no code of the project does
+_HOOKS = {"do_GET", "log_message"}
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_used(paths) -> set[str]:
+    """Every Name, Attribute, string constant and imported name in ``paths``."""
+    used: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+            elif isinstance(node, ast.alias):
+                used.update((node.name, node.asname))
+    return used
+
+
+def test_no_definition_is_reached_only_from_tests():
+    defined = {}
+    for path in sorted((_ROOT / "src" / "xrprobe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    callers = [*(_ROOT / "src").rglob("*.py"), *(_ROOT / "scripts").rglob("*.py"),
+               *(p for p in (_ROOT / "xrbench").rglob("*.py") if not p.name.startswith("test_"))]
+    used = _names_used(callers) | _HOOKS
+    # dunder methods are called by the interpreter and the dataclass machinery
+    dead = {name: where for name, where in defined.items()
+            if name not in used and not (name.startswith("__") and name.endswith("__"))}
+    assert dead == {}
