@@ -465,6 +465,13 @@ _DROP = object()  # a manifest key to delete
 
 
 class TestFrameIo:
+    def test_pgm_roundtrip(self, tmp_path):
+        # a one-frame sequence's frames.pgm is a single PGM image, which read_pgm takes
+        frame = rasterize(encode_beacon(777), scale=5, quiet=2)
+        write_frame_sequence(tmp_path, [frame], FrameManifest("u2", 30.0, 777, 1))
+        back = read_pgm(tmp_path / "frames.pgm")
+        assert (back.pixels == frame.pixels).all()
+
     def test_pgm_header_with_comment(self, tmp_path):
         path = tmp_path / "c.pgm"
         body = bytes([0, 128, 255, 7])
@@ -488,10 +495,6 @@ class TestFrameIo:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.pgm", "manifest.json"]
         back_frames = _read_pgm_stream(tmp_path / "frames.pgm", back.frame_count)
         assert [f.pixels.tolist() for f in back_frames] == [f.pixels.tolist() for f in frames]
-        # one frame: frames.pgm is a single PGM image, which read_pgm takes
-        frame = rasterize(encode_beacon(777), scale=5, quiet=2)
-        write_frame_sequence(tmp_path / "one", [frame], FrameManifest("u2", 30.0, 777, 1))
-        assert (read_pgm(tmp_path / "one" / "frames.pgm").pixels == frame.pixels).all()
 
     def test_detect_frame_sequence_tallies_failures(self, tmp_path):
         tampered = encode_beacon(2000).modules.copy()
