@@ -15,10 +15,10 @@ from xrprobe.metrics import (
     AUDIO,
     VIDEO,
     boxplot_stats,
-    epoch_maps,
+    build_report,
     epoch_skew,
-    inter_device_asynchrony,
     latencies_from_log,
+    scan_latencies,
 )
 from xrprobe.netsim import run_scenario
 from xrprobe.scenario import PROFILE_TARGETS, preset_scenario
@@ -43,14 +43,13 @@ def main(argv: list[str] | None = None) -> None:
     for profile, (tv, ta) in PROFILE_TARGETS.items():
         for seed in args.seeds:
             log = run_scenario(preset_scenario(profile, seed=seed, duration_s=DURATION_S))
-            samples = latencies_from_log(log.records)
-            video = [s for s in samples if s.media == VIDEO]
-            audio = [s for s in samples if s.media == AUDIO]
-            vm = sum(s.latency_ms for s in video) / len(video)
-            am = sum(s.latency_ms for s in audio) / len(audio)
-            epochs = epoch_maps(samples).by_media
-            async_max = inter_device_asynchrony(epochs[VIDEO]).max_ms
-            skew = boxplot_stats(abs(s.skew_ms) for s in epoch_skew(epochs[VIDEO], epochs[AUDIO]))
+            # the scan and report `xrprobe analyze` builds from the same log
+            scan = scan_latencies(*latencies_from_log(log.records))
+            report = build_report(scan, {})
+            vm, am = report["mean_latency_ms"][VIDEO], report["mean_latency_ms"][AUDIO]
+            async_max = report["inter_device_asynchrony"][VIDEO]["max_ms"]
+            skew = boxplot_stats(abs(s.skew_ms)
+                                 for s in epoch_skew(scan.epochs[VIDEO], scan.epochs[AUDIO]))
             # outliers above the upper fence are exactly those above the top whisker
             high = max((v for v in skew.outliers if v > skew.whisker_high), default=0.0)
             print(f"{profile:<10} {seed:>5} {vm:>9.1f} {tv:>8.2f} {(vm - tv) / tv:>+7.1%} "

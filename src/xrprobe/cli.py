@@ -35,8 +35,8 @@ from .exporter import (
 from .metrics import (
     DetectionRecord,
     build_report,
-    epoch_maps,
     latencies_from_log,
+    scan_latencies,
     write_epoch_series_csv,
 )
 from .netsim import run_physical, run_scenario
@@ -77,13 +77,26 @@ def _flag_type(convert, ok, expected: str):
 
 
 _positive_int = _flag_type(int, lambda v: v > 0, "an integer > 0")
-_timestamp = _flag_type(int, lambda v: 0 <= v < 2**64, "an integer in 0..2**64-1")
+_MAX_TIMESTAMP = 2**64 - 1
+_timestamp = _flag_type(int, lambda v: 0 <= v <= _MAX_TIMESTAMP, "an integer in 0..2**64-1")
 # the default schedule's top tone must stay below half the sample rate
 _TOP_TONE_X2 = 2 * max(ToneSchedule().frequencies)
 _sample_rate = _flag_type(int, lambda v: v > _TOP_TONE_X2, f"an integer > {_TOP_TONE_X2:.0f}")
 _positive_seconds = _flag_type(float, lambda v: v > 0 and math.isfinite(v),
                                "a finite number > 0")
 _port = _flag_type(int, lambda v: 0 <= v <= 65535, "a TCP port in 0..65535")
+
+
+class _FlagError(Exception):
+    """A flag value that is out of range given the other flags; exits 2."""
+
+
+def _check_start_ts(start_ts: int, last_ts: int, what: str) -> None:
+    """Reject a ``--start-ts`` whose stream's last timestamp passes 2**64-1."""
+    if last_ts > _MAX_TIMESTAMP:
+        top = _MAX_TIMESTAMP - (last_ts - start_ts)
+        raise _FlagError(f"argument --start-ts: expected at most {top} so that the "
+                         f"{what} fits in 64 bits, got '{start_ts}'")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-video", help="write a beacon-stamped PGM frame sequence")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--fps", type=int, default=30)
+    p.add_argument("--fps", type=_positive_int, default=30)
     p.add_argument("--duration-s", type=_positive_seconds, default=2.0)
     p.add_argument("--start-ts", type=_timestamp, default=0, help="first frame timestamp, ms")
     p.add_argument("--device-id", default="probe")
@@ -143,6 +156,7 @@ def _cmd_gen_video(args) -> int:
     frame_count = max(1, round(args.duration_s * args.fps))
     manifest = FrameManifest(device_id=args.device_id, fps=float(args.fps),
                              start_ts=args.start_ts, frame_count=frame_count)
+    _check_start_ts(args.start_ts, manifest.frame_playout(frame_count - 1), "last frame")
     frames = []
     for i in range(frame_count):
         ts = manifest.frame_playout(i)
@@ -171,6 +185,8 @@ def _cmd_detect_video(args) -> int:
 def _cmd_gen_audio(args) -> int:
     schedule = ToneSchedule(epoch_ts=args.start_ts)
     n_slots = max(1, round(args.duration_s * 1000.0 / schedule.pulse_period_ms))
+    _check_start_ts(args.start_ts, args.start_ts + (n_slots - 1) * schedule.pulse_period_ms
+                    + schedule.pulse_duration_ms, "end of the last pulse")
     pcm = synthesize(schedule, start_slot=0, n_slots=n_slots, rate=args.rate)
     write_wav(args.out, pcm)
     write_wav_manifest(args.out, args.device_id, schedule, stream_start_ts=args.start_ts)
@@ -241,13 +257,12 @@ def _cmd_analyze(args) -> int:
     log_path = _resolve_log(args.log)
     records = read_log(log_path)
     tally = _load_tally(log_path)
-    samples = latencies_from_log(records, tally)
-    epochs = epoch_maps(samples, args.epoch_ms)
-    report = build_report(samples, tally, epochs)
+    scan = scan_latencies(*latencies_from_log(records, tally), args.epoch_ms)
+    report = build_report(scan, tally)
     out = Path(args.out) if args.out else log_path.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    write_epoch_series_csv(out / "epochs.csv", epochs)
+    write_epoch_series_csv(out / "epochs.csv", scan)
     total = sum(report["sample_count"].values())
     means = ", ".join(f"{media} {value:.1f} ms"
                       for media, value in sorted(report["mean_latency_ms"].items()))
@@ -296,6 +311,9 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
+    except _FlagError as exc:
+        print(f"xrprobe {args.command}: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"xrprobe {args.command}: {exc}", file=sys.stderr)
         log.debug("traceback", exc_info=True)

@@ -38,7 +38,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
-from .metrics import AUDIO, VIDEO, DetectionRecord, valid_latency
+from .metrics import AUDIO, VIDEO, DetectionRecord, latencies_from_log
 
 
 class ParseError(ValueError):
@@ -179,15 +179,17 @@ class MetricsSnapshot:
 
 def snapshot_from_records(records: Iterable[DetectionRecord],
                           tally: Counter | None = None) -> MetricsSnapshot:
-    """Latest-latency gauges per device plus per-slot detection counters."""
+    """Latest-latency gauges per device plus per-slot detection counters.
+
+    Latencies come from ``metrics.latencies_from_log``, the rule ``analyze``
+    applies too, so a negative one is dropped and counted under
+    ``clock_skew_suspected`` in ``tallies``.
+    """
     m2p: dict[str, float] = {}
     m2e: dict[str, float] = {}
     slot_counts: Counter = Counter()
     tallies: Counter = Counter(tally or {})
-    for rec in records:
-        latency = valid_latency(rec, tallies)
-        if latency is None:
-            continue
+    for rec, latency in zip(*latencies_from_log(records, tallies)):
         if rec.media == VIDEO:
             m2p[rec.device] = latency
         else:

@@ -4,11 +4,24 @@ box-plot summaries.
 
 ``DetectionRecord`` is the one record of a beacon observation, an immutable
 named tuple: the detectors return it, the simulator and the log reader build
-it, and every aggregate below takes it, with its ``latency_ms`` as the latency.
+it, and the aggregation below takes it.
+
+A log is aggregated in two steps, each one pass over the records:
+
+  ``latencies_from_log``  the one negative-latency rule: it computes each
+                          record's latency once, drops the negative ones and
+                          counts them under ``clock_skew_suspected``
+  ``scan_latencies``      one loop over the kept (record, latency) pairs
+                          that groups the latencies every aggregate needs
+                          into a ``LatencyScan``
+
+``build_report`` and ``write_epoch_series_csv`` read only the scan; the
+exporter's snapshot goes through the same rule.
 
 Everything here is plain Python arithmetic over small sample lists. That is
 deliberate: results must be bit-for-bit reproducible by a naive reimplementation
 of the definitions, so no vectorized shortcuts with different summation order.
+Each mean and standard deviation sums the same values in log order.
 
 Definitions:
   latency          playout_ts - emission_ts per detection record
@@ -24,6 +37,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -54,19 +68,6 @@ class DetectionRecord(NamedTuple):
     frequency: float | None = None
     confidence: float | None = None
 
-    @property
-    def latency_ms(self) -> float:
-        return float(self.playout_ts - self.emission_ts)
-
-
-@dataclass(frozen=True)
-class SlotStat:
-    slot: int
-    media: str
-    mean_ms: float
-    std_ms: float
-    count: int
-
 
 @dataclass(frozen=True)
 class AsynchronyReport:
@@ -78,10 +79,16 @@ class AsynchronyReport:
 
 
 @dataclass(frozen=True)
-class EpochMaps:
-    """Each medium's ``epoch_device_latency`` map, with the width it was built at."""
+class LatencyScan:
+    """The kept latencies of one log, grouped by one ``scan_latencies`` pass.
+
+    Every list keeps log order. ``epochs`` maps each medium to its
+    (epoch_start_ms, device) -> minimum latency, at ``width_ms``.
+    """
     width_ms: int
-    by_media: dict[str, dict[tuple[int, str], float]]
+    by_media: dict[str, list[float]]
+    slots: dict[tuple[int, str], list[float]]
+    epochs: dict[str, dict[tuple[int, str], float]]
 
 
 @dataclass(frozen=True)
@@ -101,25 +108,47 @@ class BoxStats:
     outliers: tuple[float, ...]
 
 
-def valid_latency(rec: DetectionRecord, tally: Counter | None = None) -> float | None:
-    """The record's ``latency_ms``; None when negative.
-
-    A beacon cannot play out before it was emitted, so a negative value means
-    the clocks disagree more than the measurement: it is rejected and counted
-    under ``clock_skew_suspected``.
-    """
-    latency = rec.latency_ms
-    if latency < 0:
-        if tally is not None:
-            tally["clock_skew_suspected"] += 1
-        return None
-    return latency
-
-
 def latencies_from_log(records: Iterable[DetectionRecord],
-                       tally: Counter | None = None) -> list[DetectionRecord]:
-    """The records with a ``valid_latency``, in input order."""
-    return [rec for rec in records if valid_latency(rec, tally) is not None]
+                       tally: Counter | None = None,
+                       ) -> tuple[list[DetectionRecord], list[float]]:
+    """The records whose latency is not negative, and those latencies, as two
+    parallel lists in input order.
+
+    This is the one negative-latency rule. A beacon cannot play out before it
+    was emitted, so a negative latency means the clocks disagree more than the
+    measurement: the record is dropped and counted under
+    ``clock_skew_suspected``.
+    """
+    kept = list(records)
+    latencies = [float(rec.playout_ts - rec.emission_ts) for rec in kept]
+    if latencies and min(latencies) < 0.0:
+        valid = [latency >= 0.0 for latency in latencies]
+        kept = list(compress(kept, valid))
+        latencies = list(compress(latencies, valid))
+        if tally is not None:
+            tally["clock_skew_suspected"] += len(valid) - len(kept)
+    return kept, latencies
+
+
+def scan_latencies(records: list[DetectionRecord], latencies: list[float],
+                   epoch_width_ms: int = DEFAULT_EPOCH_MS) -> LatencyScan:
+    """Group ``latencies_from_log``'s two lists in one pass: by medium, by
+    (slot, media) for the slotted records, and as each medium's running
+    minimum per (epoch, device)."""
+    if epoch_width_ms < 1:
+        raise ValueError("epoch width must be positive")
+    by_media: dict[str, list[float]] = {VIDEO: [], AUDIO: []}
+    slots: dict[tuple[int, str], list[float]] = {}
+    epochs: dict[str, dict[tuple[int, str], float]] = {VIDEO: {}, AUDIO: {}}
+    for rec, latency in zip(records, latencies):
+        by_media[rec.media].append(latency)
+        if rec.slot is not None:
+            slots.setdefault((rec.slot, rec.media), []).append(latency)
+        minima = epochs[rec.media]
+        key = (rec.playout_ts // epoch_width_ms * epoch_width_ms, rec.device)
+        if latency < minima.get(key, math.inf):
+            minima[key] = latency
+    return LatencyScan(epoch_width_ms, by_media, slots, epochs)
 
 
 def _mean(values: list[float]) -> float:
@@ -129,53 +158,6 @@ def _mean(values: list[float]) -> float:
 def _population_std(values: list[float]) -> float:
     m = _mean(values)
     return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
-
-
-def slot_stats(records: Iterable[DetectionRecord]) -> list[SlotStat]:
-    """Population mean/std of latency grouped by (slot, media), sorted."""
-    groups: dict[tuple[int, str], list[float]] = {}
-    for s in records:
-        if s.slot is None:
-            continue
-        groups.setdefault((s.slot, s.media), []).append(s.latency_ms)
-    out = []
-    for (slot, media) in sorted(groups):
-        vals = groups[(slot, media)]
-        out.append(
-            SlotStat(
-                slot=slot,
-                media=media,
-                mean_ms=_mean(vals),
-                std_ms=_population_std(vals),
-                count=len(vals),
-            )
-        )
-    return out
-
-
-def epoch_device_latency(
-    records: Iterable[DetectionRecord],
-    epoch_width_ms: int = DEFAULT_EPOCH_MS,
-    media: str = VIDEO,
-) -> dict[tuple[int, str], float]:
-    """Map (epoch_start_ms, device) -> minimum latency for one medium."""
-    if epoch_width_ms < 1:
-        raise ValueError("epoch width must be positive")
-    groups: dict[tuple[int, str], list[float]] = {}
-    for s in records:
-        if s.media != media:
-            continue
-        epoch = (s.playout_ts // epoch_width_ms) * epoch_width_ms
-        groups.setdefault((epoch, s.device), []).append(s.latency_ms)
-    return {key: min(vals) for key, vals in groups.items()}
-
-
-def epoch_maps(records: list[DetectionRecord],
-               epoch_width_ms: int = DEFAULT_EPOCH_MS) -> EpochMaps:
-    """Both media's epoch latency maps of ``records``, built once for reuse."""
-    return EpochMaps(epoch_width_ms,
-                     {media: epoch_device_latency(records, epoch_width_ms, media=media)
-                      for media in (VIDEO, AUDIO)})
 
 
 def inter_device_asynchrony(
@@ -270,50 +252,41 @@ def boxplot_stats(series: Iterable[float]) -> BoxStats:
     )
 
 
-def build_report(
-    records: list[DetectionRecord],
-    tally: Mapping[str, int],
-    epochs: EpochMaps,
-) -> dict:
+def build_report(scan: LatencyScan, tally: Mapping[str, int]) -> dict:
     """Full aggregate report over a detection log, as a JSON-ready dict.
 
-    ``records`` are the records kept by one ``latencies_from_log(log,
-    tally)`` pass, so the report's diagnostics count the rejected latencies.
-    ``epochs`` is ``epoch_maps(records, width)``; the report is labelled
-    with its width.
+    ``scan`` is ``scan_latencies`` of one ``latencies_from_log(log, tally)``
+    pass, so the report's diagnostics count the rejected latencies; the
+    report is labelled with the scan's epoch width.
     """
-    video = [s for s in records if s.media == VIDEO]
-    audio = [s for s in records if s.media == AUDIO]
-
     report: dict = {
-        "epoch_width_ms": epochs.width_ms,
-        "sample_count": {"video": len(video), "audio": len(audio)},
-        "mean_latency_ms": {},
+        "epoch_width_ms": scan.width_ms,
+        "sample_count": {media: len(lats) for media, lats in scan.by_media.items()},
+        "mean_latency_ms": {media: _mean(lats)
+                            for media, lats in scan.by_media.items() if lats},
         "slot_stats": [],
         "inter_device_asynchrony": {},
         "intra_media_skew": {},
         "diagnostics": dict(sorted(tally.items())),
     }
-    for media, group in ((VIDEO, video), (AUDIO, audio)):
-        if group:
-            report["mean_latency_ms"][media] = _mean([s.latency_ms for s in group])
-    for st in slot_stats(records):
+    for slot, media in sorted(scan.slots):
+        vals = scan.slots[(slot, media)]
         report["slot_stats"].append(
-            {"slot": st.slot, "media": st.media, "mean_ms": st.mean_ms,
-             "std_ms": st.std_ms, "count": st.count}
+            {"slot": slot, "media": media, "mean_ms": _mean(vals),
+             "std_ms": _population_std(vals), "count": len(vals)}
         )
-    for media, group in ((VIDEO, video), (AUDIO, audio)):
-        if not group:
+    for media, lats in scan.by_media.items():
+        if not lats:
             continue
-        rep = inter_device_asynchrony(epochs.by_media[media], media=media,
-                                      epoch_width_ms=epochs.width_ms)
+        rep = inter_device_asynchrony(scan.epochs[media], media=media,
+                                      epoch_width_ms=scan.width_ms)
         report["inter_device_asynchrony"][media] = {
             "max_ms": rep.max_ms,
             "mean_ms": rep.mean_ms,
             "epochs": len(rep.series),
         }
 
-    skews = epoch_skew(epochs.by_media[VIDEO], epochs.by_media[AUDIO])
+    skews = epoch_skew(scan.epochs[VIDEO], scan.epochs[AUDIO])
     if skews:
         by_class = Counter(classify_lip_sync(abs(s.skew_ms)) for s in skews)
         per_device: dict[str, dict] = {}
@@ -344,13 +317,13 @@ def _box_dict(box: BoxStats) -> dict:
     }
 
 
-def write_epoch_series_csv(path: str | Path, epochs: EpochMaps) -> None:
+def write_epoch_series_csv(path: str | Path, scan: LatencyScan) -> None:
     """Per-epoch minimum latency time series, one row per (epoch, device, media).
 
-    ``epochs`` is the ``epoch_maps`` given to ``build_report``.
+    ``scan`` is the one given to ``build_report``.
     """
     rows = [(epoch, device, media, lat)
-            for media, by_epoch in epochs.by_media.items()
+            for media, by_epoch in scan.epochs.items()
             for (epoch, device), lat in by_epoch.items()]
     rows.sort()
     with open(path, "w", newline="") as fh:

@@ -7,13 +7,19 @@ that IS the definition (summation order, type-7 interpolation) so exact
 equality is meaningful.
 """
 
+import csv
+import io
 import json
 import math
 import random
+import tempfile
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xrprobe.audio_beacon import (
     PcmBuffer,
@@ -23,17 +29,19 @@ from xrprobe.audio_beacon import (
     synthesize,
 )
 from xrprobe.cli import run
+from xrprobe.exporter import snapshot_from_records
 from xrprobe.metrics import (
     AUDIO,
     VIDEO,
     DetectionRecord,
     boxplot_stats,
+    build_report,
     classify_lip_sync,
-    epoch_device_latency,
     epoch_skew,
     inter_device_asynchrony,
     latencies_from_log,
-    slot_stats,
+    scan_latencies,
+    write_epoch_series_csv,
 )
 from xrprobe.netsim import compare_logs, run_physical, run_scenario
 from xrprobe.scenario import (
@@ -189,6 +197,84 @@ def _brute_box(values):
     return (med, q1, q3, inside[0], inside[-1], outliers)
 
 
+def _brute_skew(samples, width):
+    bv = _brute_epoch_min(samples, width, "video")
+    ba = _brute_epoch_min(samples, width, "audio")
+    return [(d, e, bv[(e, d)] - ba[(e, d)]) for e, d in sorted(bv.keys() & ba.keys())]
+
+
+def _brute_box_dict(values):
+    med, q1, q3, low, high, outliers = _brute_box(values)
+    return {"median_ms": med, "q1_ms": q1, "q3_ms": q3, "whisker_low_ms": low,
+            "whisker_high_ms": high, "outliers_ms": list(outliers)}
+
+
+def _brute_lip_sync(abs_skew):
+    # perceptual buckets: below 80 ms unnoticeable, up to 160 ms tolerable
+    if abs_skew < 80.0:
+        return "unnoticeable"
+    return "tolerable" if abs_skew <= 160.0 else "unacceptable"
+
+
+def _brute_report(records, tally, width):
+    """The whole ``report.json`` document, each entry from its definition."""
+    samples = _brute_samples(records)
+    diagnostics = dict(tally)
+    if len(samples) < len(records):
+        diagnostics["clock_skew_suspected"] = (diagnostics.get("clock_skew_suspected", 0)
+                                               + len(records) - len(samples))
+    out = {"epoch_width_ms": width, "sample_count": {}, "mean_latency_ms": {},
+           "inter_device_asynchrony": {}, "intra_media_skew": {},
+           "diagnostics": dict(sorted(diagnostics.items())),
+           "slot_stats": [{"slot": slot, "media": media, "mean_ms": mean, "std_ms": std,
+                           "count": n}
+                          for slot, media, mean, std, n in _brute_slot_stats(samples)]}
+    for media in ("video", "audio"):
+        lats = [s[3] for s in samples if s[1] == media]
+        out["sample_count"][media] = len(lats)
+        if lats:
+            out["mean_latency_ms"][media] = sum(lats) / len(lats)
+            series, amax, amean = _brute_asynchrony(_brute_epoch_min(samples, width, media))
+            out["inter_device_asynchrony"][media] = {"max_ms": amax, "mean_ms": amean,
+                                                     "epochs": len(series)}
+    skews = _brute_skew(samples, width)
+    if skews:
+        classes = [_brute_lip_sync(abs(v)) for _, _, v in skews]
+        out["intra_media_skew"] = {
+            "overall": _brute_box_dict([v for _, _, v in skews]),
+            "per_device": {
+                dev: _brute_box_dict([v for d, _, v in skews if d == dev])
+                | {"count": sum(d == dev for d, _, _ in skews)}
+                for dev in sorted({d for d, _, _ in skews})},
+            "classification": {c: classes.count(c)
+                               for c in ("unnoticeable", "tolerable", "unacceptable")},
+        }
+    return out
+
+
+def _brute_epoch_csv(records, width):
+    """The ``epochs.csv`` text: every (epoch, device, media) minimum, sorted."""
+    samples = _brute_samples(records)
+    rows = sorted((epoch, dev, media, lat)
+                  for media in ("video", "audio")
+                  for (epoch, dev), lat in _brute_epoch_min(samples, width, media).items())
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["epoch_start_ms", "device", "media", "latency_ms"])
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _analyze(records, tally, width):
+    """report.json's document and epochs.csv's text, as ``analyze`` builds them."""
+    scan = scan_latencies(*latencies_from_log(records, tally), width)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "epochs.csv"
+        write_epoch_series_csv(path, scan)
+        with open(path, newline="") as fh:
+            return build_report(scan, tally), fh.read()
+
+
 def test_criterion_4_metric_oracle_equivalence(capsys):
     rng = random.Random(1004)
     mismatches = []
@@ -204,21 +290,23 @@ def test_criterion_4_metric_oracle_equivalence(capsys):
                 playout_ts=emission + rng.randint(-40, 1200),
                 slot=rng.choice((None, rng.randint(1, 5))),
             ))
-        lib = latencies_from_log(records)
+        tally = Counter()
+        kept, lats = latencies_from_log(records, tally)
         brute = _brute_samples(records)
-        if [(s.device, s.media, s.playout_ts, s.latency_ms, s.slot) for s in lib] != brute:
+        if [(r.device, r.media, r.playout_ts, lat, r.slot)
+                for r, lat in zip(kept, lats)] != brute:
             mismatches.append((log_i, "latencies"))
             continue
+        scan = scan_latencies(kept, lats, width)
+        lib_report = build_report(scan, tally)
 
-        lib_slots = [(s.slot, s.media, s.mean_ms, s.std_ms, s.count)
-                     for s in slot_stats(lib)]
+        lib_slots = [(s["slot"], s["media"], s["mean_ms"], s["std_ms"], s["count"])
+                     for s in lib_report["slot_stats"]]
         if lib_slots != _brute_slot_stats(brute):
             mismatches.append((log_i, "slot_stats"))
 
-        video = [s for s in lib if s.media == "video"]
-        audio = [s for s in lib if s.media == "audio"]
         for media in ("video", "audio"):
-            lib_epochs = epoch_device_latency(lib, width, media=media)
+            lib_epochs = scan.epochs[media]
             brute_epochs = _brute_epoch_min(brute, width, media)
             if lib_epochs != brute_epochs:
                 mismatches.append((log_i, f"epoch_{media}"))
@@ -228,26 +316,56 @@ def test_criterion_4_metric_oracle_equivalence(capsys):
                 mismatches.append((log_i, f"asynchrony_{media}"))
 
         lib_skew = [(s.device, s.epoch_start_ms, s.skew_ms)
-                    for s in epoch_skew(epoch_device_latency(video, width, media=VIDEO),
-                                        epoch_device_latency(audio, width, media=AUDIO))]
-        bv = _brute_epoch_min(brute, width, "video")
-        ba = _brute_epoch_min(brute, width, "audio")
-        brute_skew = [(d, e, bv[(e, d)] - ba[(e, d)])
-                      for e, d in sorted(bv.keys() & ba.keys())]
-        if lib_skew != brute_skew:
+                    for s in epoch_skew(scan.epochs[VIDEO], scan.epochs[AUDIO])]
+        if lib_skew != _brute_skew(brute, width):
             mismatches.append((log_i, "skew"))
 
-        lats = [s.latency_ms for s in lib]
         box = boxplot_stats(lats)
         if (box.median, box.q1, box.q3, box.whisker_low, box.whisker_high,
                 box.outliers) != _brute_box(lats):
             mismatches.append((log_i, "boxplot"))
 
+        if lib_report != _brute_report(records, {}, width):
+            mismatches.append((log_i, "report"))
+
     ok = not mismatches
     report(capsys, 4, ok,
-           "100 random logs: slot_stats, asynchrony, skew, boxplot match "
+           "100 random logs: slot_stats, asynchrony, skew, boxplot, report match "
            f"brute force exactly ({len(mismatches)} mismatches)")
     assert ok, mismatches[:5]
+
+
+@st.composite
+def _random_logs(draw):
+    """A log with negative latencies, unslotted records, sometimes one medium
+    only, and few devices over a short span, so (epoch, device) keys repeat.
+    A narrow latency range makes ties and one-off neighbours common."""
+    media = draw(st.sampled_from([("video",), ("audio",), ("video", "audio")]))
+    span = draw(st.sampled_from((100, 20_000)))
+    low, high = draw(st.sampled_from(((-3, 3), (-60, 1500))))
+    rows = draw(st.lists(st.tuples(st.sampled_from(media), st.sampled_from(("u1", "u2", "u3")),
+                                   st.integers(0, span), st.integers(low, high),
+                                   st.one_of(st.none(), st.integers(1, 4))),
+                         max_size=120))
+    return [DetectionRecord(m, dev, playout - latency, playout, slot)
+            for m, dev, playout, latency, slot in rows]
+
+
+@given(records=_random_logs(), width=st.integers(1, 5000),
+       tally=st.dictionaries(st.sampled_from(("clock_skew_suspected", "frames_lost_uplink")),
+                             st.integers(0, 9)))
+@settings(max_examples=200, deadline=None)
+def test_report_and_epoch_rows_match_brute_force(records, width, tally):
+    negatives = sum(r.playout_ts < r.emission_ts for r in records)
+    lib_report, lib_csv = _analyze(records, Counter(tally), width)
+    assert lib_report == _brute_report(records, tally, width)
+    assert lib_csv == _brute_epoch_csv(records, width)
+    # each negative latency is counted once, by analyze and by serve alike
+    assert (lib_report["diagnostics"].get("clock_skew_suspected", 0)
+            == tally.get("clock_skew_suspected", 0) + negatives)
+    snap = snapshot_from_records(records, Counter(tally))
+    assert (snap.tallies.get("clock_skew_suspected", 0)
+            == tally.get("clock_skew_suspected", 0) + negatives)
 
 
 def test_criterion_5_simulation_soundness(capsys):
@@ -290,15 +408,12 @@ def test_criterion_6_profile_reproduction(capsys):
         t0 = time.monotonic()
         log = run_scenario(sc)
         runtimes[profile] = time.monotonic() - t0
-        samples = latencies_from_log(log.records)
-        video = [s for s in samples if s.media == "video"]
-        audio = [s for s in samples if s.media == "audio"]
-        means[profile] = (sum(s.latency_ms for s in video) / len(video),
-                          sum(s.latency_ms for s in audio) / len(audio))
-        rep = inter_device_asynchrony(epoch_device_latency(video))
+        scan = scan_latencies(*latencies_from_log(log.records))
+        video, audio = scan.by_media[VIDEO], scan.by_media[AUDIO]
+        means[profile] = (sum(video) / len(video), sum(audio) / len(audio))
+        rep = inter_device_asynchrony(scan.epochs[VIDEO])
         amax[profile] = rep.max_ms
-        abs_skews = [abs(s.skew_ms) for s in epoch_skew(epoch_device_latency(video, media=VIDEO),
-                                                        epoch_device_latency(audio, media=AUDIO))]
+        abs_skews = [abs(s.skew_ms) for s in epoch_skew(scan.epochs[VIDEO], scan.epochs[AUDIO])]
         box = boxplot_stats(abs_skews)
         skew_median[profile] = box.median
         skew_out_max[profile] = max(box.outliers, default=0.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import xrprobe
-from xrprobe import metrics
+from xrprobe import cli, exporter, metrics
 from xrprobe.cli import run
 from xrprobe.exporter import read_log, write_log
 
@@ -60,6 +60,10 @@ class TestExitCodes:
         (["analyze", "--log", "x", "--epoch-ms", "-1000"], "--epoch-ms"),
         (["gen-video", "--start-ts", str(2**64)], "--start-ts"),
         (["gen-audio", "--start-ts", str(2**64)], "--start-ts"),
+        (["gen-video", "--fps", "0"], "--fps"),
+        (["gen-video", "--fps", "-5"], "--fps"),
+        (["gen-video", "--start-ts", str(2**64 - 1), "--duration-s", "0.1"], "--start-ts"),
+        (["gen-audio", "--start-ts", str(2**64 - 1), "--duration-s", "1"], "--start-ts"),
     ])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
         if argv[0] != "serve":
@@ -70,6 +74,26 @@ class TestExitCodes:
         assert f"argument {flag}: expected" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, detect, span", [
+        # three frames at 30 fps, the last 67 ms after the first
+        ("gen-video", "detect-video", 67),
+        # one 80 ms pulse
+        ("gen-audio", "detect-audio", 80),
+    ])
+    def test_start_ts_range_ends_at_the_top_timestamp(self, tmp_path, capsys,
+                                                      command, detect, span):
+        out = tmp_path / ("a.wav" if command == "gen-audio" else "frames")
+        top = 2**64 - 1 - span
+        argv = [command, "--out", str(out), "--duration-s", "0.1", "--start-ts"]
+        assert run([*argv, str(top + 1)]) == 2
+        assert f"expected at most {top} " in capsys.readouterr().err
+        assert run([*argv, str(top)]) == 0
+        assert run([detect, str(out), "--out", str(tmp_path / "log.jsonl")]) == 0
+        capsys.readouterr()
+        records = read_log(tmp_path / "log.jsonl")
+        assert records
+        assert all(top <= r.emission_ts <= r.playout_ts <= 2**64 - 1 for r in records)
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = run(["simulate", "--scenario", str(tmp_path / "nope.json"),
@@ -129,10 +153,6 @@ class TestVideoPipeline:
         assert err.count("\n") == 1
         assert message in err
         assert "Traceback" not in err
-
-    def test_zero_fps_is_runtime_error(self, tmp_path, capsys):
-        assert run(["gen-video", "--out", str(tmp_path / "f"), "--fps", "0"]) == 1
-        assert "fps: must be positive" in capsys.readouterr().err
 
 
 def _truncate(path, n):
@@ -245,21 +265,40 @@ class TestSimulateAnalyze:
         assert (rep / "epochs.csv").exists()
 
     def test_analyze_builds_each_epoch_map_once(self, tmp_path, capsys, monkeypatch):
-        # report.json and epochs.csv share one epoch map per medium
+        # report.json and epochs.csv share one scan, which holds both epoch maps
+        sc = write_scenario(tmp_path / "sc.json")
+        out = tmp_path / "out"
+        run(["simulate", "--scenario", str(sc), "--out", str(out)])
+        scans = []
+
+        def counted(*args, **kwargs):
+            scans.append(metrics.scan_latencies(*args, **kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(cli, "scan_latencies", counted)
+        assert run(["analyze", "--log", str(out)]) == 0
+        capsys.readouterr()
+        assert len(scans) == 1
+        assert all(scans[0].epochs[media] for media in ("video", "audio"))
+
+    def test_analyze_computes_each_latency_once(self, tmp_path, capsys, monkeypatch):
+        # one pass of the negative-latency rule over every record, and no other
         sc = write_scenario(tmp_path / "sc.json")
         out = tmp_path / "out"
         run(["simulate", "--scenario", str(sc), "--out", str(out)])
         calls = []
-        original = metrics.epoch_device_latency
+        rule = metrics.latencies_from_log
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("media"))
-            return original(*args, **kwargs)
+        def counted(records, tally=None):
+            records = list(records)
+            calls.append(records)
+            return rule(records, tally)
 
-        monkeypatch.setattr(metrics, "epoch_device_latency", counted)
+        for module in (cli, metrics, exporter):
+            monkeypatch.setattr(module, "latencies_from_log", counted)
         assert run(["analyze", "--log", str(out)]) == 0
         capsys.readouterr()
-        assert sorted(calls) == ["audio", "video"]
+        assert calls == [read_log(out / "log.jsonl")]
 
     def test_physical_mode_layout(self, tmp_path, capsys):
         sc = write_scenario(tmp_path / "sc.json", duration_s=6.0)

@@ -22,12 +22,10 @@ from xrprobe.metrics import (
     boxplot_stats,
     build_report,
     classify_lip_sync,
-    epoch_device_latency,
-    epoch_maps,
     epoch_skew,
     inter_device_asynchrony,
     latencies_from_log,
-    slot_stats,
+    scan_latencies,
     write_epoch_series_csv,
 )
 
@@ -42,13 +40,28 @@ def sample(device, playout, latency, media=VIDEO, slot=1):
                            playout_ts=playout, slot=slot)
 
 
+def scan_of(records, width=1000, tally=None):
+    """The ``scan_latencies`` of one log's records, as ``analyze`` builds it."""
+    return scan_latencies(*latencies_from_log(records, tally), width)
+
+
+def slot_stats(records):
+    """The report's per-(slot, media) rows of one log's records."""
+    return build_report(scan_of(records), {})["slot_stats"]
+
+
+def epoch_minima(records, width=1000, media=VIDEO):
+    """One medium's (epoch, device) -> minimum latency map of the scan."""
+    return scan_of(records, width).epochs[media]
+
+
 class TestDetectionRecord:
     def test_defaults_and_field_order(self):
         rec = DetectionRecord("video", "u1", 1, 2)
         assert (rec.slot, rec.frequency, rec.confidence) == (None, None, None)
         assert DetectionRecord._fields == ("media", "device", "emission_ts", "playout_ts",
                                            "slot", "frequency", "confidence")
-        assert rec.latency_ms == 1.0
+        assert latencies_from_log([rec]) == ([rec], [1.0])
 
     def test_immutable(self):
         rec = DetectionRecord("video", "u1", 1, 2)
@@ -78,55 +91,60 @@ class TestDetectionRecord:
 
 class TestLatenciesFromLog:
     def test_direct_difference(self):
-        out = latencies_from_log([vid("u2", 1000, 1250)])
-        assert len(out) == 1
-        assert out[0].latency_ms == 250.0
-        assert out[0].playout_ts == 1250
+        kept, latencies = latencies_from_log([vid("u2", 1000, 1250)])
+        assert len(kept) == 1
+        assert latencies == [250.0]
+        assert type(latencies[0]) is float
+        assert kept[0].playout_ts == 1250
 
     def test_clock_skew_rejected_and_counted(self):
         tally = collections.Counter()
         out = latencies_from_log([vid("u2", 1250, 1000)], tally=tally)
-        assert out == []
+        assert out == ([], [])
         assert tally["clock_skew_suspected"] == 1
 
     def test_zero_latency_kept(self):
         tally = collections.Counter()
-        assert [s.latency_ms for s in latencies_from_log([vid("u2", 7, 7)], tally)] == [0.0]
+        assert latencies_from_log([vid("u2", 7, 7)], tally)[1] == [0.0]
         assert tally == {}
 
     @given(st.lists(st.integers(-3, 3), max_size=30))
     def test_exporter_applies_the_same_rule(self, deltas):
         recs = [vid(f"u{i % 3}", 1000, 1000 + d) for i, d in enumerate(deltas)]
         tally = collections.Counter()
-        kept = latencies_from_log(recs, tally)
+        kept, _ = latencies_from_log(recs, tally)
         snap = snapshot_from_records(recs)
         assert snap.tallies.get("clock_skew_suspected", 0) == tally["clock_skew_suspected"]
         assert sum(snap.slot_counts.values()) == len(kept)
 
     def test_order_preserved(self):
         recs = [vid("u2", 0, 10), vid("u3", 5, 30), vid("u2", 10, 15)]
-        out = latencies_from_log(recs)
-        assert [s.latency_ms for s in out] == [10.0, 25.0, 5.0]
+        kept, latencies = latencies_from_log(recs)
+        assert kept == recs
+        assert latencies == [10.0, 25.0, 5.0]
 
     def test_returns_the_kept_records(self):
         recs = [vid("u2", 0, 10), vid("u3", 30, 5), vid("u2", 10, 15)]
-        out = latencies_from_log(recs)
-        assert out == [recs[0], recs[2]]
-        assert out[0] is recs[0]
+        kept, latencies = latencies_from_log(recs)
+        assert kept == [recs[0], recs[2]]
+        assert kept[0] is recs[0]
+        assert latencies == [10.0, 5.0]
 
 
 class TestSlotStats:
+    """The report's ``slot_stats``: the scan's (slot, media) groups."""
+
     def test_constant_group(self):
         stats = slot_stats([sample("a", 0, 200), sample("b", 1, 200)])
         assert len(stats) == 1
-        assert stats[0].mean_ms == 200.0
-        assert stats[0].std_ms == 0.0
-        assert stats[0].count == 2
+        assert stats[0]["mean_ms"] == 200.0
+        assert stats[0]["std_ms"] == 0.0
+        assert stats[0]["count"] == 2
 
     def test_two_point_spread(self):
         stats = slot_stats([sample("a", 0, 100), sample("b", 1, 300)])
-        assert stats[0].mean_ms == 200.0
-        assert stats[0].std_ms == 100.0  # population std
+        assert stats[0]["mean_ms"] == 200.0
+        assert stats[0]["std_ms"] == 100.0  # population std
 
     def test_matches_two_pass_oracle(self):
         rng = random.Random(5)
@@ -137,7 +155,7 @@ class TestSlotStats:
         ]
         groups = collections.defaultdict(list)
         for s in samples:
-            groups[(s.slot, s.media)].append(s.latency_ms)
+            groups[(s.slot, s.media)].append(float(s.playout_ts - s.emission_ts))
         oracle = {}
         for key, vals in groups.items():
             m = sum(vals) / len(vals)
@@ -146,26 +164,28 @@ class TestSlotStats:
         stats = slot_stats(samples)
         assert len(stats) == len(oracle)
         for st_ in stats:
-            m, sd, n = oracle[(st_.slot, st_.media)]
-            assert st_.mean_ms == pytest.approx(m, abs=1e-12)
-            assert st_.std_ms == pytest.approx(sd, abs=1e-12)
-            assert st_.count == n
+            m, sd, n = oracle[(st_["slot"], st_["media"])]
+            assert st_["mean_ms"] == pytest.approx(m, abs=1e-12)
+            assert st_["std_ms"] == pytest.approx(sd, abs=1e-12)
+            assert st_["count"] == n
 
     def test_unslotted_samples_ignored(self):
         stats = slot_stats([sample("a", 0, 100, slot=None), sample("a", 1, 50)])
         assert len(stats) == 1
-        assert stats[0].count == 1
+        assert stats[0]["count"] == 1
 
 
 class TestEpochDeviceLatency:
+    """The scan's per-medium (epoch, device) minima."""
+
     def test_minimum_within_epoch(self):
         s = [sample("a", 1100, 250), sample("a", 1900, 260)]
-        out = epoch_device_latency(s, 1000, media=VIDEO)
+        out = epoch_minima(s, 1000, media=VIDEO)
         assert out == {(1000, "a"): 250.0}
 
     def test_empty_epoch_absent(self):
         s = [sample("a", 2500, 100)]
-        out = epoch_device_latency(s, 1000, media=VIDEO)
+        out = epoch_minima(s, 1000, media=VIDEO)
         assert (1000, "a") not in out
         assert out == {(2000, "a"): 100.0}
 
@@ -179,12 +199,12 @@ class TestEpochDeviceLatency:
         oracle = {}
         for s in samples:
             key = ((s.playout_ts // 1000) * 1000, s.device)
-            oracle[key] = min(oracle.get(key, math.inf), s.latency_ms)
-        assert epoch_device_latency(samples, 1000, media=VIDEO) == oracle
+            oracle[key] = min(oracle.get(key, math.inf), float(s.playout_ts - s.emission_ts))
+        assert epoch_minima(samples, 1000, media=VIDEO) == oracle
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            epoch_device_latency([], 0)
+            scan_latencies([], [], 0)
 
 
 class TestInterDeviceAsynchrony:
@@ -275,8 +295,8 @@ class TestInterDeviceAsynchrony:
 
 def skew_of(records, width=1000):
     """The video-minus-audio skew of one log's records at ``width``."""
-    return epoch_skew(epoch_device_latency(records, width, media=VIDEO),
-                      epoch_device_latency(records, width, media=AUDIO))
+    epochs = scan_of(records, width).epochs
+    return epoch_skew(epochs[VIDEO], epochs[AUDIO])
 
 
 class TestIntraMediaSkew:
@@ -395,8 +415,7 @@ class TestBuildReport:
 
     def _report(self, recs):
         tally = collections.Counter()
-        samples = latencies_from_log(recs, tally)
-        return build_report(samples, tally, epoch_maps(samples))
+        return build_report(scan_of(recs, tally=tally), tally)
 
     def test_report_shape(self):
         report = self._report(self._log())
@@ -414,14 +433,12 @@ class TestBuildReport:
 
     def test_width_travels_with_maps(self):
         # the report is labelled with the width its epoch maps were built at
-        samples = latencies_from_log(self._log())
-        report = build_report(samples, collections.Counter(), epoch_maps(samples, 500))
+        report = build_report(scan_of(self._log(), 500), collections.Counter())
         assert report["epoch_width_ms"] == 500
 
     def test_epoch_csv(self, tmp_path):
-        samples = latencies_from_log(self._log())
         path = tmp_path / "epochs.csv"
-        write_epoch_series_csv(path, epoch_maps(samples))
+        write_epoch_series_csv(path, scan_of(self._log()))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch_start_ms,device,media,latency_ms"
         assert len(lines) > 1
