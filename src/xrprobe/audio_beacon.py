@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import wave
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Counter as CounterT
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .clocks import Timestamp
 from .metrics import AUDIO, DetectionRecord
-from .schema import build, finite, integer, json_object, read_fields, text
+from .schema import finite, integer, json_object, read_fields, text
 
 FULL_SCALE = 32767
 DEFAULT_RATE = 48000
@@ -82,15 +82,14 @@ class ToneSchedule:
         return tuple(self.f0_hz + k * self.delta_hz for k in range(self.tone_count))
 
 
-def read_tone_schedule(doc: dict, fieldname: str,
-                       required: tuple[str, ...] = ()) -> ToneSchedule:
+def read_tone_schedule(doc: dict, required: tuple[str, ...] = ()) -> ToneSchedule:
     """A ToneSchedule from a JSON object; a key left out keeps its default
     unless it is ``required``."""
-    return build(
-        ToneSchedule, doc, fieldname, required,
+    return ToneSchedule(**read_fields(
+        doc, required,
         f0_hz=finite, delta_hz=finite, tone_count=integer, pulse_period_ms=integer,
         pulse_duration_ms=integer, ramp_ms=integer, epoch_ts=integer,
-    )
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,15 +430,7 @@ def write_wav_manifest(path: str | Path, device_id: str, schedule: ToneSchedule,
     doc = {
         "device_id": device_id,
         "stream_start_ts": stream_start_ts,
-        "schedule": {
-            "f0_hz": schedule.f0_hz,
-            "delta_hz": schedule.delta_hz,
-            "tone_count": schedule.tone_count,
-            "pulse_period_ms": schedule.pulse_period_ms,
-            "pulse_duration_ms": schedule.pulse_duration_ms,
-            "ramp_ms": schedule.ramp_ms,
-            "epoch_ts": schedule.epoch_ts,
-        },
+        "schedule": asdict(schedule),
         "session": session or {},
     }
     _sidecar(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -448,13 +439,14 @@ def write_wav_manifest(path: str | Path, device_id: str, schedule: ToneSchedule,
 def read_wav_manifest(path: str | Path) -> tuple[str, ToneSchedule, Timestamp, dict]:
     """The sidecar through the schema converters; a missing or bad field
     raises SchemaError naming it."""
-    doc = json.loads(_sidecar(path).read_text())
-    values = read_fields(doc, "", required=("device_id", "schedule", "stream_start_ts"),
-                         device_id=text, schedule=json_object, stream_start_ts=integer,
-                         session=json_object)
-    schedule = read_tone_schedule(values["schedule"], "schedule",
-                                  required=tuple(f.name for f in fields(ToneSchedule)))
-    return values["device_id"], schedule, values["stream_start_ts"], values.get("session", {})
+    values = read_fields(
+        json.loads(_sidecar(path).read_text()),
+        required=("device_id", "schedule", "stream_start_ts"),
+        device_id=text, stream_start_ts=integer, session=json_object,
+        schedule=lambda doc: read_tone_schedule(
+            doc, required=tuple(f.name for f in fields(ToneSchedule))))
+    return (values["device_id"], values["schedule"], values["stream_start_ts"],
+            values.get("session", {}))
 
 
 def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[DetectionRecord]:

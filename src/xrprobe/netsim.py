@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_beacon import (
+    DETECT_HOP,
     PcmBuffer,
     ToneSchedule,
     detect_wav,
@@ -38,7 +39,7 @@ from .audio_beacon import (
 from .clocks import DeviceClock
 from .metrics import AUDIO, VIDEO, DetectionRecord
 from .scenario import NetworkProfile, SessionScenario, adapt_quality
-from .schema import ConfigError
+from .schema import SchemaError
 from .video_beacon import (
     FrameManifest,
     beacon_emission,
@@ -49,7 +50,6 @@ from .video_beacon import (
     write_frame_sequence,
 )
 
-AUDIO_HOP_SAMPLES = 512  # device output callback size; playout lands on this grid
 PHYSICAL_SCALE = 4
 PHYSICAL_QUIET = 4
 
@@ -94,8 +94,6 @@ class DeviceTrace:
     join_ms: float
     quantum_ms: float
     clock: DeviceClock
-    vsync_phase_ms: float = 0.0
-    audio_phase_ms: float = 0.0
     ticks: list = field(default_factory=list)    # (true_ms, beacon emission | None)
     pulses: list = field(default_factory=list)   # (true playout ms, absolute slot index)
 
@@ -135,7 +133,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     t0 = float(scenario.start_epoch_ms)
     end = t0 + scenario.duration_s * 1000.0
     rate = scenario.sample_rate
-    hop_ms = AUDIO_HOP_SAMPLES * 1000.0 / rate
+    hop_ms = DETECT_HOP * 1000.0 / rate  # device output callback; playout lands on this grid
 
     devices = scenario.devices
     joins = {d: t0 + scenario.join_time_s(d) * 1000.0 for d in devices}
@@ -190,8 +188,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
 
     tally: Counter = Counter()
     records: list[DetectionRecord] = []
-    traces = {d: DeviceTrace(d, joins[d], quantum_ms, clocks[d],
-                             vsync_phase[d], audio_phase[d]) for d in devices}
+    traces = {d: DeviceTrace(d, joins[d], quantum_ms, clocks[d]) for d in devices}
     current: dict[str, int | None] = {d: None for d in devices}
     pending: dict[str, tuple[int, float] | None] = {d: None for d in devices}
 
@@ -359,7 +356,8 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
     device before writing; intended for short scenarios.
     """
     if scenario.pipeline.quantum_ms(scenario.fps) <= 0:
-        raise ConfigError("physical mode needs a positive display quantum")
+        raise SchemaError("pipeline.display_quantum_ms",
+                          "physical mode needs a positive display quantum")
     symbolic = run_scenario(scenario, seed)
     workdir = Path(workdir)
     rate = scenario.sample_rate
@@ -419,13 +417,16 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
                          traces=symbolic.traces), symbolic)
 
 
-def compare_logs(a: list[DetectionRecord], b: list[DetectionRecord],
-                 video_tol_ms: float = 34.0, audio_tol_ms: float = 20.0) -> float:
+# physical/symbolic playout agreement tolerance per media, ms
+COMPARE_TOL_MS = {VIDEO: 34.0, AUDIO: 20.0}
+
+
+def compare_logs(a: list[DetectionRecord], b: list[DetectionRecord]) -> float:
     """Fraction of records agreeing between two logs.
 
     Records pair up by (media, device, emission) occurrence order; a pair
-    agrees when playouts differ by at most the per-media tolerance. Unpaired
-    records count against the fraction.
+    agrees when playouts differ by at most COMPARE_TOL_MS of their media.
+    Unpaired records count against the fraction.
     """
     def grouped(recs):
         g: dict[tuple, list[int]] = {}
@@ -442,6 +443,6 @@ def compare_logs(a: list[DetectionRecord], b: list[DetectionRecord],
         la = ga.get(key, [])
         lb = gb.get(key, [])
         total += max(len(la), len(lb))
-        tol = video_tol_ms if key[0] == VIDEO else audio_tol_ms
+        tol = COMPARE_TOL_MS[key[0]]
         matched += sum(1 for x, y in zip(la, lb) if abs(x - y) <= tol)
     return matched / total if total else 1.0

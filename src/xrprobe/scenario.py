@@ -4,7 +4,8 @@ A scenario bundles the session shape (who joins when, frame and tone
 cadence), the access-network behaviour of the uplink and downlink, the
 processing pipeline stage delays, the clock discipline and the optional
 quality adaptation loop. Scenarios are plain dataclasses; ``load_scenario``
-builds one from a JSON document and reports schema problems by field name.
+builds one from a JSON document, and every rejection, by the loader or by a
+dataclass's own checks, is a SchemaError naming the field's dotted path.
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ from pathlib import Path
 
 from .audio_beacon import ToneSchedule, read_tone_schedule
 from .schema import (
-    ConfigError,
+    ROOT,
     SchemaError,
-    build,
     finite,
     flag,
     integer,
+    json_object,
     names,
     numbers,
-    opt_finite,
+    optional,
+    read_fields,
     text,
 )
 
@@ -40,7 +42,7 @@ class GaussianJitter:
 
     def __post_init__(self):
         if self.sigma_ms < 0:
-            raise ConfigError("jitter sigma must be non-negative")
+            raise SchemaError("sigma_ms", "must be non-negative")
 
     def sample(self, rng: random.Random) -> float:
         if self.sigma_ms == 0:
@@ -57,11 +59,7 @@ class LognormalJitter:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise ConfigError("jitter sigma must be non-negative")
-
-    @property
-    def mean_ms(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma * self.sigma)
+            raise SchemaError("sigma", "must be non-negative")
 
     def sample(self, rng: random.Random) -> float:
         return rng.lognormvariate(self.mu, self.sigma)
@@ -86,9 +84,11 @@ class OutageSpec:
 
     def __post_init__(self):
         if not 0 <= self.enter_prob <= 1:
-            raise ConfigError("outage enter_prob must be in [0, 1]")
-        if self.duration_min_ms < 0 or self.duration_max_ms < self.duration_min_ms:
-            raise ConfigError("outage duration bounds must satisfy 0 <= min <= max")
+            raise SchemaError("enter_prob", "must be in [0, 1]")
+        if self.duration_min_ms < 0:
+            raise SchemaError("duration_min_ms", "must be non-negative")
+        if self.duration_max_ms < self.duration_min_ms:
+            raise SchemaError("duration_max_ms", "must not be below duration_min_ms")
 
     def sample_duration(self, rng: random.Random) -> float:
         return rng.uniform(self.duration_min_ms, self.duration_max_ms)
@@ -106,9 +106,9 @@ class NetworkProfile:
 
     def __post_init__(self):
         if self.base_one_way_ms < 0:
-            raise ConfigError("base one-way delay must be non-negative")
+            raise SchemaError("base_one_way_ms", "must be non-negative")
         if not 0 <= self.loss_prob < 1:
-            raise ConfigError("loss_prob must be in [0, 1)")
+            raise SchemaError("loss_prob", "must be in [0, 1)")
 
 
 # --- pipeline, clocks, quality ----------------------------------------------------
@@ -137,7 +137,7 @@ class PipelineModel:
                      "audio_buffer_ms", "audio_path_ms"):
             value = getattr(self, name)
             if value is not None and value < 0:
-                raise ConfigError(f"{name} must be non-negative")
+                raise SchemaError(name, "must be non-negative")
 
     def capture_ms(self, fps: float) -> float:
         if self.capture_pipeline_ms is not None:
@@ -160,12 +160,11 @@ class ClockSpec:
     initial_offset_sigma_ms: float = 0.5
 
     def __post_init__(self):
-        if self.sigma_ntp_ms < 0 or self.initial_offset_sigma_ms < 0:
-            raise ConfigError("clock sigmas must be non-negative")
+        for name in ("sigma_ntp_ms", "max_drift_ppm", "initial_offset_sigma_ms"):
+            if getattr(self, name) < 0:
+                raise SchemaError(name, "must be non-negative")
         if self.sync_interval_s <= 0:
-            raise ConfigError("sync interval must be positive")
-        if self.max_drift_ppm < 0:
-            raise ConfigError("max_drift_ppm must be non-negative")
+            raise SchemaError("sync_interval_s", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,9 @@ class QualitySpec:
         if len(set(self.levels)) != len(self.levels):
             raise SchemaError("levels", "duplicate quality level names")
         if len(self.levels) != len(self.encode_down_delta_ms):
-            raise ConfigError("one encode_down delta per quality level required")
+            raise SchemaError("encode_down_delta_ms", "one delta per quality level required")
         if self.initial_level not in self.levels:
-            raise ConfigError(f"initial_level {self.initial_level!r} not in levels")
+            raise SchemaError("initial_level", f"{self.initial_level!r} not in levels")
         for name in ("step_down_threshold_ms", "step_up_threshold_ms", "dwell_s"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -207,7 +206,7 @@ class QualitySpec:
         if self.dwell_s < 0:
             raise SchemaError("dwell_s", "dwell must be non-negative")
         if self.control_interval_s <= 0:
-            raise ConfigError("control_interval_s must be positive")
+            raise SchemaError("control_interval_s", "must be positive")
 
     def delta_for(self, level: str) -> float:
         return self.encode_down_delta_ms[self.levels.index(level)]
@@ -264,27 +263,27 @@ class SessionScenario:
 
     def __post_init__(self):
         if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+            raise SchemaError("duration_s", "must be positive")
         if self.fps <= 0:
-            raise ConfigError("fps must be positive")
+            raise SchemaError("fps", "must be positive")
         frames = self.duration_s * self.fps * (1 + len(self.viewers))
         if not frames <= MAX_DEVICE_FRAMES:  # NaN fails too
             raise SchemaError("duration_s", f"duration_s x fps x devices is {frames:.4g} "
                                             f"frames, over the cap of {MAX_DEVICE_FRAMES}")
         if self.beacon_interval_ms <= 0:
-            raise ConfigError("beacon_interval_ms must be positive")
+            raise SchemaError("beacon_interval_ms", "must be positive")
         if self.sample_rate <= 0:
             raise SchemaError("sample_rate", "must be positive")
         if len(self.viewers) != len(self.join_times_s):
-            raise ConfigError("one join time per viewer required")
+            raise SchemaError("join_times_s", "one join time per viewer required")
         if len(set((self.presenter,) + self.viewers)) != 1 + len(self.viewers):
-            raise ConfigError("device ids must be unique")
+            raise SchemaError("viewers", "device ids must be unique")
         last = 0.0
         for t in self.join_times_s:
             if t <= last:
-                raise ConfigError("join_times_s must be strictly increasing and positive")
+                raise SchemaError("join_times_s", "must be strictly increasing and positive")
             if t >= self.duration_s:
-                raise ConfigError("join_times_s must fall inside the session duration")
+                raise SchemaError("join_times_s", "must fall inside the session duration")
             last = t
 
     @property
@@ -361,135 +360,86 @@ def preset_scenario(profile: str, *, name: str | None = None,
 
 
 # --- JSON loading ------------------------------------------------------------------
+# One converter per object; each reads its keys with read_fields, and the type
+# it builds checks the values, so every error carries the field's dotted path.
 
-def _check_keys(doc: dict, allowed: set[str], fieldname: str) -> None:
-    if not isinstance(doc, dict):
-        raise SchemaError(fieldname, "must be an object")
-    for key in doc:
-        if key not in allowed:
-            raise SchemaError(f"{fieldname}.{key}", "unknown key")
-
-
-def _jitter_from(doc: dict, fieldname: str) -> Jitter:
-    _check_keys(doc, {"kind", "sigma_ms", "mu", "sigma"}, fieldname)
-    kind = doc.get("kind")
-    try:
-        if kind == "gaussian":
-            return GaussianJitter(sigma_ms=finite(doc["sigma_ms"]))
-        if kind == "lognormal":
-            return LognormalJitter(mu=finite(doc["mu"]), sigma=finite(doc["sigma"]))
-    except KeyError as exc:
-        raise SchemaError(fieldname, f"jitter missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(fieldname, str(exc)) from exc
-    raise SchemaError(fieldname, f"jitter kind must be gaussian or lognormal, got {kind!r}")
+def _jitter(doc) -> Jitter:
+    """``kind`` picks the model; the model's own fields are the only other keys."""
+    doc = dict(json_object(doc))
+    kind = doc.pop("kind", None)
+    if kind == "gaussian":
+        return GaussianJitter(**read_fields(doc, required=("sigma_ms",), sigma_ms=finite))
+    if kind == "lognormal":
+        return LognormalJitter(**read_fields(doc, required=("mu", "sigma"),
+                                             mu=finite, sigma=finite))
+    raise SchemaError("kind", f"expected gaussian or lognormal, got {kind!r}")
 
 
-def _outage_from(doc: dict, fieldname: str) -> OutageSpec:
-    _check_keys(doc, {"enter_prob", "duration_min_ms", "duration_max_ms", "media"}, fieldname)
-    try:
-        return OutageSpec(
-            enter_prob=finite(doc["enter_prob"]),
-            duration_min_ms=finite(doc["duration_min_ms"]),
-            duration_max_ms=finite(doc["duration_max_ms"]),
-            media=names(doc.get("media", ("video",))),
-        )
-    except KeyError as exc:
-        raise SchemaError(fieldname, f"outage missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(fieldname, str(exc)) from exc
+def _outage(doc) -> OutageSpec:
+    return OutageSpec(**read_fields(
+        doc, required=("enter_prob", "duration_min_ms", "duration_max_ms"),
+        enter_prob=finite, duration_min_ms=finite, duration_max_ms=finite, media=names))
 
 
-def _profile_from(doc: dict, fieldname: str) -> NetworkProfile:
-    _check_keys(doc, {"name", "base_one_way_ms", "jitter", "outage", "loss_prob"}, fieldname)
-    try:
-        return NetworkProfile(
-            name=text(doc.get("name", fieldname)),
-            base_one_way_ms=finite(doc["base_one_way_ms"]),
-            jitter=_jitter_from(doc.get("jitter", {"kind": "gaussian", "sigma_ms": 0.0}),
-                                fieldname + ".jitter"),
-            outage=(None if doc.get("outage") is None
-                    else _outage_from(doc["outage"], fieldname + ".outage")),
-            loss_prob=finite(doc.get("loss_prob", 0.0)),
-        )
-    except KeyError as exc:
-        raise SchemaError(fieldname, f"missing key {exc}") from exc
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(fieldname, str(exc)) from exc
+def _link(default_name: str):
+    """The converter of a link object; a link without ``name`` is called
+    ``default_name`` and one without ``jitter`` has none."""
+    def read(doc) -> NetworkProfile:
+        return NetworkProfile(**{"name": default_name, "jitter": GaussianJitter(0.0),
+                                 **read_fields(doc, required=("base_one_way_ms",),
+                                               name=text, base_one_way_ms=finite,
+                                               jitter=_jitter, outage=optional(_outage),
+                                               loss_prob=finite)})
+    return read
+
+
+def _pipeline(doc) -> PipelineModel:
+    return PipelineModel(**read_fields(
+        doc, capture_pipeline_ms=optional(finite), encode_up_ms=finite, render_ms=finite,
+        encode_down_ms=finite, decode_ms=finite, display_quantum_ms=optional(finite),
+        audio_buffer_ms=finite, audio_path_ms=finite))
+
+
+def _clocks(doc) -> ClockSpec:
+    return ClockSpec(**read_fields(
+        doc, sigma_ntp_ms=finite, sync_interval_s=finite, max_drift_ppm=finite,
+        initial_offset_sigma_ms=finite))
+
+
+def _quality(doc) -> QualitySpec:
+    return QualitySpec(**read_fields(
+        doc, enabled=flag, levels=names, encode_down_delta_ms=numbers,
+        step_down_threshold_ms=finite, step_up_threshold_ms=finite, dwell_s=finite,
+        control_interval_s=finite, initial_level=text))
+
+
+_SCENARIO = {
+    "duration_s": finite, "fps": finite, "beacon_interval_ms": integer,
+    "sample_rate": integer, "presenter": text, "seed": integer,
+    "start_epoch_ms": integer, "name": text, "viewers": names, "join_times_s": numbers,
+    "pipeline": _pipeline, "clocks": _clocks, "quality": _quality,
+    "tones": read_tone_schedule, "profile": optional(text),
+    "uplink": optional(_link("uplink")), "downlink": optional(_link("downlink")),
+}
 
 
 def load_scenario(doc: dict) -> SessionScenario:
     """Build a scenario from a parsed JSON document.
 
     Either ``profile`` names a preset (its links and audio path are the
-    starting point) or both ``uplink`` and ``downlink`` must be given.
-    Everything else overrides a default.
+    starting point, and ``uplink``/``downlink`` replace its links) or both
+    ``uplink`` and ``downlink`` must be given. Everything else overrides a
+    default. A rejected document raises SchemaError naming the field's path.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "scenario must be a JSON object")
-    doc = dict(doc)
-
-    kwargs = {}
-    for key, conv in (("duration_s", finite), ("fps", finite),
-                      ("beacon_interval_ms", integer), ("sample_rate", integer),
-                      ("presenter", text), ("seed", integer),
-                      ("start_epoch_ms", integer), ("name", text),
-                      ("viewers", names), ("join_times_s", numbers)):
-        if key in doc:
-            try:
-                kwargs[key] = conv(doc.pop(key))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(key, str(exc)) from exc
-
-    if "pipeline" in doc:
-        kwargs["pipeline"] = build(
-            PipelineModel, doc.pop("pipeline"), "pipeline",
-            capture_pipeline_ms=opt_finite, encode_up_ms=finite, render_ms=finite,
-            encode_down_ms=finite, decode_ms=finite, display_quantum_ms=opt_finite,
-            audio_buffer_ms=finite, audio_path_ms=finite,
-        )
-    if "clocks" in doc:
-        kwargs["clocks"] = build(
-            ClockSpec, doc.pop("clocks"), "clocks",
-            sigma_ntp_ms=finite, sync_interval_s=finite,
-            max_drift_ppm=finite, initial_offset_sigma_ms=finite,
-        )
-    if "quality" in doc:
-        kwargs["quality"] = build(
-            QualitySpec, doc.pop("quality"), "quality",
-            enabled=flag, levels=names, encode_down_delta_ms=numbers,
-            step_down_threshold_ms=finite, step_up_threshold_ms=finite,
-            dwell_s=finite, control_interval_s=finite, initial_level=text,
-        )
-    if "tones" in doc:
-        kwargs["tones"] = read_tone_schedule(doc.pop("tones"), "tones")
-
-    profile = doc.pop("profile", None)
-    uplink_doc = doc.pop("uplink", None)
-    downlink_doc = doc.pop("downlink", None)
-    if doc:
-        raise SchemaError(sorted(doc)[0], "unknown key")
-
-    try:
-        if profile is not None:
-            scenario = preset_scenario(str(profile), **kwargs)
-            if uplink_doc is not None:
-                scenario = replace(scenario, uplink=_profile_from(uplink_doc, "uplink"))
-            if downlink_doc is not None:
-                scenario = replace(scenario, downlink=_profile_from(downlink_doc, "downlink"))
-            return scenario
-        if uplink_doc is None or downlink_doc is None:
-            raise SchemaError("profile", "either profile or both uplink and downlink required")
-        kwargs.setdefault("name", "custom")
-        return SessionScenario(uplink=_profile_from(uplink_doc, "uplink"),
-                               downlink=_profile_from(downlink_doc, "downlink"),
-                               **kwargs)
-    except ConfigError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError("<root>", str(exc)) from exc
+    kwargs = read_fields(doc, **_SCENARIO)
+    profile = kwargs.pop("profile", None)
+    links = {key: link for key in ("uplink", "downlink")
+             if (link := kwargs.pop(key, None)) is not None}
+    if profile is not None:
+        return replace(preset_scenario(profile, **kwargs), **links)
+    if len(links) < 2:
+        raise SchemaError("profile", "either profile or both uplink and downlink required")
+    return SessionScenario(**{"name": "custom", **kwargs, **links})
 
 
 def scenario_from_file(path: str | Path) -> SessionScenario:
@@ -497,5 +447,5 @@ def scenario_from_file(path: str | Path) -> SessionScenario:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SchemaError("<root>", f"invalid JSON: {exc.msg}") from exc
+            raise SchemaError(ROOT, f"invalid JSON: {exc.msg}") from exc
     return load_scenario(doc)

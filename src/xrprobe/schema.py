@@ -2,26 +2,29 @@
 ``tally.json``.
 
 Each converter takes one decoded JSON value and returns it typed, or raises
-TypeError/ValueError; ``read_fields`` and ``build`` turn that into a
-SchemaError naming the offending field. This module imports nothing else
-from xrprobe, so every module that reads JSON can depend on it.
+TypeError/ValueError. ``read_fields`` is the one way an object is read: it
+runs a converter per key and turns a failure into a SchemaError naming the
+key. A converter may itself call ``read_fields`` (or build a type whose
+checks raise SchemaError); the enclosing call then puts its own key in
+front, so a bad value deep in a document is named by its dotted path, e.g.
+``uplink.outage.enter_prob``. This module imports nothing else from xrprobe,
+so every module that reads JSON can depend on it.
 """
 
 from __future__ import annotations
 
 import math
 
-
-class ConfigError(ValueError):
-    pass
+ROOT = "<root>"
 
 
-class SchemaError(ConfigError):
-    """JSON document rejected; names the offending field."""
+class SchemaError(ValueError):
+    """JSON document rejected; ``field`` is the dotted path of the offending
+    field, or ``<root>`` for the document itself."""
 
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"{fieldname}: {message}")
-        self.field = fieldname
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.field = path
         self.message = message
 
 
@@ -47,8 +50,9 @@ def integer(value) -> int:
     return value
 
 
-def opt_finite(value) -> float | None:
-    return None if value is None else finite(value)
+def optional(convert):
+    """``convert`` that also accepts null, as None."""
+    return lambda value: None if value is None else convert(value)
 
 
 def flag(value) -> bool:
@@ -83,35 +87,28 @@ def json_object(value) -> dict:
     return value
 
 
-def read_fields(doc: dict, fieldname: str, required: tuple[str, ...] = (), **convert) -> dict:
+def read_fields(doc, required: tuple[str, ...] = (), **convert) -> dict:
     """Convert each key of an object with its converter; a missing key stays
-    missing unless it is ``required``. A missing required key, an unknown key
-    or a failed conversion raises SchemaError naming ``fieldname.key``
-    (``key`` alone when ``fieldname`` is empty)."""
+    missing unless it is ``required``.
+
+    A non-object ``doc`` raises SchemaError at ``<root>``; a missing required
+    key, an unknown key or a failed conversion raises it naming the key, with
+    the key put in front of the field of a SchemaError the converter raised.
+    """
     if not isinstance(doc, dict):
-        raise SchemaError(fieldname or "<root>", "must be an object")
+        raise SchemaError(ROOT, f"expected an object, got {type(doc).__name__}")
     values = {}
     for key, value in doc.items():
-        name = f"{fieldname}.{key}" if fieldname else key
         if key not in convert:
-            raise SchemaError(name, "unknown key")
+            raise SchemaError(key, "unknown key")
         try:
             values[key] = convert[key](value)
+        except SchemaError as exc:
+            inner = "" if exc.field == ROOT else f".{exc.field}"
+            raise SchemaError(f"{key}{inner}", exc.message) from exc
         except (TypeError, ValueError) as exc:
-            raise SchemaError(name, str(exc)) from exc
+            raise SchemaError(key, str(exc)) from exc
     for key in required:
         if key not in values:
-            raise SchemaError(f"{fieldname}.{key}" if fieldname else key, "missing")
+            raise SchemaError(key, "missing")
     return values
-
-
-def build(cls, doc: dict, fieldname: str, required: tuple[str, ...] = (), **convert):
-    """``cls`` from the ``read_fields`` of ``doc``; a rejection by ``cls``
-    itself is a SchemaError under ``fieldname`` too."""
-    kwargs = read_fields(doc, fieldname, required, **convert)
-    try:
-        return cls(**kwargs)
-    except SchemaError as exc:
-        raise SchemaError(f"{fieldname}.{exc.field}", exc.message) from exc
-    except ValueError as exc:
-        raise SchemaError(fieldname, str(exc)) from exc

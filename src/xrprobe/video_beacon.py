@@ -335,7 +335,14 @@ def _scan_finders(lines: _LineRuns, stride: int) -> list[tuple[float, float, flo
     return found
 
 
-def _cluster(candidates: list[tuple[float, float, float]], radius_units: float = 3.5):
+# candidates from the same finder already agree to sub-module precision (the
+# vertical pass centers them), so they merge within this many module units;
+# false payload hits stay in their own clusters
+CLUSTER_RADIUS_UNITS = 0.75
+
+
+def _cluster(candidates: list[tuple[float, float, float]]):
+    radius_units = CLUSTER_RADIUS_UNITS
     clusters: list[list[float]] = []  # [sum_x, sum_y, sum_u, n]
     for cx, cy, u in candidates:
         for cl in clusters:
@@ -428,10 +435,8 @@ def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
     adaptive = max(4, min(dark.shape) // 32)
     strides = (adaptive, 4, 1) if adaptive > 4 else (4, 1)
     for stride in strides:
-        # candidates from the same finder already agree to sub-module
-        # precision (the vertical pass centers them), so dedupe tight before
-        # the refinement walk; false payload hits stay in their own clusters
-        tight = _cluster(_scan_finders(lines, stride), 0.75)
+        # dedupe before the refinement walk
+        tight = _cluster(_scan_finders(lines, stride))
         clusters = []
         for cand in tight:
             refined = _refine_center(lines, *cand)
@@ -560,9 +565,9 @@ def write_frame_sequence(directory: str | Path, frames: list[PixelBuffer],
 def read_frame_manifest(directory: str | Path) -> FrameManifest:
     """The sidecar through the schema converters; a missing or bad field
     raises SchemaError naming it."""
-    doc = json.loads((Path(directory) / MANIFEST_NAME).read_text())
     return FrameManifest(**read_fields(
-        doc, "", required=("device_id", "fps", "start_ts", "frame_count"),
+        json.loads((Path(directory) / MANIFEST_NAME).read_text()),
+        required=("device_id", "fps", "start_ts", "frame_count"),
         device_id=text, fps=finite, start_ts=integer, frame_count=integer,
         session=json_object))
 

@@ -352,6 +352,14 @@ class TestWavIo:
             read_wav_manifest(path)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("doc", [[], None])
+    def test_non_object_manifest_rejected(self, tmp_path, doc):
+        path = tmp_path / "probe.wav"
+        (tmp_path / "probe.wav.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            read_wav_manifest(path)
+        assert err.value.field == "<root>"
+
     @pytest.mark.parametrize("key", ["f0_hz", "epoch_ts", "ramp_ms"])
     def test_manifest_schedule_keys_required(self, tmp_path, key):
         path = tmp_path / "probe.wav"

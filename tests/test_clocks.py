@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from xrprobe.clocks import DeviceClock
 from xrprobe.scenario import ClockSpec
-from xrprobe.schema import ConfigError
+from xrprobe.schema import SchemaError
 
 
 def drawn(device="a", seed=0, join_ms=0.0, end_ms=600_000.0, sigma_ntp_ms=0.5,
@@ -57,9 +57,9 @@ def test_sync_preserves_drift_and_moves_anchor():
 
 def test_sync_negative_sigma_rejected():
     # the clock draws its sigmas from ClockSpec, which holds the rule
-    with pytest.raises(ConfigError):
+    with pytest.raises(SchemaError):
         ClockSpec(sigma_ntp_ms=-0.1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(SchemaError):
         ClockSpec(initial_offset_sigma_ms=-0.1)
 
 

@@ -32,7 +32,7 @@ from xrprobe.scenario import (
     SessionScenario,
     preset_scenario,
 )
-from xrprobe.schema import ConfigError
+from xrprobe.schema import SchemaError
 from xrprobe.video_beacon import _read_pgm_stream, read_frame_manifest
 
 VIDEO, AUDIO = "video", "audio"
@@ -399,8 +399,9 @@ class TestPhysicalMode:
 
     def test_physical_rejects_missing_quantum(self, tmp_path):
         sc = quick_scenario(pipeline=PipelineModel(display_quantum_ms=0.0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(SchemaError) as err:
             run_physical(sc, tmp_path)
+        assert err.value.field == "pipeline.display_quantum_ms"
 
 
 class TestSlotAt:

@@ -44,11 +44,6 @@ class TestJitterModels:
         import random
         assert GaussianJitter(sigma_ms=0.0).sample(random.Random(0)) == 0.0
 
-    def test_lognormal_mean(self):
-        import math
-        jit = LognormalJitter(mu=1.8, sigma=0.6)
-        assert jit.mean_ms == pytest.approx(math.exp(1.8 + 0.18))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianJitter(sigma_ms=-1.0)
@@ -269,17 +264,19 @@ class TestLoader:
         ({"tones": {"f0_hz": float("inf")}}, "tones.f0_hz"),
         ({"tones": {"tone_count": float("inf")}}, "tones.tone_count"),
         ({"tones": []}, "tones"),
-        ({"uplink": {"base_one_way_ms": float("nan")}}, "uplink"),
+        ({"uplink": {"base_one_way_ms": float("nan")}}, "uplink.base_one_way_ms"),
         ({"uplink": {"base_one_way_ms": 1, "jitter": 5}}, "uplink.jitter"),
         ({"uplink": {"base_one_way_ms": 1,
-                     "jitter": {"kind": "gaussian", "sigma_ms": float("nan")}}}, "uplink.jitter"),
+                     "jitter": {"kind": "gaussian", "sigma_ms": float("nan")}}},
+         "uplink.jitter.sigma_ms"),
         ({"uplink": {"base_one_way_ms": 1,
                      "outage": {"enter_prob": 0.1, "duration_min_ms": 1,
-                                "duration_max_ms": 2, "media": "video"}}}, "uplink.outage"),
+                                "duration_max_ms": 2, "media": "video"}}},
+         "uplink.outage.media"),
         ({"uplink": {"base_one_way_ms": 1,
                      "outage": {"enter_prob": "x", "duration_min_ms": 1,
-                                "duration_max_ms": 2}}}, "uplink.outage"),
-        ({"uplink": {"base_one_way_ms": 1, "outage": {}}}, "uplink.outage"),
+                                "duration_max_ms": 2}}}, "uplink.outage.enter_prob"),
+        ({"uplink": {"base_one_way_ms": 1, "outage": {}}}, "uplink.outage.enter_prob"),
         ({"uplink": {"base_one_way_ms": 1, "outage": 0}}, "uplink.outage"),
         ({"sample_rate": -48000}, "sample_rate"),
         ({"sample_rate": 0}, "sample_rate"),
@@ -287,6 +284,24 @@ class TestLoader:
         ({"quality": {"step_up_threshold_ms": 500}}, "quality.step_up_threshold_ms"),
         ({"quality": {"levels": ["only"], "encode_down_delta_ms": [0],
                       "initial_level": "only"}}, "quality.levels"),
+        ({"uplink": {"base_one_way_ms": 1, "jitter": {"kind": "uniform"}}},
+         "uplink.jitter.kind"),
+        ({"uplink": {"base_one_way_ms": 1,
+                     "jitter": {"kind": "gaussian", "sigma_ms": 4, "sigma": 30}}},
+         "uplink.jitter.sigma"),
+        ({"uplink": {"base_one_way_ms": 1,
+                     "jitter": {"kind": "gaussian", "sigma_ms": 4, "mu": 1}}},
+         "uplink.jitter.mu"),
+        ({"downlink": {"base_one_way_ms": 1,
+                       "jitter": {"kind": "lognormal", "mu": 1, "sigma": 0.5, "sigma_ms": 4}}},
+         "downlink.jitter.sigma_ms"),
+        ({"viewers": ["u2", "u2"], "join_times_s": [5, 10]}, "viewers"),
+        ({"viewers": ["u1"], "join_times_s": [5]}, "viewers"),
+        ({"clocks": {"sync_interval_s": 0}}, "clocks.sync_interval_s"),
+        ({"uplink": {"base_one_way_ms": 1, "loss_prob": 1}}, "uplink.loss_prob"),
+        ({"uplink": {"base_one_way_ms": 1,
+                     "outage": {"enter_prob": 0.1, "duration_min_ms": 5,
+                                "duration_max_ms": 2}}}, "uplink.outage.duration_max_ms"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:

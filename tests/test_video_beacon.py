@@ -645,6 +645,13 @@ class TestFrameManifest:
             read_frame_manifest(tmp_path)
         assert err.value.field == key
 
+    @pytest.mark.parametrize("doc", [[], None])
+    def test_non_object_manifest_rejected(self, tmp_path, doc):
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            read_frame_manifest(tmp_path)
+        assert err.value.field == "<root>"
+
     def test_integral_values_and_no_session_accepted(self, tmp_path):
         self._write(tmp_path, fps=25, frame_count=1.0, session=_DROP)
         manifest = read_frame_manifest(tmp_path)
