@@ -32,7 +32,7 @@ import numpy as np
 
 from .clocks import Timestamp
 from .metrics import AUDIO, DetectionRecord
-from .schema import finite, integer, json_object, read_fields, text
+from .schema import SchemaError, finite, integer, json_object, read_fields, read_json, text
 
 FULL_SCALE = 32767
 DEFAULT_RATE = 48000
@@ -68,14 +68,18 @@ class ToneSchedule:
     epoch_ts: Timestamp = 0
 
     def __post_init__(self):
-        if self.f0_hz <= 0 or self.delta_hz <= 0:
-            raise ValueError("f0_hz and delta_hz must be positive")
+        if not self.f0_hz > 0:
+            raise SchemaError("f0_hz", f"must be positive, got {self.f0_hz!r}")
+        if not self.delta_hz > 0:
+            raise SchemaError("delta_hz", f"must be positive, got {self.delta_hz!r}")
         if self.tone_count < 2:
-            raise ValueError("need at least two tones")
+            raise SchemaError("tone_count", f"need at least two tones, got {self.tone_count!r}")
         if not 0 < self.pulse_duration_ms <= self.pulse_period_ms:
-            raise ValueError("pulse duration must fit inside the period")
+            raise SchemaError("pulse_duration_ms", "must be positive and fit inside the "
+                              f"{self.pulse_period_ms} ms period, got {self.pulse_duration_ms!r}")
         if self.ramp_ms * 2 > self.pulse_duration_ms:
-            raise ValueError("ramps longer than the pulse")
+            raise SchemaError("ramp_ms", "two ramps must fit inside the "
+                              f"{self.pulse_duration_ms} ms pulse, got {self.ramp_ms!r}")
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -440,7 +444,7 @@ def read_wav_manifest(path: str | Path) -> tuple[str, ToneSchedule, Timestamp, d
     """The sidecar through the schema converters; a missing or bad field
     raises SchemaError naming it."""
     values = read_fields(
-        json.loads(_sidecar(path).read_text()),
+        read_json(_sidecar(path)),
         required=("device_id", "schedule", "stream_start_ts"),
         device_id=text, stream_start_ts=integer, session=json_object,
         schedule=lambda doc: read_tone_schedule(

@@ -10,7 +10,6 @@ dataclass's own checks, is a SchemaError naming the field's dotted path.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -18,7 +17,6 @@ from pathlib import Path
 
 from .audio_beacon import ToneSchedule, read_tone_schedule
 from .schema import (
-    ROOT,
     SchemaError,
     finite,
     flag,
@@ -28,6 +26,7 @@ from .schema import (
     numbers,
     optional,
     read_fields,
+    read_json,
     text,
 )
 
@@ -443,9 +442,4 @@ def load_scenario(doc: dict) -> SessionScenario:
 
 
 def scenario_from_file(path: str | Path) -> SessionScenario:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(ROOT, f"invalid JSON: {exc.msg}") from exc
-    return load_scenario(doc)
+    return load_scenario(read_json(path))

@@ -13,7 +13,9 @@ so every module that reads JSON can depend on it.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 ROOT = "<root>"
 
@@ -26,6 +28,16 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
         self.field = path
         self.message = message
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file at ``path``; bytes that do not decode as
+    JSON raise SchemaError at ``<root>`` naming the file."""
+    blob = Path(path).read_bytes()
+    try:
+        return json.loads(blob)
+    except ValueError as exc:  # JSONDecodeError, or bytes of no Unicode encoding
+        raise SchemaError(ROOT, f"{path}: invalid JSON: {exc}") from None
 
 
 def finite(value) -> float:

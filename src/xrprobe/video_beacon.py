@@ -7,21 +7,33 @@ top-left, top-right and bottom-left corners, each fenced off by a one-module
 light separator; remaining data modules are filled with a checkerboard so the
 code keeps dark/light texture regardless of payload.
 
-Detection assumes axis-aligned codes on a flat background. Finder candidates
-come from a 1:1:3:1:1 dark/light run-length test run once over every
-``stride``-th row of the whole frame: the rows' runs are flattened with a
-forced break at column 0, so no run crosses a row end, and each hit is then
-confirmed on its column. A frame's row and column run decompositions are
-computed at most once per frame. The module pitch comes from the finder
-geometry, and each module is sampled at its center against the frame's
-min/max midpoint threshold. No perspective correction is attempted.
+Detection assumes axis-aligned codes on a flat background. Each module is
+sampled at its center against the frame's min/max midpoint threshold. No
+perspective correction is attempted.
 
-Both detectors return ``metrics.DetectionRecord``s. ``detect_decode`` scans
-every frame it is given from scratch. Within a frame sequence,
-``detect_frame_sequence`` thresholds each frame once, first samples it at the
-finder geometry of the last frame that decoded and keeps the timestamp when
-the finder zones match and the CRC holds; anything else takes the full scan,
-so a camera or code that moves costs one full scan per change of geometry.
+A frame is first read where its dark bounding box puts the code: the
+finders' outer borders lie on the code's first and last rows and columns, so
+when the frame's only dark content is one intact code, the box is the code,
+its side is 21 module pitches, and the finder centers follow. The box is read
+from three lines: the first dark pixel in raster order, then the last dark
+pixel of its row and of its column. The guess is kept when the sampled finder
+zones match exactly and the CRC holds. Anything else (a speck or second code
+on those lines, an occluded finder, a damaged payload) falls through to the
+full finder scan, which alone decides what such a frame yields or raises. Finder candidates there come from a
+1:1:3:1:1 dark/light run-length test run once over every ``stride``-th row of
+the whole frame: the rows' runs are flattened with a forced break at column
+0, so no run crosses a row end, and each hit is then confirmed on its column.
+A frame's row and column run decompositions are computed at most once per
+frame, and the module pitch comes from the finder geometry.
+
+Both detectors return ``metrics.DetectionRecord``s. ``detect_decode`` reads
+every frame it is given from scratch: bounding-box guess, then full scan.
+Within a frame sequence, ``detect_frame_sequence`` thresholds each frame
+once, first samples it at the finder geometry of the last frame that decoded
+and keeps the timestamp when the finder zones match and the CRC holds;
+anything else takes the guess and then the full scan. Both shortcuts check
+module centers only, so a finder damaged solely between module centers can
+still decode through them where the full scan alone would find no finder.
 
 A frame sequence on disk is a directory holding ``frames.pgm``, every frame
 back to back as binary PGM images (Netpbm allows a sequence of images in one
@@ -43,7 +55,7 @@ import numpy as np
 
 from .clocks import Timestamp
 from .metrics import VIDEO, DetectionRecord
-from .schema import SchemaError, finite, integer, json_object, read_fields, text
+from .schema import SchemaError, finite, integer, json_object, read_fields, read_json, text
 
 GRID_SIZE = 21
 FINDER_SIZE = 7
@@ -190,7 +202,10 @@ def rasterize(grid: ModuleGrid, scale: int = DEFAULT_SCALE, quiet: int = DEFAULT
     code = GRID_SIZE * scale
     img = np.full((code + 2 * pad,) * 2, 255, dtype=np.uint8)
     levels = np.where(grid.modules, np.uint8(0), np.uint8(255))
-    img[pad : pad + code, pad : pad + code] = levels.repeat(scale, 0).repeat(scale, 1)
+    # one module row widened to pixels is broadcast over that module's pixel
+    # rows: splitting the code region's row axis into (module, pixel) is a view
+    rows = img[pad : pad + code, pad : pad + code].reshape(GRID_SIZE, scale, code)
+    rows[...] = levels.repeat(scale, 1)[:, None, :]
     return PixelBuffer(pixels=img)
 
 
@@ -380,6 +395,10 @@ def _triples(clusters):
                 yield tl, tr, bl
 
 
+# module centers in module units from the code's top-left corner
+_MODULE_CENTERS = np.arange(GRID_SIZE) + 0.5
+
+
 def _sample_grid(dark: np.ndarray, tl, tr, bl) -> np.ndarray | None:
     """Sample all 441 module centers given the three finder centers."""
     mw = (tr[0] - tl[0]) / 14.0
@@ -388,12 +407,12 @@ def _sample_grid(dark: np.ndarray, tl, tr, bl) -> np.ndarray | None:
         return None
     ox = tl[0] - 3.5 * mw
     oy = tl[1] - 3.5 * mh
-    xs = np.floor(ox + (np.arange(GRID_SIZE) + 0.5) * mw).astype(int)
-    ys = np.floor(oy + (np.arange(GRID_SIZE) + 0.5) * mh).astype(int)
+    xs = np.floor(ox + _MODULE_CENTERS * mw).astype(int)
+    ys = np.floor(oy + _MODULE_CENTERS * mh).astype(int)
     h, w = dark.shape
     if xs[0] < 0 or ys[0] < 0 or xs[-1] >= w or ys[-1] >= h:
         return None
-    return dark[ys[:, None], xs[None, :]]
+    return dark.take(ys, axis=0).take(xs, axis=1)
 
 
 def _structure_ok(modules: np.ndarray) -> bool:
@@ -409,7 +428,9 @@ def _threshold(pixels: np.ndarray) -> np.ndarray:
     hi = int(pixels.max())
     if hi == lo:
         raise FinderNotFound("uniform frame")
-    return pixels < (lo + hi) / 2.0
+    # p < (lo + hi) / 2 holds for an integer p exactly when p < ceil((lo + hi) / 2);
+    # a uint8 bound keeps the compare in uint8, with no float copy of the frame
+    return pixels < np.uint8((lo + hi + 1) // 2)
 
 
 def _decode_at(dark: np.ndarray, tl, tr, bl) -> Timestamp | None:
@@ -424,9 +445,49 @@ def _decode_at(dark: np.ndarray, tl, tr, bl) -> Timestamp | None:
     return grid_timestamp(modules)
 
 
+def _try_at(dark: np.ndarray, finders) -> Timestamp | None:
+    """``_decode_at`` with a CRC miss read as None: a guessed or reused
+    geometry that fails any check is dropped, never reported."""
+    try:
+        return _decode_at(dark, *finders)
+    except CrcMismatch:
+        return None
+
+
+def _guess_finders(dark: np.ndarray) -> tuple:
+    """(tl, tr, bl) finder centers (x, y, module unit) of a code that exactly
+    fills the dark bounding box, read from three lines of the frame.
+
+    The code's top-left corner is the first dark pixel in raster order. Its
+    last column is the last dark pixel of that row (the top-right finder's
+    top border), and its last row the last dark pixel of that column (the
+    bottom-left finder's left border). The code is 21 modules a side and its
+    finder centers sit 3.5 and 17.5 modules from the corner.
+    """
+    h, w = dark.shape
+    y0, x0 = divmod(int(dark.argmax()), w)
+    mw = (w - int(dark[y0, ::-1].argmax()) - x0) / GRID_SIZE
+    mh = (h - int(dark[::-1, x0].argmax()) - y0) / GRID_SIZE
+    unit = (mw + mh) / 2.0
+    near, far = 3.5, GRID_SIZE - 3.5
+    return ((x0 + near * mw, y0 + near * mh, unit),
+            (x0 + far * mw, y0 + near * mh, unit),
+            (x0 + near * mw, y0 + far * mh, unit))
+
+
 def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
-    """Full finder scan: the timestamp and the (tl, tr, bl) finder centers
-    (x, y, module unit) it was read at."""
+    """The timestamp and the (tl, tr, bl) finder centers (x, y, module unit)
+    it was read at.
+
+    The frame is first read at the finders its dark bounding box implies
+    (``_guess_finders``). A grid out of bounds, a finder-zone mismatch or a
+    CRC miss there falls through to the full finder scan, which alone decides
+    what a frame that fails the guess yields or raises.
+    """
+    guess = _guess_finders(dark)
+    ts = _try_at(dark, guess)
+    if ts is not None:
+        return ts, guess
     lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
     # a code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
@@ -458,10 +519,13 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp,
                   device_id: str = "") -> DetectionRecord:
     """Locate the beacon in a frame and decode it into a video record.
 
-    Raises FinderNotFound when no structurally valid code is present and
-    CrcMismatch when the payload is damaged. The frame threshold is the
-    midpoint of its min/max sample, which makes decoding invariant to any
-    monotone affine remap of the gray levels with adequate separation.
+    The frame is first read at the finder centers its dark bounding box
+    implies; a grid out of bounds, a finder-zone mismatch or a CRC miss there
+    falls through to the full finder scan. Raises FinderNotFound when the
+    scan finds no structurally valid code and CrcMismatch when the payload is
+    damaged. The frame threshold is the midpoint of its min/max sample, which
+    makes decoding invariant to any monotone affine remap of the gray levels
+    with adequate separation.
     """
     ts, _ = _locate(_threshold(frame.pixels))
     return DetectionRecord(VIDEO, device_id, ts, playout_ts)
@@ -566,7 +630,7 @@ def read_frame_manifest(directory: str | Path) -> FrameManifest:
     """The sidecar through the schema converters; a missing or bad field
     raises SchemaError naming it."""
     return FrameManifest(**read_fields(
-        json.loads((Path(directory) / MANIFEST_NAME).read_text()),
+        read_json(Path(directory) / MANIFEST_NAME),
         required=("device_id", "fps", "start_ts", "frame_count"),
         device_id=text, fps=finite, start_ts=integer, frame_count=integer,
         session=json_object))
@@ -579,10 +643,8 @@ def detect_frame_sequence(directory: str | Path) -> tuple[list[DetectionRecord],
     Frame i plays out at ``manifest.frame_playout(i)``. Each frame is
     thresholded once and first read at the finder triple of the last frame
     that decoded; a grid out of bounds, a finder-zone mismatch or a CRC miss
-    sends it to the full scan, ``_locate``, whose triple the next frame then
-    reuses. The reused geometry checks module centers only, so a frame whose
-    finders are damaged solely between module centers can decode here and
-    fail alone. Undecodable frames are skipped and tallied as
+    sends it to ``_locate`` (bounding-box guess, then full scan), whose triple
+    the next frame then reuses. Undecodable frames are skipped and tallied as
     ``finder_not_found`` or ``crc_mismatch``.
     """
     manifest = read_frame_manifest(directory)
@@ -593,10 +655,7 @@ def detect_frame_sequence(directory: str | Path) -> tuple[list[DetectionRecord],
     for i, frame in enumerate(frames):
         try:
             dark = _threshold(frame.pixels)
-            try:
-                ts = None if finders is None else _decode_at(dark, *finders)
-            except CrcMismatch:
-                ts = None
+            ts = None if finders is None else _try_at(dark, finders)
             if ts is None:
                 ts, finders = _locate(dark)
         except FinderNotFound:

@@ -329,11 +329,12 @@ class TestWavIo:
         ({"session": "x"}, "session"),
         ({"schedule": []}, "schedule"),
         ({"extra": 1}, "extra"),
-        ({"schedule": {"f0_hz": 0.0}}, "schedule"),
+        ({"schedule": {"f0_hz": 0.0}}, "schedule.f0_hz"),
         ({"schedule": {"tone_count": 2.5}}, "schedule.tone_count"),
         ({"schedule": {"delta_hz": float("nan")}}, "schedule.delta_hz"),
         ({"schedule": {"f0_hz": None}}, "schedule.f0_hz"),
         ({"schedule": {"chirp": 1}}, "schedule.chirp"),
+        ({"schedule": {"ramp_ms": 50}}, "schedule.ramp_ms"),
     ])
     def test_manifest_bad_field_named(self, tmp_path, change, field):
         path = tmp_path / "probe.wav"

@@ -101,6 +101,16 @@ class TestExitCodes:
         assert rc == 1
         assert "nope.json" in capsys.readouterr().err
 
+    def test_invalid_json_scenario_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"profile": "wifi",')
+        rc = run(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"xrprobe simulate: <root>: {bad}: invalid JSON: "
+                                "Expecting property name enclosed in double quotes: "
+                                "line 1 column 20 (char 19)\n")
+
     def test_bad_scenario_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"duration_s": -3}))
@@ -155,6 +165,20 @@ class TestVideoPipeline:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("blob", [b'{"device_id": ', b"nope", b""])
+    def test_invalid_json_manifest_names_file(self, tmp_path, capsys, blob):
+        frames = tmp_path / "frames"
+        run(["gen-video", "--out", str(frames), "--fps", "5", "--duration-s", "0.4"])
+        (frames / "manifest.json").write_bytes(blob)
+        capsys.readouterr()
+        assert run(["detect-video", str(frames)]) == 1
+        captured = capsys.readouterr()
+        manifest = frames / "manifest.json"
+        assert captured.err.startswith(f"xrprobe detect-video: <root>: {manifest}: invalid JSON: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def _truncate(path, n):
     path.write_bytes(path.read_bytes()[:-n])
 
@@ -195,6 +219,19 @@ class TestAudioPipeline:
         assert run(["detect-audio", str(wav)]) == 1
         err = capsys.readouterr().err
         assert err == "xrprobe detect-audio: device_id: missing\n"
+
+    @pytest.mark.parametrize("blob", [b'{"device_id": ', b"nope", b"\xff\xfe\xfd"])
+    def test_invalid_json_sidecar_names_file(self, tmp_path, capsys, blob):
+        wav = tmp_path / "tone.wav"
+        run(["gen-audio", "--out", str(wav), "--duration-s", "0.5"])
+        sidecar = tmp_path / "tone.wav.json"
+        sidecar.write_bytes(blob)
+        capsys.readouterr()
+        assert run(["detect-audio", str(wav)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"xrprobe detect-audio: <root>: {sidecar}: invalid JSON: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_missing_out_dir_is_one_line_error(self, tmp_path):
         # in a fresh interpreter, so that anything printed while a half-built

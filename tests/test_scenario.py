@@ -302,6 +302,11 @@ class TestLoader:
         ({"uplink": {"base_one_way_ms": 1,
                      "outage": {"enter_prob": 0.1, "duration_min_ms": 5,
                                 "duration_max_ms": 2}}}, "uplink.outage.duration_max_ms"),
+        ({"tones": {"f0_hz": 0}}, "tones.f0_hz"),
+        ({"tones": {"delta_hz": -120}}, "tones.delta_hz"),
+        ({"tones": {"tone_count": 1}}, "tones.tone_count"),
+        ({"tones": {"pulse_duration_ms": 120}}, "tones.pulse_duration_ms"),
+        ({"tones": {"ramp_ms": 41}}, "tones.ramp_ms"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:

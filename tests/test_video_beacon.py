@@ -5,7 +5,8 @@ checksum from a byte table, so agreement between the two is a real
 cross-check rather than the same code run twice. Likewise the original
 per-module encoder, the kron-based rasterizer, the per-row finder scan and
 the frame-by-frame sequence loop are kept here as the references for the
-table-driven, whole-frame and geometry-reusing code.
+table-driven, whole-frame and geometry-reusing code, and the float-midpoint
+threshold and two-``repeat`` rasterizer for their integer and broadcast forms.
 """
 
 import json
@@ -311,6 +312,131 @@ class TestDetect:
         tampered[r, c] = not tampered[r, c]
         frame = rasterize(ModuleGrid(modules=tampered, payload_ts=0), scale=8, quiet=4)
         assert detect_decode(frame, playout_ts=0).emission_ts == ts
+
+
+# --- bounding-box guess: the frame read where its dark bounding box puts the code --
+
+def rasterize_repeat_oracle(modules: np.ndarray, scale: int, quiet: int) -> np.ndarray:
+    """The two-``repeat`` rasterizer the broadcast write replaced."""
+    pad, code = quiet * scale, 21 * scale
+    img = np.full((code + 2 * pad,) * 2, 255, dtype=np.uint8)
+    levels = np.where(modules, np.uint8(0), np.uint8(255))
+    img[pad : pad + code, pad : pad + code] = levels.repeat(scale, 0).repeat(scale, 1)
+    return img
+
+
+class _LineRunsSpy:
+    """Counts the full scans of a test: each builds one ``_LineRuns``."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        real = video_beacon._LineRuns
+
+        def spy(dark):
+            self.built += 1
+            return real(dark)
+
+        monkeypatch.setattr(video_beacon, "_LineRuns", spy)
+
+
+def _painted(ts: int, scale: int, quiet: int, paint) -> PixelBuffer:
+    """A rasterized beacon for ``ts`` with ``paint(modules)`` applied first."""
+    modules = encode_beacon(ts).modules.copy()
+    paint(modules)
+    return rasterize(ModuleGrid(modules=modules, payload_ts=ts), scale, quiet)
+
+
+class TestBoundingBoxGuess:
+    def test_integer_threshold_matches_float_midpoint(self):
+        # every min/max pair, over every gray level that can lie between them
+        for lo in range(256):
+            for hi in range(lo + 1, 256):
+                pixels = np.arange(lo, hi + 1, dtype=np.uint8)[None, :]
+                dark = video_beacon._threshold(pixels)
+                assert dark.dtype == bool
+                assert (dark == (pixels < (lo + hi) / 2.0)).all(), (lo, hi)
+
+    def test_rasterize_matches_repeat_formula(self):
+        rng = np.random.default_rng(5)
+        for scale in range(1, 17):
+            for quiet in range(7):
+                modules = rng.random((21, 21)) < 0.5
+                img = rasterize(ModuleGrid(modules=modules, payload_ts=0), scale, quiet).pixels
+                oracle = rasterize_repeat_oracle(modules, scale, quiet)
+                assert img.dtype == oracle.dtype and img.shape == oracle.shape
+                assert img.tobytes() == oracle.tobytes(), (scale, quiet)
+
+    @pytest.mark.parametrize("scale", [3, 8, 16])
+    def test_clean_frame_skips_the_full_scan(self, monkeypatch, scale):
+        spy = _LineRunsSpy(monkeypatch)
+        ts = 0xFEDCBA9876543210
+        frame = rasterize(encode_beacon(ts), scale=scale, quiet=4)
+        assert detect_decode(frame, playout_ts=0).emission_ts == ts
+        assert spy.built == 0
+
+    # the code spans pixels 32..199 on both axes; a speck that becomes the
+    # first dark pixel, or extends the code's first row or first column,
+    # sends the frame to the full scan, and any other speck goes unread
+    @pytest.mark.parametrize("speck, scans", [
+        ((3, 200), 1),
+        ((32, 220), 1),
+        ((220, 32), 1),
+        ((100, 2), 0),
+        ((228, 228), 0),
+    ])
+    def test_quiet_zone_speck_still_decodes(self, monkeypatch, speck, scans):
+        spy = _LineRunsSpy(monkeypatch)
+        ts = 1699999999123
+        pixels = rasterize(encode_beacon(ts), scale=8, quiet=4).pixels.copy()
+        pixels[speck] = 0
+        assert detect_decode(PixelBuffer(pixels=pixels), playout_ts=0).emission_ts == ts
+        assert spy.built == scans
+
+    @pytest.mark.parametrize("origin", [(0, 0), (0, 14), (14, 0)])
+    def test_finder_painted_light_raises_finder_not_found(self, monkeypatch, origin):
+        spy = _LineRunsSpy(monkeypatch)
+        r0, c0 = origin
+
+        def occlude(modules):
+            modules[r0 : r0 + 7, c0 : c0 + 7] = False
+
+        with pytest.raises(FinderNotFound):
+            detect_decode(_painted(4242, 8, 4, occlude), playout_ts=0)
+        assert spy.built == 1
+
+    @pytest.mark.parametrize("bit", [0, 40, 79])
+    def test_flipped_payload_module_raises_crc_mismatch(self, monkeypatch, bit):
+        spy = _LineRunsSpy(monkeypatch)
+        r, c = _DATA_REF[bit]
+
+        def flip(modules):
+            modules[r, c] = not modules[r, c]
+
+        with pytest.raises(CrcMismatch):
+            detect_decode(_painted(4242, 8, 4, flip), playout_ts=0)
+        assert spy.built == 1
+
+    @pytest.mark.parametrize("stack", [np.hstack, np.vstack])
+    def test_two_codes_decode_to_one_of_their_timestamps(self, stack):
+        a = rasterize(encode_beacon(111), scale=4, quiet=2).pixels
+        b = rasterize(encode_beacon(222), scale=4, quiet=2).pixels
+        det = detect_decode(PixelBuffer(pixels=stack([a, b])), playout_ts=0)
+        assert det.emission_ts in (111, 222)
+
+    def test_finder_damaged_between_module_centers_decodes_through_the_guess(self):
+        # a light pixel column through the top-left finder's core, on a module
+        # edge: every module center is intact, so the guess reads the frame,
+        # while every row through the core fails the 1:1:3:1:1 run test
+        ts, scale, quiet = 123456789, 8, 4
+        pixels = rasterize(encode_beacon(ts), scale, quiet).pixels.copy()
+        pad = quiet * scale
+        pixels[pad + scale : pad + 6 * scale, pad + 3 * scale] = 255
+        assert detect_decode(PixelBuffer(pixels=pixels), playout_ts=0).emission_ts == ts
+        # the same damage with the guess defeated by a speck: the scan alone
+        # finds no finder triple
+        pixels[2, 2] = 0
+        with pytest.raises(FinderNotFound):
+            detect_decode(PixelBuffer(pixels=pixels), playout_ts=0)
 
 
 # --- finder-scan oracle: the original one-row-at-a-time scan --------------------
