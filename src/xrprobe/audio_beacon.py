@@ -77,9 +77,9 @@ class ToneSchedule:
         if not 0 < self.pulse_duration_ms <= self.pulse_period_ms:
             raise SchemaError("pulse_duration_ms", "must be positive and fit inside the "
                               f"{self.pulse_period_ms} ms period, got {self.pulse_duration_ms!r}")
-        if self.ramp_ms * 2 > self.pulse_duration_ms:
-            raise SchemaError("ramp_ms", "two ramps must fit inside the "
-                              f"{self.pulse_duration_ms} ms pulse, got {self.ramp_ms!r}")
+        if not 0 <= self.ramp_ms * 2 <= self.pulse_duration_ms:
+            raise SchemaError("ramp_ms", "must be non-negative, and two ramps must fit "
+                              f"inside the {self.pulse_duration_ms} ms pulse, got {self.ramp_ms!r}")
 
     @property
     def frequencies(self) -> tuple[float, ...]:

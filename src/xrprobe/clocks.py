@@ -62,6 +62,27 @@ class DeviceClock:
         """Local timestamp at true time ``t``, rounded to whole ms."""
         return round(self.local(t))
 
+    def read_sorted(self, times: list[float]) -> list[Timestamp]:
+        """``read`` of each of ``times``, which must be nondecreasing: one
+        bisect for the first, then the segments are walked forward."""
+        if not times:
+            return []
+        starts, offsets = self.starts, self.offsets
+        if times[0] < starts[0]:
+            raise ValueError(f"clock {self.device!r}: {times[0]} precedes join {starts[0]}")
+        rate = self.drift_ppm * 1e-6
+        i = bisect.bisect_right(starts, times[0]) - 1
+        start, offset = starts[i], offsets[i]
+        following = starts[i + 1] if i + 1 < len(starts) else math.inf
+        out = []
+        for t in times:
+            while t >= following:
+                i += 1
+                start, offset = starts[i], offsets[i]
+                following = starts[i + 1] if i + 1 < len(starts) else math.inf
+            out.append(round(t + offset + rate * (t - start)))
+        return out
+
     def invert(self, local_target: float) -> float:
         """True time at which the clock reads ``local_target``.
 

@@ -8,9 +8,15 @@ Detections are produced the way real clients would produce them: video is
 re-detected at every display refresh (a frozen frame keeps ramping its measured
 latency), audio pulses are timestamped at device playout.
 
-The engine is single-threaded, driven by one heap, and draws randomness from
-per-channel streams seeded with string keys, so a (scenario, seed) pair maps
-to exactly one log on any platform.
+The engine is single-threaded and draws randomness from per-channel streams
+seeded with string keys, so a (scenario, seed) pair maps to exactly one log
+on any platform. One heap orders the captures, pulses, edge arrivals and
+quality-control steps. Each device's display is a pass of its own, since it
+depends only on that device's frame arrivals and its vsync grid: the pass
+merges the two in time order, and a frame arriving at exactly a tick's time
+is shown at that tick iff its edge event came before the previous tick. With
+quality adaptation on, every control step first runs each display up to its
+own time.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +123,124 @@ def _slot_at(join_order: list[float], t: float) -> int:
     return bisect_right(join_order, t)
 
 
-def _record_sort_key(rec: DetectionRecord):
-    return (rec.playout_ts, rec.device, rec.media, rec.emission_ts)
+# records sort by (playout_ts, device, media, emission_ts)
+_RECORD_ORDER = itemgetter(3, 1, 0, 2)
+_first = itemgetter(0)
+
+
+# --- the display -------------------------------------------------------------------
+
+class _Display:
+    """One device's display: its frame arrivals merged with its vsync grid.
+
+    Tick m falls at ``first_tick + m * quantum_ms`` and runs while it is at or
+    before ``end``. A frame that arrives is held until the next tick, which
+    shows it unless it is older than the frame on screen (``frames_stale``); a
+    later arrival before that tick replaces it (``frames_skipped``). Every tick
+    shows the current frame again, so a frozen frame keeps ramping its
+    latency. A quantum of zero shows each frame as it arrives.
+
+    An arrival at exactly a tick's time goes first iff its edge was processed
+    before the previous tick: the order in which one heap of both kinds of
+    event would pop them.
+    """
+
+    def __init__(self, trace: DeviceTrace, first_tick: float, end: float,
+                 join_order: list[float]):
+        self.trace = trace
+        self.first_tick = first_tick
+        self.end = end
+        self.join_order = join_order
+        self.arrivals: list[tuple[float, int, float]] = []  # (true ms, emission, edge true ms)
+        self.m = 0  # the next tick
+        self.pending: int | None = None
+        self.current: int | None = None
+
+    def advance(self, until: float, records: list[DetectionRecord],
+                tally: Counter) -> tuple[int, int]:
+        """Show every frame due before true time ``until``, or every frame
+        left when it is infinite; appends the records and returns the sum of
+        their latencies and their count."""
+        arrivals = self.arrivals
+        arrivals.sort(key=_first)  # stable: equal times keep their edge order
+        quantum, end = self.trace.quantum_ms, self.end
+        current = self.current
+        ticks = self.trace.ticks
+        stale = 0
+        shown: list[float] = []
+        emissions: list[int] = []
+        i = 0
+        if quantum == 0:
+            for t, emission, _ in arrivals:
+                if t >= until:
+                    break
+                i += 1
+                if current is None or emission >= current:
+                    current = emission
+                    if t <= end:
+                        ticks.append((t, emission))
+                        shown.append(t)
+                        emissions.append(emission)
+                else:
+                    stale += 1
+        else:
+            pending = self.pending
+            skipped = 0
+            n = len(arrivals)
+            base, m = self.first_tick, self.m
+            previous = base + (m - 1) * quantum if m else -math.inf
+            while True:
+                t = base + m * quantum
+                ticking = t <= end and t < until
+                if not ticking:
+                    if until < math.inf:
+                        break
+                    t = math.inf  # no tick left: the arrivals still reach the tallies
+                while i < n:
+                    arrival, emission, edge_t = arrivals[i]
+                    if arrival > t or (arrival == t and not edge_t < previous):
+                        break
+                    i += 1
+                    if pending is None:
+                        pending = emission
+                    elif emission >= pending:
+                        pending = emission
+                        skipped += 1
+                    else:
+                        stale += 1
+                if not ticking:
+                    break
+                if pending is not None:
+                    if current is None or pending >= current:
+                        current = pending
+                    else:
+                        stale += 1
+                    pending = None
+                ticks.append((t, current))
+                if current is not None:
+                    shown.append(t)
+                    emissions.append(current)
+                previous = t
+                m += 1
+            self.pending, self.m = pending, m
+            if skipped:  # a zero count would still add its key to the tally
+                tally["frames_skipped"] += skipped
+        if stale:
+            tally["frames_stale"] += stale
+        self.current = current
+        del arrivals[:i]
+
+        latency_sum = 0
+        if shown:
+            device, join_order = self.trace.device, self.join_order
+            joined = len(join_order)
+            slot = _slot_at(join_order, shown[0])
+            for t, emission, playout in zip(shown, emissions, self.trace.clock.read_sorted(shown)):
+                while slot < joined and join_order[slot] <= t:
+                    slot += 1
+                records.append(DetectionRecord(VIDEO, device, emission, playout, slot))
+                latency_sum += playout - emission
+        return latency_sum, len(shown)
 
 
 # --- the engine --------------------------------------------------------------------
@@ -189,22 +312,14 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     tally: Counter = Counter()
     records: list[DetectionRecord] = []
     traces = {d: DeviceTrace(d, joins[d], quantum_ms, clocks[d]) for d in devices}
-    current: dict[str, int | None] = {d: None for d in devices}
-    pending: dict[str, tuple[int, float] | None] = {d: None for d in devices}
+    displays = {d: _Display(traces[d], joins[d] + vsync_phase[d], end, join_order)
+                for d in devices}
 
     heap: list = []
     seq = itertools.count()
 
     def push(t: float, kind: str, payload=None) -> None:
         heapq.heappush(heap, (t, next(seq), kind, payload))
-
-    def emit_video(device: str, emission: int, t: float) -> None:
-        nonlocal window_sum, window_n
-        playout = clocks[device].read(t)
-        records.append(DetectionRecord(VIDEO, device, emission, playout,
-                                       _slot_at(join_order, t)))
-        window_sum += playout - emission
-        window_n += 1
 
     def capture_true(i: int) -> float:
         return pclock.invert(start_local + i * frame_ms)
@@ -214,9 +329,6 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
 
     push(capture_true(0), "capture", 0)
     push(pulse_true(0), "pulse", 0)
-    if quantum_ms > 0:
-        for d in devices:
-            push(joins[d] + vsync_phase[d], "tick", (d, 0))
     if quality.enabled:
         push(t0 + quality.control_interval_s * 1000.0, "qctl", None)
 
@@ -250,44 +362,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
                     continue
                 hop = sample_hop_delay(scenario.downlink, down_rng[(d, VIDEO)],
                                        send_t, down_state[(d, VIDEO)], VIDEO)
-                push(send_t + hop + pipe.decode_ms, "vready", (d, emission))
-
-        elif kind == "vready":
-            d, emission = payload
-            if quantum_ms == 0:
-                if current[d] is None or emission >= current[d]:
-                    current[d] = emission
-                    if t <= end:
-                        emit_video(d, emission, t)
-                        traces[d].ticks.append((t, emission))
-                else:
-                    tally["frames_stale"] += 1
-            else:
-                held = pending[d]
-                if held is None or emission >= held[0]:
-                    if held is not None:
-                        tally["frames_skipped"] += 1
-                    pending[d] = (emission, t)
-                else:
-                    tally["frames_stale"] += 1
-
-        elif kind == "tick":
-            d, m = payload
-            if t <= end:
-                held = pending[d]
-                if held is not None:
-                    if current[d] is None or held[0] >= current[d]:
-                        current[d] = held[0]
-                    else:
-                        tally["frames_stale"] += 1
-                    pending[d] = None
-                shown = current[d]
-                traces[d].ticks.append((t, shown))
-                if shown is not None:
-                    emit_video(d, shown, t)
-                nxt = joins[d] + vsync_phase[d] + (m + 1) * quantum_ms
-                if nxt <= end:
-                    push(nxt, "tick", (d, m + 1))
+                displays[d].arrivals.append((send_t + hop + pipe.decode_ms, emission, t))
 
         elif kind == "pulse":
             n = payload
@@ -325,6 +400,10 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
                 traces[d].pulses.append((play_true, n))
 
         elif kind == "qctl":
+            for display in displays.values():
+                latency_sum, shown = display.advance(t, records, tally)
+                window_sum += latency_sum
+                window_n += shown
             if window_n > 0:
                 mean = window_sum / window_n
                 decision = adapt_quality(mean, level, quality,
@@ -340,7 +419,9 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
             if nxt <= end:
                 push(nxt, "qctl", None)
 
-    records.sort(key=_record_sort_key)
+    for display in displays.values():
+        display.advance(math.inf, records, tally)
+    records.sort(key=_RECORD_ORDER)
     return DetectionLog(records=records, tally=tally, tones=tones, traces=traces)
 
 
@@ -412,7 +493,7 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
 
     join_order = sorted(joins.values())
     records = sorted((det._replace(slot=_slot_at(join_order, det.playout_ts)) for det in records),
-                     key=_record_sort_key)
+                     key=_RECORD_ORDER)
     return (DetectionLog(records=records, tally=tally, tones=tones,
                          traces=symbolic.traces), symbolic)
 

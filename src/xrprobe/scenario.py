@@ -237,7 +237,9 @@ DEFAULT_START_EPOCH_MS = 1_700_000_000_000
 
 # frames rendered over all devices (duration_s x fps x devices) one scenario
 # may ask for: an hour at 30 fps for 9 devices, about 500 MB of records;
-# above it a run would exhaust memory or never end
+# above it a run would exhaust memory or never end. Every other grid a run
+# steps through (display ticks, quality control steps, clock segments, audio
+# pulses) has the same cap.
 MAX_DEVICE_FRAMES = 1_000_000
 
 
@@ -265,10 +267,24 @@ class SessionScenario:
             raise SchemaError("duration_s", "must be positive")
         if self.fps <= 0:
             raise SchemaError("fps", "must be positive")
-        frames = self.duration_s * self.fps * (1 + len(self.viewers))
-        if not frames <= MAX_DEVICE_FRAMES:  # NaN fails too
-            raise SchemaError("duration_s", f"duration_s x fps x devices is {frames:.4g} "
-                                            f"frames, over the cap of {MAX_DEVICE_FRAMES}")
+        n = 1 + len(self.viewers)
+        quantum = self.pipeline.quantum_ms(self.fps)
+        grids = [("duration_s", "frames (duration_s x fps x devices)",
+                  self.duration_s * self.fps * n)]
+        if quantum > 0:
+            grids.append(("pipeline.display_quantum_ms", "display ticks over all devices",
+                          self.duration_s * 1000.0 / quantum * n))
+        if self.quality.enabled:
+            grids.append(("quality.control_interval_s", "quality control steps",
+                          self.duration_s / self.quality.control_interval_s))
+        grids.append(("clocks.sync_interval_s", "clock segments over all devices",
+                      self.duration_s / self.clocks.sync_interval_s * n))
+        grids.append(("tones.pulse_period_ms", "audio pulses over all devices",
+                      self.duration_s * 1000.0 / self.tones.pulse_period_ms * n))
+        for path, what, count in grids:
+            if not count <= MAX_DEVICE_FRAMES:  # NaN fails too
+                raise SchemaError(path, f"{count:.4g} {what}, "
+                                        f"over the cap of {MAX_DEVICE_FRAMES}")
         if self.beacon_interval_ms <= 0:
             raise SchemaError("beacon_interval_ms", "must be positive")
         if self.sample_rate <= 0:

@@ -335,6 +335,7 @@ class TestWavIo:
         ({"schedule": {"f0_hz": None}}, "schedule.f0_hz"),
         ({"schedule": {"chirp": 1}}, "schedule.chirp"),
         ({"schedule": {"ramp_ms": 50}}, "schedule.ramp_ms"),
+        ({"schedule": {"ramp_ms": -5}}, "schedule.ramp_ms"),
     ])
     def test_manifest_bad_field_named(self, tmp_path, change, field):
         path = tmp_path / "probe.wav"

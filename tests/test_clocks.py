@@ -37,6 +37,18 @@ def test_before_anchor_rejected():
         clock.local(499.0)
 
 
+@given(st.integers(0, 2**16), st.lists(st.floats(500.0, 60_000.0) | st.sampled_from(
+    [500.0, 5_500.0, 10_500.0, 60_500.0]), max_size=40))
+def test_read_sorted_is_read(seed, times):
+    # nondecreasing times, some exactly on a sync, read bit for bit as read()
+    clock = drawn(seed=seed, join_ms=500.0, end_ms=60_500.0, sync_interval_s=5.0,
+                  max_drift_ppm=50.0)
+    times.sort()
+    assert clock.read_sorted(times) == [clock.read(t) for t in times]
+    with pytest.raises(ValueError, match="precedes join"):
+        clock.read_sorted([499.0, 600.0])
+
+
 def test_sync_sigma_zero_is_exact():
     clock = drawn(sigma_ntp_ms=0.0, initial_offset_sigma_ms=7.5)
     assert len(clock.offsets) > 1

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,36 @@ class TestLoader:
         assert err.value.field == "duration_s"
         assert str(MAX_DEVICE_FRAMES) in str(err.value)
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"profile": "ethernet", "duration_s": 300, "pipeline": {"display_quantum_ms": 0.001}},
+         "pipeline.display_quantum_ms"),
+        ({"profile": "ethernet", "quality": {"enabled": True, "control_interval_s": 1e-6}},
+         "quality.control_interval_s"),
+        ({"profile": "ethernet", "clocks": {"sync_interval_s": 1e-6}},
+         "clocks.sync_interval_s"),
+        # frames, refreshes and syncs inside their caps, but 5e9 pulses
+        ({"profile": "wifi", "fps": 0.001, "duration_s": 1e8,
+          "clocks": {"sync_interval_s": 1e4}}, "tones.pulse_period_ms"),
+    ])
+    def test_event_grid_caps_name_field(self, doc, field):
+        # each would step through about 3e8 events if run; only loaded here
+        with pytest.raises(SchemaError) as err:
+            load_scenario(doc)
+        assert err.value.field == field
+        assert str(MAX_DEVICE_FRAMES) in str(err.value)
+
+    def test_event_grid_caps_are_inclusive(self):
+        # 300 s x 5 devices at a 1.5 ms quantum and 1.5 ms syncs: exactly the
+        # cap each; a quality loop left disabled steps through nothing
+        sc = load_scenario({"profile": "ethernet", "pipeline": {"display_quantum_ms": 1.5},
+                            "clocks": {"sync_interval_s": 1.5e-3},
+                            "quality": {"control_interval_s": 1e-9}})
+        assert sc.duration_s * 1000.0 / sc.pipeline.display_quantum_ms * 5 == MAX_DEVICE_FRAMES
+        assert sc.duration_s / sc.clocks.sync_interval_s * 5 == MAX_DEVICE_FRAMES
+        with pytest.raises(SchemaError) as err:
+            replace(sc, quality=replace(sc.quality, enabled=True))
+        assert err.value.field == "quality.control_interval_s"
+
     def test_frame_cap_rejects_nan_duration(self):
         with pytest.raises(SchemaError) as err:
             preset_scenario("wifi", duration_s=float("nan"))
@@ -307,6 +338,7 @@ class TestLoader:
         ({"tones": {"tone_count": 1}}, "tones.tone_count"),
         ({"tones": {"pulse_duration_ms": 120}}, "tones.pulse_duration_ms"),
         ({"tones": {"ramp_ms": 41}}, "tones.ramp_ms"),
+        ({"tones": {"ramp_ms": -5}}, "tones.ramp_ms"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:
