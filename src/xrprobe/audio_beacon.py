@@ -36,6 +36,9 @@ from .schema import SchemaError, finite, integer, json_object, read_fields, read
 
 FULL_SCALE = 32767
 DEFAULT_RATE = 48000
+# the highest sample rate a scenario or ``gen-audio --rate`` may ask for: a
+# physical run holds (end - join) x rate int32 samples per device
+MAX_SAMPLE_RATE = 192_000
 DETECT_WINDOW = 2048
 DETECT_HOP = 512
 MIN_WINDOW = 1024

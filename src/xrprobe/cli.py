@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .audio_beacon import (
+    MAX_SAMPLE_RATE,
     ToneSchedule,
     detect_wav,
     synthesize,
@@ -29,11 +30,12 @@ from .exporter import (
     make_server,
     read_log,
     render_exposition,
-    snapshot_from_records,
     write_log,
 )
 from .metrics import (
+    DEFAULT_EPOCH_MS,
     DetectionRecord,
+    LatencyScan,
     build_report,
     latencies_from_log,
     scan_latencies,
@@ -79,9 +81,11 @@ def _flag_type(convert, ok, expected: str):
 _positive_int = _flag_type(int, lambda v: v > 0, "an integer > 0")
 _MAX_TIMESTAMP = 2**64 - 1
 _timestamp = _flag_type(int, lambda v: 0 <= v <= _MAX_TIMESTAMP, "an integer in 0..2**64-1")
-# the default schedule's top tone must stay below half the sample rate
+# the default schedule's top tone must stay below half the sample rate,
+# and the rate at most the cap a scenario has too
 _TOP_TONE_X2 = 2 * max(ToneSchedule().frequencies)
-_sample_rate = _flag_type(int, lambda v: v > _TOP_TONE_X2, f"an integer > {_TOP_TONE_X2:.0f}")
+_sample_rate = _flag_type(int, lambda v: _TOP_TONE_X2 < v <= MAX_SAMPLE_RATE,
+                          f"an integer > {_TOP_TONE_X2:.0f} and <= {MAX_SAMPLE_RATE}")
 _positive_seconds = _flag_type(float, lambda v: v > 0 and math.isfinite(v),
                                "a finite number > 0")
 _port = _flag_type(int, lambda v: 0 <= v <= 65535, "a TCP port in 0..65535")
@@ -140,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="aggregate a detection log into a report")
     p.add_argument("--log", required=True, help="detection log path or simulate output dir")
-    p.add_argument("--epoch-ms", type=_positive_int, default=1000)
+    p.add_argument("--epoch-ms", type=_positive_int, default=DEFAULT_EPOCH_MS)
     p.add_argument("--out", help="report directory (default: alongside the log)")
 
     p = sub.add_parser("serve", help="expose a log's metrics over HTTP")
@@ -253,11 +257,17 @@ def _load_tally(log_path: Path) -> Counter:
     return tally
 
 
-def _cmd_analyze(args) -> int:
-    log_path = _resolve_log(args.log)
+def _scan_log(log_path: Path, epoch_ms: int) -> tuple[LatencyScan, Counter]:
+    """The scan of a log and its tally, charged with the rejected latencies:
+    what ``analyze`` and ``serve`` both render."""
     records = read_log(log_path)
     tally = _load_tally(log_path)
-    scan = scan_latencies(*latencies_from_log(records, tally), args.epoch_ms)
+    return scan_latencies(*latencies_from_log(records, tally), epoch_ms), tally
+
+
+def _cmd_analyze(args) -> int:
+    log_path = _resolve_log(args.log)
+    scan, tally = _scan_log(log_path, args.epoch_ms)
     report = build_report(scan, tally)
     out = Path(args.out) if args.out else log_path.parent
     out.mkdir(parents=True, exist_ok=True)
@@ -271,9 +281,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    log_path = _resolve_log(args.log)
-    records = read_log(log_path)
-    exposition = render_exposition(snapshot_from_records(records, tally=_load_tally(log_path)))
+    exposition = render_exposition(*_scan_log(_resolve_log(args.log), DEFAULT_EPOCH_MS))
     if args.serve_port == 0:
         sys.stdout.write(exposition)
         return 0

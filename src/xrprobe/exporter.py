@@ -2,7 +2,9 @@
 endpoint that serves one rendered exposition.
 
 The record itself is ``metrics.DetectionRecord``; this module only
-persists it and exposes it.
+persists it. The exposition is a second rendering of the
+``metrics.LatencyScan`` that ``analyze`` builds ``report.json`` from, so
+both outputs of one log rest on the same kept latencies and the same tally.
 
 Log format: JSON lines, one detection per line. ``write_log`` writes each
 record as ``json.dumps(..., sort_keys=True)`` would, with the optional
@@ -32,13 +34,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .metrics import AUDIO, VIDEO, DetectionRecord, latencies_from_log
+from .metrics import AUDIO, VIDEO, DetectionRecord, LatencyScan
 
 
 class ParseError(ValueError):
@@ -164,47 +165,7 @@ def _read_log_per_line(path: str | Path) -> list[DetectionRecord]:
     return records
 
 
-# --- snapshot and exposition ----------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """Immutable view of the latest per-device gauges and cumulative counters."""
-
-    m2p_ms: dict[str, float]
-    m2e_ms: dict[str, float]
-    skew_ms: dict[str, float]
-    slot_counts: dict[tuple[str, int], int]
-    tallies: dict[str, int]
-
-
-def snapshot_from_records(records: Iterable[DetectionRecord],
-                          tally: Counter | None = None) -> MetricsSnapshot:
-    """Latest-latency gauges per device plus per-slot detection counters.
-
-    Latencies come from ``metrics.latencies_from_log``, the rule ``analyze``
-    applies too, so a negative one is dropped and counted under
-    ``clock_skew_suspected`` in ``tallies``.
-    """
-    m2p: dict[str, float] = {}
-    m2e: dict[str, float] = {}
-    slot_counts: Counter = Counter()
-    tallies: Counter = Counter(tally or {})
-    for rec, latency in zip(*latencies_from_log(records, tallies)):
-        if rec.media == VIDEO:
-            m2p[rec.device] = latency
-        else:
-            m2e[rec.device] = latency
-        if rec.slot is not None:
-            slot_counts[(rec.media, rec.slot)] += 1
-    skew = {dev: m2p[dev] - m2e[dev] for dev in m2p.keys() & m2e.keys()}
-    return MetricsSnapshot(
-        m2p_ms=m2p,
-        m2e_ms=m2e,
-        skew_ms=skew,
-        slot_counts=dict(slot_counts),
-        tallies=dict(tallies),
-    )
-
+# --- exposition ------------------------------------------------------------------
 
 def _num(value: float) -> str:
     if value == int(value):
@@ -229,19 +190,27 @@ def _label(value: str) -> str:
     return value.translate(_LABEL_ESCAPES)
 
 
-def render_exposition(snapshot: MetricsSnapshot) -> str:
-    """Text exposition of a snapshot; empty snapshot renders an empty body."""
+def render_exposition(scan: LatencyScan, tally: Mapping[str, int]) -> str:
+    """Text exposition of the scan ``build_report`` reads, and of the tally
+    ``latencies_from_log`` charged; an empty scan and tally render an empty
+    body.
+
+    The latency gauges are each (media, device)'s last latency, and the skew
+    gauge is a device's last video minus its last audio latency.
+    """
+    last = scan.last
     lines: list[str] = []
-    for device, value in snapshot.m2p_ms.items():
-        lines.append(f'xr_m2p_latency_ms{{device="{_label(device)}"}} {_num(value)}')
-    for device, value in snapshot.m2e_ms.items():
-        lines.append(f'xr_m2e_latency_ms{{device="{_label(device)}"}} {_num(value)}')
-    for device, value in snapshot.skew_ms.items():
-        lines.append(f'xr_intra_media_skew_ms{{device="{_label(device)}"}} {_num(value)}')
-    for (media, slot), count in snapshot.slot_counts.items():
-        lines.append(f'xr_slot_detections_total{{media="{_label(media)}",slot="{slot}"}} {count}')
+    for (media, device), value in last.items():
+        name = "xr_m2p_latency_ms" if media == VIDEO else "xr_m2e_latency_ms"
+        lines.append(f'{name}{{device="{_label(device)}"}} {_num(value)}')
+        if media == VIDEO and (AUDIO, device) in last:
+            skew = value - last[(AUDIO, device)]
+            lines.append(f'xr_intra_media_skew_ms{{device="{_label(device)}"}} {_num(skew)}')
+    for (slot, media), latencies in scan.slots.items():
+        lines.append(f'xr_slot_detections_total{{media="{_label(media)}",slot="{slot}"}} '
+                     f'{len(latencies)}')
     merged: Counter = Counter()
-    for key, count in snapshot.tallies.items():
+    for key, count in tally.items():
         merged[_COUNTER_NAMES.get(key, f"xr_{key}_total")] += count
     for name, count in merged.items():
         lines.append(f"{name} {count}")

@@ -15,8 +15,8 @@ A log is aggregated in two steps, each one pass over the records:
                           that groups the latencies every aggregate needs
                           into a ``LatencyScan``
 
-``build_report`` and ``write_epoch_series_csv`` read only the scan; the
-exporter's snapshot goes through the same rule.
+``build_report``, ``write_epoch_series_csv`` and the exporter's
+``render_exposition`` read only the scan.
 
 Everything here is plain Python arithmetic over small sample lists. That is
 deliberate: results must be bit-for-bit reproducible by a naive reimplementation
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -83,12 +83,14 @@ class LatencyScan:
     """The kept latencies of one log, grouped by one ``scan_latencies`` pass.
 
     Every list keeps log order. ``epochs`` maps each medium to its
-    (epoch_start_ms, device) -> minimum latency, at ``width_ms``.
+    (epoch_start_ms, device) -> minimum latency, at ``width_ms``. ``last``
+    maps each (media, device) to the latency of its last kept record.
     """
     width_ms: int
     by_media: dict[str, list[float]]
     slots: dict[tuple[int, str], list[float]]
     epochs: dict[str, dict[tuple[int, str], float]]
+    last: dict[tuple[str, str], float]
 
 
 @dataclass(frozen=True)
@@ -134,21 +136,31 @@ def scan_latencies(records: list[DetectionRecord], latencies: list[float],
                    epoch_width_ms: int = DEFAULT_EPOCH_MS) -> LatencyScan:
     """Group ``latencies_from_log``'s two lists in one pass: by medium, by
     (slot, media) for the slotted records, and as each medium's running
-    minimum per (epoch, device)."""
+    minimum per (epoch, device). Each (media, device)'s last latency is
+    found afterwards, walking back from the end of the log."""
     if epoch_width_ms < 1:
         raise ValueError("epoch width must be positive")
     by_media: dict[str, list[float]] = {VIDEO: [], AUDIO: []}
-    slots: dict[tuple[int, str], list[float]] = {}
+    slots: defaultdict[tuple[int, str], list[float]] = defaultdict(list)
     epochs: dict[str, dict[tuple[int, str], float]] = {VIDEO: {}, AUDIO: {}}
-    for rec, latency in zip(records, latencies):
-        by_media[rec.media].append(latency)
-        if rec.slot is not None:
-            slots.setdefault((rec.slot, rec.media), []).append(latency)
-        minima = epochs[rec.media]
-        key = (rec.playout_ts // epoch_width_ms * epoch_width_ms, rec.device)
+    for (media, device, _, playout_ts, slot, _, _), latency in zip(records, latencies):
+        by_media[media].append(latency)
+        if slot is not None:
+            slots[(slot, media)].append(latency)
+        minima = epochs[media]
+        key = (playout_ts // epoch_width_ms * epoch_width_ms, device)
         if latency < minima.get(key, math.inf):
             minima[key] = latency
-    return LatencyScan(epoch_width_ms, by_media, slots, epochs)
+    unseen = {(media, device) for media, minima in epochs.items() for _, device in minima}
+    last: dict[tuple[str, str], float] = {}
+    for rec, latency in zip(reversed(records), reversed(latencies)):
+        key = rec[:2]  # (media, device)
+        if key in unseen:
+            unseen.remove(key)
+            last[key] = latency
+            if not unseen:
+                break
+    return LatencyScan(epoch_width_ms, by_media, dict(slots), epochs, last)
 
 
 def _mean(values: list[float]) -> float:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .audio_beacon import ToneSchedule, read_tone_schedule
+from .audio_beacon import MAX_SAMPLE_RATE, ToneSchedule, read_tone_schedule
 from .schema import (
     SchemaError,
     finite,
@@ -287,8 +287,10 @@ class SessionScenario:
                                         f"over the cap of {MAX_DEVICE_FRAMES}")
         if self.beacon_interval_ms <= 0:
             raise SchemaError("beacon_interval_ms", "must be positive")
-        if self.sample_rate <= 0:
-            raise SchemaError("sample_rate", "must be positive")
+        top = max(self.tones.frequencies)
+        if not 2 * top < self.sample_rate <= MAX_SAMPLE_RATE:
+            raise SchemaError("sample_rate", f"expected above {2 * top:.0f} (twice the top "
+                              f"tone) and at most {MAX_SAMPLE_RATE}, got {self.sample_rate}")
         if len(self.viewers) != len(self.join_times_s):
             raise SchemaError("join_times_s", "one join time per viewer required")
         if len(set((self.presenter,) + self.viewers)) != 1 + len(self.viewers):

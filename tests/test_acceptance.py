@@ -29,7 +29,6 @@ from xrprobe.audio_beacon import (
     synthesize,
 )
 from xrprobe.cli import run
-from xrprobe.exporter import snapshot_from_records
 from xrprobe.metrics import (
     AUDIO,
     VIDEO,
@@ -360,11 +359,8 @@ def test_report_and_epoch_rows_match_brute_force(records, width, tally):
     lib_report, lib_csv = _analyze(records, Counter(tally), width)
     assert lib_report == _brute_report(records, tally, width)
     assert lib_csv == _brute_epoch_csv(records, width)
-    # each negative latency is counted once, by analyze and by serve alike
+    # each negative latency is counted once
     assert (lib_report["diagnostics"].get("clock_skew_suspected", 0)
-            == tally.get("clock_skew_suspected", 0) + negatives)
-    snap = snapshot_from_records(records, Counter(tally))
-    assert (snap.tallies.get("clock_skew_suspected", 0)
             == tally.get("clock_skew_suspected", 0) + negatives)
 
 

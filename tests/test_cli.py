@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import xrprobe
-from xrprobe import cli, exporter, metrics
+from xrprobe import cli, metrics
+from xrprobe.audio_beacon import MAX_SAMPLE_RATE
 from xrprobe.cli import run
 from xrprobe.exporter import read_log, write_log
 
@@ -64,6 +65,7 @@ class TestExitCodes:
         (["gen-video", "--fps", "-5"], "--fps"),
         (["gen-video", "--start-ts", str(2**64 - 1), "--duration-s", "0.1"], "--start-ts"),
         (["gen-audio", "--start-ts", str(2**64 - 1), "--duration-s", "1"], "--start-ts"),
+        (["gen-audio", "--rate", str(MAX_SAMPLE_RATE + 1)], "--rate"),
     ])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
         if argv[0] != "serve":
@@ -319,7 +321,8 @@ class TestSimulateAnalyze:
         assert all(scans[0].epochs[media] for media in ("video", "audio"))
 
     def test_analyze_computes_each_latency_once(self, tmp_path, capsys, monkeypatch):
-        # one pass of the negative-latency rule over every record, and no other
+        # one pass of the negative-latency rule over every record, and no other,
+        # whether the scan is rendered as report.json or as the exposition
         sc = write_scenario(tmp_path / "sc.json")
         out = tmp_path / "out"
         run(["simulate", "--scenario", str(sc), "--out", str(out)])
@@ -331,11 +334,13 @@ class TestSimulateAnalyze:
             calls.append(records)
             return rule(records, tally)
 
-        for module in (cli, metrics, exporter):
+        for module in (cli, metrics):
             monkeypatch.setattr(module, "latencies_from_log", counted)
-        assert run(["analyze", "--log", str(out)]) == 0
-        capsys.readouterr()
-        assert calls == [read_log(out / "log.jsonl")]
+        for argv in (["analyze"], ["serve", "--serve-port", "0"]):
+            calls.clear()
+            assert run([argv[0], "--log", str(out), *argv[1:]]) == 0
+            capsys.readouterr()
+            assert calls == [read_log(out / "log.jsonl")]
 
     def test_physical_mode_layout(self, tmp_path, capsys):
         sc = write_scenario(tmp_path / "sc.json", duration_s=6.0)

@@ -20,16 +20,14 @@ from hypothesis import given, settings, strategies as st
 from xrprobe.cli import run
 from xrprobe.exporter import (
     READ_TIMEOUT_S,
-    MetricsSnapshot,
     ParseError,
     format_log_line,
     make_server,
     read_log,
     render_exposition,
-    snapshot_from_records,
     write_log,
 )
-from xrprobe.metrics import DetectionRecord
+from xrprobe.metrics import DetectionRecord, latencies_from_log, scan_latencies
 
 
 def random_records(seed, n):
@@ -301,35 +299,34 @@ class TestLogOracle:
             '"media": "audio", "playout_ts": 2, "slot": null}\n')
 
 
+def exposition(records, tally=None):
+    """What ``serve`` renders for a log: its scan and its charged tally."""
+    tally = collections.Counter(tally or {})
+    return render_exposition(scan_latencies(*latencies_from_log(records, tally)), tally)
+
+
 class TestExposition:
     def test_single_gauge_format(self):
-        snap = MetricsSnapshot(m2p_ms={"v1": 250.0}, m2e_ms={}, skew_ms={},
-                               slot_counts={}, tallies={})
-        assert render_exposition(snap) == 'xr_m2p_latency_ms{device="v1"} 250\n'
+        recs = [DetectionRecord(media="video", device="v1", emission_ts=0, playout_ts=250)]
+        assert exposition(recs) == 'xr_m2p_latency_ms{device="v1"} 250\n'
 
     def test_empty_snapshot_empty_body(self):
-        snap = MetricsSnapshot({}, {}, {}, {}, {})
-        assert render_exposition(snap) == ""
+        assert exposition([]) == ""
 
     def test_lines_sorted(self):
-        snap = snapshot_from_records(random_records(3, 50))
-        body = render_exposition(snap)
-        lines = body.splitlines()
+        lines = exposition(random_records(3, 50)).splitlines()
         assert lines == sorted(lines)
 
     def test_pure_function_of_snapshot(self):
         recs = random_records(4, 80)
-        a = render_exposition(snapshot_from_records(recs))
-        b = render_exposition(snapshot_from_records(list(recs)))
-        assert a == b
+        assert exposition(recs) == exposition(list(recs))
 
     def test_counters_merged_and_named(self):
-        snap = snapshot_from_records(
-            [DetectionRecord(media="video", device="u1", emission_ts=10, playout_ts=5)],
-            tally=collections.Counter({"crc_mismatch": 2, "unknown_tone": 3}),
-        )
-        assert snap.tallies["clock_skew_suspected"] == 1
-        body = render_exposition(snap)
+        tally = collections.Counter({"crc_mismatch": 2, "unknown_tone": 3})
+        scan = scan_latencies(*latencies_from_log(
+            [DetectionRecord(media="video", device="u1", emission_ts=10, playout_ts=5)], tally))
+        assert tally["clock_skew_suspected"] == 1
+        body = render_exposition(scan, tally)
         assert "xr_crc_failures_total 2" in body
         assert "xr_unknown_tones_total 3" in body
         assert "xr_negative_latencies_total 1" in body
@@ -337,14 +334,12 @@ class TestExposition:
     def test_slot_counters(self):
         recs = [DetectionRecord(media="video", device="u1", emission_ts=0,
                                 playout_ts=10, slot=2)] * 3
-        body = render_exposition(snapshot_from_records(recs))
-        assert 'xr_slot_detections_total{media="video",slot="2"} 3' in body
+        assert 'xr_slot_detections_total{media="video",slot="2"} 3' in exposition(recs)
 
     def test_label_values_escaped(self):
         device = 'a"b\nc\\'
-        snap = MetricsSnapshot(m2p_ms={device: 5.0}, m2e_ms={}, skew_ms={},
-                               slot_counts={}, tallies={})
-        body = render_exposition(snap)
+        body = exposition([DetectionRecord(media="video", device=device,
+                                           emission_ts=0, playout_ts=5)])
         assert body == 'xr_m2p_latency_ms{device="a\\"b\\nc\\\\"} 5\n'
         # one sample line in the Prometheus text format, label value unescaped back
         m = re.fullmatch(r'(\w+)\{device="((?:[^"\\\n]|\\[\\"n])*)"\} (\S+)\n', body)
@@ -358,13 +353,90 @@ class TestExposition:
             DetectionRecord(media="audio", device="u1", emission_ts=0, playout_ts=200),
             DetectionRecord(media="video", device="u2", emission_ts=0, playout_ts=100),
         ]
-        snap = snapshot_from_records(recs)
-        assert snap.skew_ms == {"u1": 50.0}
+        skews = [line for line in exposition(recs).splitlines()
+                 if line.startswith("xr_intra_media_skew_ms")]
+        assert skews == ['xr_intra_media_skew_ms{device="u1"} 50']
+
+
+# devices and the media each one sends; the names need escaping
+_MEDIA_OF = {"u1": ("video", "audio"), 'q"t': ("video", "audio"),
+             "b\\s": ("audio",), "n\nl": ("video",)}
+_COUNTER_NAME = {"crc_mismatch": "xr_crc_failures_total",
+                 "clock_skew_suspected": "xr_negative_latencies_total"}
+
+
+@st.composite
+def _exposition_logs(draw):
+    """A log whose latencies are sometimes negative, in which some devices
+    send one medium only and some stop sending partway through."""
+    def rows(devices):
+        pairs = [(media, dev) for dev in devices for media in _MEDIA_OF[dev]]
+        return st.lists(st.tuples(st.sampled_from(pairs), st.integers(0, 5000),
+                                  st.integers(-20, 300),
+                                  st.one_of(st.none(), st.integers(1, 4))), max_size=40)
+    stopped = draw(st.sets(st.sampled_from(sorted(_MEDIA_OF))))
+    going = sorted(_MEDIA_OF.keys() - stopped)
+    head = draw(rows(sorted(_MEDIA_OF)))
+    tail = draw(rows(going)) if going else []
+    return [DetectionRecord(media, dev, playout - latency, playout, slot)
+            for (media, dev), playout, latency, slot in head + tail]
+
+
+def _brute_last(records):
+    """Each (media, device)'s last non-negative latency, by a forward walk."""
+    last = {}
+    for rec in records:
+        if rec.playout_ts >= rec.emission_ts:
+            last[(rec.media, rec.device)] = rec.playout_ts - rec.emission_ts
+    return last
+
+
+def _brute_exposition(records, tally):
+    """The exposition text, from the raw records by its definition."""
+    def label(value):
+        return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+    last = _brute_last(records)
+    lines = []
+    for (media, dev), latency in last.items():
+        name = {"video": "xr_m2p_latency_ms", "audio": "xr_m2e_latency_ms"}[media]
+        lines.append(f'{name}{{device="{label(dev)}"}} {latency}')
+        if media == "video" and ("audio", dev) in last:
+            lines.append(f'xr_intra_media_skew_ms{{device="{label(dev)}"}} '
+                         f'{latency - last[("audio", dev)]}')
+    slots = collections.Counter((rec.media, rec.slot) for rec in records
+                                if rec.slot is not None and rec.playout_ts >= rec.emission_ts)
+    lines += [f'xr_slot_detections_total{{media="{media}",slot="{slot}"}} {n}'
+              for (media, slot), n in slots.items()]
+    negatives = sum(rec.playout_ts < rec.emission_ts for rec in records)
+    counts = collections.Counter()
+    for key, n in tally.items():
+        counts[_COUNTER_NAME.get(key, f"xr_{key}_total")] += n
+    if negatives:
+        counts["xr_negative_latencies_total"] += negatives
+    lines += [f"{name} {n}" for name, n in counts.items()]
+    return "".join(line + "\n" for line in sorted(lines))
+
+
+@given(records=_exposition_logs(),
+       tally=st.dictionaries(st.sampled_from(("crc_mismatch", "clock_skew_suspected",
+                                              "negative_latencies", "frames_stale")),
+                             st.integers(0, 9)))
+@settings(max_examples=200, deadline=None)
+def test_exposition_matches_brute_force(records, tally):
+    charged = collections.Counter(tally)
+    scan = scan_latencies(*latencies_from_log(records, charged))
+    assert scan.last == _brute_last(records)
+    assert render_exposition(scan, charged) == _brute_exposition(records, tally)
 
 
 @pytest.fixture(scope="module")
 def one_shot(tmp_path_factory):
-    """A simulated 30 s wifi log and the stdout of ``serve --serve-port 0`` on it."""
+    """A simulated 30 s wifi log and the stdout of ``serve --serve-port 0`` on it.
+
+    One record played out before it was emitted is appended to the log, so
+    the negative-latency rule has something to count.
+    """
     tmp = tmp_path_factory.mktemp("serve")
     scenario = tmp / "scenario.json"
     scenario.write_text(json.dumps({"profile": "wifi", "seed": 42, "duration_s": 30,
@@ -373,10 +445,27 @@ def one_shot(tmp_path_factory):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    with open(out / "log.jsonl", "a") as fh:
+        fh.write(format_log_line(DetectionRecord(media="video", device="u2", emission_ts=10,
+                                                 playout_ts=5, slot=1)))
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert run(["serve", "--log", str(out), "--serve-port", "0"]) == 0
     return out, stdout.getvalue().encode()
+
+
+def test_serve_counts_what_analyze_reports(one_shot, tmp_path, capsys):
+    log_dir, body = one_shot
+    assert run(["analyze", "--log", str(log_dir), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    samples = dict(line.rsplit(" ", 1) for line in body.decode().splitlines())
+    negatives = report["diagnostics"]["clock_skew_suspected"]
+    assert int(samples["xr_negative_latencies_total"]) == negatives == 1
+    slots = {name: int(value) for name, value in samples.items()
+             if name.startswith("xr_slot_detections_total")}
+    assert slots == {f'xr_slot_detections_total{{media="{entry["media"]}",slot="{entry["slot"]}"}}':
+                     entry["count"] for entry in report["slot_stats"]}
 
 
 class TestHttpService:
@@ -384,8 +473,8 @@ class TestHttpService:
     def server(self, one_shot):
         log_dir, _ = one_shot
         tally = collections.Counter(json.loads((log_dir / "tally.json").read_text()))
-        snapshot = snapshot_from_records(read_log(log_dir / "log.jsonl"), tally)
-        srv = make_server(render_exposition(snapshot), port=0)
+        scan = scan_latencies(*latencies_from_log(read_log(log_dir / "log.jsonl"), tally))
+        srv = make_server(render_exposition(scan, tally), port=0)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         yield srv
         srv.shutdown()

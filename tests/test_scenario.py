@@ -30,6 +30,7 @@ from xrprobe.scenario import (
     scenario_from_file,
 )
 import xrprobe
+from xrprobe.audio_beacon import MAX_SAMPLE_RATE
 from xrprobe.schema import SchemaError
 
 
@@ -339,11 +340,20 @@ class TestLoader:
         ({"tones": {"pulse_duration_ms": 120}}, "tones.pulse_duration_ms"),
         ({"tones": {"ramp_ms": 41}}, "tones.ramp_ms"),
         ({"tones": {"ramp_ms": -5}}, "tones.ramp_ms"),
+        ({"duration_s": 2, "viewers": ["u2"], "join_times_s": [1], "sample_rate": 4000},
+         "sample_rate"),
+        ({"sample_rate": 8640}, "sample_rate"),  # twice the default top tone, 4320 Hz
+        ({"tones": {"f0_hz": 1000}, "sample_rate": 9000}, "sample_rate"),
+        ({"sample_rate": MAX_SAMPLE_RATE + 1}, "sample_rate"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:
             load_scenario({"profile": "wifi", **doc})
         assert err.value.field == field
+
+    @pytest.mark.parametrize("rate", [8641, MAX_SAMPLE_RATE])
+    def test_sample_rate_at_its_bounds_accepted(self, rate):
+        assert load_scenario({"profile": "wifi", "sample_rate": rate}).sample_rate == rate
 
     def test_typed_values_accepted(self):
         sc = load_scenario({"profile": "wifi", "seed": 7.0, "viewers": ["u2"],
