@@ -42,9 +42,12 @@ from .metrics import (
     write_epoch_series_csv,
 )
 from .netsim import run_physical, run_scenario
-from .scenario import scenario_from_file
+from .scenario import MAX_DEVICE_FRAMES, scenario_from_file
 from .schema import SchemaError, integer, json_object
 from .video_beacon import (
+    DEFAULT_QUIET,
+    GRID_SIZE,
+    MAX_FRAME_SIDE,
     FrameManifest,
     beacon_emission,
     detect_frame_sequence,
@@ -86,6 +89,10 @@ _timestamp = _flag_type(int, lambda v: 0 <= v <= _MAX_TIMESTAMP, "an integer in 
 _TOP_TONE_X2 = 2 * max(ToneSchedule().frequencies)
 _sample_rate = _flag_type(int, lambda v: _TOP_TONE_X2 < v <= MAX_SAMPLE_RATE,
                           f"an integer > {_TOP_TONE_X2:.0f} and <= {MAX_SAMPLE_RATE}")
+# the frame, 21 modules plus the quiet zone a side, stays within MAX_FRAME_SIDE
+_MAX_SCALE = MAX_FRAME_SIDE // (GRID_SIZE + 2 * DEFAULT_QUIET)
+_scale = _flag_type(int, lambda v: 0 < v <= _MAX_SCALE,
+                    f"an integer in 1..{_MAX_SCALE} (frame side <= {MAX_FRAME_SIDE} px)")
 _positive_seconds = _flag_type(float, lambda v: v > 0 and math.isfinite(v),
                                "a finite number > 0")
 _port = _flag_type(int, lambda v: 0 <= v <= 65535, "a TCP port in 0..65535")
@@ -117,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration-s", type=_positive_seconds, default=2.0)
     p.add_argument("--start-ts", type=_timestamp, default=0, help="first frame timestamp, ms")
     p.add_argument("--device-id", default="probe")
-    p.add_argument("--scale", type=_positive_int, default=8, help="pixels per module")
+    p.add_argument("--scale", type=_scale, default=8, help="pixels per module")
     p.add_argument("--interval-ms", type=_positive_int, default=10, help="beacon refresh grid")
 
     p = sub.add_parser("detect-video", help="decode beacons from a frame sequence")
@@ -157,7 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- subcommand bodies --------------------------------------------------------------
 
 def _cmd_gen_video(args) -> int:
-    frame_count = max(1, round(args.duration_s * args.fps))
+    frames = args.duration_s * args.fps
+    if math.isinf(frames) or round(frames) > MAX_DEVICE_FRAMES:
+        raise _FlagError(f"argument --duration-s/--fps: expected at most {MAX_DEVICE_FRAMES} "
+                         f"frames (duration x fps), got {frames:.7g}")
+    frame_count = max(1, round(frames))
     manifest = FrameManifest(device_id=args.device_id, fps=float(args.fps),
                              start_ts=args.start_ts, frame_count=frame_count)
     _check_start_ts(args.start_ts, manifest.frame_playout(frame_count - 1), "last frame")

@@ -19,12 +19,18 @@ from three lines: the first dark pixel in raster order, then the last dark
 pixel of its row and of its column. The guess is kept when the sampled finder
 zones match exactly and the CRC holds. Anything else (a speck or second code
 on those lines, an occluded finder, a damaged payload) falls through to the
-full finder scan, which alone decides what such a frame yields or raises. Finder candidates there come from a
-1:1:3:1:1 dark/light run-length test run once over every ``stride``-th row of
-the whole frame: the rows' runs are flattened with a forced break at column
-0, so no run crosses a row end, and each hit is then confirmed on its column.
-A frame's row and column run decompositions are computed at most once per
-frame, and the module pitch comes from the finder geometry.
+full finder scan, which alone decides what such a frame yields or raises.
+Finder candidates there come from a 1:1:3:1:1 dark/light run-length test run
+once over every ``stride``-th row of the whole frame: the rows' runs are
+flattened with a forced break at column 0, so no run crosses a row end, and
+each hit is then confirmed on its column. The scan makes up to three passes,
+coarsest stride first. The first is scanned on its own, so a frame it settles
+pays for nothing finer; the stride-4 and stride-1 passes share one stride-1
+scan, since a hit lies within one row and the stride-4 hits are the stride-1
+hits on every fourth row. A frame's row and column run decompositions are
+computed at most once per frame, and so is each column check: one is fixed by
+its column, the run the hit falls in and the unit, so the rows that cross one
+finder core share it. The module pitch comes from the finder geometry.
 
 Both detectors return ``metrics.DetectionRecord``s. ``detect_decode`` reads
 every frame it is given from scratch: bounding-box guess, then full scan.
@@ -64,6 +70,8 @@ TS_BITS = 64
 DEFAULT_BEACON_INTERVAL_MS = 10
 DEFAULT_SCALE = 8
 DEFAULT_QUIET = 4
+# largest frame side, in pixels, a generated sequence may ask for: 16 MB a frame
+MAX_FRAME_SIDE = 4096
 
 CRC_POLY = 0x1021
 CRC_INIT = 0xFFFF
@@ -230,9 +238,11 @@ def beacon_emission(stream_start_ts: Timestamp, capture_ts: Timestamp,
 
 # --- detection ---------------------------------------------------------------
 
-_RATIO = np.array([1.0, 1.0, 3.0, 1.0, 1.0])
-_RATIO_TOL = np.array([0.5, 0.5, 0.8, 0.5, 0.5])
-_RATIO_PAIRS = tuple(zip(_RATIO.tolist(), _RATIO_TOL.tolist()))
+# the 1:1:3:1:1 finder signature: each run's width, and how far it may miss,
+# in units of the quintet's width / 7
+_OUTER, _OUTER_TOL = 1.0, 0.5
+_CORE, _CORE_TOL = 3.0, 0.8
+_RATIO_PAIRS = ((_OUTER, _OUTER_TOL),) * 2 + ((_CORE, _CORE_TOL),) + ((_OUTER, _OUTER_TOL),) * 2
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,36 +254,41 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _LineRuns:
-    """Run decompositions of one frame's rows and columns, each made at most once.
+    """Run decompositions of one frame's rows and columns, each made at most
+    once, and the quintet centers read on them.
 
     A line maps to ``(starts, lengths, dark)`` as Python lists, ``dark``
-    giving each run's color. Created per frame: nothing is kept across frames.
+    giving each run's color. A center is memoised by its line, the run its
+    hint falls in and the unit it is checked against, which together fix
+    ``_line_center``'s result: the consecutive row hits that cross one finder
+    core share one column check. Created per frame: nothing is kept across
+    frames.
     """
 
     def __init__(self, dark: np.ndarray):
         self.dark = dark
-        self._memo: dict[tuple[int, int], tuple[list, list, list]] = {}
+        self._runs: dict[tuple[int, int], tuple[list, list, list]] = {}
+        self._centers: dict[tuple[int, int, int, float], tuple[float, float] | None] = {}
 
-    def row(self, y: int) -> tuple[list, list, list]:
-        return self._get(0, y)
-
-    def col(self, x: int) -> tuple[list, list, list]:
-        return self._get(1, x)
-
-    def _get(self, axis: int, index: int) -> tuple[list, list, list]:
-        runs = self._memo.get((axis, index))
+    def center(self, axis: int, index: int, hint: int, unit: float):
+        """``_line_center`` of the run covering ``hint`` on row (axis 0) or
+        column (axis 1) ``index``."""
+        runs = self._runs.get((axis, index))
         if runs is None:
             line = self.dark[index] if axis == 0 else self.dark[:, index]
             starts, lengths = _runs(line)
             runs = (starts.tolist(), lengths.tolist(), line[starts].tolist())
-            self._memo[(axis, index)] = runs
-        return runs
+            self._runs[(axis, index)] = runs
+        i = bisect_right(runs[0], hint) - 1
+        key = (axis, index, i, unit)
+        if key not in self._centers:
+            self._centers[key] = _line_center(runs, i, unit)
+        return self._centers[key]
 
 
-def _line_center(runs: tuple[list, list, list], hint: int, unit: float):
-    """Center/unit of the 1:1:3:1:1 quintet whose middle run covers ``hint``."""
+def _line_center(runs: tuple[list, list, list], i: int, unit: float):
+    """Center/unit of the 1:1:3:1:1 quintet whose middle run is run ``i``."""
     starts, lengths, dark = runs
-    i = bisect_right(starts, hint) - 1
     if i < 2 or i + 2 >= len(starts) or not dark[i]:
         return None
     win = lengths[i - 2 : i + 3]
@@ -294,15 +309,15 @@ def _refine_center(lines: _LineRuns, cx: float, cy: float, unit: float):
     before clustering keeps payload patterns that mimic the finder signature
     from dragging a genuine cluster's mean off center.
     """
-    vert = _line_center(lines.col(int(round(cx))), int(round(cy)), unit)
+    vert = lines.center(1, int(round(cx)), int(round(cy)), unit)
     if vert is None:
         return None
     cy2, vunit = vert
-    horiz = _line_center(lines.row(int(round(cy2))), int(round(cx)), vunit)
+    horiz = lines.center(0, int(round(cy2)), int(round(cx)), vunit)
     if horiz is None:
         return None
     cx2, hunit = horiz
-    vert2 = _line_center(lines.col(int(round(cx2))), int(round(cy2)), hunit)
+    vert2 = lines.center(1, int(round(cx2)), int(round(cy2)), hunit)
     if vert2 is None:
         return None
     cy3, vunit2 = vert2
@@ -314,35 +329,65 @@ def _row_hits(dark: np.ndarray, stride: int) -> tuple[list[int], list[float], li
 
     One pass over the strided frame: a run starts at every color change and
     at column 0, so no flattened run crosses a row end, and the ratio test
-    runs once over all 5-run windows. Windows spanning two rows or led by a
-    light run are dropped. Hits come out row-major, left to right.
+    runs once over all 5-run windows, each window position a shifted slice of
+    the run lengths. Windows spanning two rows or led by a light run are
+    dropped. Hits come out row-major, left to right. Every hit lies within
+    one row, so the hits at stride ``s`` are exactly the stride-1 hits on
+    rows ``y % s == 0``, in the same order.
     """
     rows = dark[::stride]
     width = rows.shape[1]
-    edge = np.empty(rows.shape, dtype=bool)
-    edge[:, 0] = True
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=edge[:, 1:])
+    flat = rows.ravel()
+    edge = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:])
+    edge[::width] = True
     starts = np.flatnonzero(edge)
-    if starts.size < 5:
+    n = starts.size
+    if n < 5:
         return [], [], []
-    lengths = np.diff(starts, append=rows.size)
-    win = np.lib.stride_tricks.sliding_window_view(lengths, 5)
-    units = win.sum(axis=1) / 7.0
-    tol = np.maximum(units[:, None] * _RATIO_TOL, 0.6)
-    ok = (np.abs(win - _RATIO * units[:, None]) <= tol).all(axis=1)
-    row = starts // width
-    ok &= rows.ravel()[starts[:-4]] & (row[:-4] == row[4:])
+    lengths = np.empty(n, dtype=starts.dtype)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = rows.size - starts[-1]
+    m = n - 4
+    w0, w1, w2, w3, w4 = (lengths[k : k + m] for k in range(5))
+    units = (w0 + w1 + w2 + w3 + w4) / 7.0
+    ok = np.abs(w2 - _CORE * units) <= np.maximum(units * _CORE_TOL, 0.6)
+    outer, outer_tol = _OUTER * units, np.maximum(units * _OUTER_TOL, 0.6)
+    for w in (w0, w1, w3, w4):
+        ok &= np.abs(w - outer) <= outer_tol
     idx = np.flatnonzero(ok)
+    first = starts[idx]
+    row = first // width
+    keep = flat[first] & (row == starts[idx + 4] // width)
+    idx, row = idx[keep], row[keep]
     core = idx + 2
-    cx = (starts[core] - row[core] * width) + lengths[core] / 2.0
-    return (row[idx] * stride).tolist(), cx.tolist(), units[idx].tolist()
+    cx = (starts[core] - row * width) + lengths[core] / 2.0
+    return (row * stride).tolist(), cx.tolist(), units[idx].tolist()
 
 
-def _scan_finders(lines: _LineRuns, stride: int) -> list[tuple[float, float, float]]:
-    """Candidate finder centers (cx, cy, unit): row hits confirmed on their column."""
+def _pass_hits(dark: np.ndarray):
+    """Row hits of each scan pass, coarsest first.
+
+    A code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
+    adaptive first pass still crosses every core; the 4 and 1 passes cover
+    small codes inside large frames. The first pass is scanned on its own,
+    so a frame it settles pays for nothing finer; the finer passes share one
+    stride-1 scan, the stride-4 pass keeping its hits on rows ``y % 4 == 0``.
+    """
+    adaptive = max(4, min(dark.shape) // 32)
+    yield zip(*_row_hits(dark, adaptive))
+    fine = list(zip(*_row_hits(dark, 1)))
+    if adaptive > 4:
+        yield [hit for hit in fine if hit[0] % 4 == 0]
+    yield fine
+
+
+def _scan_finders(lines: _LineRuns, hits) -> list[tuple[float, float, float]]:
+    """Candidate finder centers (cx, cy, unit): (y, cx, unit) row hits
+    confirmed on their column, each column check memoised per run and unit."""
     found: list[tuple[float, float, float]] = []
-    for y, cx, unit in zip(*_row_hits(lines.dark, stride)):
-        vert = _line_center(lines.col(int(cx)), y, unit)
+    for y, cx, unit in hits:
+        vert = lines.center(1, int(cx), y, unit)
         if vert is None:
             continue
         cy, vunit = vert
@@ -490,14 +535,9 @@ def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
         return ts, guess
     lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
-    # a code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
-    # adaptive first pass still crosses every core; the 4 and 1 passes cover
-    # small codes inside large frames
-    adaptive = max(4, min(dark.shape) // 32)
-    strides = (adaptive, 4, 1) if adaptive > 4 else (4, 1)
-    for stride in strides:
+    for hits in _pass_hits(dark):
         # dedupe before the refinement walk
-        tight = _cluster(_scan_finders(lines, stride))
+        tight = _cluster(_scan_finders(lines, hits))
         clusters = []
         for cand in tight:
             refined = _refine_center(lines, *cand)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xrprobe
@@ -13,6 +14,8 @@ from xrprobe import cli, metrics
 from xrprobe.audio_beacon import MAX_SAMPLE_RATE
 from xrprobe.cli import run
 from xrprobe.exporter import read_log, write_log
+from xrprobe.scenario import MAX_DEVICE_FRAMES
+from xrprobe.video_beacon import MAX_FRAME_SIDE, PixelBuffer
 
 
 def write_scenario(path, duration_s=20.0, seed=7):
@@ -76,6 +79,46 @@ class TestExitCodes:
         assert f"argument {flag}: expected" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    # nothing is drawn: a value that passed the checks would reach the
+    # patched rasterize and fail the test instead of filling memory
+    @pytest.mark.parametrize("extra, flag, message", [
+        (["--fps", "1000000", "--duration-s", "1000000"], "--duration-s/--fps",
+         f"expected at most {MAX_DEVICE_FRAMES} frames (duration x fps), got 1e+12"),
+        (["--fps", "1000", "--duration-s", "1000.001"], "--duration-s/--fps",
+         f"expected at most {MAX_DEVICE_FRAMES} frames (duration x fps), got 1000001"),
+        (["--fps", "30", "--duration-s", "1e308"], "--duration-s/--fps", "got inf"),
+        (["--scale", str(MAX_FRAME_SIDE // 29 + 1)], "--scale",
+         f"expected an integer in 1..{MAX_FRAME_SIDE // 29} (frame side <= "
+         f"{MAX_FRAME_SIDE} px), got '{MAX_FRAME_SIDE // 29 + 1}'"),
+        (["--scale", str(10**12)], "--scale", f"got '{10**12}'"),
+    ])
+    def test_gen_video_size_caps_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                extra, flag, message):
+        def rasterize(*args, **kwargs):
+            raise AssertionError("rasterized a frame over the cap")
+
+        monkeypatch.setattr(cli, "rasterize", rasterize)
+        assert run(["gen-video", "--out", str(tmp_path / "frames"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_video_largest_scale_accepted(self, tmp_path, capsys, monkeypatch):
+        scales = []
+
+        def rasterize(grid, scale):
+            scales.append(scale)
+            return PixelBuffer(pixels=np.zeros((1, 1), dtype=np.uint8))
+
+        monkeypatch.setattr(cli, "rasterize", rasterize)
+        top = MAX_FRAME_SIDE // 29  # 21 modules plus a 4-module quiet zone a side
+        argv = ["gen-video", "--out", str(tmp_path / "frames"), "--fps", "1",
+                "--duration-s", "1", "--scale", str(top)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert scales == [top] and (21 + 2 * 4) * top <= MAX_FRAME_SIDE
 
     @pytest.mark.parametrize("command, detect, span", [
         # three frames at 30 fps, the last 67 ms after the first

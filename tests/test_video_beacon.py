@@ -7,6 +7,8 @@ per-module encoder, the kron-based rasterizer, the per-row finder scan and
 the frame-by-frame sequence loop are kept here as the references for the
 table-driven, whole-frame and geometry-reusing code, and the float-midpoint
 threshold and two-``repeat`` rasterizer for their integer and broadcast forms.
+The original pass loop, one per-row scan per stride, is the reference for
+``_locate``'s shared stride-1 scan and memoised column checks.
 """
 
 import json
@@ -37,7 +39,20 @@ from xrprobe.video_beacon import (
 )
 from xrprobe import video_beacon
 from xrprobe.schema import SchemaError
-from xrprobe.video_beacon import _LineRuns, _read_pgm_stream, _row_hits, _scan_finders
+from xrprobe.video_beacon import (
+    _cluster,
+    _decode_at,
+    _guess_finders,
+    _LineRuns,
+    _locate,
+    _pass_hits,
+    _read_pgm_stream,
+    _refine_center,
+    _row_hits,
+    _scan_finders,
+    _triples,
+    _try_at,
+)
 
 
 def crc16_oracle(data: bytes) -> int:
@@ -502,10 +517,8 @@ def _strides(dark):
     return (max(4, min(dark.shape) // 32), 4, 1)
 
 
-@st.composite
-def _scan_frames(draw):
-    """Beacon frames, intact or damaged, with noise and non-square padding."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _drawn_modules(draw) -> ModuleGrid:
+    """A beacon intact, with a finder painted light, or with a payload module flipped."""
     modules = encode_beacon(draw(st.integers(0, (1 << 63) - 1))).modules.copy()
     damage = draw(st.sampled_from(["intact", "finder", "payload"]))
     if damage == "finder":
@@ -513,13 +526,27 @@ def _scan_frames(draw):
         modules[r0 : r0 + 7, c0 : c0 + 7] = False
     elif damage == "payload":
         modules[8, 8 + draw(st.integers(0, 4))] ^= True
+    return ModuleGrid(modules=modules, payload_ts=0)
+
+
+@st.composite
+def _scan_frames(draw):
+    """Beacon frames, intact or damaged, with noise and non-square padding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = _drawn_modules(draw)
     scale = draw(st.integers(1, 16))
     quiet = draw(st.integers(0, 4))
-    px = rasterize(ModuleGrid(modules=modules, payload_ts=0), scale=scale, quiet=quiet).pixels
+    px = rasterize(grid, scale=scale, quiet=quiet).pixels
     pad = [draw(st.integers(0, 40)) for _ in range(4)]
     px = np.pad(px, ((pad[0], pad[1]), (pad[2], pad[3])), constant_values=255)
     noise = draw(st.sampled_from([0.0, 0.002, 0.02, 0.5]))
     return px ^ np.where(rng.random(px.shape) < noise, 255, 0).astype(np.uint8) < 128
+
+
+@st.composite
+def _small_random_frames(draw):
+    seed, h, w = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return np.random.default_rng(seed).random((h, w)) < 0.5
 
 
 class TestFinderScan:
@@ -532,7 +559,7 @@ class TestFinderScan:
             # light-led row hit, since it rejects a light middle run
             assert list(zip(*_row_hits(dark, stride))) == [
                 (y, float(cx), float(u)) for y, cx, u in _ref_row_hits(dark, stride)]
-            got = _scan_finders(lines, stride)
+            got = _scan_finders(lines, zip(*_row_hits(dark, stride)))
             want = _ref_scan_finders(dark, stride)
             assert [tuple(map(float, c)) for c in got] == [tuple(map(float, c)) for c in want]
 
@@ -542,7 +569,21 @@ class TestFinderScan:
         dark = np.random.default_rng(seed).random((h, w)) < 0.5
         lines = _LineRuns(dark)
         for stride in _strides(dark):
-            assert _scan_finders(lines, stride) == _ref_scan_finders(dark, stride)
+            assert (_scan_finders(lines, zip(*_row_hits(dark, stride)))
+                    == _ref_scan_finders(dark, stride))
+
+    @given(dark=st.one_of(_scan_frames(), _small_random_frames()))
+    @settings(max_examples=80, deadline=None)
+    def test_stride_hits_are_the_stride_1_hits_on_their_rows(self, dark):
+        fine = list(zip(*_row_hits(dark, 1)))
+        for stride in _strides(dark):
+            assert list(zip(*_row_hits(dark, stride))) == [h for h in fine if h[0] % stride == 0]
+        # the passes _locate runs: the adaptive stride (4 at least), then 4 if
+        # that was coarser, then 1
+        adaptive = _strides(dark)[0]
+        strides = (adaptive, 4, 1) if adaptive > 4 else (4, 1)
+        assert [list(hits) for hits in _pass_hits(dark)] == [
+            list(zip(*_row_hits(dark, stride))) for stride in strides]
 
     @pytest.mark.parametrize("shape", [(1, 64), (64, 1), (1, 1), (64, 4), (4, 64), (3, 3)])
     def test_degenerate_frames_raise_finder_not_found(self, shape):
@@ -567,6 +608,144 @@ class TestFinderScan:
         # the same five runs inside one row do hit, centered on the 3-run
         one_row = np.array([[0, 1, 0, 1, 1, 1, 0, 1, 0]], dtype=bool)
         assert _row_hits(one_row, 1) == ([0], [4.5], [1.0])
+
+
+# --- whole-frame oracle: the original pass loop, one per-row scan per stride -----
+
+def _ref_locate(dark):
+    """``_locate`` as it was: the bounding-box guess, then for each stride its
+    own per-row scan, clustering, refinement and triple decodes."""
+    guess = _guess_finders(dark)
+    ts = _try_at(dark, guess)
+    if ts is not None:
+        return ts, guess
+    lines = _LineRuns(dark)
+    last_error = FinderNotFound("no finder triple")
+    adaptive = _strides(dark)[0]
+    for stride in (adaptive, 4, 1) if adaptive > 4 else (4, 1):
+        clusters = []
+        for cand in _cluster(_ref_scan_finders(dark, stride)):
+            refined = _refine_center(lines, *cand)
+            clusters.append(refined if refined is not None else cand)
+        for triple in _triples(clusters):
+            try:
+                ts = _decode_at(dark, *triple)
+            except CrcMismatch as exc:
+                last_error = exc
+                continue
+            if ts is not None:
+                return ts, triple
+        if isinstance(last_error, CrcMismatch):
+            break
+    raise last_error
+
+
+@st.composite
+def _speck_frames(draw):
+    """A dark speck ahead of the code in raster order: the guess reads the
+    wrong box, so the frame takes the full scan."""
+    scale, quiet = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    px = rasterize(_drawn_modules(draw), scale, quiet).pixels.copy()
+    pad = quiet * scale
+    y = draw(st.integers(0, pad))
+    x = draw(st.integers(0, pad - 1 if y == pad else px.shape[1] - 1))
+    px[y, x] = 0
+    return px < 128
+
+
+@st.composite
+def _stacked_frames(draw):
+    """Two codes of different scales side by side or one above the other."""
+    scale_a = draw(st.integers(1, 12))
+    scale_b = draw(st.integers(1, 12).filter(lambda s: s != scale_a))
+    a = rasterize(_drawn_modules(draw), scale_a, draw(st.integers(0, 3))).pixels
+    b = rasterize(_drawn_modules(draw), scale_b, draw(st.integers(0, 3))).pixels
+    axis = draw(st.integers(0, 1))
+    across = max(a.shape[1 - axis], b.shape[1 - axis])
+
+    def fit(px):
+        pad = [(0, 0), (0, 0)]
+        pad[1 - axis] = (0, across - px.shape[1 - axis])
+        return np.pad(px, pad, constant_values=255)
+
+    return np.concatenate([fit(a), fit(b)], axis=axis) < 128
+
+
+@st.composite
+def _small_code_frames(draw):
+    """A scale-1 code inside a large light frame: only the finer passes can
+    cross its 3 px finder cores."""
+    px = rasterize(_drawn_modules(draw), 1, 0).pixels
+    pad = [draw(st.integers(40, 120)) for _ in range(4)]
+    return np.pad(px, ((pad[0], pad[1]), (pad[2], pad[3])), constant_values=255) < 128
+
+
+def _outcome(locate, dark):
+    """(ts, triple as floats) or the class of the exception raised."""
+    try:
+        ts, triple = locate(dark)
+    except (FinderNotFound, CrcMismatch) as exc:
+        return type(exc)
+    return ts, [tuple(map(float, finder)) for finder in triple]
+
+
+class TestLocate:
+    @given(dark=st.one_of(_scan_frames(), _speck_frames(), _stacked_frames(),
+                          _small_code_frames()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pass_loop_oracle(self, dark):
+        assert _outcome(_locate, dark) == _outcome(_ref_locate, dark)
+
+
+class _ScanSpy:
+    """Records the ``_row_hits`` strides and the ``_line_center`` keys (line,
+    run index, unit) a test's full scans compute."""
+
+    def __init__(self, monkeypatch):
+        self.strides, self.keys = [], []
+        row_hits, line_center = video_beacon._row_hits, video_beacon._line_center
+
+        def rows(dark, stride):
+            self.strides.append(stride)
+            return row_hits(dark, stride)
+
+        def center(runs, i, unit):
+            # each line's runs are built once per frame, so the id names the line
+            self.keys.append((id(runs), i, unit))
+            return line_center(runs, i, unit)
+
+        monkeypatch.setattr(video_beacon, "_row_hits", rows)
+        monkeypatch.setattr(video_beacon, "_line_center", center)
+
+
+class TestScanCost:
+    def test_occluded_frame_scans_rows_twice(self, monkeypatch):
+        spy = _ScanSpy(monkeypatch)
+
+        def occlude(modules):
+            modules[0:7, 0:7] = False
+
+        frame = _painted(4242, 8, 4, occlude)
+        with pytest.raises(FinderNotFound):
+            detect_decode(frame, playout_ts=0)
+        # the adaptive pass on its own, then one stride-1 scan for both finer passes
+        assert spy.strides == [232 // 32, 1]
+        assert spy.keys and len(spy.keys) == len(set(spy.keys))
+        # the 4 and 1 passes cross the finder cores on 3 * 8 rows each: most
+        # of their hits share a column check
+        assert len(spy.keys) < len(_row_hits(frame.pixels < 128, 1)[0]) / 2
+
+    def test_crc_miss_scans_rows_once(self, monkeypatch):
+        spy = _ScanSpy(monkeypatch)
+        r, c = _DATA_REF[40]
+
+        def flip(modules):
+            modules[r, c] = not modules[r, c]
+
+        with pytest.raises(CrcMismatch):
+            detect_decode(_painted(4242, 8, 4, flip), playout_ts=0)
+        assert spy.strides == [232 // 32]
+        assert spy.keys and len(spy.keys) == len(set(spy.keys))
 
 
 class TestBeaconEmission:
