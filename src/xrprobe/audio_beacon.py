@@ -10,13 +10,14 @@ Detection is time-domain: normalized autocorrelation over a sliding window,
 first qualifying peak after the first zero crossing, parabolic refinement of
 the peak lag. Works on the raw int16 stream, no FFT bins to misalign.
 ``detect_pulses`` estimates its windows a chunk at a time over a strided
-view of the stream: silence test, energy sums, normalization and peak search
-run once per chunk, and only the FFTs of the autocorrelation stay one per
-window (a batched transform rounds differently). It estimates each
-distinct window only once: the tool's own media repeat, because playout
-lands on a callback grid equal to the detection hop, so every recurrence of
-a tone sits at the same phase against the windows and yields the same
-samples.
+view of the stream: the autocorrelation is one batched real transform pair
+per chunk, at the smallest 5-smooth size that still gives the linear
+autocorrelation over the lags searched (2,160 points for a 2,048-sample
+window), and silence test, energy sums, normalization and peak search run
+once per chunk too. It estimates each distinct window only once: the tool's
+own media repeat, because playout lands on a callback grid equal to the
+detection hop, so every recurrence of a tone sits at the same phase against
+the windows and yields the same samples.
 """
 
 from __future__ import annotations
@@ -124,6 +125,15 @@ def slot_frequency(schedule: ToneSchedule, slot: int) -> float:
     return schedule.f0_hz + (slot % schedule.tone_count) * schedule.delta_hz
 
 
+def _check_nyquist(schedule: ToneSchedule, rate: int, source: str = "") -> None:
+    """Raise NyquistViolation when the schedule's top tone does not fit below
+    half of ``rate``; ``source`` prefixes the message."""
+    top = max(schedule.frequencies)
+    if top >= rate / 2.0:
+        raise NyquistViolation(f"{source}the {top:g} Hz top tone needs a sample rate "
+                               f"above {2 * top:.0f} Hz, got {rate} Hz")
+
+
 def _envelope(duration: int, ramp: int) -> np.ndarray:
     env = np.ones(duration)
     if ramp > 0:
@@ -144,9 +154,7 @@ def synthesize(schedule: ToneSchedule, start_slot: int, n_slots: int,
         raise ValueError("n_slots must be >= 1")
     if start_slot < 0:
         raise ValueError("start_slot must be non-negative")
-    top = max(schedule.frequencies)
-    if top >= rate / 2.0:
-        raise NyquistViolation(f"{top} Hz needs a sample rate above {2 * top:.0f}")
+    _check_nyquist(schedule, rate)
     period = round(schedule.pulse_period_ms * rate / 1000.0)
     duration = round(schedule.pulse_duration_ms * rate / 1000.0)
     ramp = round(schedule.ramp_ms * rate / 1000.0)
@@ -162,6 +170,20 @@ def synthesize(schedule: ToneSchedule, start_slot: int, n_slots: int,
 
 # windows per _estimate_windows call in detect_pulses
 _CHUNK = 128
+
+
+def _smooth_size(n: int) -> int:
+    """The smallest integer >= ``n`` with no prime factor above 5: a size
+    the FFT handles fast."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def _estimate_windows(
@@ -181,11 +203,16 @@ def _estimate_windows(
     the first local maximum with r >= peak_threshold after the first zero
     crossing of r, refined by parabolic interpolation over its neighbors.
 
-    The silence test, the energy sums, the normalization and the peak search
-    run once over the whole block; only the transforms stay one per window.
-    Each row's result depends on that row alone, so ``detect_pulses`` passes
-    each distinct window once: the tool's own media repeat a window whenever
-    a tone recurs at the same phase against the hop grid.
+    Everything runs once over the whole block. The autocorrelation is one
+    ``rfft``/``irfft`` pair along the rows at m = ``_smooth_size(n + tau_hi
+    + 1)``: zero padding to m >= n + tau keeps the circular product's wrapped
+    terms out of lag tau, so lags 0..tau_hi are the linear autocorrelation.
+    The power spectrum is re**2 + im**2, elementwise: a batched transform
+    gives each row the bits of a one-row call, but ``spec * conj(spec)``
+    over a 2-D block does not. Each row's result therefore depends on that
+    row alone, so ``detect_pulses`` passes each distinct window once: the
+    tool's own media repeat a window whenever a tone recurs at the same
+    phase against the hop grid.
     """
     count, n = frames.shape
     if n < MIN_WINDOW:
@@ -200,15 +227,10 @@ def _estimate_windows(
     if tau_min >= tau_max or loud.size == 0:
         return out
     tau_hi = tau_max + 1
-    x = frames[loud]
-    m = 1
-    while m < 2 * n:
-        m <<= 1
-    ac = np.empty((loud.size, tau_hi + 1))
-    for i, row in enumerate(x):
-        # per row: a batched transform or product rounds differently
-        spec = np.fft.rfft(row, m)
-        ac[i] = np.fft.irfft(spec * np.conj(spec), m)[: tau_hi + 1]
+    m = _smooth_size(n + tau_hi + 1)
+    spec = np.fft.rfft(frames[loud], m, axis=1)
+    power = np.square(spec.real) + np.square(spec.imag)
+    ac = np.fft.irfft(power, m, axis=1)[:, : tau_hi + 1]
     energy = np.cumsum(squares[loud], axis=1)
     head = energy[:, n - 1 - np.arange(tau_hi + 1)]
     tail = energy[:, -1:] - np.concatenate((np.zeros((loud.size, 1)), energy[:, :tau_hi]), axis=1)
@@ -296,7 +318,7 @@ def detect_pulses(
     period_ms = schedule.pulse_period_ms
 
     # Per-window tone decisions, estimated a chunk of distinct windows at a
-    # time. _estimate_windows computes each row from that row alone (per-row
+    # time. _estimate_windows computes each row from that row alone (row-wise
     # transforms, elementwise ops, mean and cumsum along the row), so equal
     # windows get equal estimates and each distinct one is estimated once.
     starts = range(0, x.size - window_size + 1, hop)
@@ -461,9 +483,12 @@ def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[Det
 
     Sample s plays out at the sidecar's stream start plus s / rate seconds,
     rounded to the millisecond; ``tally`` collects ``detect_pulses``' counters.
+    A rate too low to carry the schedule's top tone raises NyquistViolation:
+    such audio would alias the tone onto another one.
     """
     device_id, schedule, start_ts, _ = read_wav_manifest(path)
     pcm = read_wav(path)
     rate = pcm.sample_rate
+    _check_nyquist(schedule, rate, f"{path}: ")
     return detect_pulses(pcm, lambda s: start_ts + round(s * 1000.0 / rate),
                          schedule, device_id, tally=tally)

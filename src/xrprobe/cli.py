@@ -172,12 +172,10 @@ def _cmd_gen_video(args) -> int:
     manifest = FrameManifest(device_id=args.device_id, fps=float(args.fps),
                              start_ts=args.start_ts, frame_count=frame_count)
     _check_start_ts(args.start_ts, manifest.frame_playout(frame_count - 1), "last frame")
-    frames = []
-    for i in range(frame_count):
-        ts = manifest.frame_playout(i)
-        emission = beacon_emission(args.start_ts, ts, args.interval_ms)
-        frames.append(rasterize(encode_beacon(emission), scale=args.scale))
-    write_frame_sequence(args.out, frames, manifest)
+    emissions = (beacon_emission(args.start_ts, manifest.frame_playout(i), args.interval_ms)
+                 for i in range(frame_count))
+    write_frame_sequence(args.out, (rasterize(encode_beacon(e), scale=args.scale)
+                                    for e in emissions), manifest)
     print(f"wrote {frame_count} frames to {args.out}")
     return 0
 
@@ -199,7 +197,11 @@ def _cmd_detect_video(args) -> int:
 
 def _cmd_gen_audio(args) -> int:
     schedule = ToneSchedule(epoch_ts=args.start_ts)
-    n_slots = max(1, round(args.duration_s * 1000.0 / schedule.pulse_period_ms))
+    pulses = args.duration_s * 1000.0 / schedule.pulse_period_ms
+    if math.isinf(pulses) or round(pulses) > MAX_DEVICE_FRAMES:
+        raise _FlagError(f"argument --duration-s: expected at most {MAX_DEVICE_FRAMES} pulses "
+                         f"({schedule.pulse_period_ms} ms each), got {pulses:.7g}")
+    n_slots = max(1, round(pulses))
     _check_start_ts(args.start_ts, args.start_ts + (n_slots - 1) * schedule.pulse_period_ms
                     + schedule.pulse_duration_ms, "end of the last pulse")
     pcm = synthesize(schedule, start_slot=0, n_slots=n_slots, rate=args.rate)

@@ -433,8 +433,7 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
 
     Returns (physical_log, symbolic_log). The physical log is produced by the
     actual detectors reading the written media, so it exercises the whole
-    measurement chain end to end. Frame sequences are kept in memory per
-    device before writing; intended for short scenarios.
+    measurement chain end to end. Each frame is written as it is drawn.
     """
     if scenario.pipeline.quantum_ms(scenario.fps) <= 0:
         raise SchemaError("pipeline.display_quantum_ms",
@@ -454,17 +453,13 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
 
     for d, trace in symbolic.traces.items():
         vdir = workdir / d / "video"
-        frames = []
-        for _, emission in trace.ticks:
-            if emission is None:
-                frames.append(blank_frame(PHYSICAL_SCALE, PHYSICAL_QUIET))
-            else:
-                frames.append(rasterize(encode_beacon(emission),
-                                        PHYSICAL_SCALE, PHYSICAL_QUIET))
+        frames = (blank_frame(PHYSICAL_SCALE, PHYSICAL_QUIET) if emission is None
+                  else rasterize(encode_beacon(emission), PHYSICAL_SCALE, PHYSICAL_QUIET)
+                  for _, emission in trace.ticks)
         start_ts = trace.clock.read(trace.ticks[0][0]) if trace.ticks else trace.clock.read(trace.join_ms)
         manifest = FrameManifest(
             device_id=d, fps=1000.0 / trace.quantum_ms, start_ts=start_ts,
-            frame_count=len(frames), session=session_info,
+            frame_count=len(trace.ticks), session=session_info,
         )
         write_frame_sequence(vdir, frames, manifest)
 

@@ -55,7 +55,9 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -583,12 +585,16 @@ _PGM_SPACE = rb"(?:\s|#[^\n\r]*[\n\r])"
 _PGM_HEADER = re.compile(rb"P5%s+(\d+)%s+(\d+)%s+(\d+)%s" % ((_PGM_SPACE,) * 4))
 
 
-def _write_pgm_stream(path: str | Path, frames: list[PixelBuffer]) -> None:
-    """Write frames back to back as binary PGM images, nothing between them."""
+def _write_pgm_stream(path: str | Path, frames: Iterable[PixelBuffer]) -> int:
+    """Write frames back to back as binary PGM images, nothing between them,
+    each as it comes; returns how many were written."""
+    count = 0
     with open(path, "wb") as fh:
         for frame in frames:
             fh.write(b"P5\n%d %d\n255\n" % (frame.width, frame.height))
             fh.write(frame.pixels.tobytes())
+            count += 1
+    return count
 
 
 def _read_pgm_stream(path: str | Path, count: int) -> list[PixelBuffer]:
@@ -648,14 +654,26 @@ class FrameManifest:
         return self.start_ts + round(index * 1000.0 / self.fps)
 
 
-def write_frame_sequence(directory: str | Path, frames: list[PixelBuffer],
+def write_frame_sequence(directory: str | Path, frames: Iterable[PixelBuffer],
                          manifest: FrameManifest) -> None:
-    """Write ``frames.pgm`` (all frames, one multi-image PGM) and ``manifest.json``."""
+    """Write ``frames.pgm`` (all frames, one multi-image PGM) and ``manifest.json``.
+
+    Each frame is written as ``frames`` yields it, so a generator keeps one
+    frame in memory. A count other than ``manifest.frame_count`` (checked
+    after the last frame, or at the first frame too many) raises ValueError.
+    That, or any error raised while drawing a frame, removes ``frames.pgm``
+    and writes no manifest.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if manifest.frame_count != len(frames):
-        raise ValueError("manifest frame_count disagrees with frames")
-    _write_pgm_stream(directory / FRAMES_NAME, frames)
+    path = directory / FRAMES_NAME
+    try:
+        written = _write_pgm_stream(path, islice(frames, manifest.frame_count + 1))
+        if written != manifest.frame_count:
+            raise ValueError("manifest frame_count disagrees with frames")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     doc = {
         "device_id": manifest.device_id,
         "fps": manifest.fps,

@@ -395,16 +395,33 @@ class TestWavIo:
         assert all(d.device == "u5" for d in dets)
         assert [d.emission_ts for d in dets] == [5000 + 100 * i for i in range(8)]
 
+    @pytest.mark.parametrize("rate", [8000, 8640])
+    def test_detect_wav_rejects_a_rate_below_the_top_tone(self, tmp_path, rate):
+        # the default schedule tops out at 4,320 Hz, which 8,640 Hz cannot carry
+        path = tmp_path / "low.wav"
+        write_wav(path, PcmBuffer(sample_rate=rate, samples=make_sine(1000.0, rate, rate)))
+        write_wav_manifest(path, "u2", ToneSchedule(), stream_start_ts=0)
+        with pytest.raises(NyquistViolation) as err:
+            detect_wav(path)
+        assert str(err.value) == (f"{path}: the 4320 Hz top tone needs a sample rate "
+                                  f"above 8640 Hz, got {rate} Hz")
+
+    def test_detect_wav_accepts_a_rate_just_above_the_top_tone(self, tmp_path):
+        path = tmp_path / "low.wav"
+        write_wav(path, PcmBuffer(sample_rate=8641, samples=np.zeros(8641, dtype=np.int16)))
+        write_wav_manifest(path, "u2", ToneSchedule(), stream_start_ts=0)
+        assert detect_wav(path) == []
+
 
 # --- the per-window estimator and detector, kept as the batched ones' oracle ---
 
 def _autocorr_oracle(x: np.ndarray, tau_hi: int) -> np.ndarray:
     n = x.size
-    m = 1
-    while m < 2 * n:
-        m <<= 1
+    # the smallest 5-smooth size past n + tau_hi, enumerated rather than searched
+    m = min(2**i * 3**j * 5**k for i in range(16) for j in range(10) for k in range(7)
+            if 2**i * 3**j * 5**k > n + tau_hi)
     spec = np.fft.rfft(x, m)
-    ac = np.fft.irfft(spec * np.conj(spec), m)[: tau_hi + 1]
+    ac = np.fft.irfft(np.square(spec.real) + np.square(spec.imag), m)[: tau_hi + 1]
     energy = np.cumsum(x * x)
     total = energy[-1]
     taus = np.arange(tau_hi + 1)
@@ -601,6 +618,48 @@ class TestBatchedEstimator:
                      + overtone * np.sin(2 * math.pi * 3000.0 * t) + dc)
         x = x + rng.normal(0.0, noise, n) if noise else x
         assert estimate(x) == estimate_frequency_oracle(x, RATE)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((1024, 1500, 2048, 2049, 3000)),
+           distinct=st.integers(1, 10), size=st.integers(1, 40),
+           cuts=st.lists(st.integers(1, 39), max_size=4, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_as_if_alone(self, seed, n, distinct, size, cuts):
+        # the batched transform must not let a row's neighbours, its place in
+        # the block or the chunk split reach its result: detect_pulses relies
+        # on that to estimate each distinct window once
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) / RATE
+        windows = []
+        for _ in range(distinct):
+            amp = rng.choice((0.0, 0.004, 0.3, 0.5))
+            x = 32767 * amp * np.sin(2 * math.pi * rng.uniform(150.0, 5000.0) * t
+                                     + rng.uniform(0.0, 2 * math.pi))
+            windows.append(np.round(x + rng.normal(0.0, rng.choice((0.0, 30.0, 3000.0)), n)))
+        block = np.array(windows)[rng.integers(0, distinct, size)]
+        bounds = [0, *sorted(c for c in cuts if c < size), size]
+        batched = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            batched += _estimate_windows(block[lo:hi], RATE, 200.0, 4800.0)
+        assert batched == [estimate(row) for row in block]
+
+    def test_one_transform_pair_per_chunk_at_2160_points(self, monkeypatch):
+        # noise above the silence floor: 357 distinct loud 2,048-sample
+        # windows, three chunks
+        sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
+        rng = np.random.default_rng(5)
+        x = synthesize(sched, 0, 40, rate=RATE).samples + rng.normal(0.0, 1000.0, 40 * 4608)
+        pcm = PcmBuffer(sample_rate=RATE, samples=np.round(x).astype(np.int16))
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(a, n=None, axis=-1, *args, _name=name, _fn=getattr(np.fft, name)):
+                calls.append((_name, np.shape(a), n, axis))
+                return _fn(a, n, axis, *args)
+            monkeypatch.setattr(np.fft, name, counted)
+        chunk = audio_beacon._CHUNK
+        assert len(detect_pulses(pcm, sample_clock(), sched)) == 40
+        assert calls == [(name, (rows, width), 2160, 1)
+                         for rows in (chunk, chunk, 357 - 2 * chunk)
+                         for name, width in (("rfft", 2048), ("irfft", 1081))]
 
     def test_short_window_still_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,13 @@ import pytest
 
 import xrprobe
 from xrprobe import cli, metrics
-from xrprobe.audio_beacon import MAX_SAMPLE_RATE
+from xrprobe.audio_beacon import (
+    MAX_SAMPLE_RATE,
+    PcmBuffer,
+    ToneSchedule,
+    write_wav,
+    write_wav_manifest,
+)
 from xrprobe.cli import run
 from xrprobe.exporter import read_log, write_log
 from xrprobe.scenario import MAX_DEVICE_FRAMES
@@ -119,6 +125,40 @@ class TestExitCodes:
         assert run(argv) == 0
         capsys.readouterr()
         assert scales == [top] and (21 + 2 * 4) * top <= MAX_FRAME_SIDE
+
+    # nothing is synthesized: a value that passed the checks would reach the
+    # patched synthesize and fail the test instead of filling memory
+    @pytest.mark.parametrize("extra, got", [
+        (["--duration-s", "1e12"], "got 1e+13"),
+        (["--duration-s", "1e300"], "got 1e+301"),
+        (["--duration-s", "1e300", "--start-ts", str(2**64 - 1)], "got 1e+301"),
+        (["--duration-s", "1e308"], "got inf"),
+        (["--duration-s", "100000.06"], "got 1000001"),
+    ])
+    def test_gen_audio_pulse_cap_before_synthesis(self, tmp_path, capsys, monkeypatch,
+                                                  extra, got):
+        def synthesize(*args, **kwargs):
+            raise AssertionError("synthesized audio over the cap")
+
+        monkeypatch.setattr(cli, "synthesize", synthesize)
+        assert run(["gen-audio", "--out", str(tmp_path / "a.wav"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"xrprobe gen-audio: argument --duration-s: expected at most "
+                       f"{MAX_DEVICE_FRAMES} pulses (100 ms each), {got}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_audio_pulse_cap_accepted(self, tmp_path, capsys, monkeypatch):
+        slots = []
+
+        def synthesize(schedule, start_slot, n_slots, rate):
+            slots.append(n_slots)
+            return PcmBuffer(sample_rate=rate, samples=np.zeros(1, dtype=np.int16))
+
+        monkeypatch.setattr(cli, "synthesize", synthesize)
+        argv = ["gen-audio", "--out", str(tmp_path / "a.wav"), "--duration-s", "100000.04"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert slots == [MAX_DEVICE_FRAMES]
 
     @pytest.mark.parametrize("command, detect, span", [
         # three frames at 30 fps, the last 67 ms after the first
@@ -276,6 +316,16 @@ class TestAudioPipeline:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"xrprobe detect-audio: <root>: {sidecar}: invalid JSON: ")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_rate_below_the_top_tone_is_one_line_error(self, tmp_path, capsys):
+        wav = tmp_path / "low.wav"
+        write_wav(wav, PcmBuffer(sample_rate=8000, samples=np.zeros(8000, dtype=np.int16)))
+        write_wav_manifest(wav, "spk", ToneSchedule(), stream_start_ts=0)
+        assert run(["detect-audio", str(wav)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"xrprobe detect-audio: {wav}: the 4320 Hz top tone needs a "
+                                "sample rate above 8640 Hz, got 8000 Hz\n")
         assert captured.out == ""
 
     def test_missing_out_dir_is_one_line_error(self, tmp_path):

@@ -188,9 +188,9 @@ class TestRunScenario:
         out = self._simulate_seed_42(tmp_path, "--physical")
         capsys.readouterr()
         log = (out / "log.jsonl").read_bytes()
-        assert len(log) == 288_104
+        assert len(log) == 288_148
         assert hashlib.sha256(log).hexdigest() == (
-            "babf409408719b502cb04777ac523b5252923618f70e89fa024cd4f5410b4495")
+            "b962bc73767dbcdcc1b4b02ddb4ea4a3082bb3b17cb121e2f730be756c95c65d")
         assert hashlib.sha256((out / "log_symbolic.jsonl").read_bytes()).hexdigest() == (
             "baf712feda4cacdd2e2bd5d200215f6d8fc95d3cb65eafee881dd4162e3c5702")
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
@@ -201,9 +201,9 @@ class TestRunScenario:
         out = self._simulate_seed_42(tmp_path, "--seed", "7919", "--physical")
         capsys.readouterr()
         log = (out / "log.jsonl").read_bytes()
-        assert len(log) == 287_909
+        assert len(log) == 287_925
         assert hashlib.sha256(log).hexdigest() == (
-            "9bf9305ed3eb3c2b34362b33c3ee7ff79ddf3e1f28223d2ea9dcf3d8c3cfb891")
+            "541070b6d72f7522ec1e1259dd667ba73b760fccf3b6343aea36f15121e903ab")
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
             "da3ac5d0755fa56b56eca35f25c576e781882d0c0794485367394ffb72ba8141")
 

@@ -11,6 +11,7 @@ The original pass loop, one per-row scan per stride, is the reference for
 ``_locate``'s shared stride-1 scan and memoised column checks.
 """
 
+import itertools
 import json
 import tempfile
 from collections import Counter
@@ -817,6 +818,46 @@ class TestFrameIo:
         assert [(d.device, d.emission_ts, d.playout_ts) for d in detections] == [
             ("u3", 1000, 1050), ("u3", 1100, 1350)]
         assert tally == {"finder_not_found": 1, "crc_mismatch": 1}
+
+    def test_generator_writes_the_list_bytes(self, tmp_path):
+        frames = [rasterize(encode_beacon(1000 + 33 * i), scale=3, quiet=2) for i in range(4)]
+        drawn = []
+
+        def draw():
+            for frame in frames:
+                drawn.append(frame)
+                yield frame
+
+        manifest = FrameManifest("u2", 30.0, 1000, 4)
+        write_frame_sequence(tmp_path / "list", frames, manifest)
+        write_frame_sequence(tmp_path / "gen", draw(), manifest)
+        assert drawn == frames
+        for name in ("frames.pgm", "manifest.json"):
+            assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / "list" / name).read_bytes()
+
+    @pytest.mark.parametrize("count, drawn", [(2, 2), (4, 4), (None, 4)])
+    def test_wrong_count_raises_and_writes_no_manifest(self, tmp_path, count, drawn):
+        # three frames expected; an endless generator is stopped at the fourth
+        pulled = []
+
+        def draw():
+            for i in itertools.count() if count is None else range(count):
+                pulled.append(i)
+                yield blank_frame(1, 0)
+
+        with pytest.raises(ValueError, match="manifest frame_count disagrees with frames"):
+            write_frame_sequence(tmp_path, draw(), FrameManifest("d", 30.0, 0, 3))
+        assert len(pulled) == drawn
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_draw_leaves_no_frames(self, tmp_path):
+        def draw():
+            yield blank_frame(1, 0)
+            raise RuntimeError("drawing failed")
+
+        with pytest.raises(RuntimeError, match="drawing failed"):
+            write_frame_sequence(tmp_path, draw(), FrameManifest("d", 30.0, 0, 3))
+        assert list(tmp_path.iterdir()) == []
 
     def test_frame_playout_arithmetic(self):
         manifest = FrameManifest(device_id="d", fps=30.0, start_ts=5000, frame_count=4)
