@@ -186,21 +186,15 @@ def _smooth_size(n: int) -> int:
         m += 1
 
 
-def _estimate_windows(
-    frames: np.ndarray,
-    rate: int,
-    f_min: float,
-    f_max: float,
-    peak_threshold: float = PEAK_THRESHOLD,
-    silence_dbfs: float = SILENCE_DBFS,
-) -> list[tuple[float, float] | None]:
+def _estimate_windows(frames: np.ndarray, rate: int, f_min: float,
+                      f_max: float) -> list[tuple[float, float] | None]:
     """Dominant frequency of every row of ``frames`` (windows x samples):
     (frequency_hz, confidence in [0, 1]), or None for silence / no clean pitch.
 
     A window's normalized autocorrelation is r[tau] =
     sum x[n]x[n+tau] / sqrt(sum_head x^2 * sum_tail x^2) for tau 0..tau_max+1.
     The candidate lag range is [rate/f_max, rate/f_min]; the accepted peak is
-    the first local maximum with r >= peak_threshold after the first zero
+    the first local maximum with r >= ``PEAK_THRESHOLD`` after the first zero
     crossing of r, refined by parabolic interpolation over its neighbors.
 
     Everything runs once over the whole block. The autocorrelation is one
@@ -220,7 +214,7 @@ def _estimate_windows(
     out: list[tuple[float, float] | None] = [None] * count
     squares = frames * frames
     rms = np.sqrt(np.mean(squares, axis=1))
-    loud = np.flatnonzero(~(rms < FULL_SCALE * 10.0 ** (silence_dbfs / 20.0)))
+    loud = np.flatnonzero(~(rms < FULL_SCALE * 10.0 ** (SILENCE_DBFS / 20.0)))
 
     tau_min = max(2, int(rate // f_max))
     tau_max = min(int(math.ceil(rate / f_min)), n - 2)
@@ -243,7 +237,7 @@ def _estimate_windows(
     lo = np.maximum(zc + 1, tau_min)
     # cand runs over 1..tau_max; r[:, cand] must be a qualifying local maximum
     mid = r[:, 1:-1]
-    peak = ((mid >= peak_threshold) & (mid >= r[:, :-2]) & (mid >= r[:, 2:])
+    peak = ((mid >= PEAK_THRESHOLD) & (mid >= r[:, :-2]) & (mid >= r[:, 2:])
             & (np.arange(1, tau_hi) >= lo[:, None]))
     rows = np.flatnonzero(peak.any(axis=1) & below.any(axis=1))
     tau = peak[rows].argmax(axis=1) + 1

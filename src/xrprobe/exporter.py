@@ -121,6 +121,19 @@ def _not_integer(line_no: int, key: str, value) -> ParseError:
     return ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
 
 
+def _as_float(line_no: int, key: str, value) -> float | None:
+    """An optional JSON number as a float: an integer is widened, a bool,
+    a string or an integer past float range raises ParseError."""
+    if value is None or type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParseError(line_no, f"field {key!r} must be a number, got {value!r}")
+
+
 def _read_log_per_line(path: str | Path) -> list[DetectionRecord]:
     """The reference parser: every log ``read_log`` cannot take whole."""
     records: list[DetectionRecord] = []
@@ -140,28 +153,21 @@ def _read_log_per_line(path: str | Path) -> list[DetectionRecord]:
                     raise ParseError(line_no, f"missing field {key!r}")
             if doc["media"] not in _MEDIA:
                 raise ParseError(line_no, f"unknown media {doc['media']!r}")
-            # exact type checks: true or 1.7 is rejected, not truncated
-            emission_ts, playout_ts, slot = doc["emission_ts"], doc["playout_ts"], doc.get("slot")
+            # exact type checks: true, 1.7 or "0.5" is rejected, not coerced
+            device, emission_ts, playout_ts = doc["device"], doc["emission_ts"], doc["playout_ts"]
+            slot = doc.get("slot")
+            if type(device) is not str:
+                raise ParseError(line_no, f"field 'device' must be a string, got {device!r}")
             if type(emission_ts) is not int:
                 raise _not_integer(line_no, "emission_ts", emission_ts)
             if type(playout_ts) is not int:
                 raise _not_integer(line_no, "playout_ts", playout_ts)
             if slot is not None and type(slot) is not int:
                 raise _not_integer(line_no, "slot", slot)
-            try:
-                records.append(
-                    DetectionRecord(
-                        media=doc["media"],
-                        device=str(doc["device"]),
-                        emission_ts=emission_ts,
-                        playout_ts=playout_ts,
-                        slot=slot,
-                        frequency=None if doc.get("frequency") is None else float(doc["frequency"]),
-                        confidence=None if doc.get("confidence") is None else float(doc["confidence"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
+            records.append(DetectionRecord(
+                doc["media"], device, emission_ts, playout_ts, slot,
+                _as_float(line_no, "frequency", doc.get("frequency")),
+                _as_float(line_no, "confidence", doc.get("confidence"))))
     return records
 
 

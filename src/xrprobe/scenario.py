@@ -357,21 +357,22 @@ PROFILE_TARGETS = {
 def preset_scenario(profile: str, *, name: str | None = None,
                     duration_s: float = 300.0, seed: int = 0,
                     **overrides) -> SessionScenario:
-    """Build a full scenario from a named access-network preset."""
+    """Build a full scenario from a named access-network preset.
+
+    Without a ``pipeline`` the scenario takes the default pipeline with the
+    preset's audio path; a ``pipeline`` given is taken whole.
+    """
     if profile not in PROFILE_BUILDERS:
         raise SchemaError("profile", f"unknown profile {profile!r}; "
                           f"expected one of {sorted(PROFILE_BUILDERS)}")
     parts = PROFILE_BUILDERS[profile]()
-    pipeline = overrides.pop("pipeline", PipelineModel())
-    if pipeline.audio_path_ms == 0.0:
-        pipeline = replace(pipeline, audio_path_ms=parts["audio_path_ms"])
+    overrides.setdefault("pipeline", PipelineModel(audio_path_ms=parts["audio_path_ms"]))
     return SessionScenario(
         name=name or profile,
         uplink=parts["uplink"],
         downlink=parts["downlink"],
         duration_s=duration_s,
         seed=seed,
-        pipeline=pipeline,
         **overrides,
     )
 
@@ -410,11 +411,15 @@ def _link(default_name: str):
     return read
 
 
-def _pipeline(doc) -> PipelineModel:
-    return PipelineModel(**read_fields(
+def _pipeline(doc) -> dict:
+    """The pipeline keys the document gives, each checked as ``PipelineModel``
+    checks it; a key left out is left out, to keep the default or the preset's."""
+    fields = read_fields(
         doc, capture_pipeline_ms=optional(finite), encode_up_ms=finite, render_ms=finite,
         encode_down_ms=finite, decode_ms=finite, display_quantum_ms=optional(finite),
-        audio_buffer_ms=finite, audio_path_ms=finite))
+        audio_buffer_ms=finite, audio_path_ms=finite)
+    PipelineModel(**fields)
+    return fields
 
 
 def _clocks(doc) -> ClockSpec:
@@ -445,18 +450,23 @@ def load_scenario(doc: dict) -> SessionScenario:
 
     Either ``profile`` names a preset (its links and audio path are the
     starting point, and ``uplink``/``downlink`` replace its links) or both
-    ``uplink`` and ``downlink`` must be given. Everything else overrides a
-    default. A rejected document raises SchemaError naming the field's path.
+    ``uplink`` and ``downlink`` must be given. Every key given overrides a
+    default, ``pipeline.audio_path_ms`` the preset's too, even at 0. A rejected
+    document raises SchemaError naming the field's path.
     """
     kwargs = read_fields(doc, **_SCENARIO)
     profile = kwargs.pop("profile", None)
+    pipeline = kwargs.pop("pipeline", {})
     links = {key: link for key in ("uplink", "downlink")
              if (link := kwargs.pop(key, None)) is not None}
     if profile is not None:
-        return replace(preset_scenario(profile, **kwargs), **links)
+        # the bare preset is valid; the document's values are checked once, together
+        preset = preset_scenario(profile)
+        return replace(preset, **kwargs, **links, pipeline=replace(preset.pipeline, **pipeline))
     if len(links) < 2:
         raise SchemaError("profile", "either profile or both uplink and downlink required")
-    return SessionScenario(**{"name": "custom", **kwargs, **links})
+    return SessionScenario(**{"name": "custom", **kwargs, **links,
+                              "pipeline": PipelineModel(**pipeline)})
 
 
 def scenario_from_file(path: str | Path) -> SessionScenario:

@@ -32,14 +32,11 @@ computed at most once per frame, and so is each column check: one is fixed by
 its column, the run the hit falls in and the unit, so the rows that cross one
 finder core share it. The module pitch comes from the finder geometry.
 
-Both detectors return ``metrics.DetectionRecord``s. ``detect_decode`` reads
-every frame it is given from scratch: bounding-box guess, then full scan.
-Within a frame sequence, ``detect_frame_sequence`` thresholds each frame
-once, first samples it at the finder geometry of the last frame that decoded
-and keeps the timestamp when the finder zones match and the CRC holds;
-anything else takes the guess and then the full scan. Both shortcuts check
-module centers only, so a finder damaged solely between module centers can
-still decode through them where the full scan alone would find no finder.
+Every frame is read one way, on its own: ``detect_decode``, the bounding-box
+guess and then the full scan. ``detect_frame_sequence`` calls it once per
+frame and keeps nothing from one frame to the next. The guess checks module
+centers only, so a finder damaged solely between module centers can still
+decode through it where the full scan alone would find no finder.
 
 A frame sequence on disk is a directory holding ``frames.pgm``, every frame
 back to back as binary PGM images (Netpbm allows a sequence of images in one
@@ -492,15 +489,6 @@ def _decode_at(dark: np.ndarray, tl, tr, bl) -> Timestamp | None:
     return grid_timestamp(modules)
 
 
-def _try_at(dark: np.ndarray, finders) -> Timestamp | None:
-    """``_decode_at`` with a CRC miss read as None: a guessed or reused
-    geometry that fails any check is dropped, never reported."""
-    try:
-        return _decode_at(dark, *finders)
-    except CrcMismatch:
-        return None
-
-
 def _guess_finders(dark: np.ndarray) -> tuple:
     """(tl, tr, bl) finder centers (x, y, module unit) of a code that exactly
     fills the dark bounding box, read from three lines of the frame.
@@ -522,19 +510,21 @@ def _guess_finders(dark: np.ndarray) -> tuple:
             (x0 + near * mw, y0 + far * mh, unit))
 
 
-def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
-    """The timestamp and the (tl, tr, bl) finder centers (x, y, module unit)
-    it was read at.
+def _locate(dark: np.ndarray) -> Timestamp:
+    """The timestamp of the code in a thresholded frame.
 
     The frame is first read at the finders its dark bounding box implies
     (``_guess_finders``). A grid out of bounds, a finder-zone mismatch or a
-    CRC miss there falls through to the full finder scan, which alone decides
-    what a frame that fails the guess yields or raises.
+    CRC miss there is dropped, never reported: it falls through to the full
+    finder scan, which alone decides what a frame that fails the guess yields
+    or raises.
     """
-    guess = _guess_finders(dark)
-    ts = _try_at(dark, guess)
+    try:
+        ts = _decode_at(dark, *_guess_finders(dark))
+    except CrcMismatch:
+        ts = None
     if ts is not None:
-        return ts, guess
+        return ts
     lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
     for hits in _pass_hits(dark):
@@ -551,7 +541,7 @@ def _locate(dark: np.ndarray) -> tuple[Timestamp, tuple]:
                 last_error = exc
                 continue
             if ts is not None:
-                return ts, triple
+                return ts
         if isinstance(last_error, CrcMismatch):
             break
     raise last_error
@@ -569,8 +559,7 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp,
     makes decoding invariant to any monotone affine remap of the gray levels
     with adequate separation.
     """
-    ts, _ = _locate(_threshold(frame.pixels))
-    return DetectionRecord(VIDEO, device_id, ts, playout_ts)
+    return DetectionRecord(VIDEO, device_id, _locate(_threshold(frame.pixels)), playout_ts)
 
 
 # --- frame sequence I/O -------------------------------------------------------
@@ -698,29 +687,19 @@ def detect_frame_sequence(directory: str | Path) -> tuple[list[DetectionRecord],
     """A video record for every decodable frame of a sequence written by
     ``write_frame_sequence``, and the tally of the rest.
 
-    Frame i plays out at ``manifest.frame_playout(i)``. Each frame is
-    thresholded once and first read at the finder triple of the last frame
-    that decoded; a grid out of bounds, a finder-zone mismatch or a CRC miss
-    sends it to ``_locate`` (bounding-box guess, then full scan), whose triple
-    the next frame then reuses. Undecodable frames are skipped and tallied as
-    ``finder_not_found`` or ``crc_mismatch``.
+    Frame i is read by ``detect_decode`` on its own and plays out at
+    ``manifest.frame_playout(i)``. Undecodable frames are skipped and tallied
+    as ``finder_not_found`` or ``crc_mismatch``.
     """
     manifest = read_frame_manifest(directory)
     frames = _read_pgm_stream(Path(directory) / FRAMES_NAME, manifest.frame_count)
     records: list[DetectionRecord] = []
     tally: Counter = Counter()
-    finders = None
     for i, frame in enumerate(frames):
         try:
-            dark = _threshold(frame.pixels)
-            ts = None if finders is None else _try_at(dark, finders)
-            if ts is None:
-                ts, finders = _locate(dark)
+            records.append(detect_decode(frame, manifest.frame_playout(i), manifest.device_id))
         except FinderNotFound:
             tally["finder_not_found"] += 1
-            continue
         except CrcMismatch:
             tally["crc_mismatch"] += 1
-            continue
-        records.append(DetectionRecord(VIDEO, manifest.device_id, ts, manifest.frame_playout(i)))
     return records, tally

@@ -111,11 +111,35 @@ class TestLogRoundtrip:
                         '"playout_ts": 9, "slot": null}\n')
         assert read_log(path)[0].slot is None
 
+    @pytest.mark.parametrize("key, value", [
+        ("device", None), ("device", 7), ("device", True), ("device", ["u1"]),
+        ("frequency", True), ("frequency", "600.0"), ("frequency", [600.0]),
+        ("confidence", False), ("confidence", "0.5"), ("confidence", 10**400)],
+        ids=lambda v: repr(v)[:12])
+    def test_uncoerced_field_rejected(self, tmp_path, key, value):
+        good = {"media": "audio", "device": "u1", "emission_ts": 5, "playout_ts": 9}
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {key: value}) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_log(path)
+        assert err.value.line_no == 2
+        assert repr(key) in str(err.value)
+
+    def test_integer_frequency_and_confidence_read_as_floats(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"media": "audio", "device": "u1", "emission_ts": 5, '
+                        '"playout_ts": 9, "frequency": 600, "confidence": 1}\n')
+        rec = read_log(path)[0]
+        assert (rec.frequency, rec.confidence) == (600.0, 1.0)
+        assert type(rec.frequency) is type(rec.confidence) is float
+
 
 # --- log reader and writer against their references ---------------------------------
 
 def per_line_oracle(path):
-    """The per-line log parser as it was before the fast path: the reference."""
+    """The per-line log parser as it was before the fast path, with a device
+    that is not a string and a frequency or confidence that is not a JSON
+    number rejected rather than coerced: the reference."""
     records = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -134,20 +158,26 @@ def per_line_oracle(path):
             if doc["media"] not in ("video", "audio"):
                 raise ParseError(line_no, f"unknown media {doc['media']!r}")
             emission_ts, playout_ts, slot = doc["emission_ts"], doc["playout_ts"], doc.get("slot")
+            if not isinstance(doc["device"], str):
+                raise ParseError(line_no, f"field 'device' must be a string, got {doc['device']!r}")
             for key, value in (("emission_ts", emission_ts), ("playout_ts", playout_ts)):
                 if type(value) is not int:
                     raise ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
             if slot is not None and type(slot) is not int:
                 raise ParseError(line_no, f"field 'slot' must be an integer, got {slot!r}")
-            try:
-                records.append(DetectionRecord(
-                    media=doc["media"], device=str(doc["device"]),
-                    emission_ts=emission_ts, playout_ts=playout_ts, slot=slot,
-                    frequency=None if doc.get("frequency") is None else float(doc["frequency"]),
-                    confidence=None if doc.get("confidence") is None else float(doc["confidence"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
+            numbers = {}
+            for key in ("frequency", "confidence"):
+                value = doc.get(key)
+                try:
+                    # exact types: bool is an int subclass and must not pass
+                    numbers[key] = {type(None): lambda v: v, int: float, float: float}[
+                        type(value)](value)
+                except (KeyError, OverflowError):
+                    raise ParseError(line_no, f"field {key!r} must be a number, "
+                                              f"got {value!r}") from None
+            records.append(DetectionRecord(
+                media=doc["media"], device=doc["device"],
+                emission_ts=emission_ts, playout_ts=playout_ts, slot=slot, **numbers))
     return records
 
 
@@ -267,8 +297,11 @@ class TestLogOracle:
         "escaped_device": GOOD.replace('"u1"', '"\\u00e9\\"\\\\"') + "\n",
         "raw_non_ascii_device": GOOD.replace('"u1"', '"\u00e9\u2028"') + "\n",
         "int_device": GOOD.replace('"u1"', "7") + "\n",
+        "null_device": GOOD.replace('"u1"', "null") + "\n",
         "int_frequency": GOOD.replace('"slot": 1', '"slot": 1, "frequency": 600') + "\n",
         "string_confidence": GOOD.replace('"slot": 1', '"slot": 1, "confidence": "0.5"') + "\n",
+        "bool_frequency": GOOD.replace('"slot": 1', '"slot": 1, "frequency": true') + "\n",
+        "huge_int_confidence": GOOD.replace('"slot": 1', '"slot": 1, "confidence": 1' + "0" * 400) + "\n",
         "bool_timestamp": GOOD.replace("5", "true", 1) + "\n",
         "float_timestamp": GOOD.replace("9", "9.0", 1) + "\n",
         "deep_nesting": GOOD + "\n" + "{" * 100_000 + "\n",

@@ -229,6 +229,17 @@ class TestLoader:
                             "viewers": ["u2"], "join_times_s": [1.0]})
         assert sc.duration_s * sc.fps * len(sc.devices) == MAX_DEVICE_FRAMES
 
+    def test_caps_read_the_documents_pipeline_alone(self):
+        # exactly the frame cap; the default one-frame quantum would round to
+        # 1e6 + 1 ulp refreshes, the document's 50 ms quantum to far fewer
+        doc = {"profile": "wifi", "duration_s": 4166.666666666667, "fps": 24,
+               "viewers": [f"v{i}" for i in range(9)], "join_times_s": list(range(1, 10))}
+        with pytest.raises(SchemaError) as err:
+            load_scenario(doc)
+        assert err.value.field == "pipeline.display_quantum_ms"
+        sc = load_scenario({**doc, "pipeline": {"display_quantum_ms": 50}})
+        assert sc.duration_s * sc.fps * len(sc.devices) == MAX_DEVICE_FRAMES
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "sc.json"
         path.write_text(json.dumps({"profile": "wifi", "duration_s": 10, "seed": 7,
@@ -258,6 +269,28 @@ class TestLoader:
     def test_optional_pipeline_fields_accept_null(self, field):
         sc = load_scenario({"profile": "wifi", "pipeline": {field: None}})
         assert getattr(sc.pipeline, field) is None
+
+    @pytest.mark.parametrize("profile", ["ethernet", "fiveg", "wifi"])
+    @pytest.mark.parametrize("given", [0, 0.0, 5, 32.0])
+    def test_explicit_audio_path_beats_the_preset(self, profile, given):
+        sc = load_scenario({"profile": profile, "pipeline": {"audio_path_ms": given}})
+        assert sc.pipeline.audio_path_ms == given
+        assert sc.pipeline == PipelineModel(audio_path_ms=given)
+
+    @pytest.mark.parametrize("profile, preset", [("ethernet", 32.0), ("fiveg", 98.0),
+                                                 ("wifi", 78.0)])
+    @pytest.mark.parametrize("pipeline", [None, {}, {"render_ms": 3}])
+    def test_absent_audio_path_takes_the_preset(self, profile, preset, pipeline):
+        doc = {"profile": profile} if pipeline is None else {"profile": profile,
+                                                             "pipeline": pipeline}
+        sc = load_scenario(doc)
+        assert sc.pipeline == PipelineModel(audio_path_ms=preset, **(pipeline or {}))
+        assert sc.pipeline == preset_scenario(profile, pipeline=sc.pipeline).pipeline
+
+    def test_custom_links_pipeline_keeps_its_defaults(self):
+        link = {"base_one_way_ms": 10}
+        sc = load_scenario({"uplink": link, "downlink": link, "pipeline": {"decode_ms": 2}})
+        assert sc.pipeline == PipelineModel(decode_ms=2.0)
 
     @pytest.mark.parametrize("doc, field", [
         ({"profile": "wifi", "clocks": {"sigma_ntp_ms": None}}, "clocks.sigma_ntp_ms"),

@@ -3,10 +3,11 @@
 The CRC oracle below is bit-serial on purpose: the library computes the
 checksum from a byte table, so agreement between the two is a real
 cross-check rather than the same code run twice. Likewise the original
-per-module encoder, the kron-based rasterizer, the per-row finder scan and
-the frame-by-frame sequence loop are kept here as the references for the
-table-driven, whole-frame and geometry-reusing code, and the float-midpoint
-threshold and two-``repeat`` rasterizer for their integer and broadcast forms.
+per-module encoder, the kron-based rasterizer and the per-row finder scan are
+kept here as the references for the table-driven and whole-frame code, the
+float-midpoint threshold and two-``repeat`` rasterizer for their integer and
+broadcast forms, and the frame-by-frame ``detect_decode`` loop for reading a
+frame sequence.
 The original pass loop, one per-row scan per stride, is the reference for
 ``_locate``'s shared stride-1 scan and memoised column checks.
 """
@@ -52,7 +53,6 @@ from xrprobe.video_beacon import (
     _row_hits,
     _scan_finders,
     _triples,
-    _try_at,
 )
 
 
@@ -616,10 +616,12 @@ class TestFinderScan:
 def _ref_locate(dark):
     """``_locate`` as it was: the bounding-box guess, then for each stride its
     own per-row scan, clustering, refinement and triple decodes."""
-    guess = _guess_finders(dark)
-    ts = _try_at(dark, guess)
+    try:
+        ts = _decode_at(dark, *_guess_finders(dark))
+    except CrcMismatch:
+        ts = None
     if ts is not None:
-        return ts, guess
+        return ts
     lines = _LineRuns(dark)
     last_error = FinderNotFound("no finder triple")
     adaptive = _strides(dark)[0]
@@ -635,7 +637,7 @@ def _ref_locate(dark):
                 last_error = exc
                 continue
             if ts is not None:
-                return ts, triple
+                return ts
         if isinstance(last_error, CrcMismatch):
             break
     raise last_error
@@ -682,12 +684,11 @@ def _small_code_frames(draw):
 
 
 def _outcome(locate, dark):
-    """(ts, triple as floats) or the class of the exception raised."""
+    """The timestamp, or the class of the exception raised."""
     try:
-        ts, triple = locate(dark)
+        return locate(dark)
     except (FinderNotFound, CrcMismatch) as exc:
         return type(exc)
-    return ts, [tuple(map(float, finder)) for finder in triple]
 
 
 class TestLocate:
@@ -1010,7 +1011,7 @@ class TestFrameManifest:
             FrameManifest("d", 30.0, 0, -1)
 
 
-# --- sequence fast path: the frame-by-frame detect_decode loop as the oracle ------
+# --- frame sequences: the frame-by-frame detect_decode loop as the oracle ---------
 
 def detect_frame_sequence_oracle(directory):
     manifest = read_frame_manifest(directory)
@@ -1070,11 +1071,11 @@ class TestFrameSequence:
         assert detections == expected
         assert tally == expected_tally
 
-    def test_constant_geometry_scans_once(self, tmp_path, monkeypatch):
+    def test_every_frame_goes_through_detect_decode(self, tmp_path, monkeypatch):
         calls = []
-        full_scan = video_beacon._locate
-        monkeypatch.setattr(video_beacon, "_locate",
-                            lambda *args: calls.append(args) or full_scan(*args))
+        decode = video_beacon.detect_decode
+        monkeypatch.setattr(video_beacon, "detect_decode",
+                            lambda *args: calls.append(args) or decode(*args))
         frames = [rasterize(encode_beacon(1000 + 10 * i), scale=4, quiet=2) for i in range(6)]
         frames[3] = blank_frame(scale=4, quiet=2)
         write_frame_sequence(tmp_path, frames, FrameManifest(
@@ -1082,7 +1083,7 @@ class TestFrameSequence:
         detections, tally = detect_frame_sequence(tmp_path)
         assert [d.emission_ts for d in detections] == [1000, 1010, 1020, 1040, 1050]
         assert tally == {"finder_not_found": 1}
-        # only the first frame takes the full scan; the blank one fails its
-        # threshold before any scan and does not reset the geometry the later
-        # frames reuse
-        assert len(calls) == 1
+        # one call a frame, the blank one included, each with its own playout
+        # and the manifest's device: nothing is read past detect_decode
+        assert [(args[1], args[2]) for args in calls] == [
+            (round(i * 1000 / 30), "u2") for i in range(6)]
