@@ -106,11 +106,8 @@ class PcmBuffer:
 
     sample_rate: int
     samples: np.ndarray
-    channels: int = 1
 
     def __post_init__(self):
-        if self.channels != 1:
-            raise ValueError("only mono streams are supported")
         if self.samples.dtype != np.int16:
             raise ValueError("samples must be int16")
 

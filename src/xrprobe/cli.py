@@ -43,7 +43,7 @@ from .metrics import (
 )
 from .netsim import run_physical, run_scenario
 from .scenario import MAX_DEVICE_FRAMES, scenario_from_file
-from .schema import SchemaError, integer, json_object
+from .schema import SchemaError, integer, json_object, read_json
 from .video_beacon import (
     DEFAULT_QUIET,
     GRID_SIZE,
@@ -256,8 +256,8 @@ def _load_tally(log_path: Path) -> Counter:
     if not sidecar.exists():
         return Counter()
     try:
-        doc = json_object(json.loads(sidecar.read_text()))
-    except (TypeError, ValueError) as exc:
+        doc = json_object(read_json(sidecar))
+    except TypeError as exc:
         raise SchemaError("tally.json", str(exc)) from None
     tally: Counter = Counter()
     for key, value in doc.items():

@@ -14,13 +14,12 @@ fields left out when None:
      "media": "M", "playout_ts": P, "slot": S}
 
 ``read_log`` reads the file once, splits it on newlines only and decodes
-each line with the C JSON scanner. A line is taken on that fast path only
-when it is one whole JSON object with the canonical types: media "video"
-or "audio", a string device, integer timestamps, an integer or null slot,
-and a float or null frequency and confidence. Anything else, valid or not,
-sends the whole file through the per-line parser, which is the only place
-a ``ParseError`` is raised; so both paths accept the same logs, read them
-to equal records, and reject the rest with the same line and message.
+each line once. A line is accepted when it is one whole JSON object with
+media "video" or "audio", a string device, integer timestamps, an integer
+or null slot, and a number or null frequency and confidence (an integer
+is widened to float). Every other line, an integer past the interpreter's
+digit limit or nesting past its recursion limit included, raises a
+``ParseError`` naming that line.
 
 Exposition format: one `name{label="value"} number` line per metric, all
 metric names prefixed `xr_`, lines sorted lexicographically so scrapes
@@ -80,95 +79,76 @@ def write_log(path: str | Path, records: Iterable[DetectionRecord]) -> None:
         fh.write(body)
 
 
-_REQUIRED = ("media", "device", "emission_ts", "playout_ts")
 _MEDIA = (VIDEO, AUDIO)
 _scan = json.JSONDecoder().scan_once
 
 
 def read_log(path: str | Path) -> list[DetectionRecord]:
-    """Every record of a detection log; ParseError names the first bad line."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")  # what file iteration splits on; not splitlines()
-        records: list[DetectionRecord] = []
-        append = records.append
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+    """Every record of a detection log, in one pass over the file.
+
+    Each line runs one set of checks, in this order: one whole JSON value
+    that is an object, the required fields, then media, device, the two
+    timestamps, slot, frequency and confidence. The first line that fails,
+    an integer past the digit limit or nesting past the recursion limit
+    included, raises ParseError with its number and the reason.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")  # what file iteration splits on; not splitlines()
+    records: list[DetectionRecord] = []
+    append = records.append
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             doc, end = _scan(line, 0)
-            if end != len(line):
-                return _read_log_per_line(path)
+        except (StopIteration, ValueError, RecursionError):
+            end = None
+        if end != len(line):  # not one whole JSON value: the decoder names the reason
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # digit limit, nesting limit
+                raise ParseError(line_no, f"invalid JSON ({exc})") from exc
+        try:  # any JSON value but an object raises TypeError at the first key
             media, device = doc["media"], doc["device"]
             emission_ts, playout_ts = doc["emission_ts"], doc["playout_ts"]
-            slot, frequency, confidence = doc.get("slot"), doc.get("frequency"), doc.get("confidence")
-            if (media not in _MEDIA or type(device) is not str
-                    or type(emission_ts) is not int or type(playout_ts) is not int
-                    or (slot is not None and type(slot) is not int)
-                    or (frequency is not None and type(frequency) is not float)
-                    or (confidence is not None and type(confidence) is not float)):
-                return _read_log_per_line(path)
-            append(DetectionRecord(media, device, emission_ts, playout_ts,
-                                   slot, frequency, confidence))
-    except (ValueError, LookupError, TypeError, StopIteration, RecursionError):
-        # undecodable text, bad JSON, a non-object line or a missing field:
-        # the reference parser names the first offending line
-        return _read_log_per_line(path)
+        except TypeError:
+            raise ParseError(line_no, "record must be a JSON object") from None
+        except KeyError as exc:  # read left to right: the first missing field
+            raise ParseError(line_no, f"missing field {exc.args[0]!r}") from None
+        if media not in _MEDIA:
+            raise ParseError(line_no, f"unknown media {media!r}")
+        # exact type checks: true, 1.7 or "0.5" is rejected, not coerced
+        if type(device) is not str:
+            raise ParseError(line_no, f"field 'device' must be a string, got {device!r}")
+        if type(emission_ts) is not int:
+            raise ParseError(line_no, f"field 'emission_ts' must be an integer, "
+                                      f"got {emission_ts!r}")
+        if type(playout_ts) is not int:
+            raise ParseError(line_no, f"field 'playout_ts' must be an integer, got {playout_ts!r}")
+        slot, frequency, confidence = doc.get("slot"), doc.get("frequency"), doc.get("confidence")
+        if slot is not None and type(slot) is not int:
+            raise ParseError(line_no, f"field 'slot' must be an integer, got {slot!r}")
+        if frequency is not None and type(frequency) is not float:
+            frequency = _as_float(line_no, "frequency", frequency)
+        if confidence is not None and type(confidence) is not float:
+            confidence = _as_float(line_no, "confidence", confidence)
+        append(DetectionRecord(media, device, emission_ts, playout_ts,
+                               slot, frequency, confidence))
     return records
 
 
-def _not_integer(line_no: int, key: str, value) -> ParseError:
-    return ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
-
-
-def _as_float(line_no: int, key: str, value) -> float | None:
-    """An optional JSON number as a float: an integer is widened, a bool,
-    a string or an integer past float range raises ParseError."""
-    if value is None or type(value) is float:
-        return value
+def _as_float(line_no: int, key: str, value) -> float:
+    """A JSON integer widened to float; a bool, a string, any other value or
+    an integer past float range raises ParseError."""
     if type(value) is int:
         try:
             return float(value)
         except OverflowError:
             pass
     raise ParseError(line_no, f"field {key!r} must be a number, got {value!r}")
-
-
-def _read_log_per_line(path: str | Path) -> list[DetectionRecord]:
-    """The reference parser: every log ``read_log`` cannot take whole."""
-    records: list[DetectionRecord] = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(doc, dict):
-                raise ParseError(line_no, "record must be a JSON object")
-            for key in _REQUIRED:
-                if key not in doc:
-                    raise ParseError(line_no, f"missing field {key!r}")
-            if doc["media"] not in _MEDIA:
-                raise ParseError(line_no, f"unknown media {doc['media']!r}")
-            # exact type checks: true, 1.7 or "0.5" is rejected, not coerced
-            device, emission_ts, playout_ts = doc["device"], doc["emission_ts"], doc["playout_ts"]
-            slot = doc.get("slot")
-            if type(device) is not str:
-                raise ParseError(line_no, f"field 'device' must be a string, got {device!r}")
-            if type(emission_ts) is not int:
-                raise _not_integer(line_no, "emission_ts", emission_ts)
-            if type(playout_ts) is not int:
-                raise _not_integer(line_no, "playout_ts", playout_ts)
-            if slot is not None and type(slot) is not int:
-                raise _not_integer(line_no, "slot", slot)
-            records.append(DetectionRecord(
-                doc["media"], device, emission_ts, playout_ts, slot,
-                _as_float(line_no, "frequency", doc.get("frequency")),
-                _as_float(line_no, "confidence", doc.get("confidence"))))
-    return records
 
 
 # --- exposition ------------------------------------------------------------------

@@ -32,11 +32,12 @@ class SchemaError(ValueError):
 
 def read_json(path: str | Path):
     """The JSON document in the file at ``path``; bytes that do not decode as
-    JSON raise SchemaError at ``<root>`` naming the file."""
+    JSON, nesting past the recursion limit included, raise SchemaError at
+    ``<root>`` naming the file."""
     blob = Path(path).read_bytes()
     try:
         return json.loads(blob)
-    except ValueError as exc:  # JSONDecodeError, or bytes of no Unicode encoding
+    except (ValueError, RecursionError) as exc:  # bad JSON or bytes, digit or nesting limit
         raise SchemaError(ROOT, f"{path}: invalid JSON: {exc}") from None
 
 

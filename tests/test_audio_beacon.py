@@ -9,6 +9,7 @@ the oracle of the chunked ones, which must match them bit for bit.
 import collections
 import json
 import math
+import wave
 
 import numpy as np
 import pytest
@@ -128,10 +129,6 @@ class TestSynthesize:
 
 
 class TestPcmBuffer:
-    def test_rejects_stereo(self):
-        with pytest.raises(ValueError):
-            PcmBuffer(sample_rate=RATE, samples=np.zeros(10, dtype=np.int16), channels=2)
-
     def test_rejects_float_samples(self):
         with pytest.raises(ValueError):
             PcmBuffer(sample_rate=RATE, samples=np.zeros(10, dtype=np.float64))
@@ -309,6 +306,16 @@ class TestWavIo:
         back = read_wav(path)
         assert back.sample_rate == RATE
         assert (back.samples == pcm.samples).all()
+
+    def test_stereo_wav_rejected(self, tmp_path):
+        path = tmp_path / "stereo.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(2)
+            w.setsampwidth(2)
+            w.setframerate(RATE)
+            w.writeframes(bytes(40))
+        with pytest.raises(ValueError, match="expected mono audio"):
+            read_wav(path)
 
     def test_manifest_roundtrip(self, tmp_path):
         sched = ToneSchedule(epoch_ts=1_700_000_000_000, tone_count=16)

@@ -490,6 +490,59 @@ class TestTallySidecar:
         assert "xr_crc_failures_total 0" in body
 
 
+_DEEP = "[" * 100_000
+
+
+def _deep_edge(tmp_path, edge):
+    """argv reading a file of 100,000 "[" at ``edge``, and that file."""
+    if edge == "simulate":
+        bad = tmp_path / "scenario.json"
+        argv = ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]
+    elif edge == "detect-video":
+        frames = tmp_path / "frames"
+        run(["gen-video", "--out", str(frames), "--fps", "5", "--duration-s", "0.4"])
+        bad, argv = frames / "manifest.json", ["detect-video", str(frames)]
+    elif edge == "detect-audio":
+        wav = tmp_path / "tone.wav"
+        run(["gen-audio", "--out", str(wav), "--duration-s", "0.5"])
+        bad, argv = tmp_path / "tone.wav.json", ["detect-audio", str(wav)]
+    else:
+        directory = _tally_dir(tmp_path, "")
+        bad, argv = directory / "tally.json", _READERS["analyze"](directory)
+    bad.write_text(_DEEP)
+    return argv, bad
+
+
+@pytest.mark.parametrize("edge", ["simulate", "detect-video", "detect-audio", "analyze"])
+def test_deep_nesting_is_one_line_error(tmp_path, capsys, edge):
+    argv, bad = _deep_edge(tmp_path, edge)
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"xrprobe {argv[0]}: <root>: {bad}: invalid JSON: maximum "
+                            f"recursion depth exceeded while decoding a JSON array from "
+                            f"a unicode string\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(_READERS))
+@pytest.mark.parametrize("line, reason", [
+    (_DEEP, "maximum recursion depth exceeded while decoding a JSON array"),
+    ('{"a":' * 100_000, "maximum recursion depth exceeded while decoding a JSON object"),
+    ('{"media": "video", "device": "u2", "playout_ts": 9, "emission_ts": 1' + "0" * 5000 + "}",
+     "Exceeds the limit (4300 digits) for integer string conversion")],
+    ids=["deep_array", "deep_object", "over_long_integer"])
+def test_undecodable_log_line_is_named(tmp_path, capsys, command, line, reason):
+    directory = _tally_dir(tmp_path, "{}")
+    with open(directory / "log.jsonl", "a") as fh:
+        fh.write(line + "\n")
+    assert run(_READERS[command](directory)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"xrprobe {command}: line 2: invalid JSON ({reason}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 class TestServe:
     def test_port_zero_prints_exposition(self, tmp_path, capsys):
         sc = write_scenario(tmp_path / "sc.json")

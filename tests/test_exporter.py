@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xrprobe import exporter
 from xrprobe.cli import run
 from xrprobe.exporter import (
     READ_TIMEOUT_S,
@@ -133,13 +134,30 @@ class TestLogRoundtrip:
         assert (rec.frequency, rec.confidence) == (600.0, 1.0)
         assert type(rec.frequency) is type(rec.confidence) is float
 
+    def test_file_opened_once_for_a_non_canonical_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.jsonl"
+        write_log(path, random_records(3, 50))
+        with open(path, "a") as fh:
+            fh.write('{"media": "audio", "device": "u1", "emission_ts": 5, '
+                     '"playout_ts": 9, "frequency": 600}\n')
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(exporter, "open", counting_open, raising=False)
+        assert read_log(path)[-1].frequency == 600.0
+        assert opened == [path]
+
 
 # --- log reader and writer against their references ---------------------------------
 
 def per_line_oracle(path):
     """The per-line log parser as it was before the fast path, with a device
     that is not a string and a frequency or confidence that is not a JSON
-    number rejected rather than coerced: the reference."""
+    number rejected rather than coerced, and an over-long integer or nesting
+    past the recursion limit named by its line: the reference."""
     records = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -150,6 +168,8 @@ def per_line_oracle(path):
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # digit limit, nesting limit
+                raise ParseError(line_no, f"invalid JSON ({exc})") from exc
             if not isinstance(doc, dict):
                 raise ParseError(line_no, "record must be a JSON object")
             for key in ("media", "device", "emission_ts", "playout_ts"):
@@ -305,6 +325,9 @@ class TestLogOracle:
         "bool_timestamp": GOOD.replace("5", "true", 1) + "\n",
         "float_timestamp": GOOD.replace("9", "9.0", 1) + "\n",
         "deep_nesting": GOOD + "\n" + "{" * 100_000 + "\n",
+        "deep_array_nesting": GOOD + "\n" + "[" * 100_000 + "\n",
+        "deep_object_nesting": GOOD + "\n" + '{"a":' * 100_000 + "\n",
+        "over_long_integer": GOOD + "\n" + GOOD.replace("5", "1" + "0" * 5000, 1) + "\n",
         "bad_json_then_bad_utf8": (GOOD + "\n{\n" + GOOD + "\n").encode() + b"\xff\xfe\n",
     }
 
