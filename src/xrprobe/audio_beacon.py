@@ -426,15 +426,27 @@ def write_wav(path: str | Path, pcm: PcmBuffer) -> None:
 
 
 def read_wav(path: str | Path) -> PcmBuffer:
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio")
-        if w.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit samples")
-        if w.getcomptype() != "NONE":
-            raise ValueError(f"{path}: expected linear PCM")
-        raw = w.readframes(w.getnframes())
-        rate = w.getframerate()
+    """A mono 16-bit linear PCM WAV file. Any other audio, a truncated or
+    malformed file, or a data chunk shorter than it declares raises
+    ValueError naming the file."""
+    try:
+        with wave.open(str(path), "rb") as w:
+            if w.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio")
+            if w.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit samples")
+            if w.getcomptype() != "NONE":
+                raise ValueError(f"{path}: expected linear PCM")
+            frames = w.getnframes()
+            raw = w.readframes(frames)
+            rate = w.getframerate()
+    except EOFError:
+        raise ValueError(f"{path}: truncated WAV file") from None
+    except wave.Error as exc:
+        raise ValueError(f"{path}: malformed WAV file ({exc})") from None
+    if len(raw) != 2 * frames:
+        raise ValueError(f"{path}: data chunk declares {frames} frames but holds "
+                         f"{len(raw) // 2}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.int16)
     return PcmBuffer(sample_rate=rate, samples=samples)
 

@@ -13,13 +13,14 @@ fields left out when None:
     {"confidence": C, "device": "D", "emission_ts": E, "frequency": F,
      "media": "M", "playout_ts": P, "slot": S}
 
-``read_log`` reads the file once, splits it on newlines only and decodes
-each line once. A line is accepted when it is one whole JSON object with
-media "video" or "audio", a string device, integer timestamps, an integer
-or null slot, and a number or null frequency and confidence (an integer
-is widened to float). Every other line, an integer past the interpreter's
-digit limit or nesting past its recursion limit included, raises a
-``ParseError`` naming that line.
+``read_log`` reads the file once (a file that is not UTF-8 twice), splits
+it on newlines only and decodes each line once. A line is accepted when it
+is one whole JSON object with media "video" or "audio", a string device,
+integer timestamps, an integer or null slot, and a number or null frequency
+and confidence (an integer is widened to float). Every other line, an
+integer past the interpreter's digit limit, nesting past its recursion limit
+or bytes that are not UTF-8 included, raises a ``ParseError`` naming that
+line.
 
 Exposition format: one `name{label="value"} number` line per metric, all
 metric names prefixed `xr_`, lines sorted lexicographically so scrapes
@@ -89,11 +90,16 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
     Each line runs one set of checks, in this order: one whole JSON value
     that is an object, the required fields, then media, device, the two
     timestamps, slot, frequency and confidence. The first line that fails,
-    an integer past the digit limit or nesting past the recursion limit
-    included, raises ParseError with its number and the reason.
+    an integer past the digit limit, nesting past the recursion limit or
+    bytes that are not UTF-8 included, raises ParseError with its number and
+    the reason. Only a file that is not UTF-8 is read a second time.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")  # what file iteration splits on; not splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")  # what file iteration splits on; not splitlines()
+        undecodable = None
+    except UnicodeDecodeError:
+        lines, undecodable = _lines_before_undecodable(path)
     records: list[DetectionRecord] = []
     append = records.append
     for line_no, line in enumerate(lines, start=1):
@@ -137,7 +143,25 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
             confidence = _as_float(line_no, "confidence", confidence)
         append(DetectionRecord(media, device, emission_ts, playout_ts,
                                slot, frequency, confidence))
+    if undecodable is not None:
+        raise undecodable
     return records
+
+
+def _lines_before_undecodable(path: str | Path) -> tuple[list[str], ParseError | None]:
+    """The lines of a file up to the first that is not UTF-8, and the
+    ParseError naming that line. The bytes split as text mode's universal
+    newlines split the text: CR and LF never occur inside a multi-byte UTF-8
+    sequence."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines: list[str] = []
+    for raw in data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            return lines, ParseError(len(lines) + 1, f"invalid UTF-8 ({exc})")
+    return lines, None
 
 
 def _as_float(line_no: int, key: str, value) -> float:

@@ -10,19 +10,21 @@ latency), audio pulses are timestamped at device playout.
 
 The engine is single-threaded and draws randomness from per-channel streams
 seeded with string keys, so a (scenario, seed) pair maps to exactly one log
-on any platform. One heap orders the captures, pulses, edge arrivals and
-quality-control steps. Each device's display is a pass of its own, since it
-depends only on that device's frame arrivals and its vsync grid: the pass
-merges the two in time order, and a frame arriving at exactly a tick's time
-is shown at that tick iff its edge event came before the previous tick. With
-quality adaptation on, every control step first runs each display up to its
-own time.
+on any platform. Each medium is an uplink pass over its capture or pulse
+grid, one stable sort of the edge arrivals and a downlink pass over them.
+Each device's display is a pass over its frame arrivals and its vsync grid.
+With quality adaptation on, the control steps run inside the video downlink
+pass: each runs every display up to its own time, then sets the downlink
+encode delay for the edges after it. Exact ties keep the order of one event
+queue that breaks equal times by scheduling order: a frame arriving at exactly
+a tick's time goes first iff its edge came before the previous tick, and an
+edge at exactly a control step's time iff its capture came before the previous
+step (the first step always goes first). An edge or capture at exactly the
+previous tick's or step's time counts as after it: two exact float ties at once.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import random
 from bisect import bisect_right
@@ -71,8 +73,7 @@ class ChannelState:
 
 
 def sample_hop_delay(profile: NetworkProfile, rng: random.Random, t: float,
-                     state: ChannelState | None = None,
-                     medium: str = VIDEO) -> float:
+                     state: ChannelState, medium: str) -> float:
     """One-way delay draw at true time ``t``, milliseconds.
 
     Adds the residual outage time when the channel is inside a burst, or the
@@ -81,7 +82,7 @@ def sample_hop_delay(profile: NetworkProfile, rng: random.Random, t: float,
     """
     delay = profile.base_one_way_ms + profile.jitter.sample(rng)
     outage = profile.outage
-    if outage is not None and state is not None and medium in outage.media:
+    if outage is not None and medium in outage.media:
         if t < state.outage_until:
             delay += state.outage_until - t
         elif rng.random() < outage.enter_prob:
@@ -141,8 +142,8 @@ class _Display:
     latency. A quantum of zero shows each frame as it arrives.
 
     An arrival at exactly a tick's time goes first iff its edge was processed
-    before the previous tick: the order in which one heap of both kinds of
-    event would pop them.
+    before the previous tick: the order of one time-ordered queue of both
+    kinds of event that breaks ties by scheduling order.
     """
 
     def __init__(self, trace: DeviceTrace, first_tick: float, end: float,
@@ -245,6 +246,15 @@ class _Display:
 
 # --- the engine --------------------------------------------------------------------
 
+def _grid(point, end: float) -> list[float]:
+    """``point(0), point(1), ...`` up to the first past ``end``. Point 0 is
+    kept even past it: a session always makes its first capture and pulse."""
+    grid = [point(0)]
+    while (t := point(len(grid))) <= end:
+        grid.append(t)
+    return grid
+
+
 def run_scenario(scenario: SessionScenario, seed: int | None = None) -> DetectionLog:
     """Simulate the scenario and return its detection log (symbolic mode)."""
     seed = scenario.seed if seed is None else seed
@@ -280,146 +290,130 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     if tones.epoch_ts == 0:
         tones = replace(tones, epoch_ts=stream_start_ts)
     period_ms = tones.pulse_period_ms
+    uplink, downlink = scenario.uplink, scenario.downlink
 
-    up_rng = {m: random.Random(f"{seed}|chan|up|{m}") for m in (VIDEO, AUDIO)}
-    up_state = {m: ChannelState() for m in (VIDEO, AUDIO)}
-    down_rng = {(d, m): random.Random(f"{seed}|chan|down|{d}|{m}")
-                for d in devices for m in (VIDEO, AUDIO)}
-    down_state = {(d, m): ChannelState() for d in devices for m in (VIDEO, AUDIO)}
+    def channel(*key: str) -> tuple[random.Random, ChannelState]:
+        return random.Random("|".join((str(seed), "chan", *key))), ChannelState()
 
     def lost(rng: random.Random, prob: float) -> bool:
         return prob > 0.0 and rng.random() < prob
 
-    quality = scenario.quality
-    level = quality.initial_level
-    encode_down_eff = pipe.encode_down_ms
-    if quality.enabled:
-        encode_down_eff = max(0.0, pipe.encode_down_ms + quality.delta_for(level))
-    window_sum = 0.0
-    window_n = 0
-    last_level_change = t0
-
-    # Display refresh and audio output callbacks run on device-local grids whose
-    # phase is arbitrary relative to the presenter's capture clock; a drawn
-    # phase prevents the grids from locking when join times are round numbers.
-    vsync_phase: dict[str, float] = {}
-    audio_phase: dict[str, float] = {}
-    for d in devices:
-        phase_rng = random.Random(f"{seed}|phase|{d}")
-        vsync_phase[d] = phase_rng.uniform(0.0, quantum_ms) if quantum_ms > 0 else 0.0
-        audio_phase[d] = phase_rng.uniform(0.0, hop_ms)
-
     tally: Counter = Counter()
     records: list[DetectionRecord] = []
     traces = {d: DeviceTrace(d, joins[d], quantum_ms, clocks[d]) for d in devices}
-    displays = {d: _Display(traces[d], joins[d] + vsync_phase[d], end, join_order)
-                for d in devices}
+    # Display refresh and audio output callbacks run on device-local grids whose
+    # phase is arbitrary relative to the presenter's capture clock; a drawn
+    # phase prevents the grids from locking when join times are round numbers.
+    displays: list[_Display] = []
+    audio_phase: dict[str, float] = {}
+    for d in devices:
+        phase_rng = random.Random(f"{seed}|phase|{d}")
+        vsync_phase = phase_rng.uniform(0.0, quantum_ms) if quantum_ms > 0 else 0.0
+        audio_phase[d] = phase_rng.uniform(0.0, hop_ms)
+        displays.append(_Display(traces[d], joins[d] + vsync_phase, end, join_order))
 
-    heap: list = []
-    seq = itertools.count()
+    # --- audio: pulse grid -> uplink -> sort -> each device's downlink
+    rng, state = channel("up", AUDIO)
+    pulse_edges: list[tuple[float, int]] = []  # (edge true ms, slot)
+    for n, t in enumerate(_grid(lambda n: pclock.invert(float(tones.epoch_ts + n * period_ms)),
+                                end)):
+        if lost(rng, uplink.loss_prob):
+            tally["pulses_lost_uplink"] += 1
+        else:
+            pulse_edges.append((t + sample_hop_delay(uplink, rng, t, state, AUDIO), n))
+    pulse_edges.sort(key=_first)  # stable: equal times keep grid order
 
-    def push(t: float, kind: str, payload=None) -> None:
-        heapq.heappush(heap, (t, next(seq), kind, payload))
+    for d in devices:  # nothing else reads a device's audio channel
+        rng, state = channel("down", d, AUDIO)
+        join, clock, pulses = joins[d], clocks[d], traces[d].pulses
+        anchor = join + audio_phase[d]
+        for t, n in pulse_edges:
+            if join > t:
+                continue
+            if lost(rng, downlink.loss_prob):
+                tally["pulses_lost_downlink"] += 1
+                continue
+            hop = sample_hop_delay(downlink, rng, t, state, AUDIO)
+            raw = t + hop + pipe.audio_buffer_ms + pipe.audio_path_ms
+            callbacks = math.ceil((raw - anchor) / hop_ms - 1e-9)
+            play_true = anchor + max(0, callbacks) * hop_ms
+            if play_true + tones.pulse_duration_ms > end:
+                tally["pulses_truncated"] += 1
+                continue
+            records.append(DetectionRecord(
+                AUDIO, d, tones.epoch_ts + n * period_ms, clock.read(play_true),
+                _slot_at(join_order, play_true), slot_frequency(tones, n), 1.0))
+            pulses.append((play_true, n))
 
-    def capture_true(i: int) -> float:
-        return pclock.invert(start_local + i * frame_ms)
+    # --- video: capture grid -> uplink -> sort -> downlink with the control steps
+    rng, state = channel("up", VIDEO)
+    frame_edges: list[tuple[float, int, float]] = []  # (edge true ms, emission, capture true ms)
+    for i, t in enumerate(_grid(lambda i: pclock.invert(start_local + i * frame_ms), end)):
+        emission = beacon_emission(stream_start_ts, round(start_local + i * frame_ms),
+                                   scenario.beacon_interval_ms)
+        send_t = t + capture_ms + pipe.encode_up_ms
+        if lost(rng, uplink.loss_prob):
+            tally["frames_lost_uplink"] += 1
+        else:
+            frame_edges.append((send_t + sample_hop_delay(uplink, rng, send_t, state, VIDEO),
+                                emission, t))
+    frame_edges.sort(key=_first)  # stable: equal times keep grid order
 
-    def pulse_true(n: int) -> float:
-        return pclock.invert(float(tones.epoch_ts + n * period_ms))
-
-    push(capture_true(0), "capture", 0)
-    push(pulse_true(0), "pulse", 0)
+    quality = scenario.quality
+    level = quality.initial_level
+    encode_down_eff = pipe.encode_down_ms
+    steps: list[float] = []
     if quality.enabled:
-        push(t0 + quality.control_interval_s * 1000.0, "qctl", None)
+        encode_down_eff = max(0.0, pipe.encode_down_ms + quality.delta_for(level))
+        interval = quality.control_interval_s * 1000.0
+        steps.append(t0 + interval)  # step 1 is kept even past the end
+        while (q := steps[-1] + interval) <= end:
+            steps.append(q)
+    last_level_change = t0
 
-    while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+    def control(q: float) -> None:
+        """Every display up to ``q``, then a decision on the frames it showed."""
+        nonlocal level, encode_down_eff, last_level_change
+        window_sum = 0.0
+        window_n = 0
+        for display in displays:
+            latency_sum, shown = display.advance(q, records, tally)
+            window_sum += latency_sum
+            window_n += shown
+        if window_n > 0:
+            decision = adapt_quality(window_sum / window_n, level, quality,
+                                     (q - last_level_change) / 1000.0)
+            if decision.action != "hold":
+                level = decision.target_level
+                encode_down_eff = max(0.0, pipe.encode_down_ms + quality.delta_for(level))
+                last_level_change = q
+                tally[f"quality_{decision.action}"] += 1
 
-        if kind == "capture":
-            i = payload
-            capture_ts = round(start_local + i * frame_ms)
-            emission = beacon_emission(stream_start_ts, capture_ts,
-                                       scenario.beacon_interval_ms)
-            send_t = t + capture_ms + pipe.encode_up_ms
-            if lost(up_rng[VIDEO], scenario.uplink.loss_prob):
-                tally["frames_lost_uplink"] += 1
-            else:
-                hop = sample_hop_delay(scenario.uplink, up_rng[VIDEO], send_t,
-                                       up_state[VIDEO], VIDEO)
-                push(send_t + hop, "edge", emission)
-            nxt = capture_true(i + 1)
-            if nxt <= end:
-                push(nxt, "capture", i + 1)
+    downlinks = [(joins[d], *channel("down", d, VIDEO), display.arrivals)
+                 for d, display in zip(devices, displays)]
+    k = 0  # the next control step
+    for t, emission, capture_t in frame_edges:
+        # A step at exactly this edge's time goes first unless the capture came
+        # strictly before the previous step; the first step always goes first.
+        while k < len(steps) and (steps[k] < t or steps[k] == t
+                                  and not (k and capture_t < steps[k - 1])):
+            control(steps[k])
+            k += 1
+        send_t = t + pipe.render_ms + encode_down_eff
+        if send_t > end:
+            continue
+        for join, rng, state, arrivals in downlinks:
+            if join > send_t:
+                continue
+            if lost(rng, downlink.loss_prob):
+                tally["frames_lost_downlink"] += 1
+                continue
+            hop = sample_hop_delay(downlink, rng, send_t, state, VIDEO)
+            arrivals.append((send_t + hop + pipe.decode_ms, emission, t))
+    for q in steps[k:]:
+        control(q)
 
-        elif kind == "edge":
-            emission = payload
-            send_t = t + pipe.render_ms + encode_down_eff
-            for d in devices:
-                if joins[d] > send_t or send_t > end:
-                    continue
-                if lost(down_rng[(d, VIDEO)], scenario.downlink.loss_prob):
-                    tally["frames_lost_downlink"] += 1
-                    continue
-                hop = sample_hop_delay(scenario.downlink, down_rng[(d, VIDEO)],
-                                       send_t, down_state[(d, VIDEO)], VIDEO)
-                displays[d].arrivals.append((send_t + hop + pipe.decode_ms, emission, t))
-
-        elif kind == "pulse":
-            n = payload
-            emission = tones.epoch_ts + n * period_ms
-            if lost(up_rng[AUDIO], scenario.uplink.loss_prob):
-                tally["pulses_lost_uplink"] += 1
-            else:
-                hop = sample_hop_delay(scenario.uplink, up_rng[AUDIO], t,
-                                       up_state[AUDIO], AUDIO)
-                push(t + hop, "pedge", (n, emission))
-            nxt = pulse_true(n + 1)
-            if nxt <= end:
-                push(nxt, "pulse", n + 1)
-
-        elif kind == "pedge":
-            n, emission = payload
-            for d in devices:
-                if joins[d] > t:
-                    continue
-                if lost(down_rng[(d, AUDIO)], scenario.downlink.loss_prob):
-                    tally["pulses_lost_downlink"] += 1
-                    continue
-                hop = sample_hop_delay(scenario.downlink, down_rng[(d, AUDIO)],
-                                       t, down_state[(d, AUDIO)], AUDIO)
-                raw = t + hop + pipe.audio_buffer_ms + pipe.audio_path_ms
-                anchor = joins[d] + audio_phase[d]
-                steps = math.ceil((raw - anchor) / hop_ms - 1e-9)
-                play_true = anchor + max(0, steps) * hop_ms
-                if play_true + tones.pulse_duration_ms > end:
-                    tally["pulses_truncated"] += 1
-                    continue
-                records.append(DetectionRecord(
-                    AUDIO, d, emission, clocks[d].read(play_true),
-                    _slot_at(join_order, play_true), slot_frequency(tones, n), 1.0))
-                traces[d].pulses.append((play_true, n))
-
-        elif kind == "qctl":
-            for display in displays.values():
-                latency_sum, shown = display.advance(t, records, tally)
-                window_sum += latency_sum
-                window_n += shown
-            if window_n > 0:
-                mean = window_sum / window_n
-                decision = adapt_quality(mean, level, quality,
-                                         (t - last_level_change) / 1000.0)
-                if decision.action != "hold":
-                    level = decision.target_level
-                    encode_down_eff = max(0.0, pipe.encode_down_ms + quality.delta_for(level))
-                    last_level_change = t
-                    tally[f"quality_{decision.action}"] += 1
-            window_sum = 0.0
-            window_n = 0
-            nxt = t + quality.control_interval_s * 1000.0
-            if nxt <= end:
-                push(nxt, "qctl", None)
-
-    for display in displays.values():
+    for display in displays:
         display.advance(math.inf, records, tally)
     records.sort(key=_RECORD_ORDER)
     return DetectionLog(records=records, tally=tally, tones=tones, traces=traces)

@@ -328,6 +328,30 @@ class TestAudioPipeline:
                                 "sample rate above 8640 Hz, got 8000 Hz\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fault, message", [
+        ("cut_to_30_bytes", "truncated WAV file"),
+        ("bad_riff_chunks", "malformed WAV file (fmt chunk and/or data chunk missing)"),
+        ("short_data_chunk", "data chunk declares 96000 frames but holds 24000"),
+    ])
+    def test_damaged_wav_is_one_line_error(self, tmp_path, capsys, fault, message):
+        wav = tmp_path / "tone.wav"
+        run(["gen-audio", "--out", str(wav), "--duration-s", "0.5"])
+        blob = wav.read_bytes()
+        if fault == "cut_to_30_bytes":
+            blob = blob[:30]
+        elif fault == "bad_riff_chunks":
+            blob = b"RIFF\xff\xff\xff\xffWAVEjunk"
+        else:  # the data chunk declares four times the bytes it holds
+            at = blob.index(b"data") + 4
+            declared = int.from_bytes(blob[at:at + 4], "little")
+            blob = blob[:at] + (4 * declared).to_bytes(4, "little") + blob[at + 4:]
+        wav.write_bytes(blob)
+        capsys.readouterr()
+        assert run(["detect-audio", str(wav)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"xrprobe detect-audio: {wav}: {message}\n"
+        assert captured.out == ""
+
     def test_missing_out_dir_is_one_line_error(self, tmp_path):
         # in a fresh interpreter, so that anything printed while a half-built
         # wave writer is collected reaches the stderr checked here
@@ -540,6 +564,18 @@ def test_undecodable_log_line_is_named(tmp_path, capsys, command, line, reason):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"xrprobe {command}: line 2: invalid JSON ({reason}")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(_READERS))
+def test_non_utf8_log_line_is_named(tmp_path, capsys, command):
+    directory = _tally_dir(tmp_path, "{}")
+    with open(directory / "log.jsonl", "ab") as fh:
+        fh.write(b'{"media": "video", "device": "u\xff", "playout_ts": 9, "emission_ts": 1}\n')
+    assert run(_READERS[command](directory)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"xrprobe {command}: line 2: invalid UTF-8 ('utf-8' codec can't "
+                            "decode byte 0xff in position 31: invalid start byte)\n")
     assert captured.out == ""
 
 

@@ -1,10 +1,14 @@
-"""The simulator's display pass against the engine it replaced.
+"""The simulator's passes against the event-heap engine they replaced.
 
-``heap_run_scenario`` is the engine with every vsync tick and frame arrival
-an event on its one heap. ``run_scenario`` merges each device's arrivals with
-its tick grid instead, and must give the same records, tallies and traces on
-any scenario: quality adaptation on and off, a zero display quantum, outages,
-zero delays and loss.
+``heap_run_scenario`` is the engine with every capture, pulse, edge arrival,
+vsync tick, frame arrival and quality-control step an event on one heap.
+``run_scenario`` runs each medium as an uplink pass over its grid, one stable
+sort of the edge arrivals and a downlink pass; the control steps are merged
+into the video downlink pass, and each device's display merges its frame
+arrivals with its tick grid. Both must give the same records, tallies and
+traces on any scenario: quality adaptation on and off, a zero display
+quantum, outages, zero delays and loss, and exact ties at a tick or at a
+control step, both ways round.
 """
 
 import heapq
@@ -373,3 +377,50 @@ class TestTieAtTick:
     def test_first_tick_always_goes_first(self):
         # tick 0 is scheduled before any frame leaves the edge
         assert self._ticks(100.0, 0.0) == [(100.0, None), (110.0, 7), (120.0, 7), (130.0, 7)]
+
+
+class TestTieAtControlStep:
+    """Frame edges at exactly the control-step times, both ways round.
+
+    At 20 fps with exact clocks and no capture, encode or jitter delay, capture
+    i reaches the edge at ``t0 + 50 i + uplink`` and step k falls at
+    ``t0 + 50 k``, so every edge lands on a step. A zero display quantum shows
+    each frame on arrival, so the 5 ms a quality step takes off the downlink
+    encode moves the playout of a frame whose edge runs after that step.
+    """
+
+    @staticmethod
+    def _same_as_heap(uplink_ms, downlink_ms=20.0, duration_s=3.0, initial_level="high",
+                      **pipeline):
+        def flat(base):
+            return NetworkProfile("flat", base_one_way_ms=base, jitter=GaussianJitter(0.0))
+        scenario = SessionScenario(
+            name="tie", uplink=flat(uplink_ms), downlink=flat(downlink_ms), duration_s=duration_s,
+            fps=20.0, viewers=(), join_times_s=(),
+            pipeline=PipelineModel(**{"capture_pipeline_ms": 0.0, "encode_up_ms": 0.0,
+                                      "display_quantum_ms": 0.0, **pipeline}),
+            clocks=ClockSpec(sigma_ntp_ms=0.0, sync_interval_s=64.0, max_drift_ppm=0.0,
+                             initial_offset_sigma_ms=0.0),
+            quality=QualitySpec(enabled=True, control_interval_s=0.05, dwell_s=0.0,
+                                step_down_threshold_ms=50.0, step_up_threshold_ms=10.0,
+                                initial_level=initial_level),
+            seed=5)
+        log = run_scenario(scenario)
+        _assert_same_run(log, heap_run_scenario(scenario))
+        return log
+
+    def test_step_first_when_capture_is_at_the_previous_step_or_later(self):
+        # capture k's edge lands on step k, which step k - 1 scheduled before capture k
+        assert self._same_as_heap(0.0).tally["quality_step_down"] > 0
+
+    def test_edge_first_when_capture_came_before_the_previous_step(self):
+        # capture k's edge lands on step k + 2; capture k scheduled it before step k + 1
+        # scheduled step k + 2
+        assert self._same_as_heap(100.0).tally["quality_step_down"] > 0
+
+    def test_first_step_past_the_end_still_runs(self):
+        # the session ends at 40 ms and step 1 falls at 50 ms; frame 0, shown
+        # on arrival with no delay at all, reads zero latency, so step 1 steps up
+        log = self._same_as_heap(0.0, downlink_ms=0.0, duration_s=0.04, initial_level="medium",
+                                 render_ms=0.0, encode_down_ms=0.0, decode_ms=0.0)
+        assert log.tally["quality_step_up"] == 1

@@ -156,48 +156,53 @@ class TestLogRoundtrip:
 def per_line_oracle(path):
     """The per-line log parser as it was before the fast path, with a device
     that is not a string and a frequency or confidence that is not a JSON
-    number rejected rather than coerced, and an over-long integer or nesting
-    past the recursion limit named by its line: the reference."""
+    number rejected rather than coerced, and an over-long integer, nesting
+    past the recursion limit or bytes that are not UTF-8 named by their line:
+    the reference."""
     records = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        raw_lines = re.split(rb"\r\n|\r|\n", fh.read())  # text mode's universal newlines
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(line_no, f"invalid UTF-8 ({exc})") from exc
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # digit limit, nesting limit
+            raise ParseError(line_no, f"invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(line_no, "record must be a JSON object")
+        for key in ("media", "device", "emission_ts", "playout_ts"):
+            if key not in doc:
+                raise ParseError(line_no, f"missing field {key!r}")
+        if doc["media"] not in ("video", "audio"):
+            raise ParseError(line_no, f"unknown media {doc['media']!r}")
+        emission_ts, playout_ts, slot = doc["emission_ts"], doc["playout_ts"], doc.get("slot")
+        if not isinstance(doc["device"], str):
+            raise ParseError(line_no, f"field 'device' must be a string, got {doc['device']!r}")
+        for key, value in (("emission_ts", emission_ts), ("playout_ts", playout_ts)):
+            if type(value) is not int:
+                raise ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
+        if slot is not None and type(slot) is not int:
+            raise ParseError(line_no, f"field 'slot' must be an integer, got {slot!r}")
+        numbers = {}
+        for key in ("frequency", "confidence"):
+            value = doc.get(key)
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
-            except (ValueError, RecursionError) as exc:  # digit limit, nesting limit
-                raise ParseError(line_no, f"invalid JSON ({exc})") from exc
-            if not isinstance(doc, dict):
-                raise ParseError(line_no, "record must be a JSON object")
-            for key in ("media", "device", "emission_ts", "playout_ts"):
-                if key not in doc:
-                    raise ParseError(line_no, f"missing field {key!r}")
-            if doc["media"] not in ("video", "audio"):
-                raise ParseError(line_no, f"unknown media {doc['media']!r}")
-            emission_ts, playout_ts, slot = doc["emission_ts"], doc["playout_ts"], doc.get("slot")
-            if not isinstance(doc["device"], str):
-                raise ParseError(line_no, f"field 'device' must be a string, got {doc['device']!r}")
-            for key, value in (("emission_ts", emission_ts), ("playout_ts", playout_ts)):
-                if type(value) is not int:
-                    raise ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
-            if slot is not None and type(slot) is not int:
-                raise ParseError(line_no, f"field 'slot' must be an integer, got {slot!r}")
-            numbers = {}
-            for key in ("frequency", "confidence"):
-                value = doc.get(key)
-                try:
-                    # exact types: bool is an int subclass and must not pass
-                    numbers[key] = {type(None): lambda v: v, int: float, float: float}[
-                        type(value)](value)
-                except (KeyError, OverflowError):
-                    raise ParseError(line_no, f"field {key!r} must be a number, "
-                                              f"got {value!r}") from None
-            records.append(DetectionRecord(
-                media=doc["media"], device=doc["device"],
-                emission_ts=emission_ts, playout_ts=playout_ts, slot=slot, **numbers))
+                # exact types: bool is an int subclass and must not pass
+                numbers[key] = {type(None): lambda v: v, int: float, float: float}[
+                    type(value)](value)
+            except (KeyError, OverflowError):
+                raise ParseError(line_no, f"field {key!r} must be a number, "
+                                          f"got {value!r}") from None
+        records.append(DetectionRecord(
+            media=doc["media"], device=doc["device"],
+            emission_ts=emission_ts, playout_ts=playout_ts, slot=slot, **numbers))
     return records
 
 
@@ -329,11 +334,24 @@ class TestLogOracle:
         "deep_object_nesting": GOOD + "\n" + '{"a":' * 100_000 + "\n",
         "over_long_integer": GOOD + "\n" + GOOD.replace("5", "1" + "0" * 5000, 1) + "\n",
         "bad_json_then_bad_utf8": (GOOD + "\n{\n" + GOOD + "\n").encode() + b"\xff\xfe\n",
+        "bad_utf8_line_crlf": ((GOOD + "\r\n").encode() + GOOD.replace("u1", "u\xff").encode("latin-1")
+                               + (b"\r\n" + GOOD.encode()) * 2),
+        "utf8_sequence_cut_by_newline": (GOOD + "\r").encode() + b'"\xe2\x82\n\xac"\n',
     }
 
     @pytest.mark.parametrize("text", NAMED.values(), ids=NAMED.keys())
     def test_named_cases(self, text):
         assert_reads_as_oracle(text)
+
+    @pytest.mark.parametrize("name, line_no", [
+        ("bad_utf8_line_crlf", 2), ("bad_json_then_bad_utf8", 2),
+        ("utf8_sequence_cut_by_newline", 2)])
+    def test_first_bad_line_is_named(self, tmp_path, name, line_no):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(self.NAMED[name])
+        with pytest.raises(ParseError) as raised:
+            read_log(path)
+        assert raised.value.line_no == line_no
 
     @given(recs=st.lists(_RECORDS, max_size=8))
     @settings(max_examples=300, deadline=None)

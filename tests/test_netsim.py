@@ -65,7 +65,7 @@ class TestSampleHopDelay:
         rng = random.Random(0)
         profile = flat_profile(base=5.0)
         for _ in range(50):
-            assert sample_hop_delay(profile, rng, t=0.0) == 5.0
+            assert sample_hop_delay(profile, rng, 0.0, ChannelState(), VIDEO) == 5.0
 
     def test_floor_property(self):
         from xrprobe.scenario import LognormalJitter
@@ -78,7 +78,7 @@ class TestSampleHopDelay:
         rng = random.Random(1)
         state = ChannelState()
         t = 0.0
-        low = min(sample_hop_delay(profile, rng, t + i * 33.33, state)
+        low = min(sample_hop_delay(profile, rng, t + i * 33.33, state, VIDEO)
                   for i in range(100_000))
         assert low >= 98.0
 
@@ -96,14 +96,6 @@ class TestSampleHopDelay:
         assert sample_hop_delay(profile, rng, 50.0, state, medium=VIDEO) == 260.0
         # after the burst expires video re-enters (enter_prob 1)
         assert sample_hop_delay(profile, rng, 400.0, state, medium=VIDEO) == 310.0
-
-    def test_no_state_means_no_outage(self):
-        profile = flat_profile(
-            base=10.0,
-            outage=OutageSpec(enter_prob=1.0, duration_min_ms=300,
-                              duration_max_ms=300),
-        )
-        assert sample_hop_delay(profile, random.Random(0), 0.0, state=None) == 10.0
 
     def test_burst_occupancy_matches_renewal_model(self):
         # Events every dt; each non-outage event opens a burst with prob p,
@@ -140,7 +132,7 @@ class TestSampleHopDelay:
         n = 200_000
         over = sum(
             1 for i in range(n)
-            if sample_hop_delay(profile, rng, i * dt, state) > 98.0 + 100.0
+            if sample_hop_delay(profile, rng, i * dt, state, VIDEO) > 98.0 + 100.0
         )
         assert over / n == pytest.approx(analytic, rel=0.2)
 
