@@ -267,6 +267,8 @@ class SessionScenario:
             raise SchemaError("duration_s", "must be positive")
         if self.fps <= 0:
             raise SchemaError("fps", "must be positive")
+        if not math.isfinite(1000.0 / self.fps):
+            raise SchemaError("fps", f"frame period 1000 / fps overflows, got {self.fps!r}")
         n = 1 + len(self.viewers)
         quantum = self.pipeline.quantum_ms(self.fps)
         grids = [("duration_s", "frames (duration_s x fps x devices)",

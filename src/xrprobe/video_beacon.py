@@ -27,10 +27,16 @@ each hit is then confirmed on its column. The scan makes up to three passes,
 coarsest stride first. The first is scanned on its own, so a frame it settles
 pays for nothing finer; the stride-4 and stride-1 passes share one stride-1
 scan, since a hit lies within one row and the stride-4 hits are the stride-1
-hits on every fourth row. A frame's row and column run decompositions are
-computed at most once per frame, and so is each column check: one is fixed by
-its column, the run the hit falls in and the unit, so the rows that cross one
-finder core share it. The module pitch comes from the finder geometry.
+hits on every fourth row. When the first pass fails, that scan's hits are
+confirmed on their columns at once, and if the candidates name fewer than
+three distinct places the scan stops there: a candidate is fixed by its hit,
+so no finer pass has other candidates, and two places never form the three
+clusters a triple needs. Likewise a pass with fewer than three clusters skips
+the refinement walk and the triple search. A frame's row and column run
+decompositions are computed at most once per frame, and so is each column
+check: one is fixed by its column, the run the hit falls in and the unit, so
+the rows that cross one finder core share it. The module pitch comes from the
+finder geometry.
 
 Every frame is read one way, on its own: ``detect_decode``, the bounding-box
 guess and then the full scan. ``detect_frame_sequence`` calls it once per
@@ -48,6 +54,7 @@ that blob. ``read_pgm`` is the one-image case of the same reader.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_right
 from collections import Counter
@@ -364,23 +371,6 @@ def _row_hits(dark: np.ndarray, stride: int) -> tuple[list[int], list[float], li
     return (row * stride).tolist(), cx.tolist(), units[idx].tolist()
 
 
-def _pass_hits(dark: np.ndarray):
-    """Row hits of each scan pass, coarsest first.
-
-    A code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
-    adaptive first pass still crosses every core; the 4 and 1 passes cover
-    small codes inside large frames. The first pass is scanned on its own,
-    so a frame it settles pays for nothing finer; the finer passes share one
-    stride-1 scan, the stride-4 pass keeping its hits on rows ``y % 4 == 0``.
-    """
-    adaptive = max(4, min(dark.shape) // 32)
-    yield zip(*_row_hits(dark, adaptive))
-    fine = list(zip(*_row_hits(dark, 1)))
-    if adaptive > 4:
-        yield [hit for hit in fine if hit[0] % 4 == 0]
-    yield fine
-
-
 def _scan_finders(lines: _LineRuns, hits) -> list[tuple[float, float, float]]:
     """Candidate finder centers (cx, cy, unit): (y, cx, unit) row hits
     confirmed on their column, each column check memoised per run and unit."""
@@ -392,6 +382,32 @@ def _scan_finders(lines: _LineRuns, hits) -> list[tuple[float, float, float]]:
         cy, vunit = vert
         found.append((cx, cy, (unit + vunit) / 2.0))
     return found
+
+
+def _pass_candidates(lines: _LineRuns, dark: np.ndarray):
+    """Candidate finder centers of each scan pass, coarsest first.
+
+    A code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
+    adaptive first pass still crosses every core; the 4 and 1 passes cover
+    small codes inside large frames. The first pass is scanned on its own,
+    so a frame it settles pays for nothing finer; the finer passes share one
+    stride-1 scan, the stride-4 pass keeping its hits on rows ``y % 4 == 0``.
+
+    When the stride-1 candidates name fewer than three distinct places, no
+    finer pass is yielded. A candidate is fixed by its row hit, so every
+    pass's candidates are among the stride-1 ones; two distinct candidates
+    never form three clusters (every cluster's mean lies between them), and
+    a triple needs three.
+    """
+    adaptive = max(4, min(dark.shape) // 32)
+    yield _scan_finders(lines, zip(*_row_hits(dark, adaptive)))
+    fine = list(zip(*_row_hits(dark, 1)))
+    candidates = _scan_finders(lines, fine)
+    if len(set(candidates)) < 3:
+        return
+    if adaptive > 4:
+        yield _scan_finders(lines, [hit for hit in fine if hit[0] % 4 == 0])
+    yield candidates
 
 
 # candidates from the same finder already agree to sub-module precision (the
@@ -517,7 +533,10 @@ def _locate(dark: np.ndarray) -> Timestamp:
     (``_guess_finders``). A grid out of bounds, a finder-zone mismatch or a
     CRC miss there is dropped, never reported: it falls through to the full
     finder scan, which alone decides what a frame that fails the guess yields
-    or raises.
+    or raises. The scan ends as soon as no pass left can form a finder
+    triple: a pass with fewer than three clusters tries none, and when the
+    stride-1 candidates name fewer than three places no finer pass is run
+    (``_pass_candidates``).
     """
     try:
         ts = _decode_at(dark, *_guess_finders(dark))
@@ -527,9 +546,11 @@ def _locate(dark: np.ndarray) -> Timestamp:
         return ts
     lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
-    for hits in _pass_hits(dark):
+    for candidates in _pass_candidates(lines, dark):
         # dedupe before the refinement walk
-        tight = _cluster(_scan_finders(lines, hits))
+        tight = _cluster(candidates)
+        if len(tight) < 3:
+            continue  # no triple to try
         clusters = []
         for cand in tight:
             refined = _refine_center(lines, *cand)
@@ -638,6 +659,9 @@ class FrameManifest:
             raise SchemaError("fps", f"must be positive, got {self.fps!r}")
         if self.frame_count < 0:
             raise SchemaError("frame_count", f"must be >= 0, got {self.frame_count!r}")
+        # frame_playout's arithmetic for the last frame, so every frame's is finite
+        if not math.isfinite(max(self.frame_count - 1, 0) * 1000.0 / self.fps):
+            raise SchemaError("fps", f"the last frame's offset overflows, got {self.fps!r}")
 
     def frame_playout(self, index: int) -> Timestamp:
         return self.start_ts + round(index * 1000.0 / self.fps)

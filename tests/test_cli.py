@@ -203,6 +203,15 @@ class TestExitCodes:
         assert rc == 1
         capsys.readouterr()
 
+    def test_overflowing_frame_period_names_fps(self, tmp_path, capsys):
+        sc = write_scenario(tmp_path / "sc.json")
+        doc = json.loads(sc.read_text())
+        sc.write_text(json.dumps({**doc, "fps": 1e-310}))
+        rc = run(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "xrprobe simulate: fps: frame period 1000 / fps overflows, got 1e-310\n")
+
 
 class TestVideoPipeline:
     def test_gen_then_detect(self, tmp_path, capsys):
@@ -235,6 +244,7 @@ class TestVideoPipeline:
         (lambda d: (d / "frames.pgm").unlink(), "frame 0: no such file"),
         (lambda d: _truncate(d / "frames.pgm", 10), "frame 1: truncated pixel data"),
         (lambda d: _edit_manifest(d, fps=0), "fps: must be positive"),
+        (lambda d: _edit_manifest(d, fps=1e-310), "fps: the last frame's offset overflows"),
         (lambda d: _edit_manifest(d, device_id=None), "device_id: missing"),
         (lambda d: _edit_manifest(d, frame_count=-2), "frame_count: must be >= 0"),
     ])

@@ -47,7 +47,7 @@ from xrprobe.video_beacon import (
     _guess_finders,
     _LineRuns,
     _locate,
-    _pass_hits,
+    _pass_candidates,
     _read_pgm_stream,
     _refine_center,
     _row_hits,
@@ -580,11 +580,14 @@ class TestFinderScan:
         for stride in _strides(dark):
             assert list(zip(*_row_hits(dark, stride))) == [h for h in fine if h[0] % stride == 0]
         # the passes _locate runs: the adaptive stride (4 at least), then 4 if
-        # that was coarser, then 1
+        # that was coarser, then 1; the finer ones only when the stride-1
+        # candidates name three distinct places
         adaptive = _strides(dark)[0]
         strides = (adaptive, 4, 1) if adaptive > 4 else (4, 1)
-        assert [list(hits) for hits in _pass_hits(dark)] == [
-            list(zip(*_row_hits(dark, stride))) for stride in strides]
+        want = [_ref_scan_finders(dark, stride) for stride in strides]
+        if len(set(want[-1])) < 3:
+            want = want[:1]
+        assert list(_pass_candidates(_LineRuns(dark), dark)) == want
 
     @pytest.mark.parametrize("shape", [(1, 64), (64, 1), (1, 1), (64, 4), (4, 64), (3, 3)])
     def test_degenerate_frames_raise_finder_not_found(self, shape):
@@ -683,6 +686,26 @@ def _small_code_frames(draw):
     return np.pad(px, ((pad[0], pad[1]), (pad[2], pad[3])), constant_values=255) < 128
 
 
+@st.composite
+def _decoy_frames(draw):
+    """A code with a finder painted light and a finder pattern of any unit
+    painted anywhere on the frame: the decoy may or may not give the stride-1
+    scan a third candidate place, so both sides of the scan's stop rule are
+    drawn."""
+    modules = encode_beacon(draw(st.integers(0, (1 << 63) - 1))).modules.copy()
+    r0, c0 = [(0, 0), (0, 14), (14, 0)][draw(st.integers(0, 2))]
+    modules[r0 : r0 + 7, c0 : c0 + 7] = False
+    grid = ModuleGrid(modules=modules, payload_ts=0)
+    px = rasterize(grid, draw(st.integers(1, 16)), draw(st.integers(0, 4))).pixels.copy()
+    unit = draw(st.integers(1, min(px.shape) // 7))
+    side = 7 * unit
+    y = draw(st.integers(0, px.shape[0] - side))
+    x = draw(st.integers(0, px.shape[1] - side))
+    px[y : y + side, x : x + side] = np.where(
+        _expected_finder().repeat(unit, 0).repeat(unit, 1), 0, 255)
+    return px < 128
+
+
 def _outcome(locate, dark):
     """The timestamp, or the class of the exception raised."""
     try:
@@ -693,18 +716,22 @@ def _outcome(locate, dark):
 
 class TestLocate:
     @given(dark=st.one_of(_scan_frames(), _speck_frames(), _stacked_frames(),
-                          _small_code_frames()))
-    @settings(max_examples=150, deadline=None)
+                          _small_code_frames(), _decoy_frames()))
+    @settings(max_examples=200, deadline=None)
     def test_matches_pass_loop_oracle(self, dark):
         assert _outcome(_locate, dark) == _outcome(_ref_locate, dark)
 
 
 class _ScanSpy:
     """Records the ``_row_hits`` strides and the ``_line_center`` keys (line,
-    run index, unit) a test's full scans compute."""
+    run index, unit) a test's full scans compute, and counts the calls of
+    the per-pass steps."""
 
     def __init__(self, monkeypatch):
         self.strides, self.keys = [], []
+        self.calls = Counter()
+        for name in ("_cluster", "_refine_center", "_decode_at"):
+            monkeypatch.setattr(video_beacon, name, self._counted(name))
         row_hits, line_center = video_beacon._row_hits, video_beacon._line_center
 
         def rows(dark, stride):
@@ -718,6 +745,15 @@ class _ScanSpy:
 
         monkeypatch.setattr(video_beacon, "_row_hits", rows)
         monkeypatch.setattr(video_beacon, "_line_center", center)
+
+    def _counted(self, name):
+        real = getattr(video_beacon, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            return real(*args)
+
+        return call
 
 
 class TestScanCost:
@@ -736,6 +772,43 @@ class TestScanCost:
         # the 4 and 1 passes cross the finder cores on 3 * 8 rows each: most
         # of their hits share a column check
         assert len(spy.keys) < len(_row_hits(frame.pixels < 128, 1)[0]) / 2
+
+    @pytest.mark.parametrize("scale", [3, 8, 16])
+    @pytest.mark.parametrize("origin", [(0, 0), (0, 14), (14, 0)])
+    def test_two_candidate_places_stop_after_the_first_pass(self, monkeypatch, origin, scale):
+        spy = _ScanSpy(monkeypatch)
+        r0, c0 = origin
+
+        def occlude(modules):
+            modules[r0 : r0 + 7, c0 : c0 + 7] = False
+
+        frame = _painted(4242, scale, 4, occlude)
+        with pytest.raises(FinderNotFound):
+            detect_decode(frame, playout_ts=0)
+        assert spy.strides == [max(4, frame.width // 32), 1]
+        # the stride-1 candidates are the two intact finders: only the first
+        # pass is clustered, nothing is refined, and only the guess is read
+        assert spy.calls == Counter(_cluster=1, _decode_at=1)
+
+    def test_three_candidate_places_run_every_pass(self, monkeypatch):
+        # the payload of this timestamp gives the stride-1 scan a third
+        # candidate place besides the two intact finders
+        ts, scale, quiet = 987654321, 8, 4
+
+        def occlude(modules):
+            modules[0:7, 14:21] = False
+
+        frame = _painted(ts, scale, quiet, occlude)
+        dark = frame.pixels < 128
+        fine = _scan_finders(_LineRuns(dark), zip(*_row_hits(dark, 1)))
+        assert {(cx, cy) for cx, cy, _ in fine} == {(60, 60), (60, 172), (72, 104)}
+        spy = _ScanSpy(monkeypatch)
+        with pytest.raises(FinderNotFound):
+            detect_decode(frame, playout_ts=0)
+        assert spy.strides == [232 // 32, 1]
+        # the adaptive, stride-4 and stride-1 passes are each clustered
+        assert spy.calls["_cluster"] == 3
+        assert spy.calls["_refine_center"] > 0
 
     def test_crc_miss_scans_rows_once(self, monkeypatch):
         spy = _ScanSpy(monkeypatch)
