@@ -17,7 +17,12 @@ window), and silence test, energy sums, normalization and peak search run
 once per chunk too. It estimates each distinct window only once: the tool's
 own media repeat, because playout lands on a callback grid equal to the
 detection hop, so every recurrence of a tone sits at the same phase against
-the windows and yields the same samples.
+the windows and yields the same samples. The rest of the per-window work is
+array passes too: the windows' keys are slices of one byte blob of the
+stream, the distinct windows' tone indices are one vectorized lookup, and
+the onset probes of the distinct windows of one tone are real matrix
+products, a chunk of windows each. Beyond keying each window, Python runs
+once per chunk and once per run of one tone.
 """
 
 from __future__ import annotations
@@ -165,7 +170,8 @@ def synthesize(schedule: ToneSchedule, start_slot: int, n_slots: int,
     return PcmBuffer(sample_rate=rate, samples=out)
 
 
-# windows per _estimate_windows call in detect_pulses
+# windows per _estimate_windows call, and per onset probe product, in
+# detect_pulses
 _CHUNK = 128
 
 
@@ -217,12 +223,14 @@ def _estimate_windows(frames: np.ndarray, rate: int, f_min: float,
     tau_max = min(int(math.ceil(rate / f_min)), n - 2)
     if tau_min >= tau_max or loud.size == 0:
         return out
+    if loud.size < count:
+        frames, squares = frames[loud], squares[loud]
     tau_hi = tau_max + 1
     m = _smooth_size(n + tau_hi + 1)
-    spec = np.fft.rfft(frames[loud], m, axis=1)
+    spec = np.fft.rfft(frames, m, axis=1)
     power = np.square(spec.real) + np.square(spec.imag)
     ac = np.fft.irfft(power, m, axis=1)[:, : tau_hi + 1]
-    energy = np.cumsum(squares[loud], axis=1)
+    energy = np.cumsum(squares, axis=1)
     head = energy[:, n - 1 - np.arange(tau_hi + 1)]
     tail = energy[:, -1:] - np.concatenate((np.zeros((loud.size, 1)), energy[:, :tau_hi]), axis=1)
     denom = np.sqrt(head * tail)
@@ -259,6 +267,16 @@ def _tone_index(schedule: ToneSchedule, frequency: float) -> int | None:
     if abs(frequency - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0:
         return None
     return k
+
+
+def _tone_indices(schedule: ToneSchedule, frequencies: np.ndarray) -> np.ndarray:
+    """``_tone_index`` of every entry of ``frequencies`` in one array pass,
+    with -1 where it gives None: the same round-half-even, clip and delta/2
+    test."""
+    k = np.clip(np.rint((frequencies - schedule.f0_hz) / schedule.delta_hz),
+                0, schedule.tone_count - 1)
+    far = np.abs(frequencies - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0
+    return np.where(far, -1, k).astype(np.intp)
 
 
 def resolve_emission(schedule: ToneSchedule, frequency: float,
@@ -301,6 +319,15 @@ def detect_pulses(
     measurement would be biased early by up to a window length (a broadband
     energy check is not enough, the head may hold the previous pulse's loud
     tail). Unresolvable windows are skipped and tallied.
+
+    Everything up to the pulses runs per distinct window, in array passes:
+    the windows' keys are slices of one byte blob of the stream, the
+    distinct windows' tone indices come from one ``_tone_indices`` call, and
+    the head and tail onset probes of up to ``_CHUNK`` distinct windows of
+    one tone are one real matrix product each. The runs of one tone are
+    read off the boundaries of the per-window tone array, and only the loop
+    over a run's opener windows (emit, duplicate or ambiguous) is Python.
+    The records and tallies are those of the window-by-window scan.
     """
     x = np.asarray(pcm.samples, dtype=np.float64)
     rate = pcm.sample_rate
@@ -308,43 +335,38 @@ def detect_pulses(
     f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
     period_ms = schedule.pulse_period_ms
 
-    # Per-window tone decisions, estimated a chunk of distinct windows at a
-    # time. _estimate_windows computes each row from that row alone (row-wise
-    # transforms, elementwise ops, mean and cumsum along the row), so equal
-    # windows get equal estimates and each distinct one is estimated once.
     starts = range(0, x.size - window_size + 1, hop)
-    estimates: list[tuple[float, float] | None] = []
-    if len(starts):
-        windows = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop]
-        index: dict[bytes, int] = {}
-        first: list[int] = []  # window number of each distinct window's first occurrence
-        keys = []
-        for w, s in enumerate(starts):
-            k = index.setdefault(pcm.samples[s : s + window_size].tobytes(), len(first))
-            if k == len(first):
-                first.append(w)
-            keys.append(k)
-        distinct: list[tuple[float, float] | None] = []
-        for c in range(0, len(first), _CHUNK):
-            rows = first[c : c + _CHUNK]
-            # audio without repeats gives consecutive rows: slice, no gather copy
-            chunk = (windows[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1
-                     else windows[rows])
-            distinct += _estimate_windows(chunk, rate, f_lo, f_hi)
-        estimates = [distinct[k] for k in keys]
-    hits: list[tuple[int, int, float, float] | None] = []
-    for start, est in zip(starts, estimates):
-        if est is None:
-            hits.append(None)
-            continue
-        freq, conf = est
-        k = _tone_index(schedule, freq)
-        if k is None:
-            if tally is not None:
-                tally["unknown_tone"] += 1
-            hits.append(None)
-            continue
-        hits.append((start, k, freq, conf))
+    if not starts:
+        return []
+    # Distinct windows, estimated a chunk at a time. _estimate_windows
+    # computes each row from that row alone (row-wise transforms, elementwise
+    # ops, mean and cumsum along the row), so equal windows get equal
+    # estimates and each distinct one is estimated once. ``first`` holds the
+    # window number of each distinct window's first occurrence, ascending;
+    # ``keys`` maps each window to its distinct window.
+    blob = pcm.samples.tobytes()
+    size = pcm.samples.itemsize
+    owner: dict[bytes, int] = {}
+    first, keys = np.unique([owner.setdefault(blob[s * size : (s + window_size) * size], w)
+                             for w, s in enumerate(starts)], return_inverse=True)
+    windows = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop]
+    distinct: list[tuple[float, float] | None] = []
+    for c in range(0, first.size, _CHUNK):
+        rows = first[c : c + _CHUNK]
+        # audio without repeats gives consecutive rows: slice, no gather copy
+        chunk = (windows[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] == rows.size - 1
+                 else windows[rows])
+        distinct += _estimate_windows(chunk, rate, f_lo, f_hi)
+
+    # tone index of each distinct window, -1 for no estimate or an unknown tone
+    found = [d for d, est in enumerate(distinct) if est is not None]
+    tone = np.full(first.size, -1, dtype=np.intp)
+    tone[found] = _tone_indices(schedule, np.array([distinct[d][0] for d in found]))
+    if tally is not None:
+        unknown = np.zeros(first.size, dtype=bool)
+        unknown[found] = tone[found] < 0
+        if (misses := int(np.count_nonzero(unknown[keys]))):
+            tally["unknown_tone"] += misses
 
     # Narrowband onset probe. A Hann-weighted single-bin transform at the
     # run's nominal tone keeps the neighboring tone (one delta away) out of
@@ -352,46 +374,56 @@ def detect_pulses(
     # already sounding when the window began. The 0.93 threshold sits just
     # under the attenuation a window aligned with the pulse onset suffers
     # from the raised-cosine ramp, so onset-aligned windows qualify and
-    # windows more than a couple of milliseconds early do not.
+    # windows more than a couple of milliseconds early do not. Each tone's
+    # tapered phasor is two real rows, cosine and sine (a complex one would
+    # cast the whole segment matrix to complex), and the distinct windows of
+    # one tone are probed together: one product takes the heads and one the
+    # tails of up to _CHUNK of them.
     probe_len = min(1024, window_size // 2)
     onset_ratio = 0.93
+    toned = np.flatnonzero(tone >= 0)
+    by_tone = toned[np.argsort(tone[toned], kind="stable")]
+    sounding, lows = np.unique(tone[by_tone], return_index=True)
+    bounds = lows.tolist() + [by_tone.size]
+    theta = (2.0 * np.pi * (schedule.f0_hz + sounding[:, None] * schedule.delta_hz)
+             * np.arange(probe_len) / rate)
     taper = np.hanning(probe_len)
-    phasors: dict[float, np.ndarray] = {}
+    phasors = np.stack((np.cos(theta) * taper, np.sin(theta) * taper), axis=1)
+    probes = np.lib.stride_tricks.sliding_window_view(x, probe_len)
+    head, tail = np.empty(first.size), np.empty(first.size)
+    for phasor, lo, hi in zip(phasors, bounds, bounds[1:]):
+        for c in range(lo, hi, _CHUNK):
+            rows = by_tone[c : min(c + _CHUNK, hi)]
+            at = first[rows] * hop
+            head[rows] = np.hypot(*(phasor @ probes[at].T))
+            tail[rows] = np.hypot(*(phasor @ probes[at + window_size - probe_len].T))
+    ref = np.maximum(head[toned], tail[toned])
+    opens = np.zeros(first.size, dtype=bool)
+    opens[toned] = (ref > 0.0) & (head[toned] >= onset_ratio * ref)
 
-    def _tone_amp(seg: np.ndarray, phasor: np.ndarray) -> float:
-        return abs(np.dot(seg * taper, phasor))
-
-    def _openers(run, nominal):
-        phasor = phasors.get(nominal)
-        if phasor is None:
-            phasor = phasors[nominal] = np.exp(-2j * np.pi * nominal * np.arange(probe_len) / rate)
-        for start, _, freq, conf in run:
-            head = _tone_amp(x[start : start + probe_len], phasor)
-            tail = _tone_amp(x[start + window_size - probe_len : start + window_size], phasor)
-            ref = max(head, tail)
-            if ref > 0.0 and head >= onset_ratio * ref:
-                yield start, freq, conf
+    # runs of one tone, and the windows in them that may open a pulse
+    per_window = tone[keys]
+    cuts = np.flatnonzero(np.diff(per_window)) + 1
+    run_lo = np.concatenate(([0], cuts))
+    run_hi = np.concatenate((cuts, [per_window.size]))
+    keep = per_window[run_lo] >= 0
+    run_lo, run_hi = run_lo[keep], run_hi[keep]
+    openers = np.flatnonzero(opens[keys])
+    run_openers = zip(per_window[run_lo].tolist(), np.searchsorted(openers, run_lo).tolist(),
+                     np.searchsorted(openers, run_hi).tolist())
+    openers, keys = openers.tolist(), keys.tolist()
 
     detections: list[DetectionRecord] = []
     last_seen: dict[int, Timestamp] = {}
-    i = 0
-    while i < len(hits):
-        if hits[i] is None:
-            i += 1
-            continue
-        k = hits[i][1]
-        j = i
-        while j < len(hits) and hits[j] is not None and hits[j][1] == k:
-            j += 1
-        run = [h for h in hits[i:j] if h is not None]
-        i = j
+    for k, a, b in run_openers:
         # A window that fails to resolve is skipped, not the whole pulse:
         # the opener probe can fire a hair before the true onset, putting
         # the playout just ahead of a zero-latency slot, and the next
         # qualifying window then resolves the same pulse cleanly.
         emitted = False
-        for start, freq, conf in _openers(run, schedule.f0_hz + k * schedule.delta_hz):
-            playout = playout_clock(start)
+        for w in openers[a:b]:
+            freq, conf = distinct[keys[w]]
+            playout = playout_clock(starts[w])
             if k in last_seen and playout - last_seen[k] < period_ms / 2.0:
                 if tally is not None:
                     tally["duplicate_pulse"] += 1

@@ -169,9 +169,12 @@ def _cmd_gen_video(args) -> int:
         raise _FlagError(f"argument --duration-s/--fps: expected at most {MAX_DEVICE_FRAMES} "
                          f"frames (duration x fps), got {frames:.7g}")
     frame_count = max(1, round(frames))
+    # before the manifest is built: its own check would blame a manifest field, not the flag
+    _check_start_ts(args.start_ts,
+                    args.start_ts + FrameManifest.playout_offset(frame_count - 1, args.fps),
+                    "last frame")
     manifest = FrameManifest(device_id=args.device_id, fps=float(args.fps),
                              start_ts=args.start_ts, frame_count=frame_count)
-    _check_start_ts(args.start_ts, manifest.frame_playout(frame_count - 1), "last frame")
     emissions = (beacon_emission(args.start_ts, manifest.frame_playout(i), args.interval_ms)
                  for i in range(frame_count))
     write_frame_sequence(args.out, (rasterize(encode_beacon(e), scale=args.scale)

@@ -54,7 +54,6 @@ that blob. ``read_pgm`` is the one-image case of the same reader.
 from __future__ import annotations
 
 import json
-import math
 import re
 from bisect import bisect_right
 from collections import Counter
@@ -597,12 +596,15 @@ _PGM_HEADER = re.compile(rb"P5%s+(\d+)%s+(\d+)%s+(\d+)%s" % ((_PGM_SPACE,) * 4))
 
 def _write_pgm_stream(path: str | Path, frames: Iterable[PixelBuffer]) -> int:
     """Write frames back to back as binary PGM images, nothing between them,
-    each as it comes; returns how many were written."""
+    each as it comes; returns how many were written. One 1 MiB buffer
+    gathers many small frames into one write call, and a frame's pixels go
+    to it without a ``tobytes`` copy (only a non-contiguous frame is copied,
+    since a write takes contiguous bytes)."""
     count = 0
-    with open(path, "wb") as fh:
+    with open(path, "wb", buffering=1 << 20) as fh:
         for frame in frames:
             fh.write(b"P5\n%d %d\n255\n" % (frame.width, frame.height))
-            fh.write(frame.pixels.tobytes())
+            fh.write(np.ascontiguousarray(frame.pixels))
             count += 1
     return count
 
@@ -659,12 +661,26 @@ class FrameManifest:
             raise SchemaError("fps", f"must be positive, got {self.fps!r}")
         if self.frame_count < 0:
             raise SchemaError("frame_count", f"must be >= 0, got {self.frame_count!r}")
-        # frame_playout's arithmetic for the last frame, so every frame's is finite
-        if not math.isfinite(max(self.frame_count - 1, 0) * 1000.0 / self.fps):
-            raise SchemaError("fps", f"the last frame's offset overflows, got {self.fps!r}")
+        # the first and the last frame, so every frame's playout is a
+        # timestamp in 0..2**64-1
+        try:
+            offset = self.playout_offset(max(self.frame_count - 1, 0), self.fps)
+        except OverflowError:  # an infinite offset
+            offset = 2**64
+        if offset >= 2**64:
+            raise SchemaError("fps", f"the last frame's offset overflows 64 bits, "
+                                     f"got {self.fps!r}")
+        if not 0 <= self.start_ts < 2**64 - offset:
+            raise SchemaError("start_ts", f"the frames play out from {self.start_ts} to "
+                                          f"{self.start_ts + offset} ms, outside 0..2**64-1")
+
+    @staticmethod
+    def playout_offset(index: int, fps: float) -> int:
+        """Milliseconds from the first frame's playout to frame ``index``'s."""
+        return round(index * 1000.0 / fps)
 
     def frame_playout(self, index: int) -> Timestamp:
-        return self.start_ts + round(index * 1000.0 / self.fps)
+        return self.start_ts + self.playout_offset(index, self.fps)
 
 
 def write_frame_sequence(directory: str | Path, frames: Iterable[PixelBuffer],

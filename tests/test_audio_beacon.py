@@ -32,7 +32,7 @@ from xrprobe.audio_beacon import (
     write_wav,
     write_wav_manifest,
 )
-from xrprobe.audio_beacon import _estimate_windows, _tone_index
+from xrprobe.audio_beacon import _estimate_windows, _tone_index, _tone_indices
 from xrprobe.metrics import AUDIO, DetectionRecord
 from xrprobe.schema import SchemaError
 
@@ -232,6 +232,39 @@ class TestResolveEmission:
         emission = sched.epoch_ts + slot * sched.pulse_period_ms
         resolved = resolve_emission(sched, slot_frequency(sched, slot), emission + delay)
         assert resolved == emission
+
+
+@st.composite
+def _lookups(draw):
+    """A schedule and frequencies to look up: tones, points exactly delta/2
+    from a tone, points below f0 and above the top tone, and any others."""
+    sched = ToneSchedule(f0_hz=draw(st.floats(50.0, 2000.0)), delta_hz=draw(st.floats(1.0, 300.0)),
+                         tone_count=draw(st.integers(2, 40)))
+    top = sched.frequencies[-1]
+    tone = st.integers(0, sched.tone_count - 1).map(lambda k: sched.f0_hz + k * sched.delta_hz)
+    freqs = draw(st.lists(st.one_of(
+        tone,
+        st.tuples(tone, st.sampled_from((-0.5, 0.5))).map(lambda t: t[0] + t[1] * sched.delta_hz),
+        st.floats(0.0, sched.f0_hz),
+        st.floats(top, top + 4 * sched.delta_hz),
+        st.floats(-1e6, 1e6),
+    ), max_size=30))
+    return sched, freqs
+
+
+class TestToneLookup:
+    @given(lookup=_lookups())
+    @settings(max_examples=200, deadline=None)
+    def test_array_lookup_matches_tone_index(self, lookup):
+        sched, freqs = lookup
+        expected = [_tone_index(sched, f) for f in freqs]
+        got = _tone_indices(sched, np.array(freqs, dtype=np.float64)).tolist()
+        assert got == [-1 if k is None else k for k in expected]
+
+    def test_delta_half_is_inside(self):
+        sched = ToneSchedule(tone_count=4)  # tones 600..960
+        freqs = [540.0, 539.9, 1020.0, 1020.1, 660.0, 600.0, -1e9, 1e9]
+        assert _tone_indices(sched, np.array(freqs)).tolist() == [0, -1, 3, -1, 0, 0, -1, -1]
 
 
 def sample_clock(rate=RATE, base=0):
@@ -667,6 +700,29 @@ class TestBatchedEstimator:
         assert calls == [(name, (rows, width), 2160, 1)
                          for rows in (chunk, chunk, 357 - 2 * chunk)
                          for name, width in (("rfft", 2048), ("irfft", 1081))]
+
+    def test_onset_probes_span_chunks(self, monkeypatch):
+        # noise keeps every window distinct, so each tone sounds in more than
+        # _CHUNK of them and its probe products take several chunks
+        sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
+        rng = np.random.default_rng(11)
+        n_slots = 160
+        x = (synthesize(sched, 0, n_slots, rate=RATE).samples
+             + rng.normal(0.0, 300.0, n_slots * 4608))
+        pcm = PcmBuffer(sample_rate=RATE, samples=np.round(x).astype(np.int16))
+        oracle_tally = collections.Counter()
+        oracle = detect_pulses_oracle(pcm, sample_clock(), sched, tally=oracle_tally)
+        sizes = []
+
+        def counted(a, b, _fn=np.hypot):
+            sizes.append(np.size(a))
+            return _fn(a, b)
+
+        monkeypatch.setattr(np, "hypot", counted)
+        tally = collections.Counter()
+        assert detect_pulses(pcm, sample_clock(), sched, tally=tally) == oracle
+        assert tally == oracle_tally and len(oracle) == n_slots
+        assert max(sizes) == audio_beacon._CHUNK and len(sizes) > 2 * sched.tone_count
 
     def test_short_window_still_rejected(self):
         with pytest.raises(ValueError):

@@ -245,6 +245,7 @@ class TestVideoPipeline:
         (lambda d: _truncate(d / "frames.pgm", 10), "frame 1: truncated pixel data"),
         (lambda d: _edit_manifest(d, fps=0), "fps: must be positive"),
         (lambda d: _edit_manifest(d, fps=1e-310), "fps: the last frame's offset overflows"),
+        (lambda d: _edit_manifest(d, fps=1e-300), "fps: the last frame's offset overflows"),
         (lambda d: _edit_manifest(d, device_id=None), "device_id: missing"),
         (lambda d: _edit_manifest(d, frame_count=-2), "frame_count: must be >= 0"),
     ])

@@ -53,6 +53,7 @@ from xrprobe.video_beacon import (
     _row_hits,
     _scan_finders,
     _triples,
+    _write_pgm_stream,
 )
 
 
@@ -983,6 +984,20 @@ class TestPgmStream:
             back = _read_pgm_stream(f"{tmp}/frames.pgm", len(frames))
             assert [f.pixels.tolist() for f in back] == [f.pixels.tolist() for f in frames]
 
+    def test_strided_and_large_frames_written_as_their_bytes(self, tmp_path):
+        # a strided view must be written as its pixels, not refused as
+        # non-contiguous, and a frame past the 1 MiB write buffer must not be cut
+        big = np.random.default_rng(3).integers(0, 256, (1100, 1000), dtype=np.uint8)
+        assert big.nbytes > 1 << 20
+        pixels = [big[::2, ::2], big, big[1:4, ::-3]]
+        assert not pixels[0].flags.c_contiguous and not pixels[2].flags.c_contiguous
+        path = tmp_path / "frames.pgm"
+        assert _write_pgm_stream(path, [PixelBuffer(pixels=px) for px in pixels]) == 3
+        assert path.read_bytes() == b"".join(b"P5\n%d %d\n255\n" % (px.shape[1], px.shape[0])
+                                             + px.tobytes() for px in pixels)
+        back = _read_pgm_stream(path, 3)
+        assert all(np.array_equal(f.pixels, px) for f, px in zip(back, pixels))
+
     def test_frames_are_read_only_views(self, tmp_path):
         frames = [rasterize(encode_beacon(5), scale=1, quiet=0)] * 2
         write_frame_sequence(tmp_path, frames, FrameManifest("d", 30.0, 0, 2))
@@ -1082,6 +1097,22 @@ class TestFrameManifest:
             FrameManifest("d", 0.0, 0, 1)
         with pytest.raises(SchemaError, match="frame_count"):
             FrameManifest("d", 30.0, 0, -1)
+
+    @pytest.mark.parametrize("fps, start_ts, frame_count, field", [
+        (1e-300, 0, 2, "fps"),  # a finite offset of about 1e303 ms
+        (1e-310, 0, 2, "fps"),  # an infinite one
+        (30.0, -1, 1, "start_ts"),
+        (30.0, 2**64, 0, "start_ts"),
+        (30.0, 2**64 - 33, 2, "start_ts"),  # the second frame plays out at 2**64
+    ])
+    def test_playout_must_fit_in_64_bits(self, fps, start_ts, frame_count, field):
+        with pytest.raises(SchemaError) as err:
+            FrameManifest("d", fps, start_ts, frame_count)
+        assert err.value.field == field
+
+    def test_playout_may_end_at_the_top_timestamp(self):
+        manifest = FrameManifest("d", 30.0, 2**64 - 34, 2)
+        assert manifest.frame_playout(1) == 2**64 - 1
 
 
 # --- frame sequences: the frame-by-frame detect_decode loop as the oracle ---------
