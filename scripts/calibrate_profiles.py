@@ -17,8 +17,7 @@ from xrprobe.metrics import (
     boxplot_stats,
     build_report,
     epoch_skew,
-    latencies_from_log,
-    scan_latencies,
+    scan_log,
 )
 from xrprobe.netsim import run_scenario
 from xrprobe.scenario import PROFILE_TARGETS, preset_scenario
@@ -44,8 +43,8 @@ def main(argv: list[str] | None = None) -> None:
         for seed in args.seeds:
             log = run_scenario(preset_scenario(profile, seed=seed, duration_s=DURATION_S))
             # the scan and report `xrprobe analyze` builds from the same log
-            scan = scan_latencies(*latencies_from_log(log.records))
-            report = build_report(scan, {})
+            scan = scan_log(log.records, log.tally)
+            report = build_report(scan)
             vm, am = report["mean_latency_ms"][VIDEO], report["mean_latency_ms"][AUDIO]
             async_max = report["inter_device_asynchrony"][VIDEO]["max_ms"]
             skew = boxplot_stats(abs(s.skew_ms)

@@ -30,9 +30,10 @@ from __future__ import annotations
 import json
 import math
 import wave
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Counter as CounterT
+from typing import Callable
 
 import numpy as np
 
@@ -54,10 +55,6 @@ SILENCE_DBFS = -40.0
 
 class NyquistViolation(ValueError):
     """A schedule frequency reaches or exceeds half the sample rate."""
-
-
-class UnknownTone(ValueError):
-    """Measured frequency is farther than delta/2 from every schedule tone."""
 
 
 class Ambiguous(ValueError):
@@ -259,43 +256,29 @@ def _estimate_windows(frames: np.ndarray, rate: int, f_min: float,
     return out
 
 
-def _tone_index(schedule: ToneSchedule, frequency: float) -> int | None:
-    """Alphabet index of the tone nearest ``frequency``; None when it lies
-    farther than delta/2 from every schedule tone."""
-    k = round((frequency - schedule.f0_hz) / schedule.delta_hz)
-    k = min(max(k, 0), schedule.tone_count - 1)
-    if abs(frequency - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0:
-        return None
-    return k
-
-
 def _tone_indices(schedule: ToneSchedule, frequencies: np.ndarray) -> np.ndarray:
-    """``_tone_index`` of every entry of ``frequencies`` in one array pass,
-    with -1 where it gives None: the same round-half-even, clip and delta/2
-    test."""
+    """Alphabet index of the tone nearest each entry of ``frequencies``, in
+    one array pass; -1 where the entry lies farther than delta/2 from every
+    schedule tone."""
     k = np.clip(np.rint((frequencies - schedule.f0_hz) / schedule.delta_hz),
                 0, schedule.tone_count - 1)
     far = np.abs(frequencies - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0
     return np.where(far, -1, k).astype(np.intp)
 
 
-def resolve_emission(schedule: ToneSchedule, frequency: float,
+def resolve_emission(schedule: ToneSchedule, tone: int,
                      playout_ts: Timestamp) -> Timestamp:
-    """Latest slot at or before playout whose tone matches ``frequency``.
+    """Latest slot at or before playout that carries alphabet index ``tone``.
 
-    Raises UnknownTone when the frequency is farther than delta/2 from every
-    schedule tone, and Ambiguous when no matching slot has started yet.
+    Raises Ambiguous when no such slot has started yet.
     """
-    k = _tone_index(schedule, frequency)
-    if k is None:
-        raise UnknownTone(f"{frequency:.1f} Hz not within delta/2 of any tone")
     if playout_ts < schedule.epoch_ts:
         raise Ambiguous("playout precedes the schedule epoch")
     elapsed = playout_ts - schedule.epoch_ts
     latest = elapsed // schedule.pulse_period_ms
-    if latest < k:
-        raise Ambiguous(f"tone {k} has no slot at or before playout")
-    slot = latest - (latest - k) % schedule.tone_count
+    if latest < tone:
+        raise Ambiguous(f"tone {tone} has no slot at or before playout")
+    slot = latest - (latest - tone) % schedule.tone_count
     return schedule.epoch_ts + slot * schedule.pulse_period_ms
 
 
@@ -306,10 +289,10 @@ def detect_pulses(
     device_id: str = "",
     window_size: int = DETECT_WINDOW,
     hop: int = DETECT_HOP,
-    tally: CounterT[str] | None = None,
-) -> list[DetectionRecord]:
+) -> tuple[list[DetectionRecord], Counter]:
     """Scan a PCM stream for schedule pulses: one audio record per pulse,
-    carrying the measured frequency and its confidence.
+    carrying the measured frequency and its confidence, and the tally of the
+    windows that gave none.
 
     ``playout_clock`` maps a sample index to the device-local playout
     timestamp of that sample. Consecutive windows that resolve to the same
@@ -335,9 +318,10 @@ def detect_pulses(
     f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
     period_ms = schedule.pulse_period_ms
 
+    tally: Counter = Counter()
     starts = range(0, x.size - window_size + 1, hop)
     if not starts:
-        return []
+        return [], tally
     # Distinct windows, estimated a chunk at a time. _estimate_windows
     # computes each row from that row alone (row-wise transforms, elementwise
     # ops, mean and cumsum along the row), so equal windows get equal
@@ -362,11 +346,10 @@ def detect_pulses(
     found = [d for d, est in enumerate(distinct) if est is not None]
     tone = np.full(first.size, -1, dtype=np.intp)
     tone[found] = _tone_indices(schedule, np.array([distinct[d][0] for d in found]))
-    if tally is not None:
-        unknown = np.zeros(first.size, dtype=bool)
-        unknown[found] = tone[found] < 0
-        if (misses := int(np.count_nonzero(unknown[keys]))):
-            tally["unknown_tone"] += misses
+    unknown = np.zeros(first.size, dtype=bool)
+    unknown[found] = tone[found] < 0
+    if (misses := int(np.count_nonzero(unknown[keys]))):
+        tally["unknown_tone"] += misses
 
     # Narrowband onset probe. A Hann-weighted single-bin transform at the
     # run's nominal tone keeps the neighboring tone (one delta away) out of
@@ -425,24 +408,22 @@ def detect_pulses(
             freq, conf = distinct[keys[w]]
             playout = playout_clock(starts[w])
             if k in last_seen and playout - last_seen[k] < period_ms / 2.0:
-                if tally is not None:
-                    tally["duplicate_pulse"] += 1
+                tally["duplicate_pulse"] += 1
                 emitted = True
                 break
             try:
-                emission = resolve_emission(schedule, freq, playout)
+                emission = resolve_emission(schedule, k, playout)
             except Ambiguous:
-                if tally is not None:
-                    tally["ambiguous"] += 1
+                tally["ambiguous"] += 1
                 continue
             last_seen[k] = playout
             detections.append(DetectionRecord(AUDIO, device_id, emission, playout,
                                               frequency=freq, confidence=conf))
             emitted = True
             break
-        if not emitted and tally is not None:
+        if not emitted:
             tally["onset_rejected"] += 1
-    return detections
+    return detections, tally
 
 
 # --- WAV I/O ------------------------------------------------------------------
@@ -513,11 +494,12 @@ def read_wav_manifest(path: str | Path) -> tuple[str, ToneSchedule, Timestamp, d
             values.get("session", {}))
 
 
-def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[DetectionRecord]:
-    """Detect the pulses of a WAV written with its ``write_wav_manifest`` sidecar.
+def detect_wav(path: str | Path) -> tuple[list[DetectionRecord], Counter]:
+    """Detect the pulses of a WAV written with its ``write_wav_manifest``
+    sidecar: ``detect_pulses``' records and tally.
 
     Sample s plays out at the sidecar's stream start plus s / rate seconds,
-    rounded to the millisecond; ``tally`` collects ``detect_pulses``' counters.
+    rounded to the millisecond.
     A rate too low to carry the schedule's top tone raises NyquistViolation:
     such audio would alias the tone onto another one.
     """
@@ -526,4 +508,4 @@ def detect_wav(path: str | Path, tally: CounterT[str] | None = None) -> list[Det
     rate = pcm.sample_rate
     _check_nyquist(schedule, rate, f"{path}: ")
     return detect_pulses(pcm, lambda s: start_ts + round(s * 1000.0 / rate),
-                         schedule, device_id, tally=tally)
+                         schedule, device_id)

@@ -25,6 +25,7 @@ from .audio_beacon import (
     write_wav,
     write_wav_manifest,
 )
+from .clocks import MAX_TIMESTAMP
 from .exporter import (
     format_log_line,
     make_server,
@@ -37,8 +38,7 @@ from .metrics import (
     DetectionRecord,
     LatencyScan,
     build_report,
-    latencies_from_log,
-    scan_latencies,
+    scan_log,
     write_epoch_series_csv,
 )
 from .netsim import run_physical, run_scenario
@@ -82,8 +82,7 @@ def _flag_type(convert, ok, expected: str):
 
 
 _positive_int = _flag_type(int, lambda v: v > 0, "an integer > 0")
-_MAX_TIMESTAMP = 2**64 - 1
-_timestamp = _flag_type(int, lambda v: 0 <= v <= _MAX_TIMESTAMP, "an integer in 0..2**64-1")
+_timestamp = _flag_type(int, lambda v: 0 <= v <= MAX_TIMESTAMP, "an integer in 0..2**64-1")
 # the default schedule's top tone must stay below half the sample rate,
 # and the rate at most the cap a scenario has too
 _TOP_TONE_X2 = 2 * max(ToneSchedule().frequencies)
@@ -104,8 +103,8 @@ class _FlagError(Exception):
 
 def _check_start_ts(start_ts: int, last_ts: int, what: str) -> None:
     """Reject a ``--start-ts`` whose stream's last timestamp passes 2**64-1."""
-    if last_ts > _MAX_TIMESTAMP:
-        top = _MAX_TIMESTAMP - (last_ts - start_ts)
+    if last_ts > MAX_TIMESTAMP:
+        top = MAX_TIMESTAMP - (last_ts - start_ts)
         raise _FlagError(f"argument --start-ts: expected at most {top} so that the "
                          f"{what} fits in 64 bits, got '{start_ts}'")
 
@@ -215,9 +214,10 @@ def _cmd_gen_audio(args) -> int:
 
 
 def _cmd_detect_audio(args) -> int:
-    records = detect_wav(args.wav)
+    records, tally = detect_wav(args.wav)
     _emit_log(records, args.out)
-    print(f"{len(records)} pulses detected", file=sys.stderr)
+    counts = "".join(f", {count} {key}" for key, count in sorted(tally.items()))
+    print(f"{len(records)} pulses detected{counts}", file=sys.stderr)
     return 0
 
 
@@ -273,18 +273,16 @@ def _load_tally(log_path: Path) -> Counter:
     return tally
 
 
-def _scan_log(log_path: Path, epoch_ms: int) -> tuple[LatencyScan, Counter]:
-    """The scan of a log and its tally, charged with the rejected latencies:
-    what ``analyze`` and ``serve`` both render."""
-    records = read_log(log_path)
-    tally = _load_tally(log_path)
-    return scan_latencies(*latencies_from_log(records, tally), epoch_ms), tally
+def _scan_log(log_path: Path, epoch_ms: int) -> LatencyScan:
+    """The scan of a log and of the ``tally.json`` beside it: what ``analyze``
+    and ``serve`` both render."""
+    return scan_log(read_log(log_path), _load_tally(log_path), epoch_ms)
 
 
 def _cmd_analyze(args) -> int:
     log_path = _resolve_log(args.log)
-    scan, tally = _scan_log(log_path, args.epoch_ms)
-    report = build_report(scan, tally)
+    scan = _scan_log(log_path, args.epoch_ms)
+    report = build_report(scan)
     out = Path(args.out) if args.out else log_path.parent
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -297,7 +295,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    exposition = render_exposition(*_scan_log(_resolve_log(args.log), DEFAULT_EPOCH_MS))
+    exposition = render_exposition(_scan_log(_resolve_log(args.log), DEFAULT_EPOCH_MS))
     if args.serve_port == 0:
         sys.stdout.write(exposition)
         return 0

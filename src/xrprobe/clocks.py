@@ -16,6 +16,8 @@ from dataclasses import dataclass
 # Milliseconds since the Unix epoch. Kept as a plain int: timestamps are
 # totally ordered and integer-valued everywhere downstream.
 Timestamp = int
+# every timestamp lies in 0..MAX_TIMESTAMP, the range of the beacon's 64 bits
+MAX_TIMESTAMP = 2**64 - 1
 
 
 @dataclass

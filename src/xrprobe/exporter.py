@@ -4,7 +4,8 @@ endpoint that serves one rendered exposition.
 The record itself is ``metrics.DetectionRecord``; this module only
 persists it. The exposition is a second rendering of the
 ``metrics.LatencyScan`` that ``analyze`` builds ``report.json`` from, so
-both outputs of one log rest on the same kept latencies and the same tally.
+both outputs of one log rest on the same kept latencies and the same tally,
+the one the scan carries.
 
 Log format: JSON lines, one detection per line. ``write_log`` writes each
 record as ``json.dumps(..., sort_keys=True)`` would, with the optional
@@ -37,7 +38,7 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .metrics import AUDIO, VIDEO, DetectionRecord, LatencyScan
 
@@ -200,10 +201,9 @@ def _label(value: str) -> str:
     return value.translate(_LABEL_ESCAPES)
 
 
-def render_exposition(scan: LatencyScan, tally: Mapping[str, int]) -> str:
-    """Text exposition of the scan ``build_report`` reads, and of the tally
-    ``latencies_from_log`` charged; an empty scan and tally render an empty
-    body.
+def render_exposition(scan: LatencyScan) -> str:
+    """Text exposition of the scan ``build_report`` reads, its tally
+    included; an empty scan of an empty tally renders an empty body.
 
     The latency gauges are each (media, device)'s last latency, and the skew
     gauge is a device's last video minus its last audio latency.
@@ -220,7 +220,7 @@ def render_exposition(scan: LatencyScan, tally: Mapping[str, int]) -> str:
         lines.append(f'xr_slot_detections_total{{media="{_label(media)}",slot="{slot}"}} '
                      f'{len(latencies)}')
     merged: Counter = Counter()
-    for key, count in tally.items():
+    for key, count in scan.tally.items():
         merged[_COUNTER_NAMES.get(key, f"xr_{key}_total")] += count
     for name, count in merged.items():
         lines.append(f"{name} {count}")

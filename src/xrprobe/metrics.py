@@ -6,17 +6,13 @@ box-plot summaries.
 named tuple: the detectors return it, the simulator and the log reader build
 it, and the aggregation below takes it.
 
-A log is aggregated in two steps, each one pass over the records:
-
-  ``latencies_from_log``  the one negative-latency rule: it computes each
-                          record's latency once, drops the negative ones and
-                          counts them under ``clock_skew_suspected``
-  ``scan_latencies``      one loop over the kept (record, latency) pairs
-                          that groups the latencies every aggregate needs
-                          into a ``LatencyScan``
-
-``build_report``, ``write_epoch_series_csv`` and the exporter's
-``render_exposition`` read only the scan.
+A log is aggregated in one pass, ``scan_log``: it computes each record's
+latency once, drops a negative one and counts it under
+``clock_skew_suspected`` (the one negative-latency rule), and groups the kept
+latencies every aggregate needs into a ``LatencyScan``, which carries the
+log's tally charged with the rejected latencies. ``build_report``,
+``write_epoch_series_csv`` and the exporter's ``render_exposition`` read only
+the scan.
 
 Everything here is plain Python arithmetic over small sample lists. That is
 deliberate: results must be bit-for-bit reproducible by a naive reimplementation
@@ -37,7 +33,6 @@ import csv
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -80,17 +75,19 @@ class AsynchronyReport:
 
 @dataclass(frozen=True)
 class LatencyScan:
-    """The kept latencies of one log, grouped by one ``scan_latencies`` pass.
+    """The kept latencies of one log, grouped by one ``scan_log`` pass.
 
     Every list keeps log order. ``epochs`` maps each medium to its
     (epoch_start_ms, device) -> minimum latency, at ``width_ms``. ``last``
     maps each (media, device) to the latency of its last kept record.
+    ``tally`` is the log's tally plus the rejected latencies.
     """
     width_ms: int
     by_media: dict[str, list[float]]
     slots: dict[tuple[int, str], list[float]]
     epochs: dict[str, dict[tuple[int, str], float]]
     last: dict[tuple[str, str], float]
+    tally: Counter
 
 
 @dataclass(frozen=True)
@@ -110,57 +107,46 @@ class BoxStats:
     outliers: tuple[float, ...]
 
 
-def latencies_from_log(records: Iterable[DetectionRecord],
-                       tally: Counter | None = None,
-                       ) -> tuple[list[DetectionRecord], list[float]]:
-    """The records whose latency is not negative, and those latencies, as two
-    parallel lists in input order.
+def scan_log(records: Iterable[DetectionRecord], tally: Mapping[str, int],
+             epoch_width_ms: int = DEFAULT_EPOCH_MS) -> LatencyScan:
+    """Group a log's latencies in one pass: by medium, by (slot, media) for
+    the slotted records, as each medium's running minimum per (epoch,
+    device), and as each (media, device)'s last latency.
 
     This is the one negative-latency rule. A beacon cannot play out before it
     was emitted, so a negative latency means the clocks disagree more than the
     measurement: the record is dropped and counted under
-    ``clock_skew_suspected``.
+    ``clock_skew_suspected`` in the scan's copy of ``tally``, which is left
+    as it is.
     """
-    kept = list(records)
-    latencies = [float(rec.playout_ts - rec.emission_ts) for rec in kept]
-    if latencies and min(latencies) < 0.0:
-        valid = [latency >= 0.0 for latency in latencies]
-        kept = list(compress(kept, valid))
-        latencies = list(compress(latencies, valid))
-        if tally is not None:
-            tally["clock_skew_suspected"] += len(valid) - len(kept)
-    return kept, latencies
-
-
-def scan_latencies(records: list[DetectionRecord], latencies: list[float],
-                   epoch_width_ms: int = DEFAULT_EPOCH_MS) -> LatencyScan:
-    """Group ``latencies_from_log``'s two lists in one pass: by medium, by
-    (slot, media) for the slotted records, and as each medium's running
-    minimum per (epoch, device). Each (media, device)'s last latency is
-    found afterwards, walking back from the end of the log."""
     if epoch_width_ms < 1:
         raise ValueError("epoch width must be positive")
     by_media: dict[str, list[float]] = {VIDEO: [], AUDIO: []}
     slots: defaultdict[tuple[int, str], list[float]] = defaultdict(list)
     epochs: dict[str, dict[tuple[int, str], float]] = {VIDEO: {}, AUDIO: {}}
-    for (media, device, _, playout_ts, slot, _, _), latency in zip(records, latencies):
-        by_media[media].append(latency)
+    lasts: dict[str, dict[str, float]] = {VIDEO: {}, AUDIO: {}}  # media -> device -> latency
+    # one lookup per record finds its medium's latencies, minima and last latencies
+    groups = {media: (by_media[media], epochs[media], lasts[media]) for media in by_media}
+    rejected = 0
+    for media, device, emission_ts, playout_ts, slot, _, _ in records:
+        latency = float(playout_ts - emission_ts)
+        if latency < 0.0:
+            rejected += 1
+            continue
+        kept, minima, last = groups[media]
+        kept.append(latency)
         if slot is not None:
             slots[(slot, media)].append(latency)
-        minima = epochs[media]
         key = (playout_ts // epoch_width_ms * epoch_width_ms, device)
         if latency < minima.get(key, math.inf):
             minima[key] = latency
-    unseen = {(media, device) for media, minima in epochs.items() for _, device in minima}
-    last: dict[tuple[str, str], float] = {}
-    for rec, latency in zip(reversed(records), reversed(latencies)):
-        key = rec[:2]  # (media, device)
-        if key in unseen:
-            unseen.remove(key)
-            last[key] = latency
-            if not unseen:
-                break
-    return LatencyScan(epoch_width_ms, by_media, dict(slots), epochs, last)
+        last[device] = latency
+    charged = Counter(tally)
+    if rejected:
+        charged["clock_skew_suspected"] += rejected
+    return LatencyScan(epoch_width_ms, by_media, dict(slots), epochs,
+                       {(media, device): latency for media, by_device in lasts.items()
+                        for device, latency in by_device.items()}, charged)
 
 
 def _mean(values: list[float]) -> float:
@@ -264,13 +250,10 @@ def boxplot_stats(series: Iterable[float]) -> BoxStats:
     )
 
 
-def build_report(scan: LatencyScan, tally: Mapping[str, int]) -> dict:
-    """Full aggregate report over a detection log, as a JSON-ready dict.
-
-    ``scan`` is ``scan_latencies`` of one ``latencies_from_log(log, tally)``
-    pass, so the report's diagnostics count the rejected latencies; the
-    report is labelled with the scan's epoch width.
-    """
+def build_report(scan: LatencyScan) -> dict:
+    """Full aggregate report over a detection log, as a JSON-ready dict,
+    labelled with the scan's epoch width; its diagnostics are the scan's
+    tally."""
     report: dict = {
         "epoch_width_ms": scan.width_ms,
         "sample_count": {media: len(lats) for media, lats in scan.by_media.items()},
@@ -279,7 +262,7 @@ def build_report(scan: LatencyScan, tally: Mapping[str, int]) -> dict:
         "slot_stats": [],
         "inter_device_asynchrony": {},
         "intra_media_skew": {},
-        "diagnostics": dict(sorted(tally.items())),
+        "diagnostics": dict(sorted(scan.tally.items())),
     }
     for slot, media in sorted(scan.slots):
         vals = scan.slots[(slot, media)]

@@ -457,9 +457,9 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
         )
         write_frame_sequence(vdir, frames, manifest)
 
-        detections, frame_tally = detect_frame_sequence(vdir)
-        tally.update(frame_tally)
+        detections, detect_tally = detect_frame_sequence(vdir)
         records += detections
+        tally.update(detect_tally)
 
         n_samples = math.ceil((end - trace.join_ms) * rate / 1000.0)
         mix = np.zeros(n_samples, dtype=np.int32)
@@ -478,7 +478,9 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
                            stream_start_ts=trace.clock.read(trace.join_ms),
                            session=session_info)
 
-        records += detect_wav(wav_path, tally)
+        detections, detect_tally = detect_wav(wav_path)
+        records += detections
+        tally.update(detect_tally)
 
     join_order = sorted(joins.values())
     records = sorted((det._replace(slot=_slot_at(join_order, det.playout_ts)) for det in records),

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .audio_beacon import MAX_SAMPLE_RATE, ToneSchedule, read_tone_schedule
+from .clocks import MAX_TIMESTAMP
 from .schema import (
     SchemaError,
     finite,
@@ -289,6 +290,10 @@ class SessionScenario:
                                         f"over the cap of {MAX_DEVICE_FRAMES}")
         if self.beacon_interval_ms <= 0:
             raise SchemaError("beacon_interval_ms", "must be positive")
+        last_ms = self.start_epoch_ms + math.ceil(self.duration_s * 1000.0)
+        if not 0 <= self.start_epoch_ms <= last_ms <= MAX_TIMESTAMP:
+            raise SchemaError("start_epoch_ms", f"the session runs from {self.start_epoch_ms} "
+                              f"to {last_ms} ms, outside 0..2**64-1")
         top = max(self.tones.frequencies)
         if not 2 * top < self.sample_rate <= MAX_SAMPLE_RATE:
             raise SchemaError("sample_rate", f"expected above {2 * top:.0f} (twice the top "

@@ -48,7 +48,7 @@ A frame sequence on disk is a directory holding ``frames.pgm``, every frame
 back to back as binary PGM images (Netpbm allows a sequence of images in one
 file, with nothing between them), and ``manifest.json``. The file is written
 in one pass and read in one ``read_bytes``; each frame is a read-only view of
-that blob. ``read_pgm`` is the one-image case of the same reader.
+that blob.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .clocks import Timestamp
+from .clocks import MAX_TIMESTAMP, Timestamp
 from .metrics import VIDEO, DetectionRecord
 from .schema import SchemaError, finite, integer, json_object, read_fields, read_json, text
 
@@ -186,7 +186,7 @@ def encode_beacon(ts: Timestamp) -> ModuleGrid:
     64-bit timestamp then its CRC-16, MSB first, bit 1 = dark. Remaining data
     modules are checkerboard: dark iff (row + col) is even.
     """
-    if not 0 <= ts < 1 << TS_BITS:
+    if not 0 <= ts <= MAX_TIMESTAMP:
         raise ValueError("timestamp must fit in 64 bits")
     payload = int(ts).to_bytes(8, "big")
     word = payload + crc16(payload).to_bytes(2, "big")
@@ -642,10 +642,6 @@ def _read_pgm_stream(path: str | Path, count: int) -> list[PixelBuffer]:
     return frames
 
 
-def read_pgm(path: str | Path) -> PixelBuffer:
-    return _read_pgm_stream(path, 1)[0]
-
-
 @dataclass(frozen=True)
 class FrameManifest:
     """Sidecar for a PGM frame sequence: playout timing and identity."""
@@ -666,11 +662,11 @@ class FrameManifest:
         try:
             offset = self.playout_offset(max(self.frame_count - 1, 0), self.fps)
         except OverflowError:  # an infinite offset
-            offset = 2**64
-        if offset >= 2**64:
+            offset = MAX_TIMESTAMP + 1
+        if offset > MAX_TIMESTAMP:
             raise SchemaError("fps", f"the last frame's offset overflows 64 bits, "
                                      f"got {self.fps!r}")
-        if not 0 <= self.start_ts < 2**64 - offset:
+        if not 0 <= self.start_ts <= MAX_TIMESTAMP - offset:
             raise SchemaError("start_ts", f"the frames play out from {self.start_ts} to "
                                           f"{self.start_ts + offset} ms, outside 0..2**64-1")
 

@@ -38,8 +38,7 @@ from xrprobe.metrics import (
     classify_lip_sync,
     epoch_skew,
     inter_device_asynchrony,
-    latencies_from_log,
-    scan_latencies,
+    scan_log,
     write_epoch_series_csv,
 )
 from xrprobe.netsim import compare_logs, run_physical, run_scenario
@@ -90,7 +89,7 @@ def test_criterion_2_audio_loopback(capsys):
     for d_ms in (50, 250, 900):
         pad = np.zeros(round(d_ms * RATE / 1000.0), dtype=np.int16)
         pcm = PcmBuffer(RATE, np.concatenate([pad, clean]))
-        dets = detect_pulses(pcm, lambda i: i * 1000.0 / RATE, tones)
+        dets, _ = detect_pulses(pcm, lambda i: i * 1000.0 / RATE, tones)
         within = sum(1 for det in dets
                      if abs((det.playout_ts - det.emission_ts) - d_ms) <= 25.0)
         frac = within / n_pulses
@@ -135,6 +134,20 @@ def _brute_samples(records):
         if lat >= 0:
             out.append((r.device, r.media, r.playout_ts, lat, r.slot))
     return out
+
+
+def _brute_groups(samples):
+    """Each medium's latencies, each (slot, media)'s, and each (media,
+    device)'s last latency, in log order."""
+    by_media = {"video": [], "audio": []}
+    slots = {}
+    last = {}
+    for dev, media, _, lat, slot in samples:
+        by_media[media].append(lat)
+        if slot is not None:
+            slots.setdefault((slot, media), []).append(lat)
+        last[(media, dev)] = lat
+    return by_media, slots, last
 
 
 def _brute_slot_stats(samples):
@@ -266,12 +279,12 @@ def _brute_epoch_csv(records, width):
 
 def _analyze(records, tally, width):
     """report.json's document and epochs.csv's text, as ``analyze`` builds them."""
-    scan = scan_latencies(*latencies_from_log(records, tally), width)
+    scan = scan_log(records, tally, width)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "epochs.csv"
         write_epoch_series_csv(path, scan)
         with open(path, newline="") as fh:
-            return build_report(scan, tally), fh.read()
+            return build_report(scan), fh.read()
 
 
 def test_criterion_4_metric_oracle_equivalence(capsys):
@@ -289,15 +302,20 @@ def test_criterion_4_metric_oracle_equivalence(capsys):
                 playout_ts=emission + rng.randint(-40, 1200),
                 slot=rng.choice((None, rng.randint(1, 5))),
             ))
-        tally = Counter()
-        kept, lats = latencies_from_log(records, tally)
+        scan = scan_log(records, Counter(), width)
         brute = _brute_samples(records)
-        if [(r.device, r.media, r.playout_ts, lat, r.slot)
-                for r, lat in zip(kept, lats)] != brute:
-            mismatches.append((log_i, "latencies"))
-            continue
-        scan = scan_latencies(kept, lats, width)
-        lib_report = build_report(scan, tally)
+        by_media, slots, last = _brute_groups(brute)
+        epochs = {media: _brute_epoch_min(brute, width, media) for media in ("video", "audio")}
+        # the rejected latencies are counted, and a zero count adds no key
+        rejected = len(records) - len(brute)
+        for name, lib, oracle in (
+                ("by_media", scan.by_media, by_media), ("slots", scan.slots, slots),
+                ("epochs", scan.epochs, epochs), ("last", scan.last, last),
+                ("tally", dict(scan.tally),
+                 {"clock_skew_suspected": rejected} if rejected else {})):
+            if lib != oracle:
+                mismatches.append((log_i, name))
+        lib_report = build_report(scan)
 
         lib_slots = [(s["slot"], s["media"], s["mean_ms"], s["std_ms"], s["count"])
                      for s in lib_report["slot_stats"]]
@@ -305,13 +323,8 @@ def test_criterion_4_metric_oracle_equivalence(capsys):
             mismatches.append((log_i, "slot_stats"))
 
         for media in ("video", "audio"):
-            lib_epochs = scan.epochs[media]
-            brute_epochs = _brute_epoch_min(brute, width, media)
-            if lib_epochs != brute_epochs:
-                mismatches.append((log_i, f"epoch_{media}"))
-                continue
-            rep = inter_device_asynchrony(lib_epochs, media=media, epoch_width_ms=width)
-            if (rep.series, rep.max_ms, rep.mean_ms) != _brute_asynchrony(brute_epochs):
+            rep = inter_device_asynchrony(scan.epochs[media], media=media, epoch_width_ms=width)
+            if (rep.series, rep.max_ms, rep.mean_ms) != _brute_asynchrony(epochs[media]):
                 mismatches.append((log_i, f"asynchrony_{media}"))
 
         lib_skew = [(s.device, s.epoch_start_ms, s.skew_ms)
@@ -319,6 +332,7 @@ def test_criterion_4_metric_oracle_equivalence(capsys):
         if lib_skew != _brute_skew(brute, width):
             mismatches.append((log_i, "skew"))
 
+        lats = [lat for _, _, _, lat, _ in brute]
         box = boxplot_stats(lats)
         if (box.median, box.q1, box.q3, box.whisker_low, box.whisker_high,
                 box.outliers) != _brute_box(lats):
@@ -329,7 +343,7 @@ def test_criterion_4_metric_oracle_equivalence(capsys):
 
     ok = not mismatches
     report(capsys, 4, ok,
-           "100 random logs: slot_stats, asynchrony, skew, boxplot, report match "
+           "100 random logs: scan, slot_stats, asynchrony, skew, boxplot, report match "
            f"brute force exactly ({len(mismatches)} mismatches)")
     assert ok, mismatches[:5]
 
@@ -404,7 +418,7 @@ def test_criterion_6_profile_reproduction(capsys):
         t0 = time.monotonic()
         log = run_scenario(sc)
         runtimes[profile] = time.monotonic() - t0
-        scan = scan_latencies(*latencies_from_log(log.records))
+        scan = scan_log(log.records, log.tally)
         video, audio = scan.by_media[VIDEO], scan.by_media[AUDIO]
         means[profile] = (sum(video) / len(video), sum(audio) / len(audio))
         rep = inter_device_asynchrony(scan.epochs[VIDEO])

@@ -21,7 +21,6 @@ from xrprobe.audio_beacon import (
     NyquistViolation,
     PcmBuffer,
     ToneSchedule,
-    UnknownTone,
     detect_pulses,
     detect_wav,
     read_wav,
@@ -32,7 +31,7 @@ from xrprobe.audio_beacon import (
     write_wav,
     write_wav_manifest,
 )
-from xrprobe.audio_beacon import _estimate_windows, _tone_index, _tone_indices
+from xrprobe.audio_beacon import _estimate_windows, _tone_indices
 from xrprobe.metrics import AUDIO, DetectionRecord
 from xrprobe.schema import SchemaError
 
@@ -186,40 +185,48 @@ class TestEstimateFrequency:
         assert abs(est[0] - oracle) <= RATE / 4096 + 0.005 * freq
 
 
+def _tone_index(schedule, frequency):
+    """Alphabet index of the tone nearest ``frequency``; None when it lies
+    farther than delta/2 from every schedule tone. The one-frequency oracle
+    of ``_tone_indices``."""
+    k = round((frequency - schedule.f0_hz) / schedule.delta_hz)
+    k = min(max(k, 0), schedule.tone_count - 1)
+    if abs(frequency - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0:
+        return None
+    return k
+
+
 class TestResolveEmission:
     def test_latest_matching_slot(self):
         sched = ToneSchedule(epoch_ts=10_000)
-        f3 = slot_frequency(sched, 3)
-        assert f3 == 960.0
-        emission = resolve_emission(sched, f3, playout_ts=10_000 + 350)
+        emission = resolve_emission(sched, 3, playout_ts=10_000 + 350)
         assert emission == 10_000 + 300
 
     def test_wraps_past_ambiguity_window(self):
         sched = ToneSchedule(epoch_ts=0)
-        f3 = slot_frequency(sched, 3)
         # slot 35 carries the same tone one ambiguity window later
-        assert resolve_emission(sched, f3, playout_ts=3550) == 3500
+        assert resolve_emission(sched, 3, playout_ts=3550) == 3500
 
     def test_tolerance_boundary(self):
         sched = ToneSchedule(tone_count=4)  # tones 600..960, window 400 ms
         # 57 Hz off f_3, inside delta/2: latest slot with tone 3 is 700 ms
-        assert resolve_emission(sched, 1017.0, playout_ts=1000) == 700
-        with pytest.raises(UnknownTone):
-            resolve_emission(sched, 1025.0, playout_ts=1000)  # 65 Hz off f_3
+        assert _tone_index(sched, 1017.0) == 3
+        assert resolve_emission(sched, 3, playout_ts=1000) == 700
+        assert _tone_index(sched, 1025.0) is None  # 65 Hz off f_3
 
     def test_zero_latency_edge(self):
         sched = ToneSchedule(epoch_ts=5_000)
-        assert resolve_emission(sched, sched.f0_hz, playout_ts=5_000) == 5_000
+        assert resolve_emission(sched, 0, playout_ts=5_000) == 5_000
 
     def test_playout_before_epoch(self):
         sched = ToneSchedule(epoch_ts=5_000)
         with pytest.raises(Ambiguous):
-            resolve_emission(sched, sched.f0_hz, playout_ts=4_999)
+            resolve_emission(sched, 0, playout_ts=4_999)
 
     def test_tone_not_yet_emitted(self):
         sched = ToneSchedule(epoch_ts=0)
         with pytest.raises(Ambiguous):
-            resolve_emission(sched, slot_frequency(sched, 3), playout_ts=100)
+            resolve_emission(sched, 3, playout_ts=100)
 
     @given(
         slot=st.integers(min_value=0, max_value=500),
@@ -230,7 +237,7 @@ class TestResolveEmission:
         # whenever true latency < K*period the true emission is recovered
         sched = ToneSchedule(epoch_ts=1_700_000_000_000)
         emission = sched.epoch_ts + slot * sched.pulse_period_ms
-        resolved = resolve_emission(sched, slot_frequency(sched, slot), emission + delay)
+        resolved = resolve_emission(sched, slot % sched.tone_count, emission + delay)
         assert resolved == emission
 
 
@@ -275,7 +282,7 @@ class TestDetectPulses:
     def test_loopback(self):
         sched = ToneSchedule(epoch_ts=0)
         pcm = synthesize(sched, 0, 10, rate=RATE)
-        dets = detect_pulses(pcm, sample_clock(), sched, device_id="u3")
+        dets, _ = detect_pulses(pcm, sample_clock(), sched, device_id="u3")
         assert len(dets) == 10
         hop_ms = 512 * 1000.0 / RATE
         for d in dets:
@@ -288,7 +295,7 @@ class TestDetectPulses:
 
     def test_silence_yields_nothing(self):
         pcm = PcmBuffer(sample_rate=RATE, samples=np.zeros(RATE, dtype=np.int16))
-        assert detect_pulses(pcm, sample_clock(), ToneSchedule()) == []
+        assert detect_pulses(pcm, sample_clock(), ToneSchedule()) == ([], {})
 
     @pytest.mark.parametrize("shift_ms", [50, 250, 900])
     def test_known_shift(self, shift_ms):
@@ -296,7 +303,7 @@ class TestDetectPulses:
         pcm = synthesize(sched, 0, 20, rate=RATE)
         pad = np.zeros(shift_ms * RATE // 1000, dtype=np.int16)
         shifted = PcmBuffer(sample_rate=RATE, samples=np.concatenate([pad, pcm.samples]))
-        dets = detect_pulses(shifted, sample_clock(), sched)
+        dets, _ = detect_pulses(shifted, sample_clock(), sched)
         assert len(dets) >= 19
         for d in dets:
             assert abs((d.playout_ts - d.emission_ts) - shift_ms) <= 25
@@ -304,7 +311,7 @@ class TestDetectPulses:
     def test_no_duplicate_detections(self):
         sched = ToneSchedule(epoch_ts=0)
         pcm = synthesize(sched, 0, 30, rate=RATE)
-        dets = detect_pulses(pcm, sample_clock(), sched)
+        dets, _ = detect_pulses(pcm, sample_clock(), sched)
         by_tone = collections.defaultdict(list)
         for d in dets:
             k = round((d.frequency - sched.f0_hz) / sched.delta_hz)
@@ -318,15 +325,14 @@ class TestDetectPulses:
         sched = ToneSchedule(tone_count=4, epoch_ts=0)
         n = RATE // 2
         pcm = PcmBuffer(sample_rate=RATE, samples=make_sine(1025.0, n))
-        tally = collections.Counter()
-        dets = detect_pulses(pcm, sample_clock(), sched, tally=tally)
+        dets, tally = detect_pulses(pcm, sample_clock(), sched)
         assert dets == []
         assert tally["unknown_tone"] >= 1
 
     def test_detections_sorted_by_playout(self):
         sched = ToneSchedule(epoch_ts=0)
         pcm = synthesize(sched, 0, 15, rate=RATE)
-        dets = detect_pulses(pcm, sample_clock(), sched)
+        dets, _ = detect_pulses(pcm, sample_clock(), sched)
         playouts = [d.playout_ts for d in dets]
         assert playouts == sorted(playouts)
 
@@ -419,7 +425,7 @@ class TestWavIo:
         pcm = synthesize(sched, 0, 8, rate=RATE)
         path = tmp_path / "loop.wav"
         write_wav(path, pcm)
-        dets = detect_pulses(read_wav(path), sample_clock(), sched)
+        dets, _ = detect_pulses(read_wav(path), sample_clock(), sched)
         assert len(dets) == 8
 
     def test_detect_wav_maps_samples_through_sidecar(self, tmp_path):
@@ -427,10 +433,8 @@ class TestWavIo:
         path = tmp_path / "loop.wav"
         write_wav(path, synthesize(sched, 0, 8, rate=RATE))
         write_wav_manifest(path, "u5", sched, stream_start_ts=5000)
-        tally = collections.Counter()
-        dets = detect_wav(path, tally)
-        expected = detect_pulses(read_wav(path), sample_clock(base=5000), sched, "u5")
-        assert dets == expected
+        dets, tally = detect_wav(path)
+        assert (dets, tally) == detect_pulses(read_wav(path), sample_clock(base=5000), sched, "u5")
         assert len(dets) == 8
         assert all(d.device == "u5" for d in dets)
         assert [d.emission_ts for d in dets] == [5000 + 100 * i for i in range(8)]
@@ -450,7 +454,7 @@ class TestWavIo:
         path = tmp_path / "low.wav"
         write_wav(path, PcmBuffer(sample_rate=8641, samples=np.zeros(8641, dtype=np.int16)))
         write_wav_manifest(path, "u2", ToneSchedule(), stream_start_ts=0)
-        assert detect_wav(path) == []
+        assert detect_wav(path) == ([], {})
 
 
 # --- the per-window estimator and detector, kept as the batched ones' oracle ---
@@ -509,7 +513,8 @@ def estimate_frequency_oracle(window, rate=RATE, f_min=200.0, f_max=4800.0,
 
 
 def detect_pulses_oracle(pcm, playout_clock, schedule, device_id="", window_size=2048,
-                         hop=512, tally=None):
+                         hop=512):
+    tally = collections.Counter()
     x = np.asarray(pcm.samples, dtype=np.float64)
     rate = pcm.sample_rate
     f_lo = max(50.0, schedule.f0_hz - schedule.delta_hz)
@@ -523,8 +528,7 @@ def detect_pulses_oracle(pcm, playout_clock, schedule, device_id="", window_size
         freq, conf = est
         k = _tone_index(schedule, freq)
         if k is None:
-            if tally is not None:
-                tally["unknown_tone"] += 1
+            tally["unknown_tone"] += 1
             hits.append(None)
             continue
         hits.append((start, k, freq, conf))
@@ -561,24 +565,22 @@ def detect_pulses_oracle(pcm, playout_clock, schedule, device_id="", window_size
         for start, freq, conf in openers(run, schedule.f0_hz + k * schedule.delta_hz):
             playout = playout_clock(start)
             if k in last_seen and playout - last_seen[k] < schedule.pulse_period_ms / 2.0:
-                if tally is not None:
-                    tally["duplicate_pulse"] += 1
+                tally["duplicate_pulse"] += 1
                 emitted = True
                 break
             try:
-                emission = resolve_emission(schedule, freq, playout)
+                emission = resolve_emission(schedule, k, playout)
             except Ambiguous:
-                if tally is not None:
-                    tally["ambiguous"] += 1
+                tally["ambiguous"] += 1
                 continue
             last_seen[k] = playout
             detections.append(DetectionRecord(AUDIO, device_id, emission, playout,
                                               frequency=freq, confidence=conf))
             emitted = True
             break
-        if not emitted and tally is not None:
+        if not emitted:
             tally["onset_rejected"] += 1
-    return detections
+    return detections, tally
 
 
 @st.composite
@@ -635,9 +637,8 @@ class TestBatchedEstimator:
         sched, pcm, clock = stream
         outcomes = []
         for detect in (detect_pulses, detect_pulses_oracle):
-            tally = collections.Counter()
             try:
-                outcomes.append((detect(pcm, clock, sched, "u2", window, hop, tally), tally))
+                outcomes.append(detect(pcm, clock, sched, "u2", window, hop))
             except ValueError:
                 outcomes.append("ValueError")
         assert outcomes[0] == outcomes[1]
@@ -696,7 +697,7 @@ class TestBatchedEstimator:
                 return _fn(a, n, axis, *args)
             monkeypatch.setattr(np.fft, name, counted)
         chunk = audio_beacon._CHUNK
-        assert len(detect_pulses(pcm, sample_clock(), sched)) == 40
+        assert len(detect_pulses(pcm, sample_clock(), sched)[0]) == 40
         assert calls == [(name, (rows, width), 2160, 1)
                          for rows in (chunk, chunk, 357 - 2 * chunk)
                          for name, width in (("rfft", 2048), ("irfft", 1081))]
@@ -710,8 +711,7 @@ class TestBatchedEstimator:
         x = (synthesize(sched, 0, n_slots, rate=RATE).samples
              + rng.normal(0.0, 300.0, n_slots * 4608))
         pcm = PcmBuffer(sample_rate=RATE, samples=np.round(x).astype(np.int16))
-        oracle_tally = collections.Counter()
-        oracle = detect_pulses_oracle(pcm, sample_clock(), sched, tally=oracle_tally)
+        oracle, oracle_tally = detect_pulses_oracle(pcm, sample_clock(), sched)
         sizes = []
 
         def counted(a, b, _fn=np.hypot):
@@ -719,8 +719,8 @@ class TestBatchedEstimator:
             return _fn(a, b)
 
         monkeypatch.setattr(np, "hypot", counted)
-        tally = collections.Counter()
-        assert detect_pulses(pcm, sample_clock(), sched, tally=tally) == oracle
+        dets, tally = detect_pulses(pcm, sample_clock(), sched)
+        assert dets == oracle
         assert tally == oracle_tally and len(oracle) == n_slots
         assert max(sizes) == audio_beacon._CHUNK and len(sizes) > 2 * sched.tone_count
 
@@ -750,8 +750,7 @@ class TestDistinctWindows:
             return estimate(frames, *args, **kwargs)
 
         monkeypatch.setattr(audio_beacon, "_estimate_windows", counting)
-        tally = collections.Counter()
-        dets = detect_pulses(pcm, sample_clock(), sched, tally=tally)
+        dets, tally = detect_pulses(pcm, sample_clock(), sched)
         return sum(rows), dets, tally
 
     def test_repeated_windows_estimated_once(self, monkeypatch):
@@ -762,9 +761,7 @@ class TestDistinctWindows:
         assert len(set(windows)) < len(windows) // 4
         rows, dets, tally = self._rows_estimated(monkeypatch, pcm, sched)
         assert rows == len(set(windows))
-        oracle_tally = collections.Counter()
-        assert dets == detect_pulses_oracle(pcm, sample_clock(), sched, tally=oracle_tally)
-        assert tally == oracle_tally
+        assert (dets, tally) == detect_pulses_oracle(pcm, sample_clock(), sched)
         assert len(dets) == 40
 
     def test_noisy_windows_all_estimated(self, monkeypatch):

@@ -212,6 +212,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "xrprobe simulate: fps: frame period 1000 / fps overflows, got 1e-310\n")
 
+    @pytest.mark.parametrize("physical", [[], ["--physical"]])
+    @pytest.mark.parametrize("start, last", [(-5000, -3000), (2**64 - 1000, 2**64 + 1000)])
+    def test_session_outside_the_timestamp_range_names_start_epoch_ms(
+            self, tmp_path, capsys, physical, start, last):
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"profile": "ethernet", "duration_s": 2, "viewers": ["u2"],
+                                  "join_times_s": [1], "start_epoch_ms": start, "seed": 42}))
+        rc = run(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out"), *physical])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"xrprobe simulate: start_epoch_ms: the session runs from {start} to {last} ms, "
+            "outside 0..2**64-1\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestVideoPipeline:
     def test_gen_then_detect(self, tmp_path, capsys):
@@ -303,6 +317,20 @@ class TestAudioPipeline:
         assert all(r.media == "audio" and r.device == "spk" for r in recs)
         assert run(["detect-audio", str(wav)]) == 0
         assert capsys.readouterr().out == log.read_text()
+
+    def test_detect_audio_prints_its_tally(self, tmp_path, capsys):
+        # 0.5 s of 500 Hz, more than delta/2 below the lowest tone: each of its
+        # 43 windows is an unknown tone (gen-audio writes the sidecar)
+        wav = tmp_path / "tone.wav"
+        run(["gen-audio", "--out", str(wav), "--duration-s", "0.5"])
+        t = np.arange(24_000) / 48_000
+        hum = np.round(16_000 * np.sin(2 * np.pi * 500.0 * t)).astype(np.int16)
+        write_wav(wav, PcmBuffer(48_000, hum))
+        capsys.readouterr()
+        assert run(["detect-audio", str(wav)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "0 pulses detected, 43 unknown_tone\n"
 
     def test_bad_sidecar_is_one_line_error(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"
@@ -431,44 +459,30 @@ class TestSimulateAnalyze:
         assert (rep / "report.json").exists()
         assert (rep / "epochs.csv").exists()
 
-    def test_analyze_builds_each_epoch_map_once(self, tmp_path, capsys, monkeypatch):
-        # report.json and epochs.csv share one scan, which holds both epoch maps
+    def test_analyze_and_serve_scan_the_log_once(self, tmp_path, capsys, monkeypatch):
+        # one pass of the negative-latency rule over every record, and no other,
+        # whether the scan is rendered as report.json or as the exposition;
+        # report.json and epochs.csv share that scan, which holds both epoch maps
         sc = write_scenario(tmp_path / "sc.json")
         out = tmp_path / "out"
         run(["simulate", "--scenario", str(sc), "--out", str(out)])
-        scans = []
+        calls, scans = [], []
+        scan_log = metrics.scan_log
 
-        def counted(*args, **kwargs):
-            scans.append(metrics.scan_latencies(*args, **kwargs))
+        def counted(records, *args):
+            calls.append(list(records))
+            scans.append(scan_log(calls[-1], *args))
             return scans[-1]
 
-        monkeypatch.setattr(cli, "scan_latencies", counted)
-        assert run(["analyze", "--log", str(out)]) == 0
-        capsys.readouterr()
-        assert len(scans) == 1
-        assert all(scans[0].epochs[media] for media in ("video", "audio"))
-
-    def test_analyze_computes_each_latency_once(self, tmp_path, capsys, monkeypatch):
-        # one pass of the negative-latency rule over every record, and no other,
-        # whether the scan is rendered as report.json or as the exposition
-        sc = write_scenario(tmp_path / "sc.json")
-        out = tmp_path / "out"
-        run(["simulate", "--scenario", str(sc), "--out", str(out)])
-        calls = []
-        rule = metrics.latencies_from_log
-
-        def counted(records, tally=None):
-            records = list(records)
-            calls.append(records)
-            return rule(records, tally)
-
         for module in (cli, metrics):
-            monkeypatch.setattr(module, "latencies_from_log", counted)
+            monkeypatch.setattr(module, "scan_log", counted)
         for argv in (["analyze"], ["serve", "--serve-port", "0"]):
             calls.clear()
+            scans.clear()
             assert run([argv[0], "--log", str(out), *argv[1:]]) == 0
             capsys.readouterr()
             assert calls == [read_log(out / "log.jsonl")]
+            assert all(scans[0].epochs[media] for media in ("video", "audio"))
 
     def test_physical_mode_layout(self, tmp_path, capsys):
         sc = write_scenario(tmp_path / "sc.json", duration_s=6.0)

@@ -28,7 +28,7 @@ from xrprobe.exporter import (
     render_exposition,
     write_log,
 )
-from xrprobe.metrics import DetectionRecord, latencies_from_log, scan_latencies
+from xrprobe.metrics import DetectionRecord, scan_log
 
 
 def random_records(seed, n):
@@ -373,10 +373,9 @@ class TestLogOracle:
             '"media": "audio", "playout_ts": 2, "slot": null}\n')
 
 
-def exposition(records, tally=None):
-    """What ``serve`` renders for a log: its scan and its charged tally."""
-    tally = collections.Counter(tally or {})
-    return render_exposition(scan_latencies(*latencies_from_log(records, tally)), tally)
+def exposition(records, tally=()):
+    """What ``serve`` renders for a log: the scan of the log and its tally."""
+    return render_exposition(scan_log(records, collections.Counter(tally)))
 
 
 class TestExposition:
@@ -397,10 +396,10 @@ class TestExposition:
 
     def test_counters_merged_and_named(self):
         tally = collections.Counter({"crc_mismatch": 2, "unknown_tone": 3})
-        scan = scan_latencies(*latencies_from_log(
-            [DetectionRecord(media="video", device="u1", emission_ts=10, playout_ts=5)], tally))
-        assert tally["clock_skew_suspected"] == 1
-        body = render_exposition(scan, tally)
+        scan = scan_log(
+            [DetectionRecord(media="video", device="u1", emission_ts=10, playout_ts=5)], tally)
+        assert scan.tally["clock_skew_suspected"] == 1
+        body = render_exposition(scan)
         assert "xr_crc_failures_total 2" in body
         assert "xr_unknown_tones_total 3" in body
         assert "xr_negative_latencies_total 1" in body
@@ -498,10 +497,9 @@ def _brute_exposition(records, tally):
                              st.integers(0, 9)))
 @settings(max_examples=200, deadline=None)
 def test_exposition_matches_brute_force(records, tally):
-    charged = collections.Counter(tally)
-    scan = scan_latencies(*latencies_from_log(records, charged))
+    scan = scan_log(records, collections.Counter(tally))
     assert scan.last == _brute_last(records)
-    assert render_exposition(scan, charged) == _brute_exposition(records, tally)
+    assert render_exposition(scan) == _brute_exposition(records, tally)
 
 
 @pytest.fixture(scope="module")
@@ -547,8 +545,8 @@ class TestHttpService:
     def server(self, one_shot):
         log_dir, _ = one_shot
         tally = collections.Counter(json.loads((log_dir / "tally.json").read_text()))
-        scan = scan_latencies(*latencies_from_log(read_log(log_dir / "log.jsonl"), tally))
-        srv = make_server(render_exposition(scan, tally), port=0)
+        scan = scan_log(read_log(log_dir / "log.jsonl"), tally)
+        srv = make_server(render_exposition(scan), port=0)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         yield srv
         srv.shutdown()

@@ -24,8 +24,7 @@ from xrprobe.metrics import (
     classify_lip_sync,
     epoch_skew,
     inter_device_asynchrony,
-    latencies_from_log,
-    scan_latencies,
+    scan_log,
     write_epoch_series_csv,
 )
 
@@ -40,14 +39,14 @@ def sample(device, playout, latency, media=VIDEO, slot=1):
                            playout_ts=playout, slot=slot)
 
 
-def scan_of(records, width=1000, tally=None):
-    """The ``scan_latencies`` of one log's records, as ``analyze`` builds it."""
-    return scan_latencies(*latencies_from_log(records, tally), width)
+def scan_of(records, width=1000, tally=()):
+    """The scan of one log's records, as ``analyze`` builds it."""
+    return scan_log(records, collections.Counter(tally), width)
 
 
 def slot_stats(records):
     """The report's per-(slot, media) rows of one log's records."""
-    return build_report(scan_of(records), {})["slot_stats"]
+    return build_report(scan_of(records))["slot_stats"]
 
 
 def epoch_minima(records, width=1000, media=VIDEO):
@@ -61,7 +60,7 @@ class TestDetectionRecord:
         assert (rec.slot, rec.frequency, rec.confidence) == (None, None, None)
         assert DetectionRecord._fields == ("media", "device", "emission_ts", "playout_ts",
                                            "slot", "frequency", "confidence")
-        assert latencies_from_log([rec]) == ([rec], [1.0])
+        assert scan_of([rec]).by_media == {VIDEO: [1.0], AUDIO: []}
 
     def test_immutable(self):
         rec = DetectionRecord("video", "u1", 1, 2)
@@ -90,36 +89,42 @@ class TestDetectionRecord:
 
 
 class TestLatenciesFromLog:
+    """``scan_log``'s one pass: each record's latency, negative ones dropped
+    and counted."""
+
     def test_direct_difference(self):
-        kept, latencies = latencies_from_log([vid("u2", 1000, 1250)])
-        assert len(kept) == 1
-        assert latencies == [250.0]
-        assert type(latencies[0]) is float
-        assert kept[0].playout_ts == 1250
+        scan = scan_of([vid("u2", 1000, 1250)])
+        assert scan.by_media[VIDEO] == [250.0]
+        assert type(scan.by_media[VIDEO][0]) is float
+        assert scan.last == {(VIDEO, "u2"): 250.0}
 
     def test_clock_skew_rejected_and_counted(self):
-        tally = collections.Counter()
-        out = latencies_from_log([vid("u2", 1250, 1000)], tally=tally)
-        assert out == ([], [])
-        assert tally["clock_skew_suspected"] == 1
+        scan = scan_of([vid("u2", 1250, 1000)])
+        assert scan.by_media == {VIDEO: [], AUDIO: []}
+        assert (scan.slots, scan.last) == ({}, {})
+        assert scan.tally == {"clock_skew_suspected": 1}
 
     def test_zero_latency_kept(self):
-        tally = collections.Counter()
-        assert latencies_from_log([vid("u2", 7, 7)], tally)[1] == [0.0]
-        assert tally == {}
+        scan = scan_of([vid("u2", 7, 7)])
+        assert scan.by_media[VIDEO] == [0.0]
+        assert "clock_skew_suspected" not in scan.tally
 
     def test_order_preserved(self):
         recs = [vid("u2", 0, 10), vid("u3", 5, 30), vid("u2", 10, 15)]
-        kept, latencies = latencies_from_log(recs)
-        assert kept == recs
-        assert latencies == [10.0, 25.0, 5.0]
+        assert scan_of(recs).by_media[VIDEO] == [10.0, 25.0, 5.0]
 
     def test_returns_the_kept_records(self):
         recs = [vid("u2", 0, 10), vid("u3", 30, 5), vid("u2", 10, 15)]
-        kept, latencies = latencies_from_log(recs)
-        assert kept == [recs[0], recs[2]]
-        assert kept[0] is recs[0]
-        assert latencies == [10.0, 5.0]
+        scan = scan_of(recs)
+        assert scan.by_media[VIDEO] == [10.0, 5.0]
+        assert scan.slots == {(1, VIDEO): [10.0, 5.0]}
+        assert scan.last == {(VIDEO, "u2"): 5.0}
+
+    def test_input_tally_unchanged(self):
+        tally = collections.Counter({"crc_mismatch": 2, "clock_skew_suspected": 1, "idle": 0})
+        scan = scan_log([vid("u2", 1250, 1000), vid("u3", 0, 10)], tally)
+        assert tally == {"crc_mismatch": 2, "clock_skew_suspected": 1, "idle": 0}
+        assert dict(scan.tally) == {"crc_mismatch": 2, "clock_skew_suspected": 2, "idle": 0}
 
 
 class TestSlotStats:
@@ -195,7 +200,7 @@ class TestEpochDeviceLatency:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            scan_latencies([], [], 0)
+            scan_log([], {}, 0)
 
 
 class TestInterDeviceAsynchrony:
@@ -405,8 +410,7 @@ class TestBuildReport:
         return recs
 
     def _report(self, recs):
-        tally = collections.Counter()
-        return build_report(scan_of(recs, tally=tally), tally)
+        return build_report(scan_of(recs))
 
     def test_report_shape(self):
         report = self._report(self._log())
@@ -424,7 +428,7 @@ class TestBuildReport:
 
     def test_width_travels_with_maps(self):
         # the report is labelled with the width its epoch maps were built at
-        report = build_report(scan_of(self._log(), 500), collections.Counter())
+        report = build_report(scan_of(self._log(), 500))
         assert report["epoch_width_ms"] == 500
 
     def test_epoch_csv(self, tmp_path):

@@ -378,6 +378,8 @@ class TestLoader:
         ({"sample_rate": 8640}, "sample_rate"),  # twice the default top tone, 4320 Hz
         ({"tones": {"f0_hz": 1000}, "sample_rate": 9000}, "sample_rate"),
         ({"sample_rate": MAX_SAMPLE_RATE + 1}, "sample_rate"),
+        ({"duration_s": 2, "viewers": ["u2"], "join_times_s": [1], "start_epoch_ms": -5000},
+         "start_epoch_ms"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:

@@ -36,7 +36,6 @@ from xrprobe.video_beacon import (
     grid_timestamp,
     rasterize,
     read_frame_manifest,
-    read_pgm,
     write_frame_sequence,
 )
 from xrprobe import video_beacon
@@ -847,17 +846,17 @@ _DROP = object()  # a manifest key to delete
 
 class TestFrameIo:
     def test_pgm_roundtrip(self, tmp_path):
-        # a one-frame sequence's frames.pgm is a single PGM image, which read_pgm takes
+        # a one-frame sequence's frames.pgm is a single PGM image
         frame = rasterize(encode_beacon(777), scale=5, quiet=2)
         write_frame_sequence(tmp_path, [frame], FrameManifest("u2", 30.0, 777, 1))
-        back = read_pgm(tmp_path / "frames.pgm")
+        back = _read_pgm_stream(tmp_path / "frames.pgm", 1)[0]
         assert (back.pixels == frame.pixels).all()
 
     def test_pgm_header_with_comment(self, tmp_path):
         path = tmp_path / "c.pgm"
         body = bytes([0, 128, 255, 7])
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + body)
-        img = read_pgm(path).pixels
+        img = _read_pgm_stream(path, 1)[0].pixels
         assert img.shape == (2, 2)
         assert img[0, 1] == 128
 
@@ -1036,7 +1035,7 @@ class TestPgmStream:
     def test_header_comments_wherever_whitespace_is(self, tmp_path, blob):
         path = tmp_path / "frame.pgm"
         path.write_bytes(blob)
-        assert read_pgm(path).pixels.tolist() == [[ord("a"), ord("b")]]
+        assert _read_pgm_stream(path, 1)[0].pixels.tolist() == [[ord("a"), ord("b")]]
 
     def test_missing_stream_names_file(self, tmp_path):
         write_frame_sequence(tmp_path, [blank_frame(1, 0)], FrameManifest("d", 30.0, 0, 1))
