@@ -64,6 +64,19 @@ class DeviceClock:
         """Local timestamp at true time ``t``, rounded to whole ms."""
         return round(self.local(t))
 
+    def span(self, end_ms: float) -> tuple[float, float]:
+        """Bounds on the local time from the join to ``end_ms``. The local
+        time is linear within a segment, so both lie at the ends of a
+        segment: its start, and its value at the next sync, which the
+        segment approaches but does not reach."""
+        rate = self.drift_ppm * 1e-6
+        starts, offsets = self.starts, self.offsets
+        ends = [*starts[1:], end_ms]
+        local = [start + offset for start, offset in zip(starts, offsets)]
+        local += [stop + offset + rate * (stop - start)
+                  for start, offset, stop in zip(starts, offsets, ends)]
+        return min(local), max(local)
+
     def read_sorted(self, times: list[float]) -> list[Timestamp]:
         """``read`` of each of ``times``, which must be nondecreasing: one
         bisect for the first, then the segments are walked forward."""

@@ -14,14 +14,16 @@ fields left out when None:
     {"confidence": C, "device": "D", "emission_ts": E, "frequency": F,
      "media": "M", "playout_ts": P, "slot": S}
 
-``read_log`` reads the file once (a file that is not UTF-8 twice), splits
-it on newlines only and decodes each line once. A line is accepted when it
-is one whole JSON object with media "video" or "audio", a string device,
+``read_log`` reads the file once (a file that is not UTF-8 twice) and splits
+it on newlines only. A line in the layout above, as ``format_log_line``
+writes it, is read by one compiled pattern and never reaches the JSON
+decoder. Every other line is decoded once and checked: it is accepted when
+it is one whole JSON object with media "video" or "audio", a string device,
 integer timestamps, an integer or null slot, and a number or null frequency
-and confidence (an integer is widened to float). Every other line, an
-integer past the interpreter's digit limit, nesting past its recursion limit
-or bytes that are not UTF-8 included, raises a ``ParseError`` naming that
-line.
+and confidence (an integer is widened to float). Both paths give the same
+record for the same line. Every other line, an integer past the
+interpreter's digit limit, nesting past its recursion limit or bytes that
+are not UTF-8 included, raises a ``ParseError`` naming that line.
 
 Exposition format: one `name{label="value"} number` line per metric, all
 metric names prefixed `xr_`, lines sorted lexicographically so scrapes
@@ -34,6 +36,7 @@ The HTTP endpoint serves one exposition, rendered and encoded once, at
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii
@@ -84,16 +87,36 @@ def write_log(path: str | Path, records: Iterable[DetectionRecord]) -> None:
 _MEDIA = (VIDEO, AUDIO)
 _scan = json.JSONDecoder().scan_once
 
+# An integer as JSON writes it, of at most 20 digits (2**64-1 has 20), so
+# int() never meets the digit limit; [0-9], as \d also matches other scripts'
+# digits and int() reads them.
+_INT = r"(-?(?:0|[1-9][0-9]{0,19}))"
+# A JSON number with a fraction or an exponent, as float.__repr__ writes
+# every finite float: the decoder reads it with float(), as is. An integer
+# frequency, NaN and Infinity go through the decoder.
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+# A device with no quote, backslash or control character is its own text.
+_DEVICE = r'"([^"\\\x00-\x1f]*)"'
+# The layout format_log_line writes. Its lines with a non-finite number, an
+# escaped character in the device or an integer past 20 digits fall through.
+_written_line = re.compile(
+    rf'\{{(?:"confidence": {_FLOAT}, )?"device": {_DEVICE}, "emission_ts": {_INT}, '
+    rf'(?:"frequency": {_FLOAT}, )?"media": "(?:(v)ideo|audio)", "playout_ts": {_INT}, '
+    rf'"slot": (?:null|{_INT})\}}').fullmatch
+_record = DetectionRecord._make
+
 
 def read_log(path: str | Path) -> list[DetectionRecord]:
     """Every record of a detection log, in one pass over the file.
 
-    Each line runs one set of checks, in this order: one whole JSON value
-    that is an object, the required fields, then media, device, the two
-    timestamps, slot, frequency and confidence. The first line that fails,
-    an integer past the digit limit, nesting past the recursion limit or
-    bytes that are not UTF-8 included, raises ParseError with its number and
-    the reason. Only a file that is not UTF-8 is read a second time.
+    A line as ``format_log_line`` writes it is read by one compiled pattern.
+    Every other line runs one set of checks, in this order: one whole JSON
+    value that is an object, the required fields, then media, device, the
+    two timestamps, slot, frequency and confidence. Both give the same
+    record for the same line. The first line that fails, an integer past the
+    digit limit, nesting past the recursion limit or bytes that are not UTF-8
+    included, raises ParseError with its number and the reason. Only a file
+    that is not UTF-8 is read a second time.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -103,8 +126,15 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
         lines, undecodable = _lines_before_undecodable(path)
     records: list[DetectionRecord] = []
     append = records.append
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
+    for line_no, written in enumerate(map(_written_line, lines), start=1):
+        if written is not None:
+            confidence, device, emission_ts, frequency, video, playout_ts, slot = written.groups()
+            # a group is None or non-empty text, so `g and f(g)` is None or f(g)
+            append(_record((AUDIO if video is None else VIDEO, device, int(emission_ts),
+                            int(playout_ts), slot and int(slot), frequency and float(frequency),
+                            confidence and float(confidence))))
+            continue
+        line = lines[line_no - 1].strip()
         if not line:
             continue
         try:

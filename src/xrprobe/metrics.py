@@ -122,29 +122,34 @@ def scan_log(records: Iterable[DetectionRecord], tally: Mapping[str, int],
     if epoch_width_ms < 1:
         raise ValueError("epoch width must be positive")
     by_media: dict[str, list[float]] = {VIDEO: [], AUDIO: []}
-    slots: defaultdict[tuple[int, str], list[float]] = defaultdict(list)
+    slots: dict[str, defaultdict[int, list[float]]] = {VIDEO: defaultdict(list),
+                                                       AUDIO: defaultdict(list)}
     epochs: dict[str, dict[tuple[int, str], float]] = {VIDEO: {}, AUDIO: {}}
     lasts: dict[str, dict[str, float]] = {VIDEO: {}, AUDIO: {}}  # media -> device -> latency
-    # one lookup per record finds its medium's latencies, minima and last latencies
-    groups = {media: (by_media[media], epochs[media], lasts[media]) for media in by_media}
+    # one lookup per record finds its medium's groups, their methods bound
+    groups = {media: (by_media[media].append, slots[media], epochs[media], epochs[media].get,
+                      lasts[media]) for media in by_media}
+    inf = math.inf
     rejected = 0
     for media, device, emission_ts, playout_ts, slot, _, _ in records:
         latency = float(playout_ts - emission_ts)
         if latency < 0.0:
             rejected += 1
             continue
-        kept, minima, last = groups[media]
-        kept.append(latency)
+        keep, by_slot, minima, minimum, last = groups[media]
+        keep(latency)
         if slot is not None:
-            slots[(slot, media)].append(latency)
-        key = (playout_ts // epoch_width_ms * epoch_width_ms, device)
-        if latency < minima.get(key, math.inf):
+            by_slot[slot].append(latency)
+        key = (playout_ts - playout_ts % epoch_width_ms, device)  # the epoch's start
+        if latency < minimum(key, inf):
             minima[key] = latency
         last[device] = latency
     charged = Counter(tally)
     if rejected:
         charged["clock_skew_suspected"] += rejected
-    return LatencyScan(epoch_width_ms, by_media, dict(slots), epochs,
+    return LatencyScan(epoch_width_ms, by_media,
+                       {(slot, media): latencies for media, by_slot in slots.items()
+                        for slot, latencies in by_slot.items()}, epochs,
                        {(media, device): latency for media, by_device in lasts.items()
                         for device, latency in by_device.items()}, charged)
 

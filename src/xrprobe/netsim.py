@@ -281,6 +281,12 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
         )
         for d in devices
     }
+    for d, clock in clocks.items():
+        first, last = clock.span(end)
+        # the local times read() rounds into 0..2**64-1
+        if not (-0.5 <= first and last < 2.0**64):
+            raise SchemaError("start_epoch_ms", f"the clock of {d!r} reads from {first:.0f} "
+                                                f"to {last:.0f} ms, outside 0..2**64-1")
     presenter = scenario.presenter
     pclock = clocks[presenter]
     start_local = pclock.local(t0)

@@ -226,6 +226,45 @@ class TestExitCodes:
             "outside 0..2**64-1\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("physical", [[], ["--physical"]], ids=["symbolic", "physical"])
+    def test_clock_readings_outside_the_timestamp_range_name_start_epoch_ms(
+            self, tmp_path, capsys, physical):
+        """A 50 ms clock offset on a session that starts at 0 reads below 0 on
+        some seeds: those runs write nothing and exit 1 naming start_epoch_ms,
+        the rest write no timestamp below 0."""
+        exits = []
+        for seed in range(20):
+            sc = tmp_path / f"sc{seed}.json"
+            sc.write_text(json.dumps({"profile": "ethernet", "duration_s": 2, "viewers": ["u2"],
+                                      "join_times_s": [1], "start_epoch_ms": 0, "seed": seed,
+                                      "clocks": {"initial_offset_sigma_ms": 50}}))
+            out = tmp_path / f"out{seed}"
+            exits.append(run(["simulate", "--scenario", str(sc), "--out", str(out), *physical]))
+            err = capsys.readouterr().err
+            if exits[-1] == 0:
+                for log in out.glob("*.jsonl"):
+                    assert min(min(r.emission_ts, r.playout_ts) for r in read_log(log)) >= 0
+            else:
+                assert exits[-1] == 1 and not any(out.iterdir())
+                assert err.count("\n") == 1
+                assert err.startswith("xrprobe simulate: start_epoch_ms: the clock of ")
+        assert set(exits) == {0, 1}
+
+    @pytest.mark.parametrize("physical", [[], ["--physical"]], ids=["symbolic", "physical"])
+    def test_clock_reading_past_the_top_timestamp_names_start_epoch_ms(
+            self, tmp_path, capsys, physical):
+        # the session ends at 2**64-2 ms, but its clocks' readings round past 2**64-1
+        sc = tmp_path / "sc.json"
+        sc.write_text(json.dumps({"profile": "ethernet", "duration_s": 2, "viewers": ["u2"],
+                                  "join_times_s": [1], "start_epoch_ms": 2**64 - 2002, "seed": 3,
+                                  "clocks": {"initial_offset_sigma_ms": 50}}))
+        rc = run(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out"), *physical])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("xrprobe simulate: start_epoch_ms: the clock of ")
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestVideoPipeline:
     def test_gen_then_detect(self, tmp_path, capsys):

@@ -156,3 +156,20 @@ def test_offsets_propagate_additively(seed_a, seed_b, true_delay, emit):
     measured = playout - emission
     expect = true_delay + (receiver.offsets[0] - sender.offsets[0])
     assert abs(measured - expect) <= 1.0  # two independent roundings
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("max_drift_ppm", [2.0, 5e5])
+def test_span_bounds_every_local_time(seed, max_drift_ppm):
+    """span bounds the local time on a 0.5 ms grid from the join to the end,
+    and the grid comes within one step of both bounds (a segment's last
+    local time is its limit before the next sync, which no grid point
+    reaches)."""
+    clock = drawn(seed=seed, join_ms=1000.0, end_ms=21_000.0, sigma_ntp_ms=20.0,
+                  sync_interval_s=2.0, max_drift_ppm=max_drift_ppm,
+                  initial_offset_sigma_ms=50.0)
+    first, last = clock.span(21_000.0)
+    local = [clock.local(1000.0 + k * 0.5) for k in range(40_001)]
+    slack = 0.5 * (1.0 + max_drift_ppm * 1e-6)  # the local time over one step
+    assert first <= min(local) <= first + slack + 1e-6
+    assert last - slack - 1e-6 <= max(local) <= last

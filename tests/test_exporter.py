@@ -343,6 +343,36 @@ class TestLogOracle:
     def test_named_cases(self, text):
         assert_reads_as_oracle(text)
 
+    # a line as the writer writes it, then lines one step off its layout
+    WRITTEN = ('{"confidence": 1.0, "device": "u1", "emission_ts": 1700000000001, '
+               '"frequency": 600.0, "media": "audio", "playout_ts": 1700000000338, "slot": 1}')
+    NEAR_MISSES = {
+        "leading_zero": WRITTEN.replace("1700000000001", "01700000000001"),
+        "minus_zero": WRITTEN.replace("1700000000001", "-0"),
+        "20_digits": WRITTEN.replace("1700000000001", "9" * 20),
+        "21_digits": WRITTEN.replace("1700000000001", "1" + "0" * 20),
+        "two_to_the_64": WRITTEN.replace("1700000000338", str(2**64)),
+        "arabic_indic_digits": WRITTEN.replace("1700000000001", "\u0661\u0667\u0660\u0660"),
+        "arabic_indic_after_a_digit": WRITTEN.replace("1700000000001", "1\u0667\u0660\u0660"),
+        "integer_frequency": WRITTEN.replace("600.0", "600"),
+        "integer_frequency_past_float_range": WRITTEN.replace("600.0", "1" + "0" * 400),
+        "frequency_past_float_range": WRITTEN.replace("600.0", "1e999"),
+        "nan_frequency": WRITTEN.replace("600.0", "NaN"),
+        "minus_infinity_frequency": WRITTEN.replace("600.0", "-Infinity"),
+        "float_slot": WRITTEN.replace('"slot": 1', '"slot": 1.0'),
+        "true_timestamp": WRITTEN.replace("1700000000338", "true"),
+        "raw_u2028_device": WRITTEN.replace('"u1"', '"u\u20281"'),
+        "raw_del_device": WRITTEN.replace('"u1"', '"u\x7f1"'),
+        "raw_tab_device": WRITTEN.replace('"u1"', '"u\t1"'),
+        "duplicate_device": WRITTEN.replace('"device": "u1"', '"device": "u1", "device": "u2"'),
+        "trailing_space": WRITTEN + " ",
+        "crlf": WRITTEN + "\r",
+    }
+
+    @pytest.mark.parametrize("line", NEAR_MISSES.values(), ids=NEAR_MISSES.keys())
+    def test_near_misses_of_the_written_layout(self, line):
+        assert_reads_as_oracle(self.WRITTEN + "\n" + line + "\n" + self.WRITTEN + "\n")
+
     @pytest.mark.parametrize("name, line_no", [
         ("bad_utf8_line_crlf", 2), ("bad_json_then_bad_utf8", 2),
         ("utf8_sequence_cut_by_newline", 2)])
@@ -371,6 +401,45 @@ class TestLogOracle:
         assert format_log_line(rec) == (
             '{"confidence": -Infinity, "device": "u1", "emission_ts": 1, "frequency": NaN, '
             '"media": "audio", "playout_ts": 2, "slot": null}\n')
+
+
+class TestWrittenLogsSkipTheDecoder:
+    """Every line the tool writes is read by the pattern alone, into the
+    reference's records: a writer change that sent its lines to the JSON
+    decoder fails here instead of only running slower."""
+
+    @staticmethod
+    def assert_read_without_decoder(monkeypatch, *paths):
+        expected = [outcome(per_line_oracle, path) for path in paths]
+
+        def refuse(*_):
+            raise AssertionError("a written line reached the JSON decoder")
+
+        monkeypatch.setattr(exporter, "_scan", refuse)
+        for path, (status, records) in zip(paths, expected):
+            assert status == "ok" and records
+            assert [repr(rec) for rec in read_log(path)] == records
+
+    @pytest.mark.parametrize("physical", [[], ["--physical"]], ids=["symbolic", "physical"])
+    @pytest.mark.parametrize("profile", ["wifi", "fiveg"])
+    def test_simulate(self, tmp_path, capsys, monkeypatch, profile, physical):
+        scenario = tmp_path / "sc.json"
+        scenario.write_text(json.dumps({"profile": profile, "duration_s": 30, "seed": 42,
+                                        "viewers": ["u2", "u3"], "join_times_s": [10, 20]}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out), *physical]) == 0
+        capsys.readouterr()
+        self.assert_read_without_decoder(monkeypatch, *sorted(out.glob("*.jsonl")))
+
+    def test_detect_out(self, tmp_path, capsys, monkeypatch):
+        frames, wav = tmp_path / "frames", tmp_path / "a.wav"
+        video, audio = tmp_path / "video.jsonl", tmp_path / "audio.jsonl"
+        assert run(["gen-video", "--out", str(frames), "--fps", "10", "--duration-s", "2"]) == 0
+        assert run(["gen-audio", "--out", str(wav), "--duration-s", "2"]) == 0
+        assert run(["detect-video", str(frames), "--out", str(video)]) == 0
+        assert run(["detect-audio", str(wav), "--out", str(audio)]) == 0
+        capsys.readouterr()
+        self.assert_read_without_decoder(monkeypatch, video, audio)
 
 
 def exposition(records, tally=()):
