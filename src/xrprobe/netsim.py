@@ -47,7 +47,7 @@ from .audio_beacon import (
 )
 from .clocks import DeviceClock
 from .metrics import AUDIO, VIDEO, DetectionRecord
-from .scenario import NetworkProfile, SessionScenario, adapt_quality
+from .scenario import MAX_SESSION_MS, NetworkProfile, SessionScenario, adapt_quality
 from .schema import SchemaError
 from .video_beacon import (
     FrameManifest,
@@ -139,7 +139,7 @@ class _Display:
     shows it unless it is older than the frame on screen (``frames_stale``); a
     later arrival before that tick replaces it (``frames_skipped``). Every tick
     shows the current frame again, so a frozen frame keeps ramping its
-    latency. A quantum of zero shows each frame as it arrives.
+    latency.
 
     An arrival at exactly a tick's time goes first iff its edge was processed
     before the previous tick: the order of one time-ordered queue of both
@@ -165,70 +165,52 @@ class _Display:
         arrivals = self.arrivals
         arrivals.sort(key=_first)  # stable: equal times keep their edge order
         quantum, end = self.trace.quantum_ms, self.end
-        current = self.current
+        current, pending = self.current, self.pending
         ticks = self.trace.ticks
-        stale = 0
+        stale = skipped = 0
         shown: list[float] = []
         emissions: list[int] = []
-        i = 0
-        if quantum == 0:
-            for t, emission, _ in arrivals:
-                if t >= until:
+        i, n = 0, len(arrivals)
+        base, m = self.first_tick, self.m
+        previous = base + (m - 1) * quantum if m else -math.inf
+        while True:
+            t = base + m * quantum
+            ticking = t <= end and t < until
+            if not ticking:
+                if until < math.inf:
+                    break
+                t = math.inf  # no tick left: the arrivals still reach the tallies
+            while i < n:
+                arrival, emission, edge_t = arrivals[i]
+                if arrival > t or (arrival == t and not edge_t < previous):
                     break
                 i += 1
-                if current is None or emission >= current:
-                    current = emission
-                    if t <= end:
-                        ticks.append((t, emission))
-                        shown.append(t)
-                        emissions.append(emission)
+                if pending is None:
+                    pending = emission
+                elif emission >= pending:
+                    pending = emission
+                    skipped += 1
                 else:
                     stale += 1
-        else:
-            pending = self.pending
-            skipped = 0
-            n = len(arrivals)
-            base, m = self.first_tick, self.m
-            previous = base + (m - 1) * quantum if m else -math.inf
-            while True:
-                t = base + m * quantum
-                ticking = t <= end and t < until
-                if not ticking:
-                    if until < math.inf:
-                        break
-                    t = math.inf  # no tick left: the arrivals still reach the tallies
-                while i < n:
-                    arrival, emission, edge_t = arrivals[i]
-                    if arrival > t or (arrival == t and not edge_t < previous):
-                        break
-                    i += 1
-                    if pending is None:
-                        pending = emission
-                    elif emission >= pending:
-                        pending = emission
-                        skipped += 1
-                    else:
-                        stale += 1
-                if not ticking:
-                    break
-                if pending is not None:
-                    if current is None or pending >= current:
-                        current = pending
-                    else:
-                        stale += 1
-                    pending = None
-                ticks.append((t, current))
-                if current is not None:
-                    shown.append(t)
-                    emissions.append(current)
-                previous = t
-                m += 1
-            self.pending, self.m = pending, m
-            if skipped:  # a zero count would still add its key to the tally
-                tally["frames_skipped"] += skipped
+            if not ticking:
+                break
+            if pending is not None:
+                if current is None or pending >= current:
+                    current = pending
+                else:
+                    stale += 1
+                pending = None
+            ticks.append((t, current))
+            if current is not None:
+                shown.append(t)
+                emissions.append(current)
+            previous = t
+            m += 1
+        self.current, self.pending, self.m = current, pending, m
+        if skipped:  # a zero count would still add its key to the tally
+            tally["frames_skipped"] += skipped
         if stale:
             tally["frames_stale"] += stale
-        self.current = current
         del arrivals[:i]
 
         latency_sum = 0
@@ -283,10 +265,10 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     }
     for d, clock in clocks.items():
         first, last = clock.span(end)
-        # the local times read() rounds into 0..2**64-1
-        if not (-0.5 <= first and last < 2.0**64):
+        # the local times read() rounds into 0..MAX_SESSION_MS-1
+        if not (-0.5 <= first and last < MAX_SESSION_MS - 0.5):
             raise SchemaError("start_epoch_ms", f"the clock of {d!r} reads from {first:.0f} "
-                                                f"to {last:.0f} ms, outside 0..2**64-1")
+                                                f"to {last:.0f} ms, outside 0..2**43-1")
     presenter = scenario.presenter
     pclock = clocks[presenter]
     start_local = pclock.local(t0)
@@ -314,7 +296,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     audio_phase: dict[str, float] = {}
     for d in devices:
         phase_rng = random.Random(f"{seed}|phase|{d}")
-        vsync_phase = phase_rng.uniform(0.0, quantum_ms) if quantum_ms > 0 else 0.0
+        vsync_phase = phase_rng.uniform(0.0, quantum_ms)
         audio_phase[d] = phase_rng.uniform(0.0, hop_ms)
         displays.append(_Display(traces[d], joins[d] + vsync_phase, end, join_order))
 
@@ -435,9 +417,6 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
     actual detectors reading the written media, so it exercises the whole
     measurement chain end to end. Each frame is written as it is drawn.
     """
-    if scenario.pipeline.quantum_ms(scenario.fps) <= 0:
-        raise SchemaError("pipeline.display_quantum_ms",
-                          "physical mode needs a positive display quantum")
     symbolic = run_scenario(scenario, seed)
     workdir = Path(workdir)
     rate = scenario.sample_rate

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .audio_beacon import MAX_SAMPLE_RATE, ToneSchedule, read_tone_schedule
-from .clocks import MAX_TIMESTAMP
 from .schema import (
     SchemaError,
     finite,
@@ -118,8 +117,7 @@ class PipelineModel:
     """Fixed stage delays along the media path, milliseconds.
 
     ``capture_pipeline_ms`` and ``display_quantum_ms`` default to one frame
-    period when left as None. A display quantum of zero presents frames the
-    instant they arrive instead of on the vsync grid.
+    period when left as None.
     """
 
     capture_pipeline_ms: float | None = None
@@ -133,11 +131,12 @@ class PipelineModel:
 
     def __post_init__(self):
         for name in ("capture_pipeline_ms", "encode_up_ms", "render_ms",
-                     "encode_down_ms", "decode_ms", "display_quantum_ms",
-                     "audio_buffer_ms", "audio_path_ms"):
+                     "encode_down_ms", "decode_ms", "audio_buffer_ms", "audio_path_ms"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise SchemaError(name, "must be non-negative")
+        if self.display_quantum_ms is not None and self.display_quantum_ms <= 0:
+            raise SchemaError("display_quantum_ms", "must be positive")
 
     def capture_ms(self, fps: float) -> float:
         if self.capture_pipeline_ms is not None:
@@ -236,6 +235,11 @@ def adapt_quality(window_mean_m2p_ms: float, current_level: str,
 
 DEFAULT_START_EPOCH_MS = 1_700_000_000_000
 
+# every time a run stamps lies in 0..MAX_SESSION_MS-1. The simulator keeps its
+# timeline in float ms, and below 2**43 ms (the year 2248) one float step is at
+# most 2**-9 ms; near 2**64 it is 2048 ms and the latencies come out wrong.
+MAX_SESSION_MS = 2**43
+
 # frames rendered over all devices (duration_s x fps x devices) one scenario
 # may ask for: an hour at 30 fps for 9 devices, about 500 MB of records;
 # above it a run would exhaust memory or never end. Every other grid a run
@@ -271,12 +275,10 @@ class SessionScenario:
         if not math.isfinite(1000.0 / self.fps):
             raise SchemaError("fps", f"frame period 1000 / fps overflows, got {self.fps!r}")
         n = 1 + len(self.viewers)
-        quantum = self.pipeline.quantum_ms(self.fps)
         grids = [("duration_s", "frames (duration_s x fps x devices)",
-                  self.duration_s * self.fps * n)]
-        if quantum > 0:
-            grids.append(("pipeline.display_quantum_ms", "display ticks over all devices",
-                          self.duration_s * 1000.0 / quantum * n))
+                  self.duration_s * self.fps * n),
+                 ("pipeline.display_quantum_ms", "display ticks over all devices",
+                  self.duration_s * 1000.0 / self.pipeline.quantum_ms(self.fps) * n)]
         if self.quality.enabled:
             grids.append(("quality.control_interval_s", "quality control steps",
                           self.duration_s / self.quality.control_interval_s))
@@ -291,9 +293,9 @@ class SessionScenario:
         if self.beacon_interval_ms <= 0:
             raise SchemaError("beacon_interval_ms", "must be positive")
         last_ms = self.start_epoch_ms + math.ceil(self.duration_s * 1000.0)
-        if not 0 <= self.start_epoch_ms <= last_ms <= MAX_TIMESTAMP:
+        if not 0 <= self.start_epoch_ms <= last_ms < MAX_SESSION_MS:
             raise SchemaError("start_epoch_ms", f"the session runs from {self.start_epoch_ms} "
-                              f"to {last_ms} ms, outside 0..2**64-1")
+                              f"to {last_ms} ms, outside 0..2**43-1")
         top = max(self.tones.frequencies)
         if not 2 * top < self.sample_rate <= MAX_SAMPLE_RATE:
             raise SchemaError("sample_rate", f"expected above {2 * top:.0f} (twice the top "

@@ -212,8 +212,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "xrprobe simulate: fps: frame period 1000 / fps overflows, got 1e-310\n")
 
+    @pytest.mark.parametrize("physical", [[], ["--physical"]], ids=["symbolic", "physical"])
+    def test_zero_display_quantum_names_the_field(self, tmp_path, capsys, physical):
+        sc = write_scenario(tmp_path / "sc.json")
+        doc = json.loads(sc.read_text())
+        sc.write_text(json.dumps({**doc, "pipeline": {"display_quantum_ms": 0}}))
+        rc = run(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out"), *physical])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "xrprobe simulate: pipeline.display_quantum_ms: must be positive\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("physical", [[], ["--physical"]])
-    @pytest.mark.parametrize("start, last", [(-5000, -3000), (2**64 - 1000, 2**64 + 1000)])
+    @pytest.mark.parametrize("start, last", [(-5000, -3000), (2**64 - 1000, 2**64 + 1000),
+                                             (2**43 - 1000, 2**43 + 1000)])
     def test_session_outside_the_timestamp_range_names_start_epoch_ms(
             self, tmp_path, capsys, physical, start, last):
         sc = tmp_path / "sc.json"
@@ -223,7 +235,7 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"xrprobe simulate: start_epoch_ms: the session runs from {start} to {last} ms, "
-            "outside 0..2**64-1\n")
+            "outside 0..2**43-1\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("physical", [[], ["--physical"]], ids=["symbolic", "physical"])
@@ -253,10 +265,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("physical", [[], ["--physical"]], ids=["symbolic", "physical"])
     def test_clock_reading_past_the_top_timestamp_names_start_epoch_ms(
             self, tmp_path, capsys, physical):
-        # the session ends at 2**64-2 ms, but its clocks' readings round past 2**64-1
+        # the session ends at 2**43-2 ms, but its clocks' readings round past 2**43-1
         sc = tmp_path / "sc.json"
         sc.write_text(json.dumps({"profile": "ethernet", "duration_s": 2, "viewers": ["u2"],
-                                  "join_times_s": [1], "start_epoch_ms": 2**64 - 2002, "seed": 3,
+                                  "join_times_s": [1], "start_epoch_ms": 2**43 - 2002, "seed": 3,
                                   "clocks": {"initial_offset_sigma_ms": 50}}))
         rc = run(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "out"), *physical])
         assert rc == 1

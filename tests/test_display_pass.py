@@ -6,9 +6,8 @@ vsync tick, frame arrival and quality-control step an event on one heap.
 sort of the edge arrivals and a downlink pass; the control steps are merged
 into the video downlink pass, and each device's display merges its frame
 arrivals with its tick grid. Both must give the same records, tallies and
-traces on any scenario: quality adaptation on and off, a zero display
-quantum, outages, zero delays and loss, and exact ties at a tick or at a
-control step, both ways round.
+traces on any scenario: quality adaptation on and off, outages, zero delays
+and loss, and exact ties at a tick or at a control step, both ways round.
 """
 
 import heapq
@@ -111,7 +110,7 @@ def heap_run_scenario(scenario: SessionScenario, seed: int | None = None) -> Det
     audio_phase: dict[str, float] = {}
     for d in devices:
         phase_rng = random.Random(f"{seed}|phase|{d}")
-        vsync_phase[d] = phase_rng.uniform(0.0, quantum_ms) if quantum_ms > 0 else 0.0
+        vsync_phase[d] = phase_rng.uniform(0.0, quantum_ms)
         audio_phase[d] = phase_rng.uniform(0.0, hop_ms)
 
     tally: Counter = Counter()
@@ -142,9 +141,8 @@ def heap_run_scenario(scenario: SessionScenario, seed: int | None = None) -> Det
 
     push(capture_true(0), "capture", 0)
     push(pulse_true(0), "pulse", 0)
-    if quantum_ms > 0:
-        for d in devices:
-            push(joins[d] + vsync_phase[d], "tick", (d, 0))
+    for d in devices:
+        push(joins[d] + vsync_phase[d], "tick", (d, 0))
     if quality.enabled:
         push(t0 + quality.control_interval_s * 1000.0, "qctl", None)
 
@@ -182,22 +180,13 @@ def heap_run_scenario(scenario: SessionScenario, seed: int | None = None) -> Det
 
         elif kind == "vready":
             d, emission = payload
-            if quantum_ms == 0:
-                if current[d] is None or emission >= current[d]:
-                    current[d] = emission
-                    if t <= end:
-                        emit_video(d, emission, t)
-                        traces[d].ticks.append((t, emission))
-                else:
-                    tally["frames_stale"] += 1
+            held = pending[d]
+            if held is None or emission >= held[0]:
+                if held is not None:
+                    tally["frames_skipped"] += 1
+                pending[d] = (emission, t)
             else:
-                held = pending[d]
-                if held is None or emission >= held[0]:
-                    if held is not None:
-                        tally["frames_skipped"] += 1
-                    pending[d] = (emission, t)
-                else:
-                    tally["frames_stale"] += 1
+                tally["frames_stale"] += 1
 
         elif kind == "tick":
             d, m = payload
@@ -304,7 +293,7 @@ def _scenarios(draw):
         render_ms=0.0 if zero else draw(_delays),
         encode_down_ms=0.0 if zero else draw(_delays),
         decode_ms=0.0 if zero else draw(_delays),
-        display_quantum_ms=draw(st.sampled_from([None, 0.0, 16.0, 50.0])
+        display_quantum_ms=draw(st.sampled_from([None, 16.0, 50.0])
                                 | st.floats(0.5, 60.0)),
         audio_buffer_ms=0.0 if zero else draw(_delays),
     )
@@ -384,9 +373,10 @@ class TestTieAtControlStep:
 
     At 20 fps with exact clocks and no capture, encode or jitter delay, capture
     i reaches the edge at ``t0 + 50 i + uplink`` and step k falls at
-    ``t0 + 50 k``, so every edge lands on a step. A zero display quantum shows
-    each frame on arrival, so the 5 ms a quality step takes off the downlink
-    encode moves the playout of a frame whose edge runs after that step.
+    ``t0 + 50 k``, so every edge lands on a step. A 1 ms display quantum shows
+    each frame within 1 ms of its arrival, so the 5 ms a quality step takes off
+    the downlink encode moves the playout of a frame whose edge runs after that
+    step.
     """
 
     @staticmethod
@@ -398,7 +388,7 @@ class TestTieAtControlStep:
             name="tie", uplink=flat(uplink_ms), downlink=flat(downlink_ms), duration_s=duration_s,
             fps=20.0, viewers=(), join_times_s=(),
             pipeline=PipelineModel(**{"capture_pipeline_ms": 0.0, "encode_up_ms": 0.0,
-                                      "display_quantum_ms": 0.0, **pipeline}),
+                                      "display_quantum_ms": 1.0, **pipeline}),
             clocks=ClockSpec(sigma_ntp_ms=0.0, sync_interval_s=64.0, max_drift_ppm=0.0,
                              initial_offset_sigma_ms=0.0),
             quality=QualitySpec(enabled=True, control_interval_s=0.05, dwell_s=0.0,
@@ -419,8 +409,10 @@ class TestTieAtControlStep:
         assert self._same_as_heap(100.0).tally["quality_step_down"] > 0
 
     def test_first_step_past_the_end_still_runs(self):
-        # the session ends at 40 ms and step 1 falls at 50 ms; frame 0, shown
-        # on arrival with no delay at all, reads zero latency, so step 1 steps up
-        log = self._same_as_heap(0.0, downlink_ms=0.0, duration_s=0.04, initial_level="medium",
+        # the session ends at 1 ms and step 1 falls at 50 ms; frame 0 arrives
+        # with no delay at all and its one tick reads 1 ms at most, so step 1
+        # steps up. A longer session would ramp the frozen frame past the
+        # 10 ms threshold, and step 1 would hold
+        log = self._same_as_heap(0.0, downlink_ms=0.0, duration_s=0.001, initial_level="medium",
                                  render_ms=0.0, encode_down_ms=0.0, decode_ms=0.0)
         assert log.tally["quality_step_up"] == 1

@@ -8,9 +8,11 @@ import json
 import math
 import random
 import statistics
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xrprobe.cli import run
 from xrprobe.exporter import write_log
@@ -30,6 +32,7 @@ from xrprobe.scenario import (
     OutageSpec,
     PipelineModel,
     SessionScenario,
+    load_scenario,
     preset_scenario,
 )
 from xrprobe.schema import SchemaError
@@ -389,11 +392,35 @@ class TestPhysicalMode:
             assert (tmp_path / device / "audio.wav").exists()
             assert (tmp_path / device / "audio.wav.json").exists()
 
-    def test_physical_rejects_missing_quantum(self, tmp_path):
-        sc = quick_scenario(pipeline=PipelineModel(display_quantum_ms=0.0))
-        with pytest.raises(SchemaError) as err:
-            run_physical(sc, tmp_path)
-        assert err.value.field == "pipeline.display_quantum_ms"
+
+@st.composite
+def _small_documents(draw):
+    duration_s = draw(st.floats(0.1, 2.0))
+    joins = sorted(draw(st.lists(st.floats(0.01, duration_s - 0.01), max_size=2, unique=True)))
+    return {"profile": draw(st.sampled_from(["ethernet", "fiveg", "wifi"])),
+            "duration_s": duration_s, "seed": draw(st.integers(0, 2**32)),
+            "viewers": [f"u{i + 2}" for i in range(len(joins))], "join_times_s": joins,
+            "pipeline": {"display_quantum_ms": draw(st.sampled_from([None, 0.0])
+                                                    | st.floats(0.5, 60.0))}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_documents())
+def test_every_loaded_scenario_runs_physically(doc):
+    """A document the loader accepts renders and detects real media; one it
+    rejects (a zero display quantum) never reaches ``run_physical``. Whether
+    the two logs agree is not asserted here."""
+    try:
+        sc = load_scenario(doc)
+    except SchemaError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        run_physical(sc, tmp)
+        root = Path(tmp)
+        assert sorted(p.name for p in root.iterdir()) == sorted(sc.devices)
+        for device in sc.devices:
+            assert (root / device / "video" / "frames.pgm").is_file()
+            assert (root / device / "audio.wav").is_file()
 
 
 class TestSlotAt:

@@ -117,6 +117,12 @@ class TestScenarioDefaults:
         assert explicit.capture_ms(30.0) == 5.0
         assert explicit.quantum_ms(30.0) == 8.0
 
+    @pytest.mark.parametrize("quantum", [0.0, -0.0, -1.0])
+    def test_display_quantum_must_be_positive(self, quantum):
+        with pytest.raises(SchemaError, match="must be positive") as err:
+            PipelineModel(display_quantum_ms=quantum)
+        assert err.value.field == "display_quantum_ms"
+
 
 class TestLoader:
     def test_minimal_profile_document(self):
@@ -380,6 +386,8 @@ class TestLoader:
         ({"sample_rate": MAX_SAMPLE_RATE + 1}, "sample_rate"),
         ({"duration_s": 2, "viewers": ["u2"], "join_times_s": [1], "start_epoch_ms": -5000},
          "start_epoch_ms"),
+        ({"pipeline": {"display_quantum_ms": 0}}, "pipeline.display_quantum_ms"),
+        ({"pipeline": {"display_quantum_ms": -1}}, "pipeline.display_quantum_ms"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(SchemaError) as err:
