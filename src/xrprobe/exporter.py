@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
-from .metrics import AUDIO, VIDEO, DetectionRecord, LatencyScan
+from .metrics import AUDIO, VIDEO, DetectionRecord, LatencyScan, new_record
 
 
 class ParseError(ValueError):
@@ -103,7 +103,6 @@ _written_line = re.compile(
     rf'\{{(?:"confidence": {_FLOAT}, )?"device": {_DEVICE}, "emission_ts": {_INT}, '
     rf'(?:"frequency": {_FLOAT}, )?"media": "(?:(v)ideo|audio)", "playout_ts": {_INT}, '
     rf'"slot": (?:null|{_INT})\}}').fullmatch
-_record = DetectionRecord._make
 
 
 def read_log(path: str | Path) -> list[DetectionRecord]:
@@ -130,7 +129,7 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
         if written is not None:
             confidence, device, emission_ts, frequency, video, playout_ts, slot = written.groups()
             # a group is None or non-empty text, so `g and f(g)` is None or f(g)
-            append(_record((AUDIO if video is None else VIDEO, device, int(emission_ts),
+            append(new_record((AUDIO if video is None else VIDEO, device, int(emission_ts),
                             int(playout_ts), slot and int(slot), frequency and float(frequency),
                             confidence and float(confidence))))
             continue

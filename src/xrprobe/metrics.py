@@ -33,6 +33,7 @@ import csv
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -62,6 +63,12 @@ class DetectionRecord(NamedTuple):
     slot: int | None = None
     frequency: float | None = None
     confidence: float | None = None
+
+
+# DetectionRecord from one iterable of all seven fields, in log order, built
+# in C: no Python frame per record and no defaults filled in, so a short
+# iterable makes a short tuple.
+new_record = partial(tuple.__new__, DetectionRecord)
 
 
 @dataclass(frozen=True)

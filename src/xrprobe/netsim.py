@@ -10,12 +10,18 @@ latency), audio pulses are timestamped at device playout.
 
 The engine is single-threaded and draws randomness from per-channel streams
 seeded with string keys, so a (scenario, seed) pair maps to exactly one log
-on any platform. Each medium is an uplink pass over its capture or pulse
-grid, one stable sort of the edge arrivals and a downlink pass over them.
-Each device's display is a pass over its frame arrivals and its vsync grid.
-With quality adaptation on, the control steps run inside the video downlink
-pass: each runs every display up to its own time, then sets the downlink
-encode delay for the edges after it. Exact ties keep the order of one event
+on any platform. Each channel is one closure, ``hop(t)``, that draws its
+loss, jitter and outage entry on ``random()`` alone, the one ``random.Random``
+method whose stream Python promises to keep across versions; the jitters write
+the stdlib's ``lognormvariate`` and ``gauss`` out on it. The draws that still
+call stdlib variates are the clocks' ``gauss`` and ``uniform``, the vsync and
+audio phase ``uniform`` and the outage-duration ``uniform``.
+
+Each medium is an uplink pass over its capture or pulse grid, one stable sort
+of the edge arrivals and a downlink pass over them. Each device's display is a
+pass over its frame arrivals and its vsync grid. With quality adaptation on,
+the control steps run inside the video downlink pass: each runs every display
+up to its own time, then sets the downlink encode delay for the edges after it. Exact ties keep the order of one event
 queue that breaks equal times by scheduling order: a frame arriving at exactly
 a tick's time goes first iff its edge came before the previous tick, and an
 edge at exactly a control step's time iff its capture came before the previous
@@ -29,7 +35,9 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -46,7 +54,7 @@ from .audio_beacon import (
     write_wav_manifest,
 )
 from .clocks import DeviceClock
-from .metrics import AUDIO, VIDEO, DetectionRecord
+from .metrics import AUDIO, VIDEO, DetectionRecord, new_record
 from .scenario import MAX_SESSION_MS, NetworkProfile, SessionScenario, adapt_quality
 from .schema import SchemaError
 from .video_beacon import (
@@ -65,31 +73,40 @@ PHYSICAL_QUIET = 4
 
 # --- network hop -------------------------------------------------------------------
 
-@dataclass
-class ChannelState:
-    """Burst-outage bookkeeping for one directional channel."""
+def _channel(profile: NetworkProfile, rng: random.Random,
+             medium: str) -> Callable[[float], float | None]:
+    """One directional channel: ``hop(t)``, the one-way delay in ms of a unit
+    sent at true time ``t``, or None when the unit is lost.
 
-    outage_until: float = float("-inf")
-
-
-def sample_hop_delay(profile: NetworkProfile, rng: random.Random, t: float,
-                     state: ChannelState, medium: str) -> float:
-    """One-way delay draw at true time ``t``, milliseconds.
-
-    Adds the residual outage time when the channel is inside a burst, or the
-    whole burst duration when this event opens one. Never returns less than
-    the profile's base delay.
+    Each unit draws its loss (when ``loss_prob`` is above 0), then its
+    jitter, then, outside a burst that hits ``medium``, whether it opens one
+    and for how long. Inside a burst it pays the residual, and the unit that
+    opens one pays the whole duration, so a delay is never below the base.
     """
-    delay = profile.base_one_way_ms + profile.jitter.sample(rng)
+    loss = profile.loss_prob
+    lossy = loss > 0.0
+    base = profile.base_one_way_ms
+    jitter = profile.jitter.sampler(rng)
+    rand = rng.random
     outage = profile.outage
-    if outage is not None and medium in outage.media:
-        if t < state.outage_until:
-            delay += state.outage_until - t
-        elif rng.random() < outage.enter_prob:
+    bursty = outage is not None and medium in outage.media
+    until = -math.inf  # the end of the current burst
+
+    def hop(t: float) -> float | None:
+        nonlocal until
+        if lossy and rand() < loss:
+            return None
+        delay = base + jitter()
+        if not bursty:
+            return delay
+        if t < until:
+            return delay + (until - t)
+        if rand() < outage.enter_prob:
             duration = outage.sample_duration(rng)
-            state.outage_until = t + duration
-            delay += duration
-    return delay
+            until = t + duration
+            return delay + duration
+        return delay
+    return hop
 
 
 # --- run artifacts -----------------------------------------------------------------
@@ -119,9 +136,9 @@ class DetectionLog:
     traces: dict[str, DeviceTrace] = field(default_factory=dict)
 
 
-def _slot_at(join_order: list[float], t: float) -> int:
-    """How many devices have joined by ``t``; ``join_order`` is sorted."""
-    return bisect_right(join_order, t)
+# _slot_at(join_order, t): how many devices have joined by ``t``; ``join_order``
+# is sorted. A C function, so a column of slots is one ``map``.
+_slot_at = bisect_right
 
 
 # records sort by (playout_ts, device, media, emission_ts)
@@ -213,17 +230,11 @@ class _Display:
             tally["frames_stale"] += stale
         del arrivals[:i]
 
-        latency_sum = 0
-        if shown:
-            device, join_order = self.trace.device, self.join_order
-            joined = len(join_order)
-            slot = _slot_at(join_order, shown[0])
-            for t, emission, playout in zip(shown, emissions, self.trace.clock.read_sorted(shown)):
-                while slot < joined and join_order[slot] <= t:
-                    slot += 1
-                records.append(DetectionRecord(VIDEO, device, emission, playout, slot))
-                latency_sum += playout - emission
-        return latency_sum, len(shown)
+        playouts = self.trace.clock.read_sorted(shown)
+        records += map(new_record, zip(repeat(VIDEO), repeat(self.trace.device), emissions,
+                                       playouts, map(_slot_at, repeat(self.join_order), shown),
+                                       repeat(None), repeat(None)))
+        return sum(playouts) - sum(emissions), len(shown)  # ints: the sum is exact
 
 
 # --- the engine --------------------------------------------------------------------
@@ -280,11 +291,9 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     period_ms = tones.pulse_period_ms
     uplink, downlink = scenario.uplink, scenario.downlink
 
-    def channel(*key: str) -> tuple[random.Random, ChannelState]:
-        return random.Random("|".join((str(seed), "chan", *key))), ChannelState()
-
-    def lost(rng: random.Random, prob: float) -> bool:
-        return prob > 0.0 and rng.random() < prob
+    def channel(profile: NetworkProfile, *key: str) -> Callable[[float], float | None]:
+        """The hop of the channel keyed ``key``, whose last part is its medium."""
+        return _channel(profile, random.Random("|".join((str(seed), "chan", *key))), key[-1])
 
     tally: Counter = Counter()
     records: list[DetectionRecord] = []
@@ -301,50 +310,50 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
         displays.append(_Display(traces[d], joins[d] + vsync_phase, end, join_order))
 
     # --- audio: pulse grid -> uplink -> sort -> each device's downlink
-    rng, state = channel("up", AUDIO)
+    hop = channel(uplink, "up", AUDIO)
     pulse_edges: list[tuple[float, int]] = []  # (edge true ms, slot)
     for n, t in enumerate(_grid(lambda n: pclock.invert(float(tones.epoch_ts + n * period_ms)),
                                 end)):
-        if lost(rng, uplink.loss_prob):
+        if (delay := hop(t)) is None:
             tally["pulses_lost_uplink"] += 1
         else:
-            pulse_edges.append((t + sample_hop_delay(uplink, rng, t, state, AUDIO), n))
+            pulse_edges.append((t + delay, n))
     pulse_edges.sort(key=_first)  # stable: equal times keep grid order
 
+    tone_count = tones.tone_count
+    frequencies = [slot_frequency(tones, k) for k in range(tone_count)]
     for d in devices:  # nothing else reads a device's audio channel
-        rng, state = channel("down", d, AUDIO)
+        hop = channel(downlink, "down", d, AUDIO)
         join, clock, pulses = joins[d], clocks[d], traces[d].pulses
         anchor = join + audio_phase[d]
         for t, n in pulse_edges:
             if join > t:
                 continue
-            if lost(rng, downlink.loss_prob):
+            if (delay := hop(t)) is None:
                 tally["pulses_lost_downlink"] += 1
                 continue
-            hop = sample_hop_delay(downlink, rng, t, state, AUDIO)
-            raw = t + hop + pipe.audio_buffer_ms + pipe.audio_path_ms
+            raw = t + delay + pipe.audio_buffer_ms + pipe.audio_path_ms
             callbacks = math.ceil((raw - anchor) / hop_ms - 1e-9)
             play_true = anchor + max(0, callbacks) * hop_ms
             if play_true + tones.pulse_duration_ms > end:
                 tally["pulses_truncated"] += 1
                 continue
-            records.append(DetectionRecord(
+            records.append(new_record((
                 AUDIO, d, tones.epoch_ts + n * period_ms, clock.read(play_true),
-                _slot_at(join_order, play_true), slot_frequency(tones, n), 1.0))
+                _slot_at(join_order, play_true), frequencies[n % tone_count], 1.0)))
             pulses.append((play_true, n))
 
     # --- video: capture grid -> uplink -> sort -> downlink with the control steps
-    rng, state = channel("up", VIDEO)
+    hop = channel(uplink, "up", VIDEO)
     frame_edges: list[tuple[float, int, float]] = []  # (edge true ms, emission, capture true ms)
     for i, t in enumerate(_grid(lambda i: pclock.invert(start_local + i * frame_ms), end)):
         emission = beacon_emission(stream_start_ts, round(start_local + i * frame_ms),
                                    scenario.beacon_interval_ms)
         send_t = t + capture_ms + pipe.encode_up_ms
-        if lost(rng, uplink.loss_prob):
+        if (delay := hop(send_t)) is None:
             tally["frames_lost_uplink"] += 1
         else:
-            frame_edges.append((send_t + sample_hop_delay(uplink, rng, send_t, state, VIDEO),
-                                emission, t))
+            frame_edges.append((send_t + delay, emission, t))
     frame_edges.sort(key=_first)  # stable: equal times keep grid order
 
     quality = scenario.quality
@@ -377,8 +386,9 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
                 last_level_change = q
                 tally[f"quality_{decision.action}"] += 1
 
-    downlinks = [(joins[d], *channel("down", d, VIDEO), display.arrivals)
+    downlinks = [(joins[d], channel(downlink, "down", d, VIDEO), display.arrivals)
                  for d, display in zip(devices, displays)]
+    decode_ms = pipe.decode_ms
     k = 0  # the next control step
     for t, emission, capture_t in frame_edges:
         # A step at exactly this edge's time goes first unless the capture came
@@ -390,14 +400,13 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
         send_t = t + pipe.render_ms + encode_down_eff
         if send_t > end:
             continue
-        for join, rng, state, arrivals in downlinks:
+        for join, hop, arrivals in downlinks:
             if join > send_t:
                 continue
-            if lost(rng, downlink.loss_prob):
+            if (delay := hop(send_t)) is None:
                 tally["frames_lost_downlink"] += 1
                 continue
-            hop = sample_hop_delay(downlink, rng, send_t, state, VIDEO)
-            arrivals.append((send_t + hop + pipe.decode_ms, emission, t))
+            arrivals.append((send_t + delay + decode_ms, emission, t))
     for q in steps[k:]:
         control(q)
 
@@ -468,7 +477,9 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
         tally.update(detect_tally)
 
     join_order = sorted(joins.values())
-    records = sorted((det._replace(slot=_slot_at(join_order, det.playout_ts)) for det in records),
+    records = sorted([new_record((media, device, emission, playout, _slot_at(join_order, playout),
+                                  frequency, confidence))
+                      for media, device, emission, playout, _, frequency, confidence in records],
                      key=_RECORD_ORDER)
     return (DetectionLog(records=records, tally=tally, tones=tones,
                          traces=symbolic.traces), symbolic)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -32,6 +33,12 @@ from .schema import (
 
 
 # --- stochastic delay components --------------------------------------------------
+# Each jitter's sampler writes its stdlib variate out on ``random()``, the one
+# ``random.Random`` method whose stream Python keeps across versions, with the
+# stdlib's float operations in the stdlib's order.
+
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)  # random.NV_MAGICCONST
+
 
 @dataclass(frozen=True)
 class GaussianJitter:
@@ -43,10 +50,31 @@ class GaussianJitter:
         if self.sigma_ms < 0:
             raise SchemaError("sigma_ms", "must be non-negative")
 
-    def sample(self, rng: random.Random) -> float:
-        if self.sigma_ms == 0:
-            return 0.0
-        return max(0.0, rng.gauss(0.0, self.sigma_ms))
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """A draw of ``max(0.0, rng.gauss(0.0, sigma_ms))`` written out on
+        ``rng.random``: Box-Muller, the spare kept in the closure. It makes
+        the same ``random()`` calls as the stdlib and returns the same
+        floats, on an ``rng`` that nothing else draws ``gauss`` from. With
+        ``sigma_ms`` 0 it draws nothing."""
+        sigma = self.sigma_ms
+        if sigma == 0:
+            return lambda: 0.0
+        rand = rng.random
+        spare = None
+
+        def draw() -> float:
+            nonlocal spare
+            z = spare
+            if z is None:
+                x2pi = rand() * math.tau
+                g2rad = math.sqrt(-2.0 * math.log(1.0 - rand()))
+                z = math.cos(x2pi) * g2rad
+                spare = math.sin(x2pi) * g2rad
+            else:
+                spare = None
+            delay = z * sigma  # 0.0 + z * sigma, clamped at 0.0
+            return delay if delay > 0.0 else 0.0
+        return draw
 
 
 @dataclass(frozen=True)
@@ -60,8 +88,22 @@ class LognormalJitter:
         if self.sigma < 0:
             raise SchemaError("sigma", "must be non-negative")
 
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """A draw of ``rng.lognormvariate(mu, sigma)`` written out on
+        ``rng.random``: the Kinderman-Monahan loop of ``normalvariate``
+        under ``exp``, with the same ``random()`` calls and the same floats.
+        With ``sigma`` 0 it still draws."""
+        mu, sigma = self.mu, self.sigma
+        rand = rng.random
+
+        def draw() -> float:
+            while True:
+                u1 = rand()
+                u2 = 1.0 - rand()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -math.log(u2):
+                    return math.exp(mu + z * sigma)
+        return draw
 
 
 Jitter = GaussianJitter | LognormalJitter

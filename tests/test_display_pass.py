@@ -8,6 +8,10 @@ into the video downlink pass, and each device's display merges its frame
 arrivals with its tick grid. Both must give the same records, tallies and
 traces on any scenario: quality adaptation on and off, outages, zero delays
 and loss, and exact ties at a tick or at a control step, both ways round.
+
+The oracle's hops draw the stdlib variates, ``rng.lognormvariate`` and
+``rng.gauss``, where ``run_scenario`` writes them out on ``rng.random``, so
+the same runs also hold those written-out draws to the stdlib's.
 """
 
 import heapq
@@ -15,22 +19,14 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from hypothesis import given, settings, strategies as st
 
 from xrprobe.audio_beacon import DETECT_HOP, slot_frequency
 from xrprobe.clocks import DeviceClock
 from xrprobe.metrics import AUDIO, VIDEO, DetectionRecord
-from xrprobe.netsim import (
-    ChannelState,
-    DetectionLog,
-    DeviceTrace,
-    _Display,
-    _slot_at,
-    run_scenario,
-    sample_hop_delay,
-)
+from xrprobe.netsim import DetectionLog, DeviceTrace, _Display, _slot_at, run_scenario
 from xrprobe.scenario import (
     ClockSpec,
     GaussianJitter,
@@ -47,6 +43,36 @@ from xrprobe.video_beacon import beacon_emission
 
 
 # --- the oracle: one heap for every event -------------------------------------------
+
+@dataclass
+class ChannelState:
+    """Burst-outage bookkeeping for one directional channel."""
+
+    outage_until: float = float("-inf")
+
+
+def sample_hop_delay(profile: NetworkProfile, rng: random.Random, t: float,
+                     state: ChannelState, medium: str) -> float:
+    """One-way delay draw at true time ``t``, milliseconds, from the stdlib
+    variates. Adds the residual outage time when the channel is inside a
+    burst, or the whole burst duration when this event opens one."""
+    jitter = profile.jitter
+    if isinstance(jitter, LognormalJitter):
+        delay = profile.base_one_way_ms + rng.lognormvariate(jitter.mu, jitter.sigma)
+    elif jitter.sigma_ms == 0:
+        delay = profile.base_one_way_ms + 0.0
+    else:
+        delay = profile.base_one_way_ms + max(0.0, rng.gauss(0.0, jitter.sigma_ms))
+    outage = profile.outage
+    if outage is not None and medium in outage.media:
+        if t < state.outage_until:
+            delay += state.outage_until - t
+        elif rng.random() < outage.enter_prob:
+            duration = rng.uniform(outage.duration_min_ms, outage.duration_max_ms)
+            state.outage_until = t + duration
+            delay += duration
+    return delay
+
 
 def heap_run_scenario(scenario: SessionScenario, seed: int | None = None) -> DetectionLog:
     """``run_scenario`` with every display tick and frame arrival an event on

@@ -17,13 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 from xrprobe.cli import run
 from xrprobe.exporter import write_log
 from xrprobe.netsim import (
-    ChannelState,
     DetectionLog,
+    _channel,
     _slot_at,
     compare_logs,
     run_physical,
     run_scenario,
-    sample_hop_delay,
 )
 from xrprobe.scenario import (
     ClockSpec,
@@ -64,11 +63,12 @@ def quick_scenario(**overrides):
 
 
 class TestSampleHopDelay:
+    """A channel's ``hop(t)``: the delay of a unit sent at ``t``, or None."""
+
     def test_degenerate_profile(self):
-        rng = random.Random(0)
-        profile = flat_profile(base=5.0)
+        hop = _channel(flat_profile(base=5.0), random.Random(0), VIDEO)
         for _ in range(50):
-            assert sample_hop_delay(profile, rng, 0.0, ChannelState(), VIDEO) == 5.0
+            assert hop(0.0) == 5.0
 
     def test_floor_property(self):
         from xrprobe.scenario import LognormalJitter
@@ -78,11 +78,8 @@ class TestSampleHopDelay:
             outage=OutageSpec(enter_prob=0.001, duration_min_ms=200,
                               duration_max_ms=600),
         )
-        rng = random.Random(1)
-        state = ChannelState()
-        t = 0.0
-        low = min(sample_hop_delay(profile, rng, t + i * 33.33, state, VIDEO)
-                  for i in range(100_000))
+        hop = _channel(profile, random.Random(1), VIDEO)
+        low = min(hop(i * 33.33) for i in range(100_000))
         assert low >= 98.0
 
     def test_outage_spares_unaffected_media(self):
@@ -92,13 +89,36 @@ class TestSampleHopDelay:
                               duration_max_ms=300, media=("video",)),
         )
         rng = random.Random(0)
-        state = ChannelState()
-        assert sample_hop_delay(profile, rng, 0.0, state, medium=VIDEO) == 310.0
+        video, audio = _channel(profile, rng, VIDEO), _channel(profile, rng, AUDIO)
+        assert video(0.0) == 310.0
         # inside the burst: audio ignores it, video pays the residual
-        assert sample_hop_delay(profile, rng, 50.0, state, medium=AUDIO) == 10.0
-        assert sample_hop_delay(profile, rng, 50.0, state, medium=VIDEO) == 260.0
+        assert audio(50.0) == 10.0
+        assert video(50.0) == 260.0
         # after the burst expires video re-enters (enter_prob 1)
-        assert sample_hop_delay(profile, rng, 400.0, state, medium=VIDEO) == 310.0
+        assert video(400.0) == 310.0
+
+    def test_lost_unit_draws_no_delay(self):
+        # loss is drawn first; a lost unit makes no jitter or outage draw
+        profile = NetworkProfile("lossy", base_one_way_ms=10.0, jitter=GaussianJitter(2.0),
+                                 outage=OutageSpec(enter_prob=0.5, duration_min_ms=100,
+                                                   duration_max_ms=200),
+                                 loss_prob=0.3)
+        rng, stdlib = random.Random(7), random.Random(7)
+        hop = _channel(profile, rng, VIDEO)
+        delays = [hop(1000.0 * i) for i in range(200)]
+        lost = 0
+        for delay in delays:
+            if stdlib.random() < 0.3:
+                assert delay is None
+                lost += 1
+                continue
+            jitter = max(0.0, stdlib.gauss(0.0, 2.0))
+            expected = 10.0 + jitter
+            if stdlib.random() < 0.5:
+                expected += stdlib.uniform(100, 200)
+            assert delay == expected
+        assert 0 < lost < 200
+        assert rng.random() == stdlib.random()
 
     def test_burst_occupancy_matches_renewal_model(self):
         # Events every dt; each non-outage event opens a burst with prob p,
@@ -130,13 +150,9 @@ class TestSampleHopDelay:
             base=98.0,
             outage=OutageSpec(enter_prob=p, duration_min_ms=lo, duration_max_ms=hi),
         )
-        rng = random.Random(2)
-        state = ChannelState()
+        hop = _channel(profile, random.Random(2), VIDEO)
         n = 200_000
-        over = sum(
-            1 for i in range(n)
-            if sample_hop_delay(profile, rng, i * dt, state, VIDEO) > 98.0 + 100.0
-        )
+        over = sum(1 for i in range(n) if hop(i * dt) > 98.0 + 100.0)
         assert over / n == pytest.approx(analytic, rel=0.2)
 
 
@@ -239,6 +255,27 @@ class TestRunScenario:
             "4882871d95302e7a5aba9c044f3248986bbbbd2e9cb0677794f032e77aa0d763")
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
             "13393e355a5f5897134b80188846c80fabc3d0cc87cd19ccc36f5254123a2cfb")
+
+    @pytest.mark.parametrize("profile, size, log_digest, tally_digest", [
+        # the benchmark's own session: lognormal jitter, loss and video outages
+        ("wifi", 4_108_172, "eb5b19bb8595ab3101b7dd935f8494b4147b793e829863c303f3ecda7b400c7b",
+         "2e39c16adc91d98cebc0a40e64f1b449e3d989c55587eb8cde0b67b6d2b5db92"),
+        # lognormal jitter and loss without outages (the ethernet pins above
+        # cover gaussian jitter)
+        ("fiveg", 4_129_507, "d72ef49e8ea7ff817f0b0218b210ea8da3e4a4c2868523647e9d92ddd0f4fe0a",
+         "1a4cd40a1318c9520fc050ab303bdd1432622a3189fb029ee87f23b58b1cd8ad"),
+    ])
+    def test_preset_300s_bytes_pinned(self, tmp_path, capsys, profile, size, log_digest,
+                                      tally_digest):
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json.dumps({"profile": profile, "duration_s": 300, "seed": 42}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--scenario", str(sc_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        log = (out / "log.jsonl").read_bytes()
+        assert len(log) == size
+        assert hashlib.sha256(log).hexdigest() == log_digest
+        assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == tally_digest
 
     def test_seed_argument_overrides_scenario_seed(self):
         sc = quick_scenario(uplink=preset_scenario("fiveg").uplink,

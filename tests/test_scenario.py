@@ -5,6 +5,7 @@ import ast
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -34,17 +35,64 @@ from xrprobe.audio_beacon import MAX_SAMPLE_RATE
 from xrprobe.schema import SchemaError
 
 
+def _stdlib_draw(jitter, rng: random.Random) -> float:
+    """The jitter's draw from the stdlib variates."""
+    if isinstance(jitter, LognormalJitter):
+        return rng.lognormvariate(jitter.mu, jitter.sigma)
+    if jitter.sigma_ms == 0:
+        return 0.0
+    return max(0.0, rng.gauss(0.0, jitter.sigma_ms))
+
+
+_jitters = (st.builds(GaussianJitter, st.just(0.0) | st.floats(0.0, 50.0))
+            | st.builds(LognormalJitter, st.floats(-5.0, 5.0), st.just(0.0) | st.floats(0.0, 3.0)))
+
+
 class TestJitterModels:
     def test_gaussian_floor(self):
-        import random
-        jit = GaussianJitter(sigma_ms=4.0)
-        rng = random.Random(1)
-        draws = [jit.sample(rng) for _ in range(2000)]
+        draw = GaussianJitter(sigma_ms=4.0).sampler(random.Random(1))
+        draws = [draw() for _ in range(2000)]
         assert min(draws) >= 0.0
 
     def test_gaussian_degenerate(self):
-        import random
-        assert GaussianJitter(sigma_ms=0.0).sample(random.Random(0)) == 0.0
+        # sigma_ms 0 draws nothing: the channel's stream is untouched
+        rng = random.Random(5)
+        draw = GaussianJitter(sigma_ms=0.0).sampler(rng)
+        assert [draw() for _ in range(10)] == [0.0] * 10
+        assert rng.random() == random.Random(5).random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(jitter=_jitters, seed=st.integers(0, 2**64),
+           between=st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    def test_sampler_is_the_stdlib_draw_for_draw(self, jitter, seed, between):
+        # draw i is followed by between[i] raw random() calls, as a channel's
+        # loss and outage draws follow its jitter draws
+        rng, stdlib = random.Random(seed), random.Random(seed)
+        draw = jitter.sampler(rng)
+        for calls in between:
+            assert draw().hex() == _stdlib_draw(jitter, stdlib).hex()
+            for _ in range(calls):
+                assert rng.random() == stdlib.random()
+        assert rng.random() == stdlib.random()
+
+    def test_gaussian_spare_kept_across_an_interleaved_call(self):
+        rng, stdlib = random.Random(3), random.Random(3)
+        draw = GaussianJitter(sigma_ms=5.0).sampler(rng)
+        first = draw()  # draws a pair and keeps its spare
+        raw = rng.random()  # a loss draw in between
+        second = draw()  # the spare: no random() call
+        assert (first, raw, second) == (max(0.0, stdlib.gauss(0.0, 5.0)), stdlib.random(),
+                                        max(0.0, stdlib.gauss(0.0, 5.0)))
+        three = random.Random(3)
+        for _ in range(3):
+            three.random()
+        assert rng.random() == three.random()
+
+    def test_lognormal_zero_sigma_still_draws(self):
+        rng, stdlib = random.Random(5), random.Random(5)
+        assert LognormalJitter(mu=1.5, sigma=0.0).sampler(rng)() == math.exp(1.5)
+        assert stdlib.lognormvariate(1.5, 0.0) == math.exp(1.5)
+        assert rng.random() == stdlib.random() != random.Random(5).random()
 
     def test_validation(self):
         with pytest.raises(ValueError):
