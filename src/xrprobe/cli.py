@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -250,8 +251,13 @@ def _resolve_log(path_arg: str) -> Path:
     return path
 
 
+# a tally key is the middle of an exposition counter name, xr_<key>_total
+_tally_key = re.compile(r"[A-Za-z0-9_]+").fullmatch
+
+
 def _load_tally(log_path: Path) -> Counter:
-    """The ``tally.json`` beside a log: an object of name -> integer >= 0.
+    """The ``tally.json`` beside a log: an object of name -> integer >= 0,
+    each name of letters, digits and ``_``.
 
     Anything else raises SchemaError naming ``tally.json`` and the key.
     """
@@ -264,6 +270,10 @@ def _load_tally(log_path: Path) -> Counter:
         raise SchemaError("tally.json", str(exc)) from None
     tally: Counter = Counter()
     for key, value in doc.items():
+        if not _tally_key(key):
+            # the path holds the key escaped, so a newline in it cannot split the error
+            raise SchemaError(f"tally.json.{ascii(key)[1:-1]}",
+                              f"expected a key of [A-Za-z0-9_]+, got {key!r}")
         try:
             tally[key] = integer(value)
         except (TypeError, ValueError) as exc:
@@ -275,7 +285,11 @@ def _load_tally(log_path: Path) -> Counter:
 
 def _scan_log(log_path: Path, epoch_ms: int) -> LatencyScan:
     """The scan of a log and of the ``tally.json`` beside it: what ``analyze``
-    and ``serve`` both render."""
+    and ``serve`` both render.
+
+    The log's records stream from ``read_log`` into the scan one at a time;
+    a bad line raises before the scan returns, so nothing is rendered.
+    """
     return scan_log(read_log(log_path), _load_tally(log_path), epoch_ms)
 
 

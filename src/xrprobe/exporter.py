@@ -14,16 +14,19 @@ fields left out when None:
     {"confidence": C, "device": "D", "emission_ts": E, "frequency": F,
      "media": "M", "playout_ts": P, "slot": S}
 
-``read_log`` reads the file once (a file that is not UTF-8 twice) and splits
-it on newlines only. A line in the layout above, as ``format_log_line``
-writes it, is read by one compiled pattern and never reaches the JSON
-decoder. Every other line is decoded once and checked: it is accepted when
-it is one whole JSON object with media "video" or "audio", a string device,
-integer timestamps, an integer or null slot, and a number or null frequency
-and confidence (an integer is widened to float). Both paths give the same
-record for the same line. Every other line, an integer past the
+``read_log`` reads the file once (a file that is not UTF-8 twice), closes
+it, splits it on newlines only and then yields the records one at a time, so
+the scan that consumes them never holds the whole log as records. A line in
+the layout above, as ``format_log_line`` writes it, is read by one compiled
+pattern and never reaches the JSON decoder. Every other line is decoded once
+and checked: it is accepted when it is one whole JSON object with media
+"video" or "audio", a string device, integer timestamps in
+0..``clocks.MAX_TIMESTAMP``, an integer or null slot, and a number or null
+frequency and confidence (an integer is widened to float). Both paths give
+the same record for the same line. Every other line, an integer past the
 interpreter's digit limit, nesting past its recursion limit or bytes that
-are not UTF-8 included, raises a ``ParseError`` naming that line.
+are not UTF-8 included, raises a ``ParseError`` naming that line, after the
+records of the lines before it.
 
 Exposition format: one `name{label="value"} number` line per metric, all
 metric names prefixed `xr_`, lines sorted lexicographically so scrapes
@@ -41,8 +44,9 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from .clocks import MAX_TIMESTAMP
 from .metrics import AUDIO, VIDEO, DetectionRecord, LatencyScan, new_record
 
 
@@ -91,6 +95,9 @@ _scan = json.JSONDecoder().scan_once
 # int() never meets the digit limit; [0-9], as \d also matches other scripts'
 # digits and int() reads them.
 _INT = r"(-?(?:0|[1-9][0-9]{0,19}))"
+# A timestamp of at most 19 digits, all within 0..MAX_TIMESTAMP: a negative
+# one or one of 20 digits falls through to the range check.
+_TS = r"(0|[1-9][0-9]{0,18})"
 # A JSON number with a fraction or an exponent, as float.__repr__ writes
 # every finite float: the decoder reads it with float(), as is. An integer
 # frequency, NaN and Infinity go through the decoder.
@@ -98,24 +105,28 @@ _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))
 # A device with no quote, backslash or control character is its own text.
 _DEVICE = r'"([^"\\\x00-\x1f]*)"'
 # The layout format_log_line writes. Its lines with a non-finite number, an
-# escaped character in the device or an integer past 20 digits fall through.
+# escaped character in the device, a slot past 20 digits or a timestamp
+# outside _TS fall through.
 _written_line = re.compile(
-    rf'\{{(?:"confidence": {_FLOAT}, )?"device": {_DEVICE}, "emission_ts": {_INT}, '
-    rf'(?:"frequency": {_FLOAT}, )?"media": "(?:(v)ideo|audio)", "playout_ts": {_INT}, '
+    rf'\{{(?:"confidence": {_FLOAT}, )?"device": {_DEVICE}, "emission_ts": {_TS}, '
+    rf'(?:"frequency": {_FLOAT}, )?"media": "(?:(v)ideo|audio)", "playout_ts": {_TS}, '
     rf'"slot": (?:null|{_INT})\}}').fullmatch
 
 
-def read_log(path: str | Path) -> list[DetectionRecord]:
-    """Every record of a detection log, in one pass over the file.
+def read_log(path: str | Path) -> Iterator[DetectionRecord]:
+    """Every record of a detection log, yielded in log order as its line is
+    read.
 
-    A line as ``format_log_line`` writes it is read by one compiled pattern.
-    Every other line runs one set of checks, in this order: one whole JSON
-    value that is an object, the required fields, then media, device, the
-    two timestamps, slot, frequency and confidence. Both give the same
-    record for the same line. The first line that fails, an integer past the
-    digit limit, nesting past the recursion limit or bytes that are not UTF-8
-    included, raises ParseError with its number and the reason. Only a file
-    that is not UTF-8 is read a second time.
+    The file is read whole and closed before the first record. A line as
+    ``format_log_line`` writes it is read by one compiled pattern. Every
+    other line runs one set of checks, in this order: one whole JSON value
+    that is an object, the required fields, then media, device, the two
+    timestamps (each an integer in 0..MAX_TIMESTAMP), slot, frequency and
+    confidence. Both give the same record for the same line. The first line
+    that fails, an integer past the digit limit, nesting past the recursion
+    limit or bytes that are not UTF-8 included, raises ParseError with its
+    number and the reason, after the records of the lines before it. Only a
+    file that is not UTF-8 is read a second time.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -123,15 +134,13 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
         undecodable = None
     except UnicodeDecodeError:
         lines, undecodable = _lines_before_undecodable(path)
-    records: list[DetectionRecord] = []
-    append = records.append
     for line_no, written in enumerate(map(_written_line, lines), start=1):
         if written is not None:
             confidence, device, emission_ts, frequency, video, playout_ts, slot = written.groups()
             # a group is None or non-empty text, so `g and f(g)` is None or f(g)
-            append(new_record((AUDIO if video is None else VIDEO, device, int(emission_ts),
-                            int(playout_ts), slot and int(slot), frequency and float(frequency),
-                            confidence and float(confidence))))
+            yield new_record((AUDIO if video is None else VIDEO, device, int(emission_ts),
+                              int(playout_ts), slot and int(slot), frequency and float(frequency),
+                              confidence and float(confidence)))
             continue
         line = lines[line_no - 1].strip()
         if not line:
@@ -159,11 +168,8 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
         # exact type checks: true, 1.7 or "0.5" is rejected, not coerced
         if type(device) is not str:
             raise ParseError(line_no, f"field 'device' must be a string, got {device!r}")
-        if type(emission_ts) is not int:
-            raise ParseError(line_no, f"field 'emission_ts' must be an integer, "
-                                      f"got {emission_ts!r}")
-        if type(playout_ts) is not int:
-            raise ParseError(line_no, f"field 'playout_ts' must be an integer, got {playout_ts!r}")
+        _check_timestamp(line_no, "emission_ts", emission_ts)
+        _check_timestamp(line_no, "playout_ts", playout_ts)
         slot, frequency, confidence = doc.get("slot"), doc.get("frequency"), doc.get("confidence")
         if slot is not None and type(slot) is not int:
             raise ParseError(line_no, f"field 'slot' must be an integer, got {slot!r}")
@@ -171,11 +177,17 @@ def read_log(path: str | Path) -> list[DetectionRecord]:
             frequency = _as_float(line_no, "frequency", frequency)
         if confidence is not None and type(confidence) is not float:
             confidence = _as_float(line_no, "confidence", confidence)
-        append(DetectionRecord(media, device, emission_ts, playout_ts,
-                               slot, frequency, confidence))
+        yield DetectionRecord(media, device, emission_ts, playout_ts, slot, frequency, confidence)
     if undecodable is not None:
         raise undecodable
-    return records
+
+
+def _check_timestamp(line_no: int, key: str, value) -> None:
+    """Raise ParseError unless ``value`` is an integer in 0..MAX_TIMESTAMP."""
+    if type(value) is not int:
+        raise ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
+    if not 0 <= value <= MAX_TIMESTAMP:
+        raise ParseError(line_no, f"field {key!r} must be in 0..2**64-1, got {value}")
 
 
 def _lines_before_undecodable(path: str | Path) -> tuple[list[str], ParseError | None]:

@@ -176,7 +176,7 @@ class TestExitCodes:
         assert run([*argv, str(top)]) == 0
         assert run([detect, str(out), "--out", str(tmp_path / "log.jsonl")]) == 0
         capsys.readouterr()
-        records = read_log(tmp_path / "log.jsonl")
+        records = list(read_log(tmp_path / "log.jsonl"))
         assert records
         assert all(top <= r.emission_ts <= r.playout_ts <= 2**64 - 1 for r in records)
 
@@ -287,7 +287,7 @@ class TestVideoPipeline:
         log = tmp_path / "video.jsonl"
         assert run(["detect-video", str(frames), "--out", str(log)]) == 0
         capsys.readouterr()
-        recs = read_log(log)
+        recs = list(read_log(log))
         assert len(recs) == 10
         assert all(r.media == "video" and r.device == "hmd" for r in recs)
         assert all(0 <= r.playout_ts - r.emission_ts < 10 for r in recs)
@@ -363,7 +363,7 @@ class TestAudioPipeline:
         log = tmp_path / "audio.jsonl"
         assert run(["detect-audio", str(wav), "--out", str(log)]) == 0
         capsys.readouterr()
-        recs = read_log(log)
+        recs = list(read_log(log))
         assert len(recs) == 10
         assert all(r.media == "audio" and r.device == "spk" for r in recs)
         assert run(["detect-audio", str(wav)]) == 0
@@ -464,7 +464,7 @@ class TestSimulateAnalyze:
         out = tmp_path / "out"
         assert run(["simulate", "--scenario", str(sc), "--out", str(out)]) == 0
         capsys.readouterr()
-        recs = read_log(out / "log.jsonl")
+        recs = list(read_log(out / "log.jsonl"))
         assert recs
         tally = json.loads((out / "tally.json").read_text())
         assert isinstance(tally, dict)
@@ -532,7 +532,7 @@ class TestSimulateAnalyze:
             scans.clear()
             assert run([argv[0], "--log", str(out), *argv[1:]]) == 0
             capsys.readouterr()
-            assert calls == [read_log(out / "log.jsonl")]
+            assert calls == [list(read_log(out / "log.jsonl"))]
             assert all(scans[0].epochs[media] for media in ("video", "audio"))
 
     def test_physical_mode_layout(self, tmp_path, capsys):
@@ -547,7 +547,7 @@ class TestSimulateAnalyze:
         assert (phys / "u2" / "video" / "manifest.json").exists()
         assert (phys / "u2" / "video" / "frames.pgm").exists()
         assert (phys / "u2" / "audio.wav").exists()
-        assert read_log(out / "log.jsonl")
+        assert list(read_log(out / "log.jsonl"))
 
 
 def _tally_dir(tmp_path, tally: str):
@@ -570,6 +570,12 @@ class TestTallySidecar:
         ('{"frames_lost": "x"}', "tally.json.frames_lost: expected an integer, got 'x'"),
         ("[1, 2]", "tally.json: expected an object, got list"),
         ('{"frames_lost": -1}', "tally.json.frames_lost: expected a count >= 0, got -1"),
+        # a key that would not make a valid exposition name
+        ('{"lost frames": 2, "a\\"b": 1}',
+         "tally.json.lost frames: expected a key of [A-Za-z0-9_]+, got 'lost frames'"),
+        ('{"a\\"b": 1}', "tally.json.a\"b: expected a key of [A-Za-z0-9_]+, got 'a\"b'"),
+        ('{"a\\nb": 1}', "tally.json.a\\nb: expected a key of [A-Za-z0-9_]+, got 'a\\nb'"),
+        ('{"": 1}', "tally.json.: expected a key of [A-Za-z0-9_]+, got ''"),
     ])
     def test_bad_sidecar_is_one_line_error(self, tmp_path, capsys, command, tally, message):
         directory = _tally_dir(tmp_path, tally)
@@ -641,6 +647,7 @@ def test_undecodable_log_line_is_named(tmp_path, capsys, command, line, reason):
     assert captured.err.startswith(f"xrprobe {command}: line 2: invalid JSON ({reason}")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+    assert sorted(p.name for p in directory.iterdir()) == ["log.jsonl", "tally.json"]
 
 
 @pytest.mark.parametrize("command", sorted(_READERS))
@@ -653,6 +660,26 @@ def test_non_utf8_log_line_is_named(tmp_path, capsys, command):
     assert captured.err == (f"xrprobe {command}: line 2: invalid UTF-8 ('utf-8' codec can't "
                             "decode byte 0xff in position 31: invalid start byte)\n")
     assert captured.out == ""
+    assert sorted(p.name for p in directory.iterdir()) == ["log.jsonl", "tally.json"]
+
+
+@pytest.mark.parametrize("command", sorted(_READERS))
+@pytest.mark.parametrize("emission, playout, key", [
+    ("1", "1" + "0" * 400, "playout_ts"), ("-1", "9", "emission_ts"),
+    ("1", str(2**64), "playout_ts")], ids=["400_digits", "negative", "two_to_the_64"])
+def test_timestamp_outside_the_range_is_named(tmp_path, capsys, command, emission, playout, key):
+    # a difference past float range would otherwise stop the scan with a traceback
+    directory = _tally_dir(tmp_path, "{}")
+    with open(directory / "log.jsonl", "a") as fh:
+        fh.write(f'{{"device": "u1", "emission_ts": {emission}, "media": "video", '
+                 f'"playout_ts": {playout}, "slot": 1}}\n')
+    assert run(_READERS[command](directory)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"xrprobe {command}: line 2: field {key!r} must be in "
+                                   "0..2**64-1, got ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in directory.iterdir()) == ["log.jsonl", "tally.json"]
 
 
 class TestServe:

@@ -54,13 +54,13 @@ class TestLogRoundtrip:
         path = tmp_path / "log.jsonl"
         write_log(path, [])
         assert path.read_text() == ""
-        assert read_log(path) == []
+        assert list(read_log(path)) == []
 
     def test_thousand_random_records(self, tmp_path):
         recs = random_records(1, 1000)
         path = tmp_path / "log.jsonl"
         write_log(path, recs)
-        assert read_log(path) == recs
+        assert list(read_log(path)) == recs
 
     def test_optional_fields_omitted_when_none(self, tmp_path):
         rec = DetectionRecord(media="video", device="u1", emission_ts=1, playout_ts=2)
@@ -77,7 +77,7 @@ class TestLogRoundtrip:
         lines[6] = "{not json"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as err:
-            read_log(path)
+            list(read_log(path))
         assert err.value.line_no == 7
         assert "line 7" in str(err.value)
 
@@ -85,14 +85,14 @@ class TestLogRoundtrip:
         path = tmp_path / "log.jsonl"
         path.write_text('{"media": "video", "device": "u1", "emission_ts": 5}\n')
         with pytest.raises(ParseError):
-            read_log(path)
+            list(read_log(path))
 
     def test_bad_media_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text('{"media": "smell", "device": "u1", '
                         '"emission_ts": 5, "playout_ts": 9}\n')
         with pytest.raises(ParseError):
-            read_log(path)
+            list(read_log(path))
 
 
     @pytest.mark.parametrize("key", ["emission_ts", "playout_ts", "slot"])
@@ -102,7 +102,7 @@ class TestLogRoundtrip:
         path = tmp_path / "log.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(good | {key: value}) + "\n")
         with pytest.raises(ParseError) as err:
-            read_log(path)
+            list(read_log(path))
         assert err.value.line_no == 2
         assert repr(key) in str(err.value)
 
@@ -110,7 +110,7 @@ class TestLogRoundtrip:
         path = tmp_path / "log.jsonl"
         path.write_text('{"media": "audio", "device": "u1", "emission_ts": 5, '
                         '"playout_ts": 9, "slot": null}\n')
-        assert read_log(path)[0].slot is None
+        assert next(read_log(path)).slot is None
 
     @pytest.mark.parametrize("key, value", [
         ("device", None), ("device", 7), ("device", True), ("device", ["u1"]),
@@ -122,7 +122,7 @@ class TestLogRoundtrip:
         path = tmp_path / "log.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(good | {key: value}) + "\n")
         with pytest.raises(ParseError) as err:
-            read_log(path)
+            list(read_log(path))
         assert err.value.line_no == 2
         assert repr(key) in str(err.value)
 
@@ -130,9 +130,44 @@ class TestLogRoundtrip:
         path = tmp_path / "log.jsonl"
         path.write_text('{"media": "audio", "device": "u1", "emission_ts": 5, '
                         '"playout_ts": 9, "frequency": 600, "confidence": 1}\n')
-        rec = read_log(path)[0]
+        rec = next(read_log(path))
         assert (rec.frequency, rec.confidence) == (600.0, 1.0)
         assert type(rec.frequency) is type(rec.confidence) is float
+
+    @pytest.mark.parametrize("key", ["emission_ts", "playout_ts"])
+    @pytest.mark.parametrize("value", [-1, 2**64, 10**400])
+    def test_timestamp_outside_the_range_rejected(self, tmp_path, key, value):
+        good = {"media": "video", "device": "u1", "emission_ts": 5, "playout_ts": 9, "slot": 1}
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {key: value}) + "\n")
+        with pytest.raises(ParseError) as err:
+            list(read_log(path))
+        assert err.value.line_no == 2
+        assert f"field {key!r} must be in 0..2**64-1, got {value}" in str(err.value)
+
+    def test_records_stream_until_the_bad_line(self, tmp_path, monkeypatch):
+        recs = random_records(5, 4)
+        path = tmp_path / "log.jsonl"
+        write_log(path, recs)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "{not json\n"
+        path.write_text("".join(lines))
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(exporter, "open", recording_open, raising=False)
+        reader = read_log(path)
+        assert iter(reader) is reader
+        assert handles == []  # nothing is read before the first record is asked for
+        assert next(reader) == recs[0]
+        assert len(handles) == 1 and handles[0].closed
+        assert next(reader) == recs[1]
+        with pytest.raises(ParseError) as err:
+            next(reader)
+        assert err.value.line_no == 3
 
     def test_file_opened_once_for_a_non_canonical_line(self, tmp_path, monkeypatch):
         path = tmp_path / "log.jsonl"
@@ -147,7 +182,7 @@ class TestLogRoundtrip:
             return open(*args, **kwargs)
 
         monkeypatch.setattr(exporter, "open", counting_open, raising=False)
-        assert read_log(path)[-1].frequency == 600.0
+        assert list(read_log(path))[-1].frequency == 600.0
         assert opened == [path]
 
 
@@ -156,9 +191,9 @@ class TestLogRoundtrip:
 def per_line_oracle(path):
     """The per-line log parser as it was before the fast path, with a device
     that is not a string and a frequency or confidence that is not a JSON
-    number rejected rather than coerced, and an over-long integer, nesting
-    past the recursion limit or bytes that are not UTF-8 named by their line:
-    the reference."""
+    number rejected rather than coerced, a timestamp outside 0..2**64-1
+    rejected, and an over-long integer, nesting past the recursion limit or
+    bytes that are not UTF-8 named by their line: the reference."""
     records = []
     with open(path, "rb") as fh:
         raw_lines = re.split(rb"\r\n|\r|\n", fh.read())  # text mode's universal newlines
@@ -188,6 +223,8 @@ def per_line_oracle(path):
         for key, value in (("emission_ts", emission_ts), ("playout_ts", playout_ts)):
             if type(value) is not int:
                 raise ParseError(line_no, f"field {key!r} must be an integer, got {value!r}")
+            if not 0 <= value <= 2**64 - 1:
+                raise ParseError(line_no, f"field {key!r} must be in 0..2**64-1, got {value}")
         if slot is not None and type(slot) is not int:
             raise ParseError(line_no, f"field 'slot' must be an integer, got {slot!r}")
         numbers = {}
@@ -352,6 +389,10 @@ class TestLogOracle:
         "20_digits": WRITTEN.replace("1700000000001", "9" * 20),
         "21_digits": WRITTEN.replace("1700000000001", "1" + "0" * 20),
         "two_to_the_64": WRITTEN.replace("1700000000338", str(2**64)),
+        "top_timestamp": WRITTEN.replace("1700000000338", str(2**64 - 1)),
+        "19_digits": WRITTEN.replace("1700000000338", "9" * 19),
+        "negative_timestamp": WRITTEN.replace("1700000000001", "-1"),
+        "400_digit_timestamp": WRITTEN.replace("1700000000338", "1" + "0" * 400),
         "arabic_indic_digits": WRITTEN.replace("1700000000001", "\u0661\u0667\u0660\u0660"),
         "arabic_indic_after_a_digit": WRITTEN.replace("1700000000001", "1\u0667\u0660\u0660"),
         "integer_frequency": WRITTEN.replace("600.0", "600"),
@@ -380,7 +421,7 @@ class TestLogOracle:
         path = tmp_path / "log.jsonl"
         path.write_bytes(self.NAMED[name])
         with pytest.raises(ParseError) as raised:
-            read_log(path)
+            list(read_log(path))
         assert raised.value.line_no == line_no
 
     @given(recs=st.lists(_RECORDS, max_size=8))
@@ -394,6 +435,18 @@ class TestLogOracle:
             with open(path, "rb") as fh:
                 assert fh.read() == "".join(lines).encode()
             assert outcome(read_log, path) == outcome(per_line_oracle, path)
+            # the first timestamp outside 0..2**64-1 is named; without one, the
+            # records read back are written again as the same bytes
+            outside = next(((line_no, key) for line_no, rec in enumerate(recs, start=1)
+                            for key in ("emission_ts", "playout_ts")
+                            if not 0 <= getattr(rec, key) <= 2**64 - 1), None)
+            if outside is None:
+                assert "".join(map(format_log_line, read_log(path))) == "".join(lines)
+            else:
+                with pytest.raises(ParseError) as raised:
+                    list(read_log(path))
+                assert raised.value.line_no == outside[0]
+                assert f"field {outside[1]!r} must be in 0..2**64-1" in str(raised.value)
 
     def test_writer_non_finite_and_null_slot(self):
         rec = DetectionRecord(media="audio", device="u1", emission_ts=1, playout_ts=2,

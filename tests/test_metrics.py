@@ -83,7 +83,7 @@ class TestDetectionRecord:
         recs = [DetectionRecord("video", "u1", 1, 2, 1),
                 DetectionRecord("audio", "u2", 3, 40, None, 612.5, 0.75)]
         write_log(tmp_path / "log.jsonl", recs)
-        back = read_log(tmp_path / "log.jsonl")
+        back = list(read_log(tmp_path / "log.jsonl"))
         assert back == recs
         assert all(type(r) is DetectionRecord for r in back)
 
