@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clocks import Timestamp
+from .clocks import MAX_TIMESTAMP, Timestamp
 from .metrics import AUDIO, DetectionRecord
 from .schema import SchemaError, finite, integer, json_object, read_fields, read_json, text
 
@@ -48,7 +48,6 @@ DEFAULT_RATE = 48000
 MAX_SAMPLE_RATE = 192_000
 DETECT_WINDOW = 2048
 DETECT_HOP = 512
-MIN_WINDOW = 1024
 PEAK_THRESHOLD = 0.8
 SILENCE_DBFS = -40.0
 
@@ -86,6 +85,8 @@ class ToneSchedule:
         if not 0 <= self.ramp_ms * 2 <= self.pulse_duration_ms:
             raise SchemaError("ramp_ms", "must be non-negative, and two ramps must fit "
                               f"inside the {self.pulse_duration_ms} ms pulse, got {self.ramp_ms!r}")
+        if not 0 <= self.epoch_ts <= MAX_TIMESTAMP:
+            raise SchemaError("epoch_ts", f"must be in 0..2**64-1, got {self.epoch_ts!r}")
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -209,8 +210,6 @@ def _estimate_windows(frames: np.ndarray, rate: int, f_min: float,
     phase against the hop grid.
     """
     count, n = frames.shape
-    if n < MIN_WINDOW:
-        raise ValueError(f"window must hold at least {MIN_WINDOW} samples")
     out: list[tuple[float, float] | None] = [None] * count
     squares = frames * frames
     rms = np.sqrt(np.mean(squares, axis=1))
@@ -287,8 +286,6 @@ def detect_pulses(
     playout_clock: Callable[[int], Timestamp],
     schedule: ToneSchedule,
     device_id: str = "",
-    window_size: int = DETECT_WINDOW,
-    hop: int = DETECT_HOP,
 ) -> tuple[list[DetectionRecord], Counter]:
     """Scan a PCM stream for schedule pulses: one audio record per pulse,
     carrying the measured frequency and its confidence, and the tally of the
@@ -319,7 +316,7 @@ def detect_pulses(
     period_ms = schedule.pulse_period_ms
 
     tally: Counter = Counter()
-    starts = range(0, x.size - window_size + 1, hop)
+    starts = range(0, x.size - DETECT_WINDOW + 1, DETECT_HOP)
     if not starts:
         return [], tally
     # Distinct windows, estimated a chunk at a time. _estimate_windows
@@ -331,9 +328,9 @@ def detect_pulses(
     blob = pcm.samples.tobytes()
     size = pcm.samples.itemsize
     owner: dict[bytes, int] = {}
-    first, keys = np.unique([owner.setdefault(blob[s * size : (s + window_size) * size], w)
+    first, keys = np.unique([owner.setdefault(blob[s * size : (s + DETECT_WINDOW) * size], w)
                              for w, s in enumerate(starts)], return_inverse=True)
-    windows = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop]
+    windows = np.lib.stride_tricks.sliding_window_view(x, DETECT_WINDOW)[::DETECT_HOP]
     distinct: list[tuple[float, float] | None] = []
     for c in range(0, first.size, _CHUNK):
         rows = first[c : c + _CHUNK]
@@ -362,7 +359,7 @@ def detect_pulses(
     # cast the whole segment matrix to complex), and the distinct windows of
     # one tone are probed together: one product takes the heads and one the
     # tails of up to _CHUNK of them.
-    probe_len = min(1024, window_size // 2)
+    probe_len = DETECT_WINDOW // 2
     onset_ratio = 0.93
     toned = np.flatnonzero(tone >= 0)
     by_tone = toned[np.argsort(tone[toned], kind="stable")]
@@ -377,9 +374,9 @@ def detect_pulses(
     for phasor, lo, hi in zip(phasors, bounds, bounds[1:]):
         for c in range(lo, hi, _CHUNK):
             rows = by_tone[c : min(c + _CHUNK, hi)]
-            at = first[rows] * hop
+            at = first[rows] * DETECT_HOP
             head[rows] = np.hypot(*(phasor @ probes[at].T))
-            tail[rows] = np.hypot(*(phasor @ probes[at + window_size - probe_len].T))
+            tail[rows] = np.hypot(*(phasor @ probes[at + DETECT_WINDOW - probe_len].T))
     ref = np.maximum(head[toned], tail[toned])
     opens = np.zeros(first.size, dtype=bool)
     opens[toned] = (ref > 0.0) & (head[toned] >= onset_ratio * ref)
@@ -499,7 +496,8 @@ def detect_wav(path: str | Path) -> tuple[list[DetectionRecord], Counter]:
     sidecar: ``detect_pulses``' records and tally.
 
     Sample s plays out at the sidecar's stream start plus s / rate seconds,
-    rounded to the millisecond.
+    rounded to the millisecond; a first or last sample whose playout falls
+    outside 0..2**64-1 raises SchemaError naming ``stream_start_ts``.
     A rate too low to carry the schedule's top tone raises NyquistViolation:
     such audio would alias the tone onto another one.
     """
@@ -507,5 +505,12 @@ def detect_wav(path: str | Path) -> tuple[list[DetectionRecord], Counter]:
     pcm = read_wav(path)
     rate = pcm.sample_rate
     _check_nyquist(schedule, rate, f"{path}: ")
-    return detect_pulses(pcm, lambda s: start_ts + round(s * 1000.0 / rate),
-                         schedule, device_id)
+
+    def playout(s: int) -> Timestamp:
+        return start_ts + round(s * 1000.0 / rate)
+
+    last = playout(max(pcm.samples.size - 1, 0))
+    if not 0 <= start_ts <= last <= MAX_TIMESTAMP:
+        raise SchemaError("stream_start_ts", f"the samples play out from {start_ts} to "
+                                             f"{last} ms, outside 0..2**64-1")
+    return detect_pulses(pcm, playout, schedule, device_id)

@@ -205,8 +205,11 @@ def _cmd_gen_audio(args) -> int:
         raise _FlagError(f"argument --duration-s: expected at most {MAX_DEVICE_FRAMES} pulses "
                          f"({schedule.pulse_period_ms} ms each), got {pulses:.7g}")
     n_slots = max(1, round(pulses))
-    _check_start_ts(args.start_ts, args.start_ts + (n_slots - 1) * schedule.pulse_period_ms
-                    + schedule.pulse_duration_ms, "end of the last pulse")
+    # the WAV holds whole slots, and detect-audio stamps sample s at s / rate
+    slot_samples = round(schedule.pulse_period_ms * args.rate / 1000.0)
+    _check_start_ts(args.start_ts,
+                    args.start_ts + round((n_slots * slot_samples - 1) * 1000.0 / args.rate),
+                    "last sample")
     pcm = synthesize(schedule, start_slot=0, n_slots=n_slots, rate=args.rate)
     write_wav(args.out, pcm)
     write_wav_manifest(args.out, args.device_id, schedule, stream_start_ts=args.start_ts)

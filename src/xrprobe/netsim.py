@@ -312,8 +312,12 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     # --- audio: pulse grid -> uplink -> sort -> each device's downlink
     hop = channel(uplink, "up", AUDIO)
     pulse_edges: list[tuple[float, int]] = []  # (edge true ms, slot)
-    for n, t in enumerate(_grid(lambda n: pclock.invert(float(tones.epoch_ts + n * period_ms)),
-                                end)):
+    # the first slot emitted at or after the stream start: an earlier epoch
+    # leaves its slots before the session unplayed
+    first = max(0, -((tones.epoch_ts - stream_start_ts) // period_ms))
+    base = tones.epoch_ts + first * period_ms
+    for n, t in enumerate(_grid(lambda k: pclock.invert(float(base + k * period_ms)), end),
+                          first):
         if (delay := hop(t)) is None:
             tally["pulses_lost_uplink"] += 1
         else:

@@ -23,20 +23,15 @@ full finder scan, which alone decides what such a frame yields or raises.
 Finder candidates there come from a 1:1:3:1:1 dark/light run-length test run
 once over every ``stride``-th row of the whole frame: the rows' runs are
 flattened with a forced break at column 0, so no run crosses a row end, and
-each hit is then confirmed on its column. The scan makes up to three passes,
-coarsest stride first. The first is scanned on its own, so a frame it settles
-pays for nothing finer; the stride-4 and stride-1 passes share one stride-1
-scan, since a hit lies within one row and the stride-4 hits are the stride-1
-hits on every fourth row. When the first pass fails, that scan's hits are
-confirmed on their columns at once, and if the candidates name fewer than
-three distinct places the scan stops there: a candidate is fixed by its hit,
-so no finer pass has other candidates, and two places never form the three
-clusters a triple needs. Likewise a pass with fewer than three clusters skips
-the refinement walk and the triple search. A frame's row and column run
-decompositions are computed at most once per frame, and so is each column
-check: one is fixed by its column, the run the hit falls in and the unit, so
-the rows that cross one finder core share it. The module pitch comes from the
-finder geometry.
+each hit is then confirmed on its column. The scan makes two passes: one at
+an adaptive stride, coarse enough that a frame it settles pays for little,
+and one at stride 1 for codes too small for it. A pass whose candidates
+form fewer than three clusters tries no triple and skips the refinement
+walk. A frame's row and column run decompositions are computed at most
+once per frame, and so is each column check: one is fixed by its column,
+the run the hit falls in and the unit, so the rows that cross one finder
+core share it, in one pass and across both. The module pitch comes from
+the finder geometry.
 
 Every frame is read one way, on its own: ``detect_decode``, the bounding-box
 guess and then the full scan. ``detect_frame_sequence`` calls it once per
@@ -336,9 +331,8 @@ def _row_hits(dark: np.ndarray, stride: int) -> tuple[list[int], list[float], li
     at column 0, so no flattened run crosses a row end, and the ratio test
     runs once over all 5-run windows, each window position a shifted slice of
     the run lengths. Windows spanning two rows or led by a light run are
-    dropped. Hits come out row-major, left to right. Every hit lies within
-    one row, so the hits at stride ``s`` are exactly the stride-1 hits on
-    rows ``y % s == 0``, in the same order.
+    dropped. Hits come out row-major, left to right, and each lies within one
+    row: the hits at stride ``s`` are the stride-1 hits on rows ``y % s == 0``.
     """
     rows = dark[::stride]
     width = rows.shape[1]
@@ -381,32 +375,6 @@ def _scan_finders(lines: _LineRuns, hits) -> list[tuple[float, float, float]]:
         cy, vunit = vert
         found.append((cx, cy, (unit + vunit) / 2.0))
     return found
-
-
-def _pass_candidates(lines: _LineRuns, dark: np.ndarray):
-    """Candidate finder centers of each scan pass, coarsest first.
-
-    A code filling the frame has a finder core >= 3*min(h,w)/37 tall, so the
-    adaptive first pass still crosses every core; the 4 and 1 passes cover
-    small codes inside large frames. The first pass is scanned on its own,
-    so a frame it settles pays for nothing finer; the finer passes share one
-    stride-1 scan, the stride-4 pass keeping its hits on rows ``y % 4 == 0``.
-
-    When the stride-1 candidates name fewer than three distinct places, no
-    finer pass is yielded. A candidate is fixed by its row hit, so every
-    pass's candidates are among the stride-1 ones; two distinct candidates
-    never form three clusters (every cluster's mean lies between them), and
-    a triple needs three.
-    """
-    adaptive = max(4, min(dark.shape) // 32)
-    yield _scan_finders(lines, zip(*_row_hits(dark, adaptive)))
-    fine = list(zip(*_row_hits(dark, 1)))
-    candidates = _scan_finders(lines, fine)
-    if len(set(candidates)) < 3:
-        return
-    if adaptive > 4:
-        yield _scan_finders(lines, [hit for hit in fine if hit[0] % 4 == 0])
-    yield candidates
 
 
 # candidates from the same finder already agree to sub-module precision (the
@@ -532,10 +500,11 @@ def _locate(dark: np.ndarray) -> Timestamp:
     (``_guess_finders``). A grid out of bounds, a finder-zone mismatch or a
     CRC miss there is dropped, never reported: it falls through to the full
     finder scan, which alone decides what a frame that fails the guess yields
-    or raises. The scan ends as soon as no pass left can form a finder
-    triple: a pass with fewer than three clusters tries none, and when the
-    stride-1 candidates name fewer than three places no finer pass is run
-    (``_pass_candidates``).
+    or raises. The scan makes two passes, the first at an adaptive stride: a
+    code filling the frame has a finder core >= 3*min(h,w)/37 tall, so it
+    still crosses every core; the stride-1 pass covers small codes inside
+    large frames. A pass with fewer than three clusters tries no triple, and
+    one that meets a CRC miss and decodes nothing ends the scan.
     """
     try:
         ts = _decode_at(dark, *_guess_finders(dark))
@@ -545,9 +514,9 @@ def _locate(dark: np.ndarray) -> Timestamp:
         return ts
     lines = _LineRuns(dark)
     last_error: Exception = FinderNotFound("no finder triple")
-    for candidates in _pass_candidates(lines, dark):
+    for stride in (max(4, min(dark.shape) // 32), 1):
         # dedupe before the refinement walk
-        tight = _cluster(candidates)
+        tight = _cluster(_scan_finders(lines, zip(*_row_hits(dark, stride))))
         if len(tight) < 3:
             continue  # no triple to try
         clusters = []

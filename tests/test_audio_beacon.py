@@ -32,6 +32,7 @@ from xrprobe.audio_beacon import (
     write_wav_manifest,
 )
 from xrprobe.audio_beacon import _estimate_windows, _tone_indices
+from xrprobe.clocks import MAX_TIMESTAMP
 from xrprobe.metrics import AUDIO, DetectionRecord
 from xrprobe.schema import SchemaError
 
@@ -153,10 +154,6 @@ class TestEstimateFrequency:
         est = estimate(window)
         assert est is not None
         assert abs(est[0] - 440.0) <= 5.0
-
-    def test_short_window_rejected(self):
-        with pytest.raises(ValueError):
-            estimate(np.zeros(512, dtype=np.int16))
 
     def test_accuracy_sweep(self):
         # 0.5% relative error over the whole supported band
@@ -382,6 +379,8 @@ class TestWavIo:
         ({"schedule": {"chirp": 1}}, "schedule.chirp"),
         ({"schedule": {"ramp_ms": 50}}, "schedule.ramp_ms"),
         ({"schedule": {"ramp_ms": -5}}, "schedule.ramp_ms"),
+        ({"schedule": {"epoch_ts": -100000}}, "schedule.epoch_ts"),
+        ({"schedule": {"epoch_ts": 2**64}}, "schedule.epoch_ts"),
     ])
     def test_manifest_bad_field_named(self, tmp_path, change, field):
         path = tmp_path / "probe.wav"
@@ -438,6 +437,20 @@ class TestWavIo:
         assert len(dets) == 8
         assert all(d.device == "u5" for d in dets)
         assert [d.emission_ts for d in dets] == [5000 + 100 * i for i in range(8)]
+
+    # two slots are 9,600 samples: the last plays out 200 ms after the first
+    @pytest.mark.parametrize("start_ts", [-1, -100_000, MAX_TIMESTAMP - 199, MAX_TIMESTAMP])
+    def test_detect_wav_rejects_playout_outside_64_bits(self, tmp_path, start_ts):
+        sched = ToneSchedule(epoch_ts=0)
+        path = tmp_path / "loop.wav"
+        write_wav(path, synthesize(sched, 0, 2, rate=RATE))
+        write_wav_manifest(path, "u5", sched, stream_start_ts=start_ts)
+        with pytest.raises(SchemaError) as err:
+            detect_wav(path)
+        assert err.value.field == "stream_start_ts"
+        # the last start whose last sample still fits
+        write_wav_manifest(path, "u5", sched, stream_start_ts=MAX_TIMESTAMP - 200)
+        assert detect_wav(path)[0]
 
     @pytest.mark.parametrize("rate", [8000, 8640])
     def test_detect_wav_rejects_a_rate_below_the_top_tone(self, tmp_path, rate):
@@ -512,8 +525,8 @@ def estimate_frequency_oracle(window, rate=RATE, f_min=200.0, f_max=4800.0,
     return rate / refined, float(np.clip(peak, 0.0, 1.0))
 
 
-def detect_pulses_oracle(pcm, playout_clock, schedule, device_id="", window_size=2048,
-                         hop=512):
+def detect_pulses_oracle(pcm, playout_clock, schedule, device_id=""):
+    window_size, hop = 2048, 512
     tally = collections.Counter()
     x = np.asarray(pcm.samples, dtype=np.float64)
     rate = pcm.sample_rate
@@ -533,7 +546,7 @@ def detect_pulses_oracle(pcm, playout_clock, schedule, device_id="", window_size
             continue
         hits.append((start, k, freq, conf))
 
-    probe_len = min(1024, window_size // 2)
+    probe_len = 1024
 
     def tone_amp(seg, freq):
         taper = np.hanning(seg.size)
@@ -629,21 +642,12 @@ def _tone_streams(draw):
 
 
 class TestBatchedEstimator:
-    @given(stream=_tone_streams(),
-           window=st.sampled_from((2048, 2048, 1024, 1500, 3000, 512)),
-           hop=st.sampled_from((512, 512, 256, 700)))
+    @given(stream=_tone_streams())
     @settings(max_examples=80, deadline=None)
-    def test_detect_pulses_matches_per_window_oracle(self, stream, window, hop):
+    def test_detect_pulses_matches_per_window_oracle(self, stream):
         sched, pcm, clock = stream
-        outcomes = []
-        for detect in (detect_pulses, detect_pulses_oracle):
-            try:
-                outcomes.append(detect(pcm, clock, sched, "u2", window, hop))
-            except ValueError:
-                outcomes.append("ValueError")
-        assert outcomes[0] == outcomes[1]
-        if window < 1024 and pcm.samples.size >= window:
-            assert outcomes[0] == "ValueError"
+        assert (detect_pulses(pcm, clock, sched, "u2")
+                == detect_pulses_oracle(pcm, clock, sched, "u2"))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((1024, 2048, 2049, 4000)),
            freq=st.floats(40.0, 5000.0), amp=st.sampled_from((0.0, 0.004, 0.3)),
@@ -723,13 +727,6 @@ class TestBatchedEstimator:
         assert dets == oracle
         assert tally == oracle_tally and len(oracle) == n_slots
         assert max(sizes) == audio_beacon._CHUNK and len(sizes) > 2 * sched.tone_count
-
-    def test_short_window_still_rejected(self):
-        with pytest.raises(ValueError):
-            estimate(np.ones(1023))
-        pcm = PcmBuffer(sample_rate=RATE, samples=np.ones(4000, dtype=np.int16))
-        with pytest.raises(ValueError):
-            detect_pulses(pcm, sample_clock(), ToneSchedule(), window_size=1000)
 
 
 class TestDistinctWindows:

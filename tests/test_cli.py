@@ -163,8 +163,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, detect, span", [
         # three frames at 30 fps, the last 67 ms after the first
         ("gen-video", "detect-video", 67),
-        # one 80 ms pulse
-        ("gen-audio", "detect-audio", 80),
+        # one 100 ms slot, 4,800 samples, the last stamped 100 ms after the first
+        ("gen-audio", "detect-audio", 100),
     ])
     def test_start_ts_range_ends_at_the_top_timestamp(self, tmp_path, capsys,
                                                       command, detect, span):
@@ -394,6 +394,34 @@ class TestAudioPipeline:
         assert run(["detect-audio", str(wav)]) == 1
         err = capsys.readouterr().err
         assert err == "xrprobe detect-audio: device_id: missing\n"
+
+    # the sidecar's fields are read in its key order, so with both times bad
+    # the schedule's epoch is named first
+    @pytest.mark.parametrize("change, message", [
+        ({"stream_start_ts": -100000},
+         "stream_start_ts: the samples play out from -100000 to -99500 ms, outside 0..2**64-1"),
+        ({"stream_start_ts": 2**64 - 500},
+         "stream_start_ts: the samples play out from 18446744073709551116 to "
+         "18446744073709551616 ms, outside 0..2**64-1"),
+        ({"stream_start_ts": -100000, "epoch_ts": -100000},
+         "schedule.epoch_ts: must be in 0..2**64-1, got -100000"),
+    ])
+    def test_sidecar_times_outside_64_bits_are_one_line_error(self, tmp_path, capsys,
+                                                               change, message):
+        wav = tmp_path / "tone.wav"
+        run(["gen-audio", "--out", str(wav), "--duration-s", "0.5"])
+        sidecar = tmp_path / "tone.wav.json"
+        doc = json.loads(sidecar.read_text())
+        for key, value in change.items():
+            (doc["schedule"] if key == "epoch_ts" else doc)[key] = value
+        sidecar.write_text(json.dumps(doc))
+        log = tmp_path / "audio.jsonl"
+        capsys.readouterr()
+        assert run(["detect-audio", str(wav), "--out", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"xrprobe detect-audio: {message}\n"
+        assert captured.out == ""
+        assert not log.exists()
 
     @pytest.mark.parametrize("blob", [b'{"device_id": ', b"nope", b"\xff\xfe\xfd"])
     def test_invalid_json_sidecar_names_file(self, tmp_path, capsys, blob):

@@ -395,6 +395,25 @@ class TestRunScenario:
                     f"vs offset delta {expected_shift:.2f}"
                 )
 
+    def test_tone_epoch_before_the_stream_start_plays_only_session_slots(self):
+        # the pulse grid starts at the first slot emitted at or after the
+        # stream start; from the epoch's slot 0, an epoch at 5 ms meant about
+        # 1.7e10 grid points, and one 10 s early 100 pulses from before the
+        # session, all played at its first ms
+        doc = {"profile": "ethernet", "duration_s": 1.0, "viewers": [], "join_times_s": []}
+        base = run_scenario(load_scenario(doc))
+        start = base.tones.epoch_ts
+
+        def audio(log):
+            return [(r.emission_ts, r.playout_ts) for r in log.records if r.media == AUDIO]
+
+        early = run_scenario(load_scenario({**doc, "tones": {"epoch_ts": start - 10_000}}))
+        assert audio(early) == audio(base) and len(audio(base)) == 8
+        assert early.tally == base.tally
+        five = audio(run_scenario(load_scenario({**doc, "tones": {"epoch_ts": 5}})))
+        assert [e - start for e, _ in five] == [5 + 100 * i for i in range(8)]
+        assert all(0 < p - e < 1000 for e, p in five)
+
     def test_returns_detection_log_with_traces(self):
         log = run_scenario(quick_scenario())
         assert isinstance(log, DetectionLog)
