@@ -6,27 +6,20 @@ detected frequency plus a rough playout time pins the emission instant as
 long as end-to-end delay stays inside the ambiguity window
 (tone_count * pulse_period_ms, 3.2 s with defaults).
 
-Detection is time-domain: normalized autocorrelation over a sliding window,
-first qualifying peak after the first zero crossing, parabolic refinement of
-the peak lag. Works on the raw int16 stream, no FFT bins to misalign.
-``detect_pulses`` estimates its windows a chunk at a time over a strided
-view of the stream: the autocorrelation is one batched real transform pair
-per chunk, at the smallest 5-smooth size that still gives the linear
-autocorrelation over the lags searched (2,160 points for a 2,048-sample
-window), and silence test, energy sums, normalization and peak search run
-once per chunk too. It estimates each distinct window only once: the tool's
-own media repeat, because playout lands on a callback grid equal to the
-detection hop, so every recurrence of a tone sits at the same phase against
-the windows and yields the same samples. The rest of the per-window work is
-array passes too: the windows' keys are slices of one byte blob of the
-stream, the distinct windows' tone indices are one vectorized lookup, and
-the onset probes of the distinct windows of one tone are real matrix
-products, a chunk of windows each. Beyond keying each window, Python runs
-once per chunk and once per run of one tone.
+Detection knows the alphabet: ``detect_pulses`` names each window of the
+stream by a tone bank, Hann-tapered single-bin magnitudes at the schedule's
+tones and halfway between and just outside them, in one real matrix product
+per chunk of windows. A record's frequency and confidence are measured on
+its pulse's opening window alone: normalized autocorrelation, first
+qualifying peak after the first zero crossing, parabolic refinement of the
+peak lag, as one batched real transform pair at the smallest 5-smooth size
+that gives the linear autocorrelation over the lags searched (2,160 points
+for a 2,048-sample window).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import wave
@@ -168,9 +161,8 @@ def synthesize(schedule: ToneSchedule, start_slot: int, n_slots: int,
     return PcmBuffer(sample_rate=rate, samples=out)
 
 
-# windows per _estimate_windows call, and per onset probe product, in
-# detect_pulses
-_CHUNK = 128
+# windows per tone-bank product and per _estimate_windows call in detect_pulses
+_CHUNK = 256
 
 
 def _smooth_size(n: int) -> int:
@@ -205,9 +197,7 @@ def _estimate_windows(frames: np.ndarray, rate: int, f_min: float,
     The power spectrum is re**2 + im**2, elementwise: a batched transform
     gives each row the bits of a one-row call, but ``spec * conj(spec)``
     over a 2-D block does not. Each row's result therefore depends on that
-    row alone, so ``detect_pulses`` passes each distinct window once: the
-    tool's own media repeat a window whenever a tone recurs at the same
-    phase against the hop grid.
+    row alone, whatever block it is passed in.
     """
     count, n = frames.shape
     out: list[tuple[float, float] | None] = [None] * count
@@ -255,16 +245,6 @@ def _estimate_windows(frames: np.ndarray, rate: int, f_min: float,
     return out
 
 
-def _tone_indices(schedule: ToneSchedule, frequencies: np.ndarray) -> np.ndarray:
-    """Alphabet index of the tone nearest each entry of ``frequencies``, in
-    one array pass; -1 where the entry lies farther than delta/2 from every
-    schedule tone."""
-    k = np.clip(np.rint((frequencies - schedule.f0_hz) / schedule.delta_hz),
-                0, schedule.tone_count - 1)
-    far = np.abs(frequencies - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0
-    return np.where(far, -1, k).astype(np.intp)
-
-
 def resolve_emission(schedule: ToneSchedule, tone: int,
                      playout_ts: Timestamp) -> Timestamp:
     """Latest slot at or before playout that carries alphabet index ``tone``.
@@ -281,6 +261,88 @@ def resolve_emission(schedule: ToneSchedule, tone: int,
     return schedule.epoch_ts + slot * schedule.pulse_period_ms
 
 
+# A loud window is named by its top tone-bank row when that row holds at
+# least this fraction of s, the share of the bank's power a pure tone puts
+# in its own row. At 48 kHz the rows lie 2.56 bins apart, past the +-2-bin
+# Hann mainlobe (s = 0.999) and within twice it, so a tone off the rows
+# splits its power between the two nearest, s/2 each at the midpoint: a top
+# row at s/2 or more has one component nearer to it than to any other row.
+# Below that the power is spread (two like tones, noise, a pulse fragment
+# too short to resolve). Where the mainlobes overlap, s falls (0.85 at
+# 96 kHz, 0.43 at 192 kHz) and s/2 still names a pure tone by its nearest
+# row; at lower rates a tone 2 bins off every row meets only sidelobes.
+_TOP_SHARE = 0.5
+# A window may open a pulse when its head probe reads at least this fraction
+# of the larger of its head and tail probes. Under the 5 ms raised-cosine
+# ramp an onset-aligned window's head reads 0.98 of its tail, one starting
+# 2 ms early 0.94 and 3 ms early 0.89: 0.93 admits at most about 2 ms early.
+_ONSET_RATIO = 0.93
+
+
+@functools.lru_cache(maxsize=8)
+def _tone_bank(rate: int, f0_hz: float, delta_hz: float,
+               tone_count: int) -> tuple[np.ndarray, float]:
+    """The (DETECT_HOP, columns) matrix that turns the stream's blocks into
+    every window's bank and onset probes, and s, the least share of the
+    bank's power a pure schedule tone puts in its own row.
+
+    Bank row j is f0 + (j - 1) * delta / 2, so odd row 2k + 1 is tone k; the
+    onset probes are the tones over a half window. Each is a Hann-tapered
+    single-bin transform, a cosine and a sine column per DETECT_HOP-sample
+    section: a window's value is the sum of its sections' products with the
+    blocks it spans.
+    """
+    def phasors(freqs: np.ndarray, taper: np.ndarray) -> np.ndarray:
+        theta = 2.0 * np.pi * freqs[:, None] * np.arange(taper.size) / rate
+        return np.concatenate((np.cos(theta) * taper, np.sin(theta) * taper))
+
+    freqs = f0_hz + (np.arange(2 * tone_count + 1) - 1) * delta_hz / 2.0
+    tones = freqs[1::2]
+    bank = phasors(freqs, np.hanning(DETECT_WINDOW))
+    probes = phasors(tones, np.hanning(DETECT_WINDOW // 2))
+    pure = bank @ np.sin(2.0 * np.pi * tones * np.arange(DETECT_WINDOW)[:, None] / rate)
+    power = np.square(pure[: freqs.size]) + np.square(pure[freqs.size :])
+    return (np.hstack([m[:, q : q + DETECT_HOP].T for m in (bank, probes)
+                       for q in range(0, m.shape[1], DETECT_HOP)]),
+            float((power[1::2].diagonal() / power.sum(axis=0)).min()))
+
+
+def _name_windows(samples: np.ndarray, rate: int,
+                  schedule: ToneSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """What the tone bank names each window of ``samples`` (DETECT_WINDOW
+    samples, one every DETECT_HOP): its tone k, -2 for an unknown tone or -1
+    for none; and whether the window may open a pulse of its tone. The bank
+    and the onset probes of ``_CHUNK`` windows are one real matrix product
+    with the DETECT_HOP-sample blocks they span."""
+    count = max(0, (samples.size - DETECT_WINDOW) // DETECT_HOP + 1)
+    rows, tones = 2 * schedule.tone_count + 1, schedule.tone_count
+    span = DETECT_WINDOW // DETECT_HOP  # the blocks of one window
+    bank, s = _tone_bank(rate, schedule.f0_hz, schedule.delta_hz, tones)
+    floor = DETECT_WINDOW * (FULL_SCALE * 10.0 ** (SILENCE_DBFS / 20.0)) ** 2
+    tone = np.empty(count, dtype=np.intp)
+    opens = np.zeros(count, dtype=bool)
+    for lo in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - lo)
+        chunk = samples[lo * DETECT_HOP : (lo + n + span - 1) * DETECT_HOP]
+        chunk = chunk.reshape(-1, DETECT_HOP).astype(np.float64)
+        product = chunk @ bank
+        full = product[:, : span * 2 * rows].reshape(-1, span, 2, rows)
+        half = product[:, span * 2 * rows :].reshape(-1, span // 2, 2, tones)
+        power = np.square(sum(full[q : q + n, q] for q in range(span))).sum(axis=1)
+        squares = np.einsum("ij,ij->i", chunk, chunk)
+        loud = sum(squares[q : q + n] for q in range(span)) >= floor
+        top = power.argmax(axis=1)
+        named = loud & (power[np.arange(n), top] >= _TOP_SHARE * s * power.sum(axis=1))
+        tone[lo : lo + n] = np.where(named, np.where(top % 2 == 1, top // 2, -2), -1)
+        at = np.flatnonzero(tone[lo : lo + n] >= 0)
+        k = tone[lo + at]
+        # each named window's probes at its tone: its head, then its tail half
+        head, tail = (np.hypot(*sum(half[at + h + q, q, :, k] for q in range(span // 2)).T)
+                      for h in (0, span // 2))
+        opens[lo + at] = (head > 0.0) & (head >= _ONSET_RATIO * np.maximum(head, tail))
+    return tone, opens
+
+
 def detect_pulses(
     pcm: PcmBuffer,
     playout_clock: Callable[[int], Timestamp],
@@ -292,121 +354,45 @@ def detect_pulses(
     windows that gave none.
 
     ``playout_clock`` maps a sample index to the device-local playout
-    timestamp of that sample. Consecutive windows that resolve to the same
-    tone merge into one pulse whose playout is the start of the first window
-    actually beginning inside the pulse; a window may only open a pulse if
-    its own tone is already sounding at the window head, otherwise every
-    measurement would be biased early by up to a window length (a broadband
-    energy check is not enough, the head may hold the previous pulse's loud
-    tail). Unresolvable windows are skipped and tallied.
-
-    Everything up to the pulses runs per distinct window, in array passes:
-    the windows' keys are slices of one byte blob of the stream, the
-    distinct windows' tone indices come from one ``_tone_indices`` call, and
-    the head and tail onset probes of up to ``_CHUNK`` distinct windows of
-    one tone are one real matrix product each. The runs of one tone are
-    read off the boundaries of the per-window tone array, and only the loop
-    over a run's opener windows (emit, duplicate or ambiguous) is Python.
-    The records and tallies are those of the window-by-window scan.
+    timestamp of that sample. The tone bank names each window
+    (``_name_windows``): a tone, an ``unknown_tone`` or nothing. Consecutive
+    windows of one tone merge into one pulse whose playout is the start of
+    the first window actually beginning inside the pulse; a window may only
+    open a pulse if its own tone is already sounding at the window head,
+    otherwise every measurement would be biased early by up to a window
+    length (a broadband energy check is not enough, the head may hold the
+    previous pulse's loud tail). Unresolvable windows are skipped and
+    tallied. Only the loop over a run's opener windows is Python. The
+    frequency and confidence are ``_estimate_windows``' of each pulse's
+    opener; a pulse whose opener gives no clean pitch is recorded without.
     """
-    x = np.asarray(pcm.samples, dtype=np.float64)
     rate = pcm.sample_rate
-    f_lo = max(50.0, schedule.f0_hz - schedule.delta_hz)
-    f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
-    period_ms = schedule.pulse_period_ms
-
     tally: Counter = Counter()
-    starts = range(0, x.size - DETECT_WINDOW + 1, DETECT_HOP)
-    if not starts:
-        return [], tally
-    # Distinct windows, estimated a chunk at a time. _estimate_windows
-    # computes each row from that row alone (row-wise transforms, elementwise
-    # ops, mean and cumsum along the row), so equal windows get equal
-    # estimates and each distinct one is estimated once. ``first`` holds the
-    # window number of each distinct window's first occurrence, ascending;
-    # ``keys`` maps each window to its distinct window.
-    blob = pcm.samples.tobytes()
-    size = pcm.samples.itemsize
-    owner: dict[bytes, int] = {}
-    first, keys = np.unique([owner.setdefault(blob[s * size : (s + DETECT_WINDOW) * size], w)
-                             for w, s in enumerate(starts)], return_inverse=True)
-    windows = np.lib.stride_tricks.sliding_window_view(x, DETECT_WINDOW)[::DETECT_HOP]
-    distinct: list[tuple[float, float] | None] = []
-    for c in range(0, first.size, _CHUNK):
-        rows = first[c : c + _CHUNK]
-        # audio without repeats gives consecutive rows: slice, no gather copy
-        chunk = (windows[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] == rows.size - 1
-                 else windows[rows])
-        distinct += _estimate_windows(chunk, rate, f_lo, f_hi)
-
-    # tone index of each distinct window, -1 for no estimate or an unknown tone
-    found = [d for d, est in enumerate(distinct) if est is not None]
-    tone = np.full(first.size, -1, dtype=np.intp)
-    tone[found] = _tone_indices(schedule, np.array([distinct[d][0] for d in found]))
-    unknown = np.zeros(first.size, dtype=bool)
-    unknown[found] = tone[found] < 0
-    if (misses := int(np.count_nonzero(unknown[keys]))):
-        tally["unknown_tone"] += misses
-
-    # Narrowband onset probe. A Hann-weighted single-bin transform at the
-    # run's nominal tone keeps the neighboring tone (one delta away) out of
-    # the measurement; the head/tail ratio then says whether the tone was
-    # already sounding when the window began. The 0.93 threshold sits just
-    # under the attenuation a window aligned with the pulse onset suffers
-    # from the raised-cosine ramp, so onset-aligned windows qualify and
-    # windows more than a couple of milliseconds early do not. Each tone's
-    # tapered phasor is two real rows, cosine and sine (a complex one would
-    # cast the whole segment matrix to complex), and the distinct windows of
-    # one tone are probed together: one product takes the heads and one the
-    # tails of up to _CHUNK of them.
-    probe_len = DETECT_WINDOW // 2
-    onset_ratio = 0.93
-    toned = np.flatnonzero(tone >= 0)
-    by_tone = toned[np.argsort(tone[toned], kind="stable")]
-    sounding, lows = np.unique(tone[by_tone], return_index=True)
-    bounds = lows.tolist() + [by_tone.size]
-    theta = (2.0 * np.pi * (schedule.f0_hz + sounding[:, None] * schedule.delta_hz)
-             * np.arange(probe_len) / rate)
-    taper = np.hanning(probe_len)
-    phasors = np.stack((np.cos(theta) * taper, np.sin(theta) * taper), axis=1)
-    probes = np.lib.stride_tricks.sliding_window_view(x, probe_len)
-    head, tail = np.empty(first.size), np.empty(first.size)
-    for phasor, lo, hi in zip(phasors, bounds, bounds[1:]):
-        for c in range(lo, hi, _CHUNK):
-            rows = by_tone[c : min(c + _CHUNK, hi)]
-            at = first[rows] * DETECT_HOP
-            head[rows] = np.hypot(*(phasor @ probes[at].T))
-            tail[rows] = np.hypot(*(phasor @ probes[at + DETECT_WINDOW - probe_len].T))
-    ref = np.maximum(head[toned], tail[toned])
-    opens = np.zeros(first.size, dtype=bool)
-    opens[toned] = (ref > 0.0) & (head[toned] >= onset_ratio * ref)
+    tone, opens = _name_windows(pcm.samples, rate, schedule)
+    if (unknown := int(np.count_nonzero(tone == -2))):
+        tally["unknown_tone"] += unknown
 
     # runs of one tone, and the windows in them that may open a pulse
-    per_window = tone[keys]
-    cuts = np.flatnonzero(np.diff(per_window)) + 1
-    run_lo = np.concatenate(([0], cuts))
-    run_hi = np.concatenate((cuts, [per_window.size]))
-    keep = per_window[run_lo] >= 0
+    run_lo = np.flatnonzero(np.diff(tone, prepend=-3))  # -3 names no window: 0 opens a run
+    run_hi = np.append(run_lo[1:], tone.size)
+    keep = tone[run_lo] >= 0
     run_lo, run_hi = run_lo[keep], run_hi[keep]
-    openers = np.flatnonzero(opens[keys])
-    run_openers = zip(per_window[run_lo].tolist(), np.searchsorted(openers, run_lo).tolist(),
-                     np.searchsorted(openers, run_hi).tolist())
-    openers, keys = openers.tolist(), keys.tolist()
+    openers = np.flatnonzero(opens)
+    run_openers = zip(tone[run_lo].tolist(), np.searchsorted(openers, run_lo).tolist(),
+                      np.searchsorted(openers, run_hi).tolist())
+    openers = openers.tolist()
 
-    detections: list[DetectionRecord] = []
+    pulses: list[tuple[int, Timestamp, Timestamp]] = []  # (opener start, emission, playout)
     last_seen: dict[int, Timestamp] = {}
     for k, a, b in run_openers:
         # A window that fails to resolve is skipped, not the whole pulse:
         # the opener probe can fire a hair before the true onset, putting
         # the playout just ahead of a zero-latency slot, and the next
         # qualifying window then resolves the same pulse cleanly.
-        emitted = False
-        for w in openers[a:b]:
-            freq, conf = distinct[keys[w]]
-            playout = playout_clock(starts[w])
-            if k in last_seen and playout - last_seen[k] < period_ms / 2.0:
+        for start in (w * DETECT_HOP for w in openers[a:b]):
+            playout = playout_clock(start)
+            if k in last_seen and playout - last_seen[k] < schedule.pulse_period_ms / 2.0:
                 tally["duplicate_pulse"] += 1
-                emitted = True
                 break
             try:
                 emission = resolve_emission(schedule, k, playout)
@@ -414,13 +400,21 @@ def detect_pulses(
                 tally["ambiguous"] += 1
                 continue
             last_seen[k] = playout
-            detections.append(DetectionRecord(AUDIO, device_id, emission, playout,
-                                              frequency=freq, confidence=conf))
-            emitted = True
+            pulses.append((start, emission, playout))
             break
-        if not emitted:
+        else:
             tally["onset_rejected"] += 1
-    return detections, tally
+
+    # the measured frequency and confidence of each pulse's opener window
+    f_lo = max(50.0, schedule.f0_hz - schedule.delta_hz)
+    f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
+    estimates: list[tuple[float, float] | None] = []
+    for c in range(0, len(pulses), _CHUNK):
+        windows = np.lib.stride_tricks.sliding_window_view(pcm.samples, DETECT_WINDOW)
+        opened = windows[[start for start, _, _ in pulses[c : c + _CHUNK]]]
+        estimates += _estimate_windows(opened.astype(np.float64), rate, f_lo, f_hi)
+    return [DetectionRecord(AUDIO, device_id, emission, playout, None, *(est or ()))
+            for (_, emission, playout), est in zip(pulses, estimates)], tally
 
 
 # --- WAV I/O ------------------------------------------------------------------

@@ -44,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from .audio_beacon import (
-    DETECT_HOP,
     PcmBuffer,
     ToneSchedule,
     detect_wav,
@@ -69,6 +68,9 @@ from .video_beacon import (
 
 PHYSICAL_SCALE = 4
 PHYSICAL_QUIET = 4
+# samples per device audio output callback: a device hands its audio to the
+# output a callback at a time, so a pulse starts playing on a callback boundary
+OUTPUT_CALLBACK_SAMPLES = 512
 
 
 # --- network hop -------------------------------------------------------------------
@@ -241,7 +243,7 @@ class _Display:
 
 def _grid(point, end: float) -> list[float]:
     """``point(0), point(1), ...`` up to the first past ``end``. Point 0 is
-    kept even past it: a session always makes its first capture and pulse."""
+    kept even past it: a session always makes its first capture."""
     grid = [point(0)]
     while (t := point(len(grid))) <= end:
         grid.append(t)
@@ -259,7 +261,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     t0 = float(scenario.start_epoch_ms)
     end = t0 + scenario.duration_s * 1000.0
     rate = scenario.sample_rate
-    hop_ms = DETECT_HOP * 1000.0 / rate  # device output callback; playout lands on this grid
+    callback_ms = OUTPUT_CALLBACK_SAMPLES * 1000.0 / rate
 
     devices = scenario.devices
     joins = {d: t0 + scenario.join_time_s(d) * 1000.0 for d in devices}
@@ -306,7 +308,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     for d in devices:
         phase_rng = random.Random(f"{seed}|phase|{d}")
         vsync_phase = phase_rng.uniform(0.0, quantum_ms)
-        audio_phase[d] = phase_rng.uniform(0.0, hop_ms)
+        audio_phase[d] = phase_rng.uniform(0.0, callback_ms)
         displays.append(_Display(traces[d], joins[d] + vsync_phase, end, join_order))
 
     # --- audio: pulse grid -> uplink -> sort -> each device's downlink
@@ -316,8 +318,9 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
     # leaves its slots before the session unplayed
     first = max(0, -((tones.epoch_ts - stream_start_ts) // period_ms))
     base = tones.epoch_ts + first * period_ms
-    for n, t in enumerate(_grid(lambda k: pclock.invert(float(base + k * period_ms)), end),
-                          first):
+    # an epoch past the session's end leaves no pulse due in it
+    due = _grid(lambda k: pclock.invert(float(base + k * period_ms)), end)
+    for n, t in enumerate(due if due[0] <= end else [], first):
         if (delay := hop(t)) is None:
             tally["pulses_lost_uplink"] += 1
         else:
@@ -337,8 +340,8 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
                 tally["pulses_lost_downlink"] += 1
                 continue
             raw = t + delay + pipe.audio_buffer_ms + pipe.audio_path_ms
-            callbacks = math.ceil((raw - anchor) / hop_ms - 1e-9)
-            play_true = anchor + max(0, callbacks) * hop_ms
+            callbacks = math.ceil((raw - anchor) / callback_ms - 1e-9)
+            play_true = anchor + max(0, callbacks) * callback_ms
             if play_true + tones.pulse_duration_ms > end:
                 tally["pulses_truncated"] += 1
                 continue

@@ -2,8 +2,10 @@
 
 Frequency checks go through an FFT-peak oracle rather than the library's own
 autocorrelation estimator, so synthesis and detection validate each other.
-The original one-window-at-a-time estimator and detector are kept below as
-the oracle of the chunked ones, which must match them bit for bit.
+The original one-window-at-a-time estimator is kept below as the oracle of
+the batched one, which must match it bit for bit, and a detector that names
+each window by direct per-window, per-row tone-bank sums as the oracle of
+``detect_pulses``, which must give the same records and tallies.
 """
 
 import collections
@@ -31,7 +33,7 @@ from xrprobe.audio_beacon import (
     write_wav,
     write_wav_manifest,
 )
-from xrprobe.audio_beacon import _estimate_windows, _tone_indices
+from xrprobe.audio_beacon import _estimate_windows, _name_windows
 from xrprobe.clocks import MAX_TIMESTAMP
 from xrprobe.metrics import AUDIO, DetectionRecord
 from xrprobe.schema import SchemaError
@@ -182,17 +184,6 @@ class TestEstimateFrequency:
         assert abs(est[0] - oracle) <= RATE / 4096 + 0.005 * freq
 
 
-def _tone_index(schedule, frequency):
-    """Alphabet index of the tone nearest ``frequency``; None when it lies
-    farther than delta/2 from every schedule tone. The one-frequency oracle
-    of ``_tone_indices``."""
-    k = round((frequency - schedule.f0_hz) / schedule.delta_hz)
-    k = min(max(k, 0), schedule.tone_count - 1)
-    if abs(frequency - (schedule.f0_hz + k * schedule.delta_hz)) > schedule.delta_hz / 2.0:
-        return None
-    return k
-
-
 class TestResolveEmission:
     def test_latest_matching_slot(self):
         sched = ToneSchedule(epoch_ts=10_000)
@@ -206,10 +197,11 @@ class TestResolveEmission:
 
     def test_tolerance_boundary(self):
         sched = ToneSchedule(tone_count=4)  # tones 600..960, window 400 ms
-        # 57 Hz off f_3, inside delta/2: latest slot with tone 3 is 700 ms
-        assert _tone_index(sched, 1017.0) == 3
+        # 20 Hz off f_3, inside delta/4: latest slot with tone 3 is 700 ms
+        assert set(_name_windows(make_sine(980.0, 4096), RATE, sched)[0]) == {3}
         assert resolve_emission(sched, 3, playout_ts=1000) == 700
-        assert _tone_index(sched, 1025.0) is None  # 65 Hz off f_3
+        # 57 Hz off f_3 lies nearer the row halfway to the next tone
+        assert set(_name_windows(make_sine(1017.0, 4096), RATE, sched)[0]) == {-2}
 
     def test_zero_latency_edge(self):
         sched = ToneSchedule(epoch_ts=5_000)
@@ -236,39 +228,6 @@ class TestResolveEmission:
         emission = sched.epoch_ts + slot * sched.pulse_period_ms
         resolved = resolve_emission(sched, slot % sched.tone_count, emission + delay)
         assert resolved == emission
-
-
-@st.composite
-def _lookups(draw):
-    """A schedule and frequencies to look up: tones, points exactly delta/2
-    from a tone, points below f0 and above the top tone, and any others."""
-    sched = ToneSchedule(f0_hz=draw(st.floats(50.0, 2000.0)), delta_hz=draw(st.floats(1.0, 300.0)),
-                         tone_count=draw(st.integers(2, 40)))
-    top = sched.frequencies[-1]
-    tone = st.integers(0, sched.tone_count - 1).map(lambda k: sched.f0_hz + k * sched.delta_hz)
-    freqs = draw(st.lists(st.one_of(
-        tone,
-        st.tuples(tone, st.sampled_from((-0.5, 0.5))).map(lambda t: t[0] + t[1] * sched.delta_hz),
-        st.floats(0.0, sched.f0_hz),
-        st.floats(top, top + 4 * sched.delta_hz),
-        st.floats(-1e6, 1e6),
-    ), max_size=30))
-    return sched, freqs
-
-
-class TestToneLookup:
-    @given(lookup=_lookups())
-    @settings(max_examples=200, deadline=None)
-    def test_array_lookup_matches_tone_index(self, lookup):
-        sched, freqs = lookup
-        expected = [_tone_index(sched, f) for f in freqs]
-        got = _tone_indices(sched, np.array(freqs, dtype=np.float64)).tolist()
-        assert got == [-1 if k is None else k for k in expected]
-
-    def test_delta_half_is_inside(self):
-        sched = ToneSchedule(tone_count=4)  # tones 600..960
-        freqs = [540.0, 539.9, 1020.0, 1020.1, 660.0, 600.0, -1e9, 1e9]
-        assert _tone_indices(sched, np.array(freqs)).tolist() == [0, -1, 3, -1, 0, 0, -1, -1]
 
 
 def sample_clock(rate=RATE, base=0):
@@ -470,7 +429,8 @@ class TestWavIo:
         assert detect_wav(path) == ([], {})
 
 
-# --- the per-window estimator and detector, kept as the batched ones' oracle ---
+# --- oracles: the per-window estimator, kept as the batched one's, and the
+# detector with its tone bank written out one window and one row at a time ---
 
 def _autocorr_oracle(x: np.ndarray, tau_hi: int) -> np.ndarray:
     n = x.size
@@ -525,57 +485,72 @@ def estimate_frequency_oracle(window, rate=RATE, f_min=200.0, f_max=4800.0,
     return rate / refined, float(np.clip(peak, 0.0, 1.0))
 
 
+def name_windows_oracle(x, rate, schedule):
+    """Each 2,048-sample window's name, one every 512 samples: its tone k, -2
+    for an unknown tone or -1 for none, and whether it may open a pulse of k.
+
+    Every bank row and onset probe is a direct dot product of the window with
+    its Hann-tapered phasor. A loud window is named by its top row, one of
+    those every delta/2 from f0 - delta/2, when that row holds at least half
+    the least share a pure schedule tone puts in its own row."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = [schedule.f0_hz + (j - 1) * schedule.delta_hz / 2.0
+            for j in range(2 * schedule.tone_count + 1)]
+
+    def phasors(size):
+        t = np.arange(size)
+        return [np.hanning(size) * np.exp(-2j * np.pi * f * t / rate) for f in rows]
+
+    bank, probes = phasors(2048), phasors(1024)
+
+    def share(k):
+        """Of the bank's power, the share a pure tone k puts in its own row."""
+        tone = np.sin(2 * np.pi * rows[2 * k + 1] * np.arange(2048) / rate)
+        power = [abs(np.dot(tone, b)) ** 2 for b in bank]
+        return power[2 * k + 1] / sum(power)
+
+    pure = min(share(k) for k in range(schedule.tone_count))
+    names = []
+    for start in range(0, x.size - 2048 + 1, 512):
+        seg = x[start : start + 2048]
+        if math.sqrt(float(np.mean(seg * seg))) < 32767 * 10.0 ** (-40.0 / 20.0):
+            names.append((-1, False))
+            continue
+        power = [abs(np.dot(seg, b)) ** 2 for b in bank]
+        top = int(np.argmax(power))
+        if power[top] < 0.5 * pure * sum(power):
+            names.append((-1, False))
+        elif top % 2 == 0:
+            names.append((-2, False))
+        else:
+            head = abs(np.dot(seg[:1024], probes[top]))
+            tail = abs(np.dot(seg[1024:], probes[top]))
+            ref = max(head, tail)
+            names.append((top // 2, ref > 0.0 and head >= 0.93 * ref))
+    return names
+
+
 def detect_pulses_oracle(pcm, playout_clock, schedule, device_id=""):
-    window_size, hop = 2048, 512
-    tally = collections.Counter()
     x = np.asarray(pcm.samples, dtype=np.float64)
     rate = pcm.sample_rate
     f_lo = max(50.0, schedule.f0_hz - schedule.delta_hz)
     f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
-    hits = []
-    for start in range(0, x.size - window_size + 1, hop):
-        est = estimate_frequency_oracle(x[start : start + window_size], rate, f_lo, f_hi)
-        if est is None:
-            hits.append(None)
-            continue
-        freq, conf = est
-        k = _tone_index(schedule, freq)
-        if k is None:
-            tally["unknown_tone"] += 1
-            hits.append(None)
-            continue
-        hits.append((start, k, freq, conf))
-
-    probe_len = 1024
-
-    def tone_amp(seg, freq):
-        taper = np.hanning(seg.size)
-        phasor = np.exp(-2j * np.pi * freq * np.arange(seg.size) / rate)
-        return abs(np.dot(seg * taper, phasor))
-
-    def openers(run, nominal):
-        for start, _, freq, conf in run:
-            head = tone_amp(x[start : start + probe_len], nominal)
-            tail = tone_amp(x[start + window_size - probe_len : start + window_size], nominal)
-            ref = max(head, tail)
-            if ref > 0.0 and head >= 0.93 * ref:
-                yield start, freq, conf
-
+    names = name_windows_oracle(x, rate, schedule)
+    tally = collections.Counter(unknown_tone=sum(k == -2 for k, _ in names))
     detections = []
     last_seen = {}
     i = 0
-    while i < len(hits):
-        if hits[i] is None:
-            i += 1
-            continue
-        k = hits[i][1]
+    while i < len(names):
+        k = names[i][0]
         j = i
-        while j < len(hits) and hits[j] is not None and hits[j][1] == k:
+        while j < len(names) and names[j][0] == k:
             j += 1
-        run = hits[i:j]
+        run = range(i, j)
         i = j
+        if k < 0:
+            continue
         emitted = False
-        for start, freq, conf in openers(run, schedule.f0_hz + k * schedule.delta_hz):
+        for start in (w * 512 for w in run if names[w][1]):
             playout = playout_clock(start)
             if k in last_seen and playout - last_seen[k] < schedule.pulse_period_ms / 2.0:
                 tally["duplicate_pulse"] += 1
@@ -587,13 +562,14 @@ def detect_pulses_oracle(pcm, playout_clock, schedule, device_id=""):
                 tally["ambiguous"] += 1
                 continue
             last_seen[k] = playout
+            est = estimate_frequency_oracle(x[start : start + 2048], rate, f_lo, f_hi)
             detections.append(DetectionRecord(AUDIO, device_id, emission, playout,
-                                              frequency=freq, confidence=conf))
+                                              None, *(est or ())))
             emitted = True
             break
         if not emitted:
             tally["onset_rejected"] += 1
-    return detections, tally
+    return detections, +tally
 
 
 @st.composite
@@ -670,8 +646,8 @@ class TestBatchedEstimator:
     @settings(max_examples=60, deadline=None)
     def test_every_row_as_if_alone(self, seed, n, distinct, size, cuts):
         # the batched transform must not let a row's neighbours, its place in
-        # the block or the chunk split reach its result: detect_pulses relies
-        # on that to estimate each distinct window once
+        # the block or the chunk split reach its result: detect_pulses
+        # batches the opener windows of its pulses
         rng = np.random.default_rng(seed)
         t = np.arange(n) / RATE
         windows = []
@@ -687,12 +663,14 @@ class TestBatchedEstimator:
             batched += _estimate_windows(block[lo:hi], RATE, 200.0, 4800.0)
         assert batched == [estimate(row) for row in block]
 
-    def test_one_transform_pair_per_chunk_at_2160_points(self, monkeypatch):
-        # noise above the silence floor: 357 distinct loud 2,048-sample
-        # windows, three chunks
+    def test_one_transform_row_per_pulse(self, monkeypatch):
+        # noise above the silence floor and more pulses than one chunk: the
+        # estimator transforms each emitted pulse's opener window, no other
         sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
         rng = np.random.default_rng(5)
-        x = synthesize(sched, 0, 40, rate=RATE).samples + rng.normal(0.0, 1000.0, 40 * 4608)
+        n_slots = 300
+        x = (synthesize(sched, 0, n_slots, rate=RATE).samples
+             + rng.normal(0.0, 1000.0, n_slots * 4608))
         pcm = PcmBuffer(sample_rate=RATE, samples=np.round(x).astype(np.int16))
         calls = []
         for name in ("rfft", "irfft"):
@@ -701,73 +679,113 @@ class TestBatchedEstimator:
                 return _fn(a, n, axis, *args)
             monkeypatch.setattr(np.fft, name, counted)
         chunk = audio_beacon._CHUNK
-        assert len(detect_pulses(pcm, sample_clock(), sched)[0]) == 40
+        dets, _ = detect_pulses(pcm, sample_clock(), sched)
+        assert len(dets) == n_slots and all(d.frequency is not None for d in dets)
         assert calls == [(name, (rows, width), 2160, 1)
-                         for rows in (chunk, chunk, 357 - 2 * chunk)
+                         for rows in (chunk, n_slots - chunk)
                          for name, width in (("rfft", 2048), ("irfft", 1081))]
 
     def test_onset_probes_span_chunks(self, monkeypatch):
-        # noise keeps every window distinct, so each tone sounds in more than
-        # _CHUNK of them and its probe products take several chunks
+        # a window's probes reach into the blocks after it, which a chunk
+        # boundary can put in the next product: chunks of one, of seven and
+        # of _CHUNK windows name every window alike and as the oracle does
         sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
         rng = np.random.default_rng(11)
         n_slots = 160
         x = (synthesize(sched, 0, n_slots, rate=RATE).samples
              + rng.normal(0.0, 300.0, n_slots * 4608))
         pcm = PcmBuffer(sample_rate=RATE, samples=np.round(x).astype(np.int16))
-        oracle, oracle_tally = detect_pulses_oracle(pcm, sample_clock(), sched)
-        sizes = []
-
-        def counted(a, b, _fn=np.hypot):
-            sizes.append(np.size(a))
-            return _fn(a, b)
-
-        monkeypatch.setattr(np, "hypot", counted)
-        dets, tally = detect_pulses(pcm, sample_clock(), sched)
-        assert dets == oracle
-        assert tally == oracle_tally and len(oracle) == n_slots
-        assert max(sizes) == audio_beacon._CHUNK and len(sizes) > 2 * sched.tone_count
+        oracle = detect_pulses_oracle(pcm, sample_clock(), sched)
+        names = name_windows_oracle(pcm.samples, RATE, sched)
+        assert len(oracle[0]) == n_slots and len(names) > 2 * audio_beacon._CHUNK
+        for chunk in (1, 7, audio_beacon._CHUNK):
+            monkeypatch.setattr(audio_beacon, "_CHUNK", chunk)
+            tone, opens = _name_windows(pcm.samples, RATE, sched)
+            assert list(zip(tone.tolist(), opens.tolist())) == names
+            assert detect_pulses(pcm, sample_clock(), sched) == oracle
 
 
-class TestDistinctWindows:
-    """``detect_pulses`` estimates each distinct window once."""
+@st.composite
+def _random_pcm(draw):
+    """A sample rate, a schedule and random PCM: up to three sines at
+    schedule tones, between them or outside the alphabet, each over a random
+    stretch at a random level, and optional noise; some shorter than one
+    window. No sine lies exactly halfway between two bank rows, where either
+    row may win by rounding."""
+    rate = draw(st.sampled_from((16_000, 48_000, 96_000)))
+    sched = ToneSchedule(f0_hz=draw(st.sampled_from((300.0, 600.0))),
+                         delta_hz=draw(st.sampled_from((60.0, 120.0, 200.0))),
+                         tone_count=draw(st.sampled_from((2, 4, 8, 32))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from((1000, 2048, 2600, 5000, 8000)))
+    x = np.zeros(n)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.1, 0.4, 0.5, 0.6)))
+        f = sched.f0_hz + (draw(st.integers(0, sched.tone_count - 1)) + at) * sched.delta_hz
+        lo, hi = sorted(draw(st.integers(0, n)) for _ in range(2))
+        level = draw(st.sampled_from((300.0, 3000.0, 16000.0)))
+        x[lo:hi] += level * np.sin(2 * np.pi * f * np.arange(lo, hi) / rate + rng.uniform(0, 7))
+    x += rng.normal(0.0, draw(st.sampled_from((0.0, 30.0, 1000.0, 8000.0))), n)
+    return rate, sched, np.clip(np.round(x), -32768, 32767).astype(np.int16)
+
+
+class TestToneBank:
+    @given(case=_random_pcm())
+    @settings(max_examples=60, deadline=None)
+    def test_every_window_named_as_by_direct_sums(self, case):
+        rate, sched, samples = case
+        names = name_windows_oracle(samples, rate, sched)
+        tone, opens = _name_windows(samples, rate, sched)
+        assert list(zip(tone.tolist(), opens.tolist())) == names
+        _, tally = detect_pulses(PcmBuffer(rate, samples), sample_clock(rate), sched)
+        assert tally["unknown_tone"] == sum(k == -2 for k, _ in names)
+
+    @pytest.mark.parametrize("rate, delta_hz", [(192_000, 120.0), (48_000, 30.0)])
+    def test_overlapping_rows_still_name_every_tone(self, rate, delta_hz):
+        # rows closer than the Hann mainlobe: a pure tone puts under half of
+        # the bank's power in its own row (0.43 in both), yet names its tone
+        sched = ToneSchedule(delta_hz=delta_hz, epoch_ts=0)
+        dets, tally = detect_pulses(synthesize(sched, 0, 32, rate=rate), sample_clock(rate), sched)
+        assert [d.emission_ts // 100 for d in dets] == list(range(32))
+        assert "unknown_tone" not in tally
+
+
+class TestPulseEdges:
+    """A window at a pulse's edge names its tone or nothing, never an
+    unknown tone."""
 
     @staticmethod
-    def _windows(pcm, window=2048, hop=512):
-        x = pcm.samples
-        return [x[s : s + window].tobytes() for s in range(0, x.size - window + 1, hop)]
+    def _detect(sched, samples, base=0):
+        tone, _ = _name_windows(samples, RATE, sched)
+        dets, tally = detect_pulses(PcmBuffer(RATE, samples), sample_clock(base=base), sched)
+        assert "unknown_tone" not in tally and -2 not in tone
+        return set(tone.tolist()), dets
 
-    @staticmethod
-    def _rows_estimated(monkeypatch, pcm, sched):
-        rows = []
-        estimate = audio_beacon._estimate_windows
+    def test_part_pulse_part_silence(self):
+        # one pulse of each tone after a silent lead-in, at four phases
+        # against the window grid: windows hold its head or its tail beside
+        # silence
+        sched = ToneSchedule(epoch_ts=0)
+        silence = np.zeros(2048, dtype=np.int16)
+        for k in range(sched.tone_count):
+            pulse = synthesize(sched, k, 1, rate=RATE).samples
+            for lead in range(0, 512, 128):
+                samples = np.concatenate((silence[:lead], silence, pulse, silence))
+                names, dets = self._detect(sched, samples, base=k * sched.pulse_period_ms)
+                assert names == {-1, k} and [d.emission_ts for d in dets] == [k * 100]
 
-        def counting(frames, *args, **kwargs):
-            rows.append(len(frames))
-            return estimate(frames, *args, **kwargs)
+    def test_end_of_one_tone_and_start_of_the_next(self):
+        # pulses that fill their period: a window across a boundary holds
+        # the end of tone k and the start of tone k + 1
+        sched = ToneSchedule(pulse_period_ms=80, pulse_duration_ms=80, epoch_ts=0)
+        for lead in range(0, 512, 128):
+            samples = np.concatenate((np.zeros(lead, dtype=np.int16),
+                                      synthesize(sched, 0, 33, rate=RATE).samples))
+            _, dets = self._detect(sched, samples)
+            assert [d.emission_ts for d in dets] == [80 * n for n in range(33)]
 
-        monkeypatch.setattr(audio_beacon, "_estimate_windows", counting)
-        dets, tally = detect_pulses(pcm, sample_clock(), sched)
-        return sum(rows), dets, tally
-
-    def test_repeated_windows_estimated_once(self, monkeypatch):
-        # a hop-aligned period: each tone's windows come back every 4 slots
-        sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
-        pcm = synthesize(sched, 0, 40, rate=RATE)
-        windows = self._windows(pcm)
-        assert len(set(windows)) < len(windows) // 4
-        rows, dets, tally = self._rows_estimated(monkeypatch, pcm, sched)
-        assert rows == len(set(windows))
-        assert (dets, tally) == detect_pulses_oracle(pcm, sample_clock(), sched)
-        assert len(dets) == 40
-
-    def test_noisy_windows_all_estimated(self, monkeypatch):
-        sched = ToneSchedule(tone_count=4, pulse_period_ms=96, epoch_ts=0)
-        rng = np.random.default_rng(5)
-        x = synthesize(sched, 0, 40, rate=RATE).samples + rng.normal(0.0, 30.0, 40 * 4608)
-        pcm = PcmBuffer(sample_rate=RATE, samples=np.round(x).astype(np.int16))
-        windows = self._windows(pcm)
-        assert len(set(windows)) == len(windows)
-        rows, dets, _ = self._rows_estimated(monkeypatch, pcm, sched)
-        assert rows == len(windows)
-        assert len(dets) == 40
+    def test_an_80_ms_pulse_at_each_tone(self):
+        sched = ToneSchedule(epoch_ts=0)
+        names, dets = self._detect(sched, synthesize(sched, 0, 32, rate=RATE).samples)
+        assert names == {-1, *range(32)}
+        assert [d.emission_ts for d in dets] == [100 * k for k in range(32)]

@@ -23,10 +23,17 @@ from dataclasses import dataclass, replace
 
 from hypothesis import given, settings, strategies as st
 
-from xrprobe.audio_beacon import DETECT_HOP, slot_frequency
+from xrprobe.audio_beacon import slot_frequency
 from xrprobe.clocks import DeviceClock
 from xrprobe.metrics import AUDIO, VIDEO, DetectionRecord
-from xrprobe.netsim import DetectionLog, DeviceTrace, _Display, _slot_at, run_scenario
+from xrprobe.netsim import (
+    OUTPUT_CALLBACK_SAMPLES,
+    DetectionLog,
+    DeviceTrace,
+    _Display,
+    _slot_at,
+    run_scenario,
+)
 from xrprobe.scenario import (
     ClockSpec,
     GaussianJitter,
@@ -86,7 +93,7 @@ def heap_run_scenario(scenario: SessionScenario, seed: int | None = None) -> Det
     t0 = float(scenario.start_epoch_ms)
     end = t0 + scenario.duration_s * 1000.0
     rate = scenario.sample_rate
-    hop_ms = DETECT_HOP * 1000.0 / rate  # device output callback; playout lands on this grid
+    hop_ms = OUTPUT_CALLBACK_SAMPLES * 1000.0 / rate  # playout lands on this grid
 
     devices = scenario.devices
     joins = {d: t0 + scenario.join_time_s(d) * 1000.0 for d in devices}

@@ -205,7 +205,7 @@ class TestRunScenario:
         assert hashlib.sha256((out / "log_symbolic.jsonl").read_bytes()).hexdigest() == (
             "baf712feda4cacdd2e2bd5d200215f6d8fc95d3cb65eafee881dd4162e3c5702")
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
-            "f59ab0f95373bb1fcaf2ed25b35dd8c73c8bc22d95697bc52607f5a3ba4f19a3")
+            "f511e86ec8292ba64a01a67b874100a54fa705401f9c2d93c80af9dc602cb9e0")
 
     def test_seed_7919_physical_bytes_pinned(self, tmp_path, capsys):
         # the same physical run at a held-out seed
@@ -413,6 +413,18 @@ class TestRunScenario:
         five = audio(run_scenario(load_scenario({**doc, "tones": {"epoch_ts": 5}})))
         assert [e - start for e, _ in five] == [5 + 100 * i for i in range(8)]
         assert all(0 < p - e < 1000 for e, p in five)
+
+    @pytest.mark.parametrize("epoch_ts", [1_800_000_000_000, 2**64 - 1])
+    def test_tone_epoch_after_the_session_end_plays_no_pulse(self, epoch_ts):
+        # no pulse is due before the session ends, so none is played, lost
+        # or truncated; the video and its tallies are the default epoch's
+        doc = {"profile": "ethernet", "duration_s": 1.0, "viewers": ["u2"],
+               "join_times_s": [0.5]}
+        base = run_scenario(load_scenario(doc))
+        late = run_scenario(load_scenario({**doc, "tones": {"epoch_ts": epoch_ts}}))
+        assert base.tally["pulses_truncated"] > 0
+        assert late.records == [r for r in base.records if r.media == VIDEO]
+        assert late.tally == {k: n for k, n in base.tally.items() if not k.startswith("pulses_")}
 
     def test_returns_detection_log_with_traces(self):
         log = run_scenario(quick_scenario())
