@@ -27,15 +27,22 @@ a tick's time goes first iff its edge came before the previous tick, and an
 edge at exactly a control step's time iff its capture came before the previous
 step (the first step always goes first). An edge or capture at exactly the
 previous tick's or step's time counts as after it: two exact float ties at once.
+
+``run_scenario`` runs with the cyclic garbage collector paused: its records are
+NamedTuples, which the collector keeps tracking (it untracks only exact tuples),
+so tens of thousands of them set off full-heap passes while a run builds them,
+and the engine makes no reference cycles, so the pause defers no garbage.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import itemgetter
@@ -250,6 +257,20 @@ def _grid(point, end: float) -> list[float]:
     return grid
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The block with the cyclic garbage collector off; a collector that was
+    on comes back on after it, one that was off stays off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def run_scenario(scenario: SessionScenario, seed: int | None = None) -> DetectionLog:
     """Simulate the scenario and return its detection log (symbolic mode)."""
     seed = scenario.seed if seed is None else seed

@@ -3,17 +3,20 @@ slot labeling, clock-error propagation, and the physical rendering path.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import random
 import statistics
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from xrprobe import netsim
 from xrprobe.cli import run
 from xrprobe.exporter import write_log
 from xrprobe.netsim import (
@@ -432,6 +435,110 @@ class TestRunScenario:
         assert set(log.traces) == {"u1", "u2", "u3"}
         for trace in log.traces.values():
             assert trace.quantum_ms == pytest.approx(1000.0 / 30.0)
+
+    @pytest.mark.parametrize("seed", [42, 7919])
+    @pytest.mark.parametrize("profile", ["ethernet", "fiveg", "wifi"])
+    def test_longer_run_keeps_the_shorter_runs_records(self, profile, seed):
+        """A 60 s run repeats the 30 s run at the same seed up to a margin
+        before 30 s.
+
+        Every grid, channel and clock is drawn in time order, so the longer run
+        makes the same draws first. A display tick at or before the end shows
+        the same frame in both runs: a frame the longer run sends after the end
+        arrives after it, and a control step at or before the end decides on
+        the same ticks, so neither the frame period nor the control step widens
+        the margin. A pulse that starts more than its length before the end
+        plays whole in both: the shorter run drops the rest as
+        ``pulses_truncated``. A record's ``playout_ts`` is a device clock's
+        rounded reading, so the margin is the pulse length plus the clocks'
+        largest error and the rounding.
+        """
+        def simulate(duration_s):
+            return run_scenario(preset_scenario(profile, duration_s=duration_s, seed=seed,
+                                                viewers=("u2", "u3"), join_times_s=(5.0, 20.0)))
+
+        short, long = simulate(30.0), simulate(60.0)
+        clocks = [trace.clock for trace in short.traces.values()]
+        error = (max(abs(o) for clock in clocks for o in clock.offsets)
+                 + max(abs(clock.drift_ppm) for clock in clocks) * 1e-6 * 30_000.0 + 0.5)
+        cut = (preset_scenario(profile).start_epoch_ms + 30_000.0
+               - short.tones.pulse_duration_ms - error)
+        assert [r for r in long.records if r.playout_ts < cut] == (
+            [r for r in short.records if r.playout_ts < cut])
+        # past the margin too, the shorter run writes no record the longer one lacks
+        rest = iter(long.records)
+        assert all(r in rest for r in short.records)
+
+
+class TestCollectorPause:
+    """``run_scenario`` runs with the cyclic garbage collector off."""
+
+    def test_no_collection_while_the_engine_runs(self):
+        sc = preset_scenario("wifi", duration_s=300.0, seed=42)
+        inside = []
+
+        def hook(phase, info):
+            if phase == "start":  # is the engine's body on the stack?
+                frame = sys._getframe(1)
+                while frame is not None and not (frame.f_code.co_name == "run_scenario"
+                                                 and frame.f_code.co_filename == netsim.__file__):
+                    frame = frame.f_back
+                inside.append(frame is not None)
+
+        assert gc.isenabled()
+        gc.callbacks.append(hook)
+        try:
+            log = run_scenario(sc)
+            gc.collect()  # the hook sees a collection outside the engine
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(log.records) == 35_782
+        assert inside and not any(inside)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("doc, raises", [
+        ({"profile": "ethernet", "duration_s": 2, "viewers": ["u2"], "join_times_s": [1]},
+         False),
+        # the clocks read past 2**43-1: run_scenario raises naming start_epoch_ms
+        ({"profile": "ethernet", "duration_s": 2, "viewers": ["u2"], "join_times_s": [1],
+          "start_epoch_ms": 2**43 - 2002, "seed": 3, "clocks": {"initial_offset_sigma_ms": 50}},
+         True),
+    ], ids=["returns", "raises"])
+    def test_collector_state_restored(self, enabled, doc, raises):
+        sc = load_scenario(doc)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raises:
+                with pytest.raises(SchemaError) as err:
+                    run_scenario(sc)
+                assert err.value.field == "start_epoch_ms"
+            else:
+                run_scenario(sc)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("doc", [
+        {"profile": "ethernet", "duration_s": 300, "seed": 42},
+        {"profile": "fiveg", "duration_s": 300, "seed": 7919},
+        {"profile": "wifi", "duration_s": 300, "seed": 42},
+        # the quality pin's scenario: control steps in the video downlink pass
+        {"profile": "wifi", "seed": 42,
+         "quality": {"enabled": True, "step_down_threshold_ms": 400,
+                     "step_up_threshold_ms": 370, "dwell_s": 5}},
+    ], ids=["ethernet", "fiveg", "wifi", "quality"])
+    def test_engine_leaves_no_cyclic_garbage(self, doc):
+        # the pause defers no collection: nothing the run made needs one
+        sc = load_scenario(doc)
+        gc.collect()
+        gc.disable()
+        try:
+            log = run_scenario(sc)
+            assert log.records
+            del log
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPhysicalMode:
