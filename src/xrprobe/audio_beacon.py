@@ -8,13 +8,15 @@ long as end-to-end delay stays inside the ambiguity window
 
 Detection knows the alphabet: ``detect_pulses`` names each window of the
 stream by a tone bank, Hann-tapered single-bin magnitudes at the schedule's
-tones and halfway between and just outside them, in one real matrix product
-per chunk of windows. A record's frequency and confidence are measured on
-its pulse's opening window alone: normalized autocorrelation, first
-qualifying peak after the first zero crossing, parabolic refinement of the
-peak lag, as one batched real transform pair at the smallest 5-smooth size
-that gives the linear autocorrelation over the lags searched (2,160 points
-for a 2,048-sample window).
+tones and halfway between and just outside them, in one single-precision
+real matrix product per chunk of windows; the few windows whose name that
+product's error bound cannot decide are named again in double precision, so
+every name is the double-precision one. A record's frequency and confidence
+are measured on its pulse's opening window alone: normalized
+autocorrelation, first qualifying peak after the first zero crossing,
+parabolic refinement of the peak lag, as one batched real transform pair at
+the smallest 5-smooth size that gives the linear autocorrelation over the
+lags searched (2,160 points for a 2,048-sample window).
 """
 
 from __future__ import annotations
@@ -281,16 +283,36 @@ _ONSET_RATIO = 0.93
 
 @functools.lru_cache(maxsize=8)
 def _tone_bank(rate: int, f0_hz: float, delta_hz: float,
-               tone_count: int) -> tuple[np.ndarray, float]:
+               tone_count: int) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float]]:
     """The (DETECT_HOP, columns) matrix that turns the stream's blocks into
-    every window's bank and onset probes, and s, the least share of the
-    bank's power a pure schedule tone puts in its own row.
+    every window's bank and onset probes, in double and in single precision;
+    s, the least share of the bank's power a pure schedule tone puts in its
+    own row; and the single-precision error bound per unit of sample norm
+    of a bank value and of a probe value.
 
     Bank row j is f0 + (j - 1) * delta / 2, so odd row 2k + 1 is tone k; the
     onset probes are the tones over a half window. Each is a Hann-tapered
     single-bin transform, a cosine and a sine column per DETECT_HOP-sample
     section: a window's value is the sum of its sections' products with the
     blocks it spans.
+
+    The bound. int16 samples are exact in single precision and each
+    coefficient is rounded once, so every entry of the single-precision
+    product is a DETECT_HOP-term dot product whose error is at most about
+    (DETECT_HOP + 1) * u * sum |x c| (u = 2**-24: DETECT_HOP roundings in
+    the sum, one in the coefficient). A window value therefore lies within
+    E = (DETECT_HOP + slack) * u * |x_w| * |hann_N| of the exact value, re
+    and im alike (Cauchy-Schwarz; |x_w| is the 2-norm of the window's
+    samples, the root of its energy, and hann_N the taper of its N
+    samples). The slack of 8 covers the second-order terms and the
+    double-precision path's own rounding, which is 2**29 times finer. From
+    that:
+      - a row's power P errs by at most 2E sqrt(2P~) + 4E**2, P~ the
+        single-precision power;
+      - the bank's total power over its R rows by at most
+        2E sqrt(2R sum P~) + 4R E**2;
+      - a probe's magnitude by at most sqrt(2) E_half, E_half the bound of
+        a half window's value.
     """
     def phasors(freqs: np.ndarray, taper: np.ndarray) -> np.ndarray:
         theta = 2.0 * np.pi * freqs[:, None] * np.arange(taper.size) / rate
@@ -298,48 +320,107 @@ def _tone_bank(rate: int, f0_hz: float, delta_hz: float,
 
     freqs = f0_hz + (np.arange(2 * tone_count + 1) - 1) * delta_hz / 2.0
     tones = freqs[1::2]
-    bank = phasors(freqs, np.hanning(DETECT_WINDOW))
-    probes = phasors(tones, np.hanning(DETECT_WINDOW // 2))
+    taper, half = np.hanning(DETECT_WINDOW), np.hanning(DETECT_WINDOW // 2)
+    bank = phasors(freqs, taper)
+    probes = phasors(tones, half)
     pure = bank @ np.sin(2.0 * np.pi * tones * np.arange(DETECT_WINDOW)[:, None] / rate)
     power = np.square(pure[: freqs.size]) + np.square(pure[freqs.size :])
-    return (np.hstack([m[:, q : q + DETECT_HOP].T for m in (bank, probes)
-                       for q in range(0, m.shape[1], DETECT_HOP)]),
-            float((power[1::2].diagonal() / power.sum(axis=0)).min()))
+    matrix = np.hstack([m[:, q : q + DETECT_HOP].T for m in (bank, probes)
+                        for q in range(0, m.shape[1], DETECT_HOP)])
+    unit = (DETECT_HOP + 8) * 2.0 ** -24
+    return (matrix, matrix.astype(np.float32),
+            float((power[1::2].diagonal() / power.sum(axis=0)).min()),
+            (unit * float(np.linalg.norm(taper)), unit * float(np.linalg.norm(half))))
+
+
+def _bank_names(product: np.ndarray, squares: np.ndarray, first: np.ndarray, tones: int,
+                s: float, errors: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the tone bank names the windows whose first blocks are the rows
+    ``first`` of ``product``, the blocks' product with ``_tone_bank``'s
+    matrix, and of ``squares``, their energies: each window's tone and
+    opener flag as in ``_name_windows``, and whether a product whose bank
+    and probe values err by at most ``errors`` per unit of sample norm
+    might name the window or flag it otherwise."""
+    rows = 2 * tones + 1
+    span = DETECT_WINDOW // DETECT_HOP  # the blocks of one window
+    full = product[:, : span * 2 * rows].reshape(-1, span, 2, rows)
+    half = product[:, span * 2 * rows :].reshape(-1, span // 2, 2, tones)
+    power = np.square(sum(full[first + q, q] for q in range(span))).sum(axis=1)
+    energy = sum(squares[first + q] for q in range(span))
+    loud = energy >= DETECT_WINDOW * (FULL_SCALE * 10.0 ** (SILENCE_DBFS / 20.0)) ** 2
+    top = power.argmax(axis=1)
+    best, total = power[np.arange(first.size), top], power.sum(axis=1)
+    named = loud & (best >= _TOP_SHARE * s * total)
+    tone = np.where(named, np.where(top % 2 == 1, top // 2, -2), -1)
+    at = np.flatnonzero(tone >= 0)
+    k, head_block = tone[at], first[at]
+    # each named window's probes at its tone: its head, then its tail half
+    head, tail = (np.hypot(*sum(half[head_block + h + q, q, :, k] for q in range(span // 2)).T)
+                  for h in (0, span // 2))
+    opens = np.zeros(first.size, dtype=bool)
+    opens[at] = (head > 0.0) & (head >= _ONSET_RATIO * np.maximum(head, tail))
+
+    # the decisions _tone_bank's bound leaves open: the top row's share,
+    # and whether it tops the runner-up
+    e = errors[0] * np.sqrt(energy)
+
+    def err(p: np.ndarray, terms: int = 1) -> np.ndarray:
+        return 2.0 * e * np.sqrt(2.0 * terms * p) + 4.0 * terms * e * e
+
+    second = np.partition(power, rows - 2, axis=1)[:, rows - 2]
+    low, high, share = best - err(best), best + err(best), _TOP_SHARE * s
+    unsure = loud & ~(high < share * (total - err(total, rows))) & ~(
+        (low > share * (total + err(total, rows))) & (low > second + err(second)))
+    # and, for a named window, its head probe against its tail probe
+    eh, et = (math.sqrt(2.0) * errors[1]
+              * np.sqrt(sum(squares[head_block + h + q] for q in range(span // 2)))
+              for h in (0, span // 2))
+    unsure[at] |= ~((head - eh > _ONSET_RATIO * (tail + et))
+                    | (head + eh < _ONSET_RATIO * (tail - et)))
+    return tone, opens, unsure
+
+
+def _double_names(samples: np.ndarray, windows: np.ndarray, tones: int, bank: np.ndarray,
+                  s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The tone and opener flag of each window ``windows`` of ``samples``
+    by the double-precision product with its own blocks."""
+    span = DETECT_WINDOW // DETECT_HOP
+    blocks = samples[windows[:, None] * DETECT_HOP + np.arange(DETECT_WINDOW)]
+    blocks = blocks.reshape(-1, DETECT_HOP).astype(np.float64)
+    tone, opens, _ = _bank_names(blocks @ bank, np.einsum("ij,ij->i", blocks, blocks),
+                                 np.arange(windows.size) * span, tones, s, (0.0, 0.0))
+    return tone, opens
 
 
 def _name_windows(samples: np.ndarray, rate: int,
                   schedule: ToneSchedule) -> tuple[np.ndarray, np.ndarray]:
     """What the tone bank names each window of ``samples`` (DETECT_WINDOW
     samples, one every DETECT_HOP): its tone k, -2 for an unknown tone or -1
-    for none; and whether the window may open a pulse of its tone. The bank
-    and the onset probes of ``_CHUNK`` windows are one real matrix product
-    with the DETECT_HOP-sample blocks they span."""
+    for none; and whether the window may open a pulse of its tone.
+
+    The bank and the onset probes of ``_CHUNK`` windows are one real matrix
+    product with the DETECT_HOP-sample blocks they span, in single
+    precision. A window whose name or flag lies within ``_tone_bank``'s
+    error bound of a threshold is named again by the double-precision
+    product with its own blocks, so every name and flag is the
+    double-precision one."""
     count = max(0, (samples.size - DETECT_WINDOW) // DETECT_HOP + 1)
-    rows, tones = 2 * schedule.tone_count + 1, schedule.tone_count
+    tones = schedule.tone_count
     span = DETECT_WINDOW // DETECT_HOP  # the blocks of one window
-    bank, s = _tone_bank(rate, schedule.f0_hz, schedule.delta_hz, tones)
-    floor = DETECT_WINDOW * (FULL_SCALE * 10.0 ** (SILENCE_DBFS / 20.0)) ** 2
+    bank, bank32, s, errors = _tone_bank(rate, schedule.f0_hz, schedule.delta_hz, tones)
     tone = np.empty(count, dtype=np.intp)
-    opens = np.zeros(count, dtype=bool)
+    opens = np.empty(count, dtype=bool)
+    unsure = np.empty(count, dtype=bool)
     for lo in range(0, count, _CHUNK):
         n = min(_CHUNK, count - lo)
         chunk = samples[lo * DETECT_HOP : (lo + n + span - 1) * DETECT_HOP]
         chunk = chunk.reshape(-1, DETECT_HOP).astype(np.float64)
-        product = chunk @ bank
-        full = product[:, : span * 2 * rows].reshape(-1, span, 2, rows)
-        half = product[:, span * 2 * rows :].reshape(-1, span // 2, 2, tones)
-        power = np.square(sum(full[q : q + n, q] for q in range(span))).sum(axis=1)
+        product = (chunk.astype(np.float32) @ bank32).astype(np.float64)
         squares = np.einsum("ij,ij->i", chunk, chunk)
-        loud = sum(squares[q : q + n] for q in range(span)) >= floor
-        top = power.argmax(axis=1)
-        named = loud & (power[np.arange(n), top] >= _TOP_SHARE * s * power.sum(axis=1))
-        tone[lo : lo + n] = np.where(named, np.where(top % 2 == 1, top // 2, -2), -1)
-        at = np.flatnonzero(tone[lo : lo + n] >= 0)
-        k = tone[lo + at]
-        # each named window's probes at its tone: its head, then its tail half
-        head, tail = (np.hypot(*sum(half[at + h + q, q, :, k] for q in range(span // 2)).T)
-                      for h in (0, span // 2))
-        opens[lo + at] = (head > 0.0) & (head >= _ONSET_RATIO * np.maximum(head, tail))
+        tone[lo : lo + n], opens[lo : lo + n], unsure[lo : lo + n] = _bank_names(
+            product, squares, np.arange(n), tones, s, errors)
+    if (redo := np.flatnonzero(unsure)).size:
+        tone[redo], opens[redo] = _double_names(samples, redo, tones, bank, s)
     return tone, opens
 
 
@@ -405,12 +486,14 @@ def detect_pulses(
         else:
             tally["onset_rejected"] += 1
 
+    if not pulses:  # as from any stream shorter than one window, which has no window view
+        return [], tally
     # the measured frequency and confidence of each pulse's opener window
     f_lo = max(50.0, schedule.f0_hz - schedule.delta_hz)
     f_hi = min(max(schedule.frequencies) + schedule.delta_hz, rate / 2.0 - 1.0)
     estimates: list[tuple[float, float] | None] = []
+    windows = np.lib.stride_tricks.sliding_window_view(pcm.samples, DETECT_WINDOW)
     for c in range(0, len(pulses), _CHUNK):
-        windows = np.lib.stride_tricks.sliding_window_view(pcm.samples, DETECT_WINDOW)
         opened = windows[[start for start, _, _ in pulses[c : c + _CHUNK]]]
         estimates += _estimate_windows(opened.astype(np.float64), rate, f_lo, f_hi)
     return [DetectionRecord(AUDIO, device_id, emission, playout, None, *(est or ()))

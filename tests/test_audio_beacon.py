@@ -36,6 +36,8 @@ from xrprobe.audio_beacon import (
 from xrprobe.audio_beacon import _estimate_windows, _name_windows
 from xrprobe.clocks import MAX_TIMESTAMP
 from xrprobe.metrics import AUDIO, DetectionRecord
+from xrprobe.netsim import run_physical
+from xrprobe.scenario import preset_scenario
 from xrprobe.schema import SchemaError
 
 RATE = 48000
@@ -748,6 +750,131 @@ class TestToneBank:
         dets, tally = detect_pulses(synthesize(sched, 0, 32, rate=rate), sample_clock(rate), sched)
         assert [d.emission_ts // 100 for d in dets] == list(range(32))
         assert "unknown_tone" not in tally
+
+
+@st.composite
+def _bound_blocks(draw):
+    """A sample rate, a schedule as ``_random_pcm`` draws it, and 4 to 12
+    512-sample blocks, each silence, a full-scale square wave at a schedule
+    tone (+-32767/-32768), noise or a schedule sine."""
+    rate = draw(st.sampled_from((16_000, 48_000, 96_000, 192_000)))
+    sched = ToneSchedule(f0_hz=draw(st.sampled_from((300.0, 600.0))),
+                         delta_hz=draw(st.sampled_from((60.0, 120.0, 200.0))),
+                         tone_count=draw(st.sampled_from((2, 4, 8, 32))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for b in range(draw(st.integers(4, 12))):
+        t = np.arange(b * 512, (b + 1) * 512) / rate
+        phase = 2 * np.pi * rng.choice(sched.frequencies) * t + rng.uniform(0, 7)
+        kind = draw(st.sampled_from(("silence", "full scale", "noise", "sine")))
+        if kind == "silence":
+            x = np.zeros(512)
+        elif kind == "full scale":
+            x = np.where(np.sin(phase) >= 0.0, 32767.0, -32768.0)
+        elif kind == "noise":
+            x = rng.normal(0.0, draw(st.sampled_from((30.0, 1000.0, 8000.0, 30000.0))), 512)
+        else:
+            x = draw(st.sampled_from((300.0, 3000.0, 16000.0, 32767.0))) * np.sin(phase)
+        blocks.append(x)
+    samples = np.clip(np.round(np.concatenate(blocks)), -32768, 32767).astype(np.int16)
+    return rate, sched, samples
+
+
+class TestSinglePrecisionBank:
+    """``_name_windows`` runs the bank product in single precision and
+    names again, in double precision, each window whose name or opener flag
+    lies within the product's error bound of a threshold."""
+
+    @given(case=_bound_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_single_precision_values_within_the_bound(self, case):
+        rate, sched, samples = case
+        tones, span = sched.tone_count, 4
+        rows = 2 * tones + 1
+        matrix, matrix32, _, (e_full, e_half) = audio_beacon._tone_bank(
+            rate, sched.f0_hz, sched.delta_hz, tones)
+        blocks = samples.reshape(-1, 512).astype(np.float64)
+        squares = np.einsum("ij,ij->i", blocks, blocks)
+        n = blocks.shape[0] - span + 1
+
+        def values(product):
+            """Every window's bank values (re and im of each row), and its
+            head and tail probe values at every tone."""
+            full = product[:, : span * 2 * rows].reshape(-1, span, 2, rows)
+            half = product[:, span * 2 * rows :].reshape(-1, 2, 2, tones)
+            return (sum(full[q : q + n, q] for q in range(span)),
+                    [sum(half[h + q : h + q + n, q] for q in range(2)) for h in (0, 2)])
+
+        bank64, probes64 = values(blocks @ matrix)
+        bank32, probes32 = values((blocks.astype(np.float32) @ matrix32).astype(np.float64))
+        e = e_full * np.sqrt(sum(squares[q : q + n] for q in range(span)))[:, None]
+        assert np.all(np.abs(bank32 - bank64) <= e[:, None])
+        # a row's power, and the bank's total over its rows
+        p32, p64 = np.square(bank32).sum(axis=1), np.square(bank64).sum(axis=1)
+        assert np.all(np.abs(p32 - p64) <= 2 * e * np.sqrt(2 * p32) + 4 * e * e)
+        t32, t64 = p32.sum(axis=1), p64.sum(axis=1)
+        e = e[:, 0]
+        assert np.all(np.abs(t32 - t64) <= 2 * e * np.sqrt(2 * rows * t32) + 4 * rows * e * e)
+        for h, v32, v64 in zip((0, 2), probes32, probes64):
+            eh = e_half * np.sqrt(squares[h : h + n] + squares[h + 1 : h + 1 + n])[:, None]
+            assert np.all(np.abs(v32 - v64) <= eh[:, None])
+            m32, m64 = (np.hypot(v[:, 0], v[:, 1]) for v in (v32, v64))
+            assert np.all(np.abs(m32 - m64) <= math.sqrt(2) * eh)
+
+    @pytest.mark.parametrize("rate, eps", [(22_050, -1.9e-5), (22_050, 1.9e-5),
+                                           (48_000, -3e-8), (48_000, 3e-8)])
+    def test_near_tie_named_in_double_precision(self, rate, eps, monkeypatch):
+        # a sine a hair off the midpoint of tone row 2k + 1 and its even
+        # neighbour 2k + 2: the two rows' powers differ by less than their
+        # single-precision bounds. At 48 kHz the int16 rounding decides which
+        # row tops a window; at 22.05 kHz the top row's share sits at its
+        # threshold. At such detunings a single-precision product alone can
+        # name a window otherwise.
+        sched, k = ToneSchedule(), 10
+        samples = make_sine(sched.f0_hz + (k + 0.25 + eps) * sched.delta_hz, 8192, rate, amp=0.5)
+        bank, _, _, (e_full, _) = audio_beacon._tone_bank(
+            rate, sched.f0_hz, sched.delta_hz, sched.tone_count)
+        first = samples[:2048].astype(np.float64)
+        values = first.reshape(-1, 512) @ bank[:, : 4 * 2 * 65]
+        row = sum(values[q].reshape(4, 2, 65)[q] for q in range(4))
+        p1, p2 = np.square(row[:, 2 * k + 1 : 2 * k + 3]).sum(axis=0)
+        e = e_full * np.linalg.norm(first)
+        assert abs(p1 - p2) < sum(2 * e * math.sqrt(2 * p) + 4 * e * e for p in (p1, p2))
+
+        rechecked = []
+        double = audio_beacon._double_names
+
+        def spy(samples, windows, *args):
+            rechecked.extend(windows.tolist())
+            return double(samples, windows, *args)
+
+        monkeypatch.setattr(audio_beacon, "_double_names", spy)
+        tone, opens = _name_windows(samples, rate, sched)
+        assert list(zip(tone.tolist(), opens.tolist())) == name_windows_oracle(samples, rate, sched)
+        assert rechecked
+
+    def test_recheck_covers_few_windows_of_a_physical_run(self, monkeypatch, tmp_path):
+        # criterion 8's five WAVs at seed 42: a bound that rechecked every
+        # window would keep every name and lose the single-precision gain
+        counts = {"windows": 0, "rechecked": 0}
+        name, double = audio_beacon._name_windows, audio_beacon._double_names
+
+        def named(samples, *args):
+            counts["windows"] += max(0, (samples.size - 2048) // 512 + 1)
+            return name(samples, *args)
+
+        def rechecked(samples, windows, *args):
+            counts["rechecked"] += windows.size
+            return double(samples, windows, *args)
+
+        monkeypatch.setattr(audio_beacon, "_name_windows", named)
+        monkeypatch.setattr(audio_beacon, "_double_names", rechecked)
+        sc = preset_scenario("ethernet", name="determinism", duration_s=20.0,
+                             viewers=("u2", "u3", "u4", "u5"),
+                             join_times_s=(4.0, 8.0, 12.0, 16.0))
+        run_physical(sc, tmp_path, seed=42)
+        assert counts["windows"] == 5610
+        assert counts["rechecked"] <= 0.05 * counts["windows"]
 
 
 class TestPulseEdges:
