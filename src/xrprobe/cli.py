@@ -52,8 +52,7 @@ from .video_beacon import (
     FrameManifest,
     beacon_emission,
     detect_frame_sequence,
-    encode_beacon,
-    rasterize,
+    render_frames,
     write_frame_sequence,
 )
 
@@ -177,8 +176,7 @@ def _cmd_gen_video(args) -> int:
                              start_ts=args.start_ts, frame_count=frame_count)
     emissions = (beacon_emission(args.start_ts, manifest.frame_playout(i), args.interval_ms)
                  for i in range(frame_count))
-    write_frame_sequence(args.out, (rasterize(encode_beacon(e), scale=args.scale)
-                                    for e in emissions), manifest)
+    write_frame_sequence(args.out, render_frames(emissions, args.scale), manifest)
     print(f"wrote {frame_count} frames to {args.out}")
     return 0
 

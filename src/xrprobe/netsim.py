@@ -66,10 +66,8 @@ from .schema import SchemaError
 from .video_beacon import (
     FrameManifest,
     beacon_emission,
-    blank_frame,
     detect_frame_sequence,
-    encode_beacon,
-    rasterize,
+    render_frames,
     write_frame_sequence,
 )
 
@@ -452,7 +450,8 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
 
     Returns (physical_log, symbolic_log). The physical log is produced by the
     actual detectors reading the written media, so it exercises the whole
-    measurement chain end to end. Each frame is written as it is drawn.
+    measurement chain end to end. Frames are rendered and written a chunk
+    at a time.
     """
     symbolic = run_scenario(scenario, seed)
     workdir = Path(workdir)
@@ -469,9 +468,8 @@ def run_physical(scenario: SessionScenario, workdir: str | Path,
 
     for d, trace in symbolic.traces.items():
         vdir = workdir / d / "video"
-        frames = (blank_frame(PHYSICAL_SCALE, PHYSICAL_QUIET) if emission is None
-                  else rasterize(encode_beacon(emission), PHYSICAL_SCALE, PHYSICAL_QUIET)
-                  for _, emission in trace.ticks)
+        frames = render_frames((emission for _, emission in trace.ticks),
+                               PHYSICAL_SCALE, PHYSICAL_QUIET)
         start_ts = trace.clock.read(trace.ticks[0][0]) if trace.ticks else trace.clock.read(trace.join_ms)
         manifest = FrameManifest(
             device_id=d, fps=1000.0 / trace.quantum_ms, start_ts=start_ts,

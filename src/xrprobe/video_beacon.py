@@ -33,11 +33,17 @@ the run the hit falls in and the unit, so the rows that cross one finder
 core share it, in one pass and across both. The module pitch comes from
 the finder geometry.
 
-Every frame is read one way, on its own: ``detect_decode``, the bounding-box
-guess and then the full scan. ``detect_frame_sequence`` calls it once per
-frame and keeps nothing from one frame to the next. The guess checks module
-centers only, so a finder damaged solely between module centers can still
-decode through it where the full scan alone would find no finder.
+Every frame is decided on its own, with no state kept across frames:
+``detect_decode`` makes the bounding-box guess and then the full scan. The
+guess checks module centers only, so a finder damaged solely between module
+centers can still decode through it where the full scan alone would find no
+finder. ``detect_frame_sequence`` makes the same guess over a stack of
+frames of one geometry at a time, ``CHUNK_BYTES`` of pixels at most (and at
+least one frame), with the single-frame expressions, so each frame's
+decision is the one it gets alone; only the frames that read does not
+decode pay for ``detect_decode``. ``render_frames`` renders a sequence's
+frames the same way, a stack at a time, each beacon pixel for pixel what
+``rasterize`` draws.
 
 A frame sequence on disk is a directory holding ``frames.pgm``, every frame
 back to back as binary PGM images (Netpbm allows a sequence of images in one
@@ -53,14 +59,14 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .clocks import MAX_TIMESTAMP, Timestamp
-from .metrics import VIDEO, DetectionRecord
+from .metrics import VIDEO, DetectionRecord, new_record
 from .schema import SchemaError, finite, integer, json_object, read_fields, read_json, text
 
 GRID_SIZE = 21
@@ -72,6 +78,9 @@ DEFAULT_SCALE = 8
 DEFAULT_QUIET = 4
 # largest frame side, in pixels, a generated sequence may ask for: 16 MB a frame
 MAX_FRAME_SIDE = 4096
+# a frame sequence is rendered and read this many bytes of pixels at a time,
+# and at least one frame at a time
+CHUNK_BYTES = 4 << 20
 
 CRC_POLY = 0x1021
 CRC_INIT = 0xFFFF
@@ -217,10 +226,54 @@ def rasterize(grid: ModuleGrid, scale: int = DEFAULT_SCALE, quiet: int = DEFAULT
     return PixelBuffer(pixels=img)
 
 
-def blank_frame(scale: int = DEFAULT_SCALE, quiet: int = DEFAULT_QUIET) -> PixelBuffer:
-    """All-light frame of the same geometry as a rasterized beacon."""
+def _render_chunk(stamps: list[Timestamp | None], scale: int, quiet: int) -> np.ndarray:
+    """``(len(stamps), side, side)`` frames: ``rasterize(encode_beacon(ts))``
+    for a timestamp, pixel for pixel, and an all-light frame for None."""
+    words = bytearray()
+    for ts in stamps:
+        if ts is None:
+            words += bytes(PAYLOAD_BITS // 8)
+            continue
+        if not 0 <= ts <= MAX_TIMESTAMP:
+            raise ValueError("timestamp must fit in 64 bits")
+        payload = int(ts).to_bytes(8, "big")
+        words += payload + crc16(payload).to_bytes(2, "big")
+    n = len(stamps)
+    modules = np.empty((n, GRID_SIZE, GRID_SIZE), dtype=bool)
+    modules[...] = _BASE
+    modules[(slice(None),) + _PAYLOAD_AT] = (
+        np.unpackbits(np.frombuffer(words, dtype=np.uint8)).reshape(n, PAYLOAD_BITS).view(bool))
+    modules[[i for i, ts in enumerate(stamps) if ts is None]] = False
+    levels = ~modules * np.uint8(255)  # rasterize's levels: dark 0, light 255
+    pad = quiet * scale
+    code = GRID_SIZE * scale
+    img = np.full((n,) + (code + 2 * pad,) * 2, 255, dtype=np.uint8)
+    # rasterize's broadcast of module rows over their pixel rows, frame by frame
+    rows = img[:, pad : pad + code, pad : pad + code].reshape(n, GRID_SIZE, scale, code)
+    rows[...] = levels.repeat(scale, 2)[:, :, None, :]
+    return img
+
+
+def render_frames(emissions: Iterable[Timestamp | None], scale: int = DEFAULT_SCALE,
+                  quiet: int = DEFAULT_QUIET) -> Iterator[PixelBuffer]:
+    """The frames of a sequence of emissions, in order: the beacon frame
+    ``rasterize(encode_beacon(ts), scale, quiet)`` for a timestamp and an
+    all-light (blank) frame of the same geometry for None.
+
+    Frames are rendered ``CHUNK_BYTES`` of pixels at a time (at least one
+    frame) into one stacked array, and each is yielded as a view of it, so a
+    generator of emissions is drawn a chunk ahead of the frames.
+    """
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
+    if quiet < 0:
+        raise ValueError("quiet zone must be >= 0")
     side = (GRID_SIZE + 2 * quiet) * scale
-    return PixelBuffer(pixels=np.full((side, side), 255, dtype=np.uint8))
+    per_chunk = max(1, CHUNK_BYTES // (side * side))
+    emissions = iter(emissions)
+    while chunk := list(islice(emissions, per_chunk)):
+        for pixels in _render_chunk(chunk, scale, quiet):
+            yield PixelBuffer(pixels=pixels)
 
 
 def beacon_emission(stream_start_ts: Timestamp, capture_ts: Timestamp,
@@ -551,6 +604,55 @@ def detect_decode(frame: PixelBuffer, playout_ts: Timestamp,
     return DetectionRecord(VIDEO, device_id, _locate(_threshold(frame.pixels)), playout_ts)
 
 
+def _stack_timestamps(stack: np.ndarray) -> list[Timestamp | None]:
+    """The bounding-box read of ``_locate`` over a ``(k, h, w)`` stack of
+    frames: each frame's timestamp where the code its dark bounding box
+    implies decodes, else None (a uniform or empty frame, a grid out of
+    bounds, a finder-zone mismatch, a CRC miss).
+
+    ``_threshold``, ``_guess_finders`` and ``_sample_grid`` run over the
+    stack's leading axis with their own expressions, element by element, so
+    each frame's decision is the one ``detect_decode`` makes on it alone.
+    """
+    k, h, w = stack.shape
+    if stack.size == 0:
+        return [None] * k
+    lo = stack.min(axis=(1, 2))
+    hi = stack.max(axis=(1, 2))
+    dark = stack < ((lo.astype(np.intp) + hi + 1) // 2).astype(np.uint8)[:, None, None]
+    # _guess_finders
+    frames = np.arange(k)
+    y0, x0 = np.divmod(dark.reshape(k, -1).argmax(axis=1), w)
+    mw = (w - dark[frames, y0, ::-1].argmax(axis=1) - x0) / GRID_SIZE
+    mh = (h - dark[frames, ::-1, x0].argmax(axis=1) - y0) / GRID_SIZE
+    near, far = 3.5, GRID_SIZE - 3.5
+    tl_x, tl_y = x0 + near * mw, y0 + near * mh
+    tr_x, bl_y = x0 + far * mw, y0 + far * mh
+    # _sample_grid at (tl, tr, bl)
+    mw = (tr_x - tl_x) / 14.0
+    mh = (bl_y - tl_y) / 14.0
+    ox = tl_x - 3.5 * mw
+    oy = tl_y - 3.5 * mh
+    xs = np.floor(ox[:, None] + _MODULE_CENTERS * mw[:, None]).astype(int)
+    ys = np.floor(oy[:, None] + _MODULE_CENTERS * mh[:, None]).astype(int)
+    ok = ((hi > lo) & (mw > 0.5) & (mh > 0.5)
+          & (xs[:, 0] >= 0) & (ys[:, 0] >= 0) & (xs[:, -1] < w) & (ys[:, -1] < h))
+    at = np.flatnonzero(ok)
+    # each frame's dark.take(ys, axis=0).take(xs, axis=1), as one gather
+    modules = dark.reshape(-1).take((at * (h * w))[:, None, None] + (ys[at] * w)[:, :, None]
+                                    + xs[at][:, None, :])
+    # _structure_ok, then grid_timestamp's payload and CRC
+    good = (modules[:, _RESERVED] == _REFERENCE[_RESERVED]).all(axis=1)
+    words = np.packbits(modules[good][(slice(None),) + _PAYLOAD_AT], axis=1).tobytes()
+    size = PAYLOAD_BITS // 8
+    stamps: list[Timestamp | None] = [None] * k
+    for i, j in zip(at[good].tolist(), range(0, len(words), size)):
+        word = words[j : j + size]
+        if crc16(word[:8]) == int.from_bytes(word[8:], "big"):
+            stamps[i] = int.from_bytes(word[:8], "big")
+    return stamps
+
+
 # --- frame sequence I/O -------------------------------------------------------
 
 FRAMES_NAME = "frames.pgm"
@@ -560,7 +662,11 @@ MANIFEST_NAME = "manifest.json"
 # wherever whitespace may; after maxval, one whitespace byte (or a comment)
 # ends the header, so the raster may itself begin with '#' or a space
 _PGM_SPACE = rb"(?:\s|#[^\n\r]*[\n\r])"
-_PGM_HEADER = re.compile(rb"P5%s+(\d+)%s+(\d+)%s+(\d+)%s" % ((_PGM_SPACE,) * 4))
+# a number has at most 20 digits after its leading zeros (2**64 has 20), so
+# no header number reaches the interpreter's limit on digits in int()
+_PGM_NUMBER = rb"0*(\d{1,20})"
+_PGM_HEADER = re.compile(rb"P5%s+%s%s+%s%s+%s%s" % (
+    (_PGM_SPACE, _PGM_NUMBER) * 3 + (_PGM_SPACE,)))
 
 
 def _write_pgm_stream(path: str | Path, frames: Iterable[PixelBuffer]) -> int:
@@ -652,9 +758,11 @@ def write_frame_sequence(directory: str | Path, frames: Iterable[PixelBuffer],
                          manifest: FrameManifest) -> None:
     """Write ``frames.pgm`` (all frames, one multi-image PGM) and ``manifest.json``.
 
-    Each frame is written as ``frames`` yields it, so a generator keeps one
-    frame in memory. A count other than ``manifest.frame_count`` (checked
-    after the last frame, or at the first frame too many) raises ValueError.
+    Each frame is written as ``frames`` yields it, so a generator keeps only
+    what it draws ahead: ``render_frames`` holds one chunk of at most
+    ``CHUNK_BYTES`` of pixels, or one frame. A count other than
+    ``manifest.frame_count`` (checked after the last frame, or at the first
+    frame too many) raises ValueError.
     That, or any error raised while drawing a frame, removes ``frames.pgm``
     and writes no manifest.
     """
@@ -692,19 +800,35 @@ def detect_frame_sequence(directory: str | Path) -> tuple[list[DetectionRecord],
     """A video record for every decodable frame of a sequence written by
     ``write_frame_sequence``, and the tally of the rest.
 
-    Frame i is read by ``detect_decode`` on its own and plays out at
-    ``manifest.frame_playout(i)``. Undecodable frames are skipped and tallied
-    as ``finder_not_found`` or ``crc_mismatch``.
+    Frame i plays out at ``manifest.frame_playout(i)`` and is decided on its
+    own, with nothing kept from one frame to the next. Consecutive frames of
+    one geometry are stacked, ``CHUNK_BYTES`` of pixels at a time (at least
+    one frame), for ``_stack_timestamps``, which decodes exactly the frames
+    that ``detect_decode``'s bounding-box guess decodes. Only a frame it does
+    not decode goes to ``detect_decode``, alone, which decides its record or
+    tally. Undecodable frames are skipped and tallied as ``finder_not_found``
+    or ``crc_mismatch``.
     """
     manifest = read_frame_manifest(directory)
+    device = manifest.device_id
     frames = _read_pgm_stream(Path(directory) / FRAMES_NAME, manifest.frame_count)
     records: list[DetectionRecord] = []
     tally: Counter = Counter()
-    for i, frame in enumerate(frames):
-        try:
-            records.append(detect_decode(frame, manifest.frame_playout(i), manifest.device_id))
-        except FinderNotFound:
-            tally["finder_not_found"] += 1
-        except CrcMismatch:
-            tally["crc_mismatch"] += 1
+    i = 0
+    for (h, w), run in groupby(frames, key=lambda frame: frame.pixels.shape):
+        per_chunk = max(1, CHUNK_BYTES // max(1, h * w))
+        while chunk := list(islice(run, per_chunk)):
+            stamps = _stack_timestamps(np.stack([frame.pixels for frame in chunk]))
+            for frame, ts in zip(chunk, stamps):
+                playout = manifest.frame_playout(i)
+                i += 1
+                if ts is not None:
+                    records.append(new_record((VIDEO, device, ts, playout, None, None, None)))
+                    continue
+                try:
+                    records.append(detect_decode(frame, playout, device))
+                except FinderNotFound:
+                    tally["finder_not_found"] += 1
+                except CrcMismatch:
+                    tally["crc_mismatch"] += 1
     return records, tally

@@ -87,7 +87,7 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     # nothing is drawn: a value that passed the checks would reach the
-    # patched rasterize and fail the test instead of filling memory
+    # patched render_frames and fail the test instead of filling memory
     @pytest.mark.parametrize("extra, flag, message", [
         (["--fps", "1000000", "--duration-s", "1000000"], "--duration-s/--fps",
          f"expected at most {MAX_DEVICE_FRAMES} frames (duration x fps), got 1e+12"),
@@ -101,10 +101,10 @@ class TestExitCodes:
     ])
     def test_gen_video_size_caps_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                 extra, flag, message):
-        def rasterize(*args, **kwargs):
-            raise AssertionError("rasterized a frame over the cap")
+        def render_frames(*args, **kwargs):
+            raise AssertionError("rendered frames over the cap")
 
-        monkeypatch.setattr(cli, "rasterize", rasterize)
+        monkeypatch.setattr(cli, "render_frames", render_frames)
         assert run(["gen-video", "--out", str(tmp_path / "frames"), *extra]) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and message in err
@@ -114,11 +114,12 @@ class TestExitCodes:
     def test_gen_video_largest_scale_accepted(self, tmp_path, capsys, monkeypatch):
         scales = []
 
-        def rasterize(grid, scale):
-            scales.append(scale)
-            return PixelBuffer(pixels=np.zeros((1, 1), dtype=np.uint8))
+        def render_frames(emissions, scale):
+            for _ in emissions:
+                scales.append(scale)
+                yield PixelBuffer(pixels=np.zeros((1, 1), dtype=np.uint8))
 
-        monkeypatch.setattr(cli, "rasterize", rasterize)
+        monkeypatch.setattr(cli, "render_frames", render_frames)
         top = MAX_FRAME_SIDE // 29  # 21 modules plus a 4-module quiet zone a side
         argv = ["gen-video", "--out", str(tmp_path / "frames"), "--fps", "1",
                 "--duration-s", "1", "--scale", str(top)]

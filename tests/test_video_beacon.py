@@ -6,8 +6,9 @@ cross-check rather than the same code run twice. Likewise the original
 per-module encoder, the kron-based rasterizer and the per-row finder scan are
 kept here as the references for the table-driven and whole-frame code, the
 float-midpoint threshold and two-``repeat`` rasterizer for their integer and
-broadcast forms, and the frame-by-frame ``detect_decode`` loop for reading a
-frame sequence.
+broadcast forms, the frame-by-frame ``detect_decode`` loop for reading a
+frame sequence a stack at a time, and per-frame ``rasterize`` and an
+all-light frame for rendering one.
 The original pass loop, one per-row scan per stride, is the reference for
 ``_locate``'s two passes and memoised column checks.
 """
@@ -28,7 +29,6 @@ from xrprobe.video_beacon import (
     ModuleGrid,
     PixelBuffer,
     beacon_emission,
-    blank_frame,
     crc16,
     detect_decode,
     detect_frame_sequence,
@@ -53,6 +53,13 @@ from xrprobe.video_beacon import (
     _triples,
     _write_pgm_stream,
 )
+
+
+def blank_frame(scale: int = 8, quiet: int = 4) -> PixelBuffer:
+    """An all-light frame of a rasterized beacon's geometry: what
+    ``render_frames`` draws for a None emission."""
+    side = (21 + 2 * quiet) * scale
+    return PixelBuffer(pixels=np.full((side, side), 255, dtype=np.uint8))
 
 
 def crc16_oracle(data: bytes) -> int:
@@ -175,7 +182,7 @@ class TestRasterize:
         assert set(np.unique(img)) <= {0, 255}
 
     def test_blank_frame_geometry(self):
-        frame = blank_frame(scale=8, quiet=4)
+        [frame] = video_beacon.render_frames([None], scale=8, quiet=4)
         assert frame.pixels.shape == (232, 232)
         assert (frame.pixels == 255).all()
 
@@ -1023,6 +1030,11 @@ class TestPgmStream:
         (b"P5\n2 1\n255\nabP2\n1 1\n255\n9", 2, "frame 1: not a binary PGM image"),
         (b"", 1, "frame 0: file ends after 0 of 1 images"),
         (b"P5\n2 1\n255 #c\nab", 1, "frame 1: 3 bytes after the last of 1 images"),
+        # numbers past the interpreter's 4,300-digit limit on int(): a width
+        # of 5,000 digits is no PGM header, a maxval of 5,003 digits with
+        # leading zeros is 255
+        (b"P5\n" + b"9" * 5000 + b" 1\n255\nab", 1, "frame 0: not a binary PGM image"),
+        (b"P5\n2 1\n" + b"0" * 5000 + b"255\nab", 2, "frame 1: file ends after 1 of 2 images"),
     ])
     def test_bad_stream_names_file_and_frame(self, tmp_path, blob, count, message):
         path = tmp_path / "frames.pgm"
@@ -1169,7 +1181,7 @@ def _frame_sequences(draw):
 
 class TestFrameSequence:
     @given(frames=_frame_sequences())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_matches_per_frame_oracle(self, frames):
         with tempfile.TemporaryDirectory() as tmp:
             write_frame_sequence(tmp, frames, FrameManifest(
@@ -1179,7 +1191,8 @@ class TestFrameSequence:
         assert detections == expected
         assert tally == expected_tally
 
-    def test_every_frame_goes_through_detect_decode(self, tmp_path, monkeypatch):
+    def test_detect_decode_reads_only_what_the_stack_does_not_decode(self, tmp_path,
+                                                                      monkeypatch):
         calls = []
         decode = video_beacon.detect_decode
         monkeypatch.setattr(video_beacon, "detect_decode",
@@ -1191,7 +1204,165 @@ class TestFrameSequence:
         detections, tally = detect_frame_sequence(tmp_path)
         assert [d.emission_ts for d in detections] == [1000, 1010, 1020, 1040, 1050]
         assert tally == {"finder_not_found": 1}
-        # one call a frame, the blank one included, each with its own playout
-        # and the manifest's device: nothing is read past detect_decode
-        assert [(args[1], args[2]) for args in calls] == [
-            (round(i * 1000 / 30), "u2") for i in range(6)]
+        # the stacked read decodes the five intact frames; the blank one alone
+        # goes to detect_decode, with its own playout and the manifest's device
+        assert [(args[0].pixels.tolist(), args[1], args[2]) for args in calls] == [
+            (frames[3].pixels.tolist(), round(3 * 1000 / 30), "u2")]
+
+    @given(frames=_frame_sequences(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_frames_permutes_their_records(self, frames, data):
+        order = data.draw(st.permutations(range(len(frames))))
+        budget = data.draw(st.sampled_from((1, 20_000, video_beacon.CHUNK_BYTES)))
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(video_beacon, "CHUNK_BYTES", budget)
+            for sequence in (frames, [frames[j] for j in order]):
+                with tempfile.TemporaryDirectory() as tmp:
+                    # at 1000 fps frame i plays out at i ms
+                    write_frame_sequence(tmp, sequence, FrameManifest(
+                        device_id="u4", fps=1000.0, start_ts=0, frame_count=len(sequence)))
+                    records, tally = detect_frame_sequence(tmp)
+                outcomes.append(({r.playout_ts: r._replace(playout_ts=None) for r in records},
+                                 tally))
+        (by_frame, tally), (by_place, permuted_tally) = outcomes
+        assert permuted_tally == tally
+        assert by_place == {place: by_frame[j] for place, j in enumerate(order) if j in by_frame}
+
+
+# --- frame stacks: rendered and read CHUNK_BYTES of pixels at a time ---------------
+
+class _ChunkSpy:
+    """Records the frames each ``_render_chunk`` call renders and the shape
+    of each stack ``_stack_timestamps`` reads."""
+
+    def __init__(self, monkeypatch):
+        self.rendered: list[int] = []
+        self.stacks: list[tuple[int, ...]] = []
+        render, read = video_beacon._render_chunk, video_beacon._stack_timestamps
+
+        def render_spy(stamps, scale, quiet):
+            self.rendered.append(len(stamps))
+            return render(stamps, scale, quiet)
+
+        def read_spy(stack):
+            self.stacks.append(stack.shape)
+            return read(stack)
+
+        monkeypatch.setattr(video_beacon, "_render_chunk", render_spy)
+        monkeypatch.setattr(video_beacon, "_stack_timestamps", read_spy)
+
+
+_STAMPS = st.one_of(st.none(), st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1))
+_RESERVED_AT = [(r, c) for r in range(21) for c in range(21) if _RESERVED_REF[r, c]]
+
+
+def guess_oracle(pixels: np.ndarray):
+    """What ``detect_decode``'s bounding-box guess alone decodes a frame to,
+    or None where it falls through to the full scan."""
+    try:
+        dark = video_beacon._threshold(pixels)
+        return _decode_at(dark, *_guess_finders(dark))
+    except (FinderNotFound, CrcMismatch):
+        return None
+
+
+@st.composite
+def _one_geometry_stacks(draw):
+    """Frames of one geometry at their own gray levels: intact, blank, one
+    module flipped anywhere (finder zones included), or a dark speck."""
+    scale, quiet = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(("intact", "intact", "blank", "flip", "speck")),
+                              min_size=1, max_size=8)):
+        modules = encode_beacon(draw(st.integers(0, 2**64 - 1))).modules.copy()
+        if kind == "blank":
+            modules[...] = False
+        elif kind == "flip":
+            r, c = draw(st.sampled_from(_RESERVED_AT + _DATA_REF))
+            modules[r, c] = not modules[r, c]
+        px = rasterize(ModuleGrid(modules=modules, payload_ts=0), scale, quiet).pixels
+        if kind == "speck":
+            px[draw(st.integers(0, px.shape[0] - 1)), draw(st.integers(0, px.shape[1] - 1))] = 0
+        dark_level = draw(st.integers(0, 254))
+        light_level = draw(st.integers(dark_level + 1, 255))
+        stack.append(np.where(px < 128, np.uint8(dark_level), np.uint8(light_level)))
+    return np.stack(stack)
+
+
+class TestFrameStacks:
+    @given(stamps=st.lists(_STAMPS, max_size=12), scale=st.integers(1, 5),
+           quiet=st.integers(0, 3), per_chunk=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_render_frames_writes_the_per_frame_bytes(self, stamps, scale, quiet, per_chunk):
+        side = (21 + 2 * quiet) * scale
+        manifest = FrameManifest("d", 30.0, 0, len(stamps))
+        expected = [blank_frame(scale, quiet) if ts is None
+                    else rasterize(encode_beacon(ts), scale, quiet) for ts in stamps]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(video_beacon, "CHUNK_BYTES", per_chunk * side * side)
+            write_frame_sequence(f"{tmp}/chunked", video_beacon.render_frames(stamps, scale, quiet),
+                                 manifest)
+            write_frame_sequence(f"{tmp}/single", expected, manifest)
+            assert (open(f"{tmp}/chunked/frames.pgm", "rb").read()
+                    == open(f"{tmp}/single/frames.pgm", "rb").read())
+
+    @given(stack=_one_geometry_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_read_decides_as_the_single_frame_guess(self, stack):
+        assert video_beacon._stack_timestamps(stack) == [guess_oracle(px) for px in stack]
+
+    def test_render_frames_rejects_what_rasterize_rejects(self):
+        for scale, quiet in ((0, 4), (4, -1)):
+            with pytest.raises(ValueError):
+                next(video_beacon.render_frames([1], scale, quiet))
+        for ts in (-1, 2**64):
+            with pytest.raises(ValueError, match="timestamp must fit in 64 bits"):
+                next(video_beacon.render_frames([ts], 1, 0))
+
+    def test_chunks_cross_geometry_changes_and_empty_frames(self, tmp_path, monkeypatch):
+        # three 46 x 46 or two 50 x 50 frames a chunk; the geometry changes
+        # exactly at the first chunk's end, and a hand-written 0 x 5 and 5 x 0
+        # frame follow
+        monkeypatch.setattr(video_beacon, "CHUNK_BYTES", 3 * 46 * 46)
+        spy = _ChunkSpy(monkeypatch)
+        small = [rasterize(encode_beacon(100 + i), 2, 1).pixels for i in range(7)]
+        damaged = encode_beacon(200).modules.copy()
+        damaged[_DATA_REF[5]] = not damaged[_DATA_REF[5]]
+        small[1] = rasterize(ModuleGrid(modules=damaged, payload_ts=0), 2, 1).pixels
+        small[2] = blank_frame(2, 1).pixels
+        occluded = encode_beacon(300).modules.copy()
+        occluded[0:7, 14:21] = False
+        large = [rasterize(encode_beacon(400), 2, 2).pixels,
+                 rasterize(ModuleGrid(modules=occluded, payload_ts=0), 2, 2).pixels]
+        empty = [np.zeros((0, 5), dtype=np.uint8), np.zeros((5, 0), dtype=np.uint8)]
+        pixels = small[:3] + large + empty + small[3:]
+        write_frame_sequence(tmp_path, [blank_frame(1, 0)] * len(pixels),
+                             FrameManifest("u3", 30.0, 500, len(pixels)))
+        (tmp_path / "frames.pgm").write_bytes(b"".join(
+            b"P5\n%d %d\n255\n" % (px.shape[1], px.shape[0]) + px.tobytes() for px in pixels))
+        detections, tally = detect_frame_sequence(tmp_path)
+        assert spy.stacks == [(3, 46, 46), (2, 50, 50), (1, 0, 5), (1, 5, 0),
+                              (3, 46, 46), (1, 46, 46)]
+        assert (detections, tally) == detect_frame_sequence_oracle(tmp_path)
+        assert [d.emission_ts for d in detections] == [100, 400, 103, 104, 105, 106]
+        assert tally == {"finder_not_found": 4, "crc_mismatch": 1}
+
+    def test_a_frame_over_the_budget_is_rendered_and_read_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(video_beacon, "CHUNK_BYTES", 21 * 21 - 1)
+        spy = _ChunkSpy(monkeypatch)
+        stamps = [5, None, 2**64 - 1, 7]
+        write_frame_sequence(tmp_path, video_beacon.render_frames(stamps, 1, 0),
+                             FrameManifest("d", 30.0, 0, len(stamps)))
+        detections, tally = detect_frame_sequence(tmp_path)
+        assert spy.rendered == [1, 1, 1, 1]
+        assert spy.stacks == [(1, 21, 21)] * 4
+        assert (detections, tally) == detect_frame_sequence_oracle(tmp_path)
+        assert [d.emission_ts for d in detections] == [5, 2**64 - 1, 7]
+
+    def test_largest_generated_frame_is_rendered_alone(self, monkeypatch):
+        # gen-video's top scale: one 16 MiB frame, over the 4 MiB budget
+        spy = _ChunkSpy(monkeypatch)
+        frames = video_beacon.render_frames([1, 2], scale=141, quiet=4)
+        assert [f.pixels.shape for f in frames] == [(4089, 4089)] * 2
+        assert spy.rendered == [1, 1]
