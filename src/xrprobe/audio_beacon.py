@@ -45,6 +45,8 @@ DETECT_WINDOW = 2048
 DETECT_HOP = 512
 PEAK_THRESHOLD = 0.8
 SILENCE_DBFS = -40.0
+# a window whose RMS falls below this is silence
+SILENCE_FLOOR = FULL_SCALE * 10.0 ** (SILENCE_DBFS / 20.0)
 
 
 class NyquistViolation(ValueError):
@@ -114,12 +116,6 @@ class PcmBuffer:
         return len(self.samples) * 1000.0 / self.sample_rate
 
 
-def slot_frequency(schedule: ToneSchedule, slot: int) -> float:
-    if slot < 0:
-        raise ValueError("slot must be non-negative")
-    return schedule.f0_hz + (slot % schedule.tone_count) * schedule.delta_hz
-
-
 def _check_nyquist(schedule: ToneSchedule, rate: int, source: str = "") -> None:
     """Raise NyquistViolation when the schedule's top tone does not fit below
     half of ``rate``; ``source`` prefixes the message."""
@@ -156,8 +152,9 @@ def synthesize(schedule: ToneSchedule, start_slot: int, n_slots: int,
     env = _envelope(duration, ramp)
     t = np.arange(duration) / rate
     out = np.zeros(n_slots * period, dtype=np.int16)
+    frequencies = schedule.frequencies
     for i in range(n_slots):
-        f = slot_frequency(schedule, start_slot + i)
+        f = frequencies[(start_slot + i) % schedule.tone_count]
         tone = 0.5 * FULL_SCALE * np.sin(2.0 * np.pi * f * t) * env
         out[i * period : i * period + duration] = np.round(tone).astype(np.int16)
     return PcmBuffer(sample_rate=rate, samples=out)
@@ -205,7 +202,7 @@ def _estimate_windows(frames: np.ndarray, rate: int, f_min: float,
     out: list[tuple[float, float] | None] = [None] * count
     squares = frames * frames
     rms = np.sqrt(np.mean(squares, axis=1))
-    loud = np.flatnonzero(~(rms < FULL_SCALE * 10.0 ** (SILENCE_DBFS / 20.0)))
+    loud = np.flatnonzero(~(rms < SILENCE_FLOOR))
 
     tau_min = max(2, int(rate // f_max))
     tau_max = min(int(math.ceil(rate / f_min)), n - 2)
@@ -347,7 +344,7 @@ def _bank_names(product: np.ndarray, squares: np.ndarray, first: np.ndarray, ton
     half = product[:, span * 2 * rows :].reshape(-1, span // 2, 2, tones)
     power = np.square(sum(full[first + q, q] for q in range(span))).sum(axis=1)
     energy = sum(squares[first + q] for q in range(span))
-    loud = energy >= DETECT_WINDOW * (FULL_SCALE * 10.0 ** (SILENCE_DBFS / 20.0)) ** 2
+    loud = energy >= DETECT_WINDOW * SILENCE_FLOOR ** 2
     top = power.argmax(axis=1)
     best, total = power[np.arange(first.size), top], power.sum(axis=1)
     named = loud & (best >= _TOP_SHARE * s * total)

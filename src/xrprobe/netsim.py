@@ -54,7 +54,6 @@ from .audio_beacon import (
     PcmBuffer,
     ToneSchedule,
     detect_wav,
-    slot_frequency,
     synthesize,
     write_wav,
     write_wav_manifest,
@@ -346,8 +345,7 @@ def run_scenario(scenario: SessionScenario, seed: int | None = None) -> Detectio
             pulse_edges.append((t + delay, n))
     pulse_edges.sort(key=_first)  # stable: equal times keep grid order
 
-    tone_count = tones.tone_count
-    frequencies = [slot_frequency(tones, k) for k in range(tone_count)]
+    tone_count, frequencies = tones.tone_count, tones.frequencies
     for d in devices:  # nothing else reads a device's audio channel
         hop = channel(downlink, "down", d, AUDIO)
         join, clock, pulses = joins[d], clocks[d], traces[d].pulses

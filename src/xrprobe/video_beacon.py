@@ -41,9 +41,9 @@ finder. ``detect_frame_sequence`` makes the same guess over a stack of
 frames of one geometry at a time, ``CHUNK_BYTES`` of pixels at most (and at
 least one frame), with the single-frame expressions, so each frame's
 decision is the one it gets alone; only the frames that read does not
-decode pay for ``detect_decode``. ``render_frames`` renders a sequence's
-frames the same way, a stack at a time, each beacon pixel for pixel what
-``rasterize`` draws.
+decode pay for ``detect_decode``. One rasterizer draws a stack of frames:
+``rasterize`` draws a stack of one, and ``render_frames`` a sequence's
+frames a stack at a time, ``CHUNK_BYTES`` of pixels at most.
 
 A frame sequence on disk is a directory holding ``frames.pgm``, every frame
 back to back as binary PGM images (Netpbm allows a sequence of images in one
@@ -183,6 +183,21 @@ _BASE = _REFERENCE.copy()
 _BASE[_DATA_ROWS, _DATA_COLS] = (_DATA_ROWS + _DATA_COLS) % 2 == 0
 
 
+def _payload_word(ts: Timestamp) -> bytes:
+    """The 80-bit payload of a timestamp: its 8 big-endian bytes, then their CRC-16."""
+    if not 0 <= ts <= MAX_TIMESTAMP:
+        raise ValueError("timestamp must fit in 64 bits")
+    payload = int(ts).to_bytes(8, "big")
+    return payload + crc16(payload).to_bytes(2, "big")
+
+
+def _word_timestamp(word: bytes) -> Timestamp | None:
+    """The timestamp an 80-bit payload word carries, or None when its CRC fails."""
+    if crc16(word[:8]) != int.from_bytes(word[8:], "big"):
+        return None
+    return int.from_bytes(word[:8], "big")
+
+
 def encode_beacon(ts: Timestamp) -> ModuleGrid:
     """Build the beacon grid for a millisecond timestamp.
 
@@ -190,10 +205,7 @@ def encode_beacon(ts: Timestamp) -> ModuleGrid:
     64-bit timestamp then its CRC-16, MSB first, bit 1 = dark. Remaining data
     modules are checkerboard: dark iff (row + col) is even.
     """
-    if not 0 <= ts <= MAX_TIMESTAMP:
-        raise ValueError("timestamp must fit in 64 bits")
-    payload = int(ts).to_bytes(8, "big")
-    word = payload + crc16(payload).to_bytes(2, "big")
+    word = _payload_word(ts)
     modules = _BASE.copy()
     modules[_PAYLOAD_AT] = np.unpackbits(np.frombuffer(word, dtype=np.uint8)).view(bool)
     return ModuleGrid(modules=modules, payload_ts=int(ts))
@@ -202,56 +214,37 @@ def encode_beacon(ts: Timestamp) -> ModuleGrid:
 def grid_timestamp(modules: np.ndarray) -> Timestamp:
     """Reassemble and checksum the 80-bit payload of a sampled grid."""
     word = np.packbits(modules[_PAYLOAD_AT] != 0).tobytes()
-    ts = int.from_bytes(word[:8], "big")
-    crc = int.from_bytes(word[8:], "big")
-    if crc16(word[:8]) != crc:
+    ts = _word_timestamp(word)
+    if ts is None:
+        crc = int.from_bytes(word[8:], "big")
         raise CrcMismatch(f"payload checksum failed (read 0x{crc:04X})")
     return ts
 
 
-def rasterize(grid: ModuleGrid, scale: int = DEFAULT_SCALE, quiet: int = DEFAULT_QUIET) -> PixelBuffer:
-    """Render dark modules as 0 and light/quiet area as 255 at ``scale`` px per module."""
+def _raster(modules: np.ndarray, scale: int, quiet: int) -> np.ndarray:
+    """``(n, side, side)`` frames of ``(n, 21, 21)`` module grids: a truthy
+    module dark (0), every other module and the quiet zone light (255), at
+    ``scale`` px per module inside ``quiet`` modules of quiet zone."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     if quiet < 0:
         raise ValueError("quiet zone must be >= 0")
-    pad = quiet * scale
-    code = GRID_SIZE * scale
-    img = np.full((code + 2 * pad,) * 2, 255, dtype=np.uint8)
-    levels = np.where(grid.modules, np.uint8(0), np.uint8(255))
-    # one module row widened to pixels is broadcast over that module's pixel
-    # rows: splitting the code region's row axis into (module, pixel) is a view
-    rows = img[pad : pad + code, pad : pad + code].reshape(GRID_SIZE, scale, code)
-    rows[...] = levels.repeat(scale, 1)[:, None, :]
-    return PixelBuffer(pixels=img)
-
-
-def _render_chunk(stamps: list[Timestamp | None], scale: int, quiet: int) -> np.ndarray:
-    """``(len(stamps), side, side)`` frames: ``rasterize(encode_beacon(ts))``
-    for a timestamp, pixel for pixel, and an all-light frame for None."""
-    words = bytearray()
-    for ts in stamps:
-        if ts is None:
-            words += bytes(PAYLOAD_BITS // 8)
-            continue
-        if not 0 <= ts <= MAX_TIMESTAMP:
-            raise ValueError("timestamp must fit in 64 bits")
-        payload = int(ts).to_bytes(8, "big")
-        words += payload + crc16(payload).to_bytes(2, "big")
-    n = len(stamps)
-    modules = np.empty((n, GRID_SIZE, GRID_SIZE), dtype=bool)
-    modules[...] = _BASE
-    modules[(slice(None),) + _PAYLOAD_AT] = (
-        np.unpackbits(np.frombuffer(words, dtype=np.uint8)).reshape(n, PAYLOAD_BITS).view(bool))
-    modules[[i for i, ts in enumerate(stamps) if ts is None]] = False
-    levels = ~modules * np.uint8(255)  # rasterize's levels: dark 0, light 255
+    n = len(modules)
     pad = quiet * scale
     code = GRID_SIZE * scale
     img = np.full((n,) + (code + 2 * pad,) * 2, 255, dtype=np.uint8)
-    # rasterize's broadcast of module rows over their pixel rows, frame by frame
+    levels = ~modules.astype(bool, copy=False) * np.uint8(255)  # any truthy module is dark
+    # one module row widened to pixels is broadcast over that module's pixel
+    # rows: splitting the code region's row axis into (module, pixel) is a view
     rows = img[:, pad : pad + code, pad : pad + code].reshape(n, GRID_SIZE, scale, code)
     rows[...] = levels.repeat(scale, 2)[:, :, None, :]
     return img
+
+
+def rasterize(grid: ModuleGrid, scale: int = DEFAULT_SCALE, quiet: int = DEFAULT_QUIET) -> PixelBuffer:
+    """Render dark modules as 0 and light/quiet area as 255 at ``scale`` px
+    per module: the one-frame stack of the rasterizer ``render_frames`` draws with."""
+    return PixelBuffer(pixels=_raster(grid.modules[None], scale, quiet)[0])
 
 
 def render_frames(emissions: Iterable[Timestamp | None], scale: int = DEFAULT_SCALE,
@@ -260,19 +253,22 @@ def render_frames(emissions: Iterable[Timestamp | None], scale: int = DEFAULT_SC
     ``rasterize(encode_beacon(ts), scale, quiet)`` for a timestamp and an
     all-light (blank) frame of the same geometry for None.
 
-    Frames are rendered ``CHUNK_BYTES`` of pixels at a time (at least one
-    frame) into one stacked array, and each is yielded as a view of it, so a
-    generator of emissions is drawn a chunk ahead of the frames.
+    Frames are drawn by ``rasterize``'s rasterizer a stack at a time,
+    ``CHUNK_BYTES`` of pixels (at least one frame), and each is yielded as a
+    view of the stack, so a generator of emissions is drawn a chunk ahead of
+    the frames. A bad timestamp, scale or quiet zone raises as its chunk is drawn.
     """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    if quiet < 0:
-        raise ValueError("quiet zone must be >= 0")
     side = (GRID_SIZE + 2 * quiet) * scale
-    per_chunk = max(1, CHUNK_BYTES // (side * side))
+    per_chunk = max(1, CHUNK_BYTES // max(1, side * side))
+    blank = bytes(PAYLOAD_BITS // 8)
     emissions = iter(emissions)
     while chunk := list(islice(emissions, per_chunk)):
-        for pixels in _render_chunk(chunk, scale, quiet):
+        words = b"".join(blank if ts is None else _payload_word(ts) for ts in chunk)
+        modules = np.repeat(_BASE[None], len(chunk), axis=0)
+        modules[(slice(None),) + _PAYLOAD_AT] = np.unpackbits(
+            np.frombuffer(words, dtype=np.uint8)).reshape(len(chunk), PAYLOAD_BITS).view(bool)
+        modules[[i for i, ts in enumerate(chunk) if ts is None]] = False
+        for pixels in _raster(modules, scale, quiet):
             yield PixelBuffer(pixels=pixels)
 
 
@@ -647,9 +643,7 @@ def _stack_timestamps(stack: np.ndarray) -> list[Timestamp | None]:
     size = PAYLOAD_BITS // 8
     stamps: list[Timestamp | None] = [None] * k
     for i, j in zip(at[good].tolist(), range(0, len(words), size)):
-        word = words[j : j + size]
-        if crc16(word[:8]) == int.from_bytes(word[8:], "big"):
-            stamps[i] = int.from_bytes(word[:8], "big")
+        stamps[i] = _word_timestamp(words[j : j + size])
     return stamps
 
 
@@ -665,6 +659,8 @@ _PGM_SPACE = rb"(?:\s|#[^\n\r]*[\n\r])"
 # a number has at most 20 digits after its leading zeros (2**64 has 20), so
 # no header number reaches the interpreter's limit on digits in int()
 _PGM_NUMBER = rb"0*(\d{1,20})"
+# the largest side a numpy array may have
+_MAX_SIDE = np.iinfo(np.intp).max
 _PGM_HEADER = re.compile(rb"P5%s+%s%s+%s%s+%s%s" % (
     (_PGM_SPACE, _PGM_NUMBER) * 3 + (_PGM_SPACE,)))
 
@@ -689,7 +685,8 @@ def _read_pgm_stream(path: str | Path, count: int) -> list[PixelBuffer]:
 
     The file is read once and each frame is a read-only view of that blob.
     A missing file, fewer images, bytes after the last image, a maxval other
-    than 255 or short pixel data raise ValueError naming the file and frame.
+    than 255, short pixel data or a side no array can have (only a zero-area
+    frame gets that far) raise ValueError naming the file and frame.
     """
     try:
         blob = Path(path).read_bytes()
@@ -709,6 +706,9 @@ def _read_pgm_stream(path: str | Path, count: int) -> list[PixelBuffer]:
         offset = m.end() + width * height
         if offset > len(blob):
             raise ValueError(f"{path}: frame {i}: truncated pixel data")
+        if max(width, height) > _MAX_SIDE:  # a zero-area frame may name any side
+            raise ValueError(f"{path}: frame {i}: a {width} x {height} frame has a side "
+                             f"past the largest array side, {_MAX_SIDE}")
         pixels = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=m.end())
         frames.append(PixelBuffer(pixels=pixels.reshape(height, width)))
     if offset != len(blob):

@@ -28,7 +28,6 @@ from xrprobe.audio_beacon import (
     read_wav,
     read_wav_manifest,
     resolve_emission,
-    slot_frequency,
     synthesize,
     write_wav,
     write_wav_manifest,
@@ -70,13 +69,13 @@ def make_sine(freq: float, n: int, rate: int = RATE, amp: float = 0.4,
 class TestSchedule:
     def test_slot_frequencies(self):
         sched = ToneSchedule()
-        assert slot_frequency(sched, 0) == 600.0
-        assert slot_frequency(sched, 31) == 4320.0
-        assert slot_frequency(sched, 32) == 600.0  # modulo wrap
+        assert sched.frequencies[0] == 600.0
+        assert sched.frequencies[31] == 4320.0
+        assert len(sched.frequencies) == 32  # slot 32 wraps to frequencies[0]
 
     def test_negative_slot_rejected(self):
-        with pytest.raises(ValueError):
-            slot_frequency(ToneSchedule(), -1)
+        with pytest.raises(ValueError, match="start_slot must be non-negative"):
+            synthesize(ToneSchedule(), -1, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ class TestSynthesize:
         bin_hz = RATE / duration
         for s in range(40):
             window = pcm.samples[s * period : s * period + duration]
-            assert abs(fft_peak_hz(window, RATE) - slot_frequency(sched, s)) <= bin_hz
+            assert abs(fft_peak_hz(window, RATE) - sched.frequencies[s % 32]) <= bin_hz
 
     def test_silence_between_pulses(self):
         sched = ToneSchedule()
@@ -125,7 +124,7 @@ class TestSynthesize:
         pcm = synthesize(sched, 5, 1, rate=RATE)
         duration = sched.pulse_duration_ms * RATE // 1000
         f = fft_peak_hz(pcm.samples[:duration], RATE)
-        assert abs(f - slot_frequency(sched, 5)) <= RATE / duration
+        assert abs(f - sched.frequencies[5]) <= RATE / duration
 
     def test_requires_positive_slot_count(self):
         with pytest.raises(ValueError):

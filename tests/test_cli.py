@@ -327,6 +327,20 @@ class TestVideoPipeline:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("header", [b"0 9223372036854775808", b"9223372036854775808 0"])
+    def test_zero_area_frame_past_the_largest_side_is_one_line_error(self, tmp_path, capsys,
+                                                                   header):
+        frames = tmp_path / "frames"
+        run(["gen-video", "--out", str(frames), "--fps", "5", "--duration-s", "0.4"])
+        (frames / "frames.pgm").write_bytes(b"P5\n" + header + b"\n255\n")
+        _edit_manifest(frames, frame_count=1)
+        capsys.readouterr()
+        assert run(["detect-video", str(frames)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{frames / 'frames.pgm'}: frame 0: " in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("blob", [b'{"device_id": ', b"nope", b""])
     def test_invalid_json_manifest_names_file(self, tmp_path, capsys, blob):
         frames = tmp_path / "frames"

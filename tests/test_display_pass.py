@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 from hypothesis import given, settings, strategies as st
 
-from xrprobe.audio_beacon import slot_frequency
 from xrprobe.clocks import DeviceClock
 from xrprobe.metrics import AUDIO, VIDEO, DetectionRecord
 from xrprobe.netsim import (
@@ -271,7 +270,8 @@ def heap_run_scenario(scenario: SessionScenario, seed: int | None = None) -> Det
                     continue
                 records.append(DetectionRecord(
                     AUDIO, d, emission, clocks[d].read(play_true),
-                    _slot_at(join_order, play_true), slot_frequency(tones, n), 1.0))
+                    _slot_at(join_order, play_true),
+                    tones.frequencies[n % tones.tone_count], 1.0))
                 traces[d].pulses.append((play_true, n))
 
         elif kind == "qctl":

@@ -209,6 +209,16 @@ class TestRunScenario:
             "baf712feda4cacdd2e2bd5d200215f6d8fc95d3cb65eafee881dd4162e3c5702")
         assert hashlib.sha256((out / "tally.json").read_bytes()).hexdigest() == (
             "f511e86ec8292ba64a01a67b874100a54fa705401f9c2d93c80af9dc602cb9e0")
+        # the rendered media themselves: every file under physical/, in path
+        # order, each relative path's bytes then the file's bytes
+        media = sorted(p for p in (out / "physical").rglob("*") if p.is_file())
+        assert len(media) == 20
+        digest = hashlib.sha256()
+        for path in media:
+            digest.update(path.relative_to(out / "physical").as_posix().encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "df85c004de71002d177ba3ccba7d0020e1ac4f6bb58d413a6382fca556d8be5a")
 
     def test_seed_7919_physical_bytes_pinned(self, tmp_path, capsys):
         # the same physical run at a held-out seed

@@ -7,8 +7,8 @@ per-module encoder, the kron-based rasterizer and the per-row finder scan are
 kept here as the references for the table-driven and whole-frame code, the
 float-midpoint threshold and two-``repeat`` rasterizer for their integer and
 broadcast forms, the frame-by-frame ``detect_decode`` loop for reading a
-frame sequence a stack at a time, and per-frame ``rasterize`` and an
-all-light frame for rendering one.
+frame sequence a stack at a time, and the kron rasterizer of the per-module
+encoder and an all-light frame for rendering one.
 The original pass loop, one per-row scan per stride, is the reference for
 ``_locate``'s two passes and memoised column checks.
 """
@@ -20,7 +20,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xrprobe.video_beacon import (
     CrcMismatch,
@@ -243,6 +244,21 @@ class TestCodecOracles:
         else:
             assert grid_timestamp(modules) == expected
         img = rasterize(ModuleGrid(modules=modules, payload_ts=ts), scale, quiet).pixels
+        oracle = rasterize_oracle(modules, scale, quiet)
+        assert img.dtype == np.uint8 and img.shape == oracle.shape
+        assert (img == oracle).all()
+
+    @given(modules=st.one_of(
+        hnp.arrays(bool, (21, 21)),
+        # damaged grids are rasterized too, and a ModuleGrid takes any
+        # dtype: every truthy module is dark
+        hnp.arrays(np.int64, (21, 21), elements=st.integers(0, 1)),
+        hnp.arrays(np.uint8, (21, 21))),
+        scale=st.integers(1, 6), quiet=st.integers(0, 3))
+    @example(modules=encode_beacon(12345).modules.astype(np.int64), scale=3, quiet=2)
+    @settings(max_examples=100, deadline=None)
+    def test_rasterize_matches_oracle_on_any_grid(self, modules, scale, quiet):
+        img = rasterize(ModuleGrid(modules=modules, payload_ts=0), scale, quiet).pixels
         oracle = rasterize_oracle(modules, scale, quiet)
         assert img.dtype == np.uint8 and img.shape == oracle.shape
         assert (img == oracle).all()
@@ -1035,6 +1051,13 @@ class TestPgmStream:
         # leading zeros is 255
         (b"P5\n" + b"9" * 5000 + b" 1\n255\nab", 1, "frame 0: not a binary PGM image"),
         (b"P5\n2 1\n" + b"0" * 5000 + b"255\nab", 2, "frame 1: file ends after 1 of 2 images"),
+        # a zero-area frame whose other side no array can have
+        (b"P5\n2 1\n255\nabP5\n0 9223372036854775808\n255\n", 2,
+         "frame 1: a 0 x 9223372036854775808 frame has a side past the largest array "
+         "side, 9223372036854775807"),
+        (b"P5\n9223372036854775808 0\n255\n", 1,
+         "frame 0: a 9223372036854775808 x 0 frame has a side past the largest array "
+         "side, 9223372036854775807"),
     ])
     def test_bad_stream_names_file_and_frame(self, tmp_path, blob, count, message):
         path = tmp_path / "frames.pgm"
@@ -1053,6 +1076,13 @@ class TestPgmStream:
         path = tmp_path / "frame.pgm"
         path.write_bytes(blob)
         assert _read_pgm_stream(path, 1)[0].pixels.tolist() == [[ord("a"), ord("b")]]
+
+    @pytest.mark.parametrize("header", [b"0 9223372036854775807", b"9223372036854775807 0"])
+    def test_zero_area_frame_at_the_largest_side_is_read(self, tmp_path, header):
+        write_frame_sequence(tmp_path, [blank_frame(1, 0)], FrameManifest("d", 30.0, 0, 1))
+        (tmp_path / "frames.pgm").write_bytes(b"P5\n" + header + b"\n255\n")
+        assert _read_pgm_stream(tmp_path / "frames.pgm", 1)[0].pixels.size == 0
+        assert detect_frame_sequence(tmp_path) == ([], Counter(finder_not_found=1))
 
     def test_missing_stream_names_file(self, tmp_path):
         write_frame_sequence(tmp_path, [blank_frame(1, 0)], FrameManifest("d", 30.0, 0, 1))
@@ -1233,23 +1263,23 @@ class TestFrameSequence:
 # --- frame stacks: rendered and read CHUNK_BYTES of pixels at a time ---------------
 
 class _ChunkSpy:
-    """Records the frames each ``_render_chunk`` call renders and the shape
-    of each stack ``_stack_timestamps`` reads."""
+    """Records the frames each ``_raster`` call draws and the shape of each
+    stack ``_stack_timestamps`` reads."""
 
     def __init__(self, monkeypatch):
         self.rendered: list[int] = []
         self.stacks: list[tuple[int, ...]] = []
-        render, read = video_beacon._render_chunk, video_beacon._stack_timestamps
+        render, read = video_beacon._raster, video_beacon._stack_timestamps
 
-        def render_spy(stamps, scale, quiet):
-            self.rendered.append(len(stamps))
-            return render(stamps, scale, quiet)
+        def render_spy(modules, scale, quiet):
+            self.rendered.append(len(modules))
+            return render(modules, scale, quiet)
 
         def read_spy(stack):
             self.stacks.append(stack.shape)
             return read(stack)
 
-        monkeypatch.setattr(video_beacon, "_render_chunk", render_spy)
+        monkeypatch.setattr(video_beacon, "_raster", render_spy)
         monkeypatch.setattr(video_beacon, "_stack_timestamps", read_spy)
 
 
@@ -1298,7 +1328,8 @@ class TestFrameStacks:
         side = (21 + 2 * quiet) * scale
         manifest = FrameManifest("d", 30.0, 0, len(stamps))
         expected = [blank_frame(scale, quiet) if ts is None
-                    else rasterize(encode_beacon(ts), scale, quiet) for ts in stamps]
+                    else PixelBuffer(pixels=rasterize_oracle(encode_oracle(ts), scale, quiet))
+                    for ts in stamps]
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(video_beacon, "CHUNK_BYTES", per_chunk * side * side)
             write_frame_sequence(f"{tmp}/chunked", video_beacon.render_frames(stamps, scale, quiet),
